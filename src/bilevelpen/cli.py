@@ -177,8 +177,11 @@ def cmd_rates(args):
     if args.format in ("csv", "both"):
         _write_text(gaps_to_csv(gaps), outdir, f"{problem.name}_gaps", ".csv")
     slope = "exact" if fit.classification == "exact_selection" else f"{fit.slope:.4f}"
+    excess = cert.min_sum - cert.level_sum
+    rel = "=" if abs(excess) <= 2 * cert.tol else ("<" if excess < 0 else ">")
     print(f"{problem.name}: slope {slope}, classification {fit.classification}, "
-          f"certificate valid {cert.valid}")
+          f"certificate valid {cert.valid} (min of h + f {cert.min_sum:.6g} {rel} "
+          f"level sum {cert.level_sum:.6g})")
     soft = (not cert.valid) or any(not r.converged for r in trace.rows)
     return 2 if soft else 0
 

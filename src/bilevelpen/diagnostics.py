@@ -5,7 +5,8 @@ Three diagnostics relate a solver run to the brute-force oracle:
 * build_certificate freezes the oracle's optimal follower/leader levels
   and cross-checks, by sampling C, that three candidate descriptions of
   the optimal set agree (bounds description, sum-sublevel description,
-  equality description). Disagreement flags the certificate invalid.
+  equality description). Disagreement flags the certificate invalid;
+  the exact min over C of h + f, below level_sum, says why.
 * strong_slope_lower_bound estimates the infimum of the follower
   objective's gradient norm away from its minimizers; a positive bound
   yields a Hoffman-type constant, which drives the linear error rate.
@@ -22,12 +23,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import LINEAR, BilevelProblem, Polytope
-from .lower_solver import _fw_run, enumerate_vertices, independent_rows, vertex_lmo
+from .model import GENERAL, LINEAR, QUADRATIC, BilevelProblem, FieldSection, Polytope
+from .lower_solver import (_fw_run, enumerate_vertices, frank_wolfe_minimize,
+                           independent_rows, vertex_lmo)
 from .oracle import OracleSolution
 
 RATEFIT_SCHEMA = "ratefit-v1"
-CERTIFICATE_SCHEMA = "certificate-v1"
+CERTIFICATE_SCHEMA = "certificate-v2"
 
 GAP_FLOOR = 1e-12
 SLOPE_UNAVAILABLE_CUT = 1e-4
@@ -50,6 +52,8 @@ class Certificate:
     n_samples: int
     n_counterexamples: int
     counterexamples: tuple  # first few (x, h, f, in_bounds, in_sum, in_equality)
+    min_sum: float          # min over C of (h + f)(y*, .), by Frank-Wolfe
+    min_sum_x: np.ndarray   # its minimizer
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,10 @@ def build_certificate(problem: BilevelProblem, oracle: OracleSolution,
     a wrong oracle value or a failed problem assumption. The returned
     membership is the same sum-sublevel test (C and h + f <= level_sum +
     2*tol), and the oracle point must pass it.
+
+    min_sum = min over C of h + f (by Frank-Wolfe) is at most level_sum;
+    when it is lower (QB: 3 < 4), its minimizer min_sum_x lies in the sum
+    description but not in the optimal set.
     """
     if oracle.problem != problem.name:
         raise ValueError("oracle does not belong to this problem")
@@ -119,11 +127,21 @@ def build_certificate(problem: BilevelProblem, oracle: OracleSolution,
         for i in np.nonzero(bad)[0][:32]
     )
     valid = not bad.any() and membership(oracle.x)
+    hs, fs = h.fix(y), f.fix(y)
+    sum_section = FieldSection(
+        value=lambda x: hs.value(x) + fs.value(x),
+        grad=lambda x: hs.grad(x) + fs.grad(x),
+        value_batch=lambda X: hs.value_batch(X) + fs.value_batch(X),
+        structure=GENERAL if GENERAL in (h.structure, f.structure) else QUADRATIC,
+        convex_in_x=h.convex_in_x and f.convex_in_x,
+    )
+    sum_min = frank_wolfe_minimize(sum_section, C, tol=1e-12)
     return Certificate(
         problem=problem.name, follower_level=float(alpha),
         leader_level=float(beta), level_sum=float(sigma), tol=float(tol),
         membership=membership, valid=valid, n_samples=len(X),
         n_counterexamples=int(bad.sum()), counterexamples=counterexamples,
+        min_sum=sum_min.value, min_sum_x=sum_min.x,
     )
 
 
@@ -269,6 +287,8 @@ def certificate_to_json(cert: Certificate) -> dict:
         "valid": cert.valid,
         "n_samples": cert.n_samples,
         "n_counterexamples": cert.n_counterexamples,
+        "min_sum": cert.min_sum,
+        "min_sum_x": list(map(float, cert.min_sum_x)),
     }
 
 

@@ -159,6 +159,13 @@ def check_indices(node, dim_y, dim_x):
         check_indices(node[1], dim_y, dim_x)
 
 
+def uses_y(node):
+    """Whether the expression reads any leader variable y[i]."""
+    if node[0] == "y":
+        return True
+    return any(uses_y(child) for child in node[1:] if isinstance(child, tuple))
+
+
 def compile_evaluator(node):
     """Compile the AST to a closure ``fn(y, x) -> value``.
 

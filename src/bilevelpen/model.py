@@ -66,7 +66,9 @@ class ScalarField:
     convex_in_x declares convexity of x -> f(y, x) for every y. The
     declaration is trusted by the solvers and cross-checked by
     validate_problem. evaluate_batch, when given, evaluates a whole
-    (N, dim_x) batch of x points at once.
+    (N, dim_x) batch of x points at once. coefficients, when given, maps
+    y to (Q, c, d) with f(y, x) = x'(Qx/2 + c) + d; fix then returns a
+    section evaluated by dense linear algebra instead of evaluate.
     """
 
     dim_y: int
@@ -77,6 +79,7 @@ class ScalarField:
     convex_in_x: bool = False
     evaluate_batch: Optional[Callable] = None
     expression: Optional[str] = None
+    coefficients: Optional[Callable] = None
 
     def batch(self, y, X):
         X = np.asarray(X, dtype=float)
@@ -87,6 +90,16 @@ class ScalarField:
     def fix(self, y):
         """Freeze the leader variable, yielding a function of x alone."""
         y = np.asarray(y, dtype=float)
+        if self.coefficients is not None:
+            Q, c, d = self.coefficients(y)
+            half_Q = 0.5 * Q  # scaling by 2 is exact: same bits as 0.5 * (Q @ x)
+            return FieldSection(
+                value=lambda x: float(x @ (half_Q @ x + c) + d),
+                grad=lambda x: Q @ x + c,
+                value_batch=lambda X: np.einsum("ij,ij->i", X, X @ half_Q + c) + d,
+                structure=self.structure,
+                convex_in_x=self.convex_in_x,
+            )
         return FieldSection(
             value=lambda x: float(self.evaluate(y, x)),
             grad=lambda x: np.asarray(self.gradient_x(y, x), dtype=float),
@@ -100,9 +113,10 @@ def field_from_expression(text, dim_y, dim_x, convex_hint=None):
     """Build a ScalarField from an expression string.
 
     Structure (linear/quadratic/general in x) is derived from the
-    polynomial degree of the expression; gradients are symbolic.
-    Convexity in x is decided automatically for degree <= 2 (constant
-    Hessian test) and may be overridden with convex_hint.
+    polynomial degree of the expression; gradients are symbolic. Fields
+    of degree <= 2 carry their coefficients (see _quadratic_coefficients).
+    Convexity in x is decided automatically for degree <= 2 (PSD test of
+    the Hessian at 5 sampled y) and may be overridden with convex_hint.
     """
     node = ex.parse(text)
     ex.check_indices(node, dim_y, dim_x)
@@ -117,15 +131,17 @@ def field_from_expression(text, dim_y, dim_x, convex_hint=None):
         structure = QUADRATIC
     else:
         structure = LINEAR
+    coefficients = (None if structure == GENERAL
+                    else _quadratic_coefficients(node, grad_nodes, dim_y, dim_x))
 
     if convex_hint is not None:
         convex = bool(convex_hint)
-    elif structure == LINEAR:
-        convex = True
     elif structure == QUADRATIC:
-        convex = _quadratic_is_convex(grad_nodes, dim_y, dim_x)
+        rng = np.random.default_rng(0)
+        convex = all(np.linalg.eigvalsh(coefficients(rng.uniform(-1.0, 2.0, size=dim_y))[0])
+                     .min() >= -1e-9 for _ in range(5))
     else:
-        convex = False
+        convex = structure == LINEAR
 
     def evaluate(y, x):
         return float(value_fn(np.asarray(y, float), np.asarray(x, float)))
@@ -144,32 +160,48 @@ def field_from_expression(text, dim_y, dim_x, convex_hint=None):
         evaluate=evaluate, gradient_x=gradient_x,
         structure=structure, convex_in_x=convex,
         evaluate_batch=evaluate_batch, expression=text,
+        coefficients=coefficients,
     )
 
 
-def _quadratic_is_convex(grad_nodes, dim_y, dim_x, trials=5):
-    """Constant-in-x Hessian of a degree-2 field; PSD check at sampled y."""
-    hess_fns = [[ex.compile_evaluator(ex.diff_x(g, j)) for j in range(dim_x)]
-                for g in grad_nodes]
-    rng = np.random.default_rng(0)
-    x0 = np.zeros(dim_x)
-    for _ in range(trials):
-        y = rng.uniform(-1.0, 2.0, size=dim_y)
-        H = np.array([[hess_fns[i][j](y, x0) for j in range(dim_x)]
-                      for i in range(dim_x)], dtype=float)
-        H = 0.5 * (H + H.T)
-        if np.linalg.eigvalsh(H).min() < -1e-9:
-            return False
-    return True
+def _quadratic_coefficients(node, grad_nodes, dim_y, dim_x):
+    """y -> (Q, c, d) of a field of degree <= 2 in x.
+
+    Q is the Hessian from the symbolic second derivatives, c the gradient
+    and d the value at x = 0, so f(y, x) = x'(Qx/2 + c) + d exactly. They
+    are packed in one vector [Q.ravel(), c, d]; entries that do not read y
+    are evaluated once here.
+    """
+    n = dim_x
+    terms = [([n * n + n], node)] + [([n * n + j], g) for j, g in enumerate(grad_nodes)]
+    terms += [([i * n + j, j * n + i], ex.diff_x(grad_nodes[i], j))
+              for i in range(n) for j in range(i, n)]
+    x0 = np.zeros(n)
+    base = np.zeros(n * n + n + 1)
+    varying = []
+    for idx, term in terms:
+        fn = ex.compile_evaluator(term)
+        if ex.uses_y(term):
+            varying.append((idx, fn))
+        else:
+            base[idx] = fn(np.zeros(dim_y), x0)
+
+    def coefficients(y):
+        theta = base.copy()
+        for idx, fn in varying:
+            theta[idx] = fn(y, x0)
+        return theta[:n * n].reshape(n, n), theta[n * n:-1], float(theta[-1])
+    return coefficients
 
 
 @dataclass
 class Polytope:
     """The follower feasible set C = {x : Ax = b, x >= 0}.
 
-    Construction verifies C is nonempty and bounded (one LP per
-    coordinate direction). cached_vertices is filled lazily by
-    enumerate_vertices; manual values are checked for feasibility.
+    Construction verifies C is nonempty and bounded (two LPs: since
+    x >= 0, C is bounded iff max 1'x over C is finite). cached_vertices
+    is filled lazily by enumerate_vertices; manual values are checked
+    for feasibility.
     """
 
     A: np.ndarray
@@ -184,19 +216,9 @@ class Polytope:
         _, status = simplex.feasible_point(self.A, self.b)
         if status == "infeasible":
             raise EmptyFeasibleSetError("feasible set {Ax=b, x>=0} is empty")
-        n = self.A.shape[1]
-        for i in range(n):
-            c = np.zeros(n)
-            c[i] = -1.0  # max x_i
-            _, _, _, st = simplex.solve(c, self.A, self.b)
-            if st == "unbounded":
-                raise UnboundedFeasibleSetError(
-                    f"feasible set unbounded in coordinate {i}")
-            c[i] = 1.0  # min x_i (trivially bounded by x >= 0, checked anyway)
-            _, _, _, st = simplex.solve(c, self.A, self.b)
-            if st == "unbounded":
-                raise UnboundedFeasibleSetError(
-                    f"feasible set unbounded in coordinate {i}")
+        _, _, _, status = simplex.solve(-np.ones(self.A.shape[1]), self.A, self.b)
+        if status == "unbounded":
+            raise UnboundedFeasibleSetError("feasible set {Ax=b, x>=0} is unbounded")
         if self.cached_vertices is not None:
             V = np.atleast_2d(np.asarray(self.cached_vertices, dtype=float))
             for v in V:
@@ -323,11 +345,11 @@ def _feasible_samples(C, n, rng):
 def validate_problem(problem, samples=500, seed=0):
     """Check the standing assumptions by sampling K x C.
 
-    Runs four checks: positivity of the leader objective, convexity in x
-    of the follower objective (midpoint tests on random segments inside
-    C), gradient consistency of both fields against central finite
-    differences, and boundedness of C. A failing check carries a witness
-    point.
+    Runs four checks: positivity of the leader objective (a non-finite
+    value fails it), convexity in x of the follower objective (midpoint
+    tests on random segments inside C), gradient consistency of both
+    fields against central finite differences, and boundedness of C. A
+    failing check carries a witness point.
     """
     if samples < 100:
         raise ValueError("samples must be at least 100")
@@ -348,7 +370,8 @@ def validate_problem(problem, samples=500, seed=0):
             break
         if v < worst_val:
             worst_val, worst_pt = v, (y.copy(), x.copy())
-    positivity = CheckResult("positivity", bool(worst_val > 0.0), worst_pt, float(worst_val))
+    positivity = CheckResult("positivity", bool(np.isfinite(worst_val) and worst_val > 0.0),
+                             worst_pt, float(worst_val))
 
     # convexity in x of the follower objective: midpoint test on segments
     conv_ok, conv_wit, conv_worst = True, None, -np.inf

@@ -15,9 +15,9 @@ from itertools import product
 import numpy as np
 from scipy.linalg import qr as scipy_qr
 
-from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem,
-                    DimensionGuardError, FEAS_TOL, FieldSection)
+from .model import LINEAR, BilevelProblem, DimensionGuardError, FEAS_TOL
 from .lower_solver import _fw_run, enumerate_vertices, independent_rows, lp_minimize, vertex_lmo
+from .selection import penalized_field
 
 ORACLE_SCHEMA = "oracle-v1"
 
@@ -136,22 +136,11 @@ def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
     return LowerSetDescription(kind=kind, points=pts, value=m)
 
 
-def _square_section(f, y):
-    fy = f.fix(y)
-    structure = QUADRATIC if f.structure == LINEAR else GENERAL
-    return FieldSection(
-        value=lambda x: fy.value(x) ** 2,
-        grad=lambda x: 2.0 * fy.value(x) * fy.grad(x),
-        value_batch=lambda X: fy.value_batch(X) ** 2,
-        structure=structure,
-        convex_in_x=(f.structure == LINEAR or f.convex_in_x),
-    )
-
-
 def pessimistic_select(problem: BilevelProblem, y, tol=1e-8,
                        grid_step=1e-3) -> PessimisticResponse:
     """Worst-case follower response: minimize the squared leader objective
-    over the exact follower argmin set."""
+    over the exact follower argmin set. A vertex face is searched with
+    h + f^2, whose minimizers are those of f^2 since h is constant there."""
     y = np.asarray(y, dtype=float)
     desc = exact_lower_set(problem, y, tol=tol, grid_step=grid_step)
     f = problem.leader_objective
@@ -159,7 +148,7 @@ def pessimistic_select(problem: BilevelProblem, y, tol=1e-8,
         x = desc.points[0]
         return PessimisticResponse(x=x, value=float(f.evaluate(y, x)))
     if desc.kind == "vertex_face":
-        section = _square_section(f, y)
+        section = penalized_field(problem, 1.0).fix(y)
         lmo = vertex_lmo(desc.points)
         best = None
         for x0 in desc.points:

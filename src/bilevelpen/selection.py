@@ -69,6 +69,9 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
     composite gradient. The field is declared convex in x only for the
     pessimistic sign when the leader objective's structure guarantees
     convexity of its square (linear, or convex with positive values).
+    For f linear and h of degree <= 2 with coefficients, so is the
+    result: with f = a'x + f0, it has Q_h + 2s*eps*aa', c_h + 2s*eps*f0*a
+    and d_h + s*eps*f0^2.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -89,8 +92,15 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
     def evaluate_batch(y, X):
         return h.batch(y, X) + s_eps * f.batch(y, X) ** 2
 
+    coefficients = None
     if f.structure == LINEAR and h.structure in (LINEAR, QUADRATIC):
         structure = QUADRATIC
+        if f.coefficients is not None and h.coefficients is not None:
+            def coefficients(y):
+                Qh, ch, dh = h.coefficients(y)
+                _, a, f0 = f.coefficients(y)
+                return (Qh + 2.0 * s_eps * np.outer(a, a), ch + 2.0 * s_eps * f0 * a,
+                        dh + s_eps * f0 * f0)
     else:
         structure = GENERAL
     convex = (sign == PESSIMISTIC and h.convex_in_x
@@ -99,7 +109,7 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
         dim_y=f.dim_y, dim_x=f.dim_x,
         evaluate=evaluate, gradient_x=gradient_x,
         structure=structure, convex_in_x=convex,
-        evaluate_batch=evaluate_batch, expression=None,
+        evaluate_batch=evaluate_batch, expression=None, coefficients=coefficients,
     )
 
 

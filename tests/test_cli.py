@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -121,7 +122,11 @@ class TestRates:
         fit = doc["ratefit"]
         assert 0.9 <= fit["slope"] <= 1.1
         assert fit["classification"] == "linear_rate"
-        assert doc["certificate"]["schema"] == "certificate-v1"
+        assert doc["certificate"]["schema"] == "certificate-v2"
+        # why it is invalid: min of h + f is 3 < 4 at the origin corner
+        assert doc["certificate"]["min_sum"] == pytest.approx(3.0, abs=1e-9)
+        assert doc["certificate"]["level_sum"] == pytest.approx(4.0, abs=1e-6)
+        assert doc["certificate"]["min_sum_x"][:2] == pytest.approx([0.0, 0.0], abs=1e-9)
         gaps = doc["gaps"]
         assert all(g == pytest.approx(16 * e / (1 + 4 * e), abs=5e-4)
                    for e, g in gaps)
@@ -151,7 +156,11 @@ class TestRoundTrip:
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports the package under test, also when pytest put src on sys.path
+    src = os.path.dirname(os.path.dirname(bp.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "bilevelpen.cli", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "QB" in proc.stdout

@@ -1,0 +1,176 @@
+"""Dense sections of fields of degree <= 2 in x against the expression path.
+
+A field built from an expression of degree <= 2 carries coefficients
+y -> (Q, c, d), and its sections evaluate x'(Qx/2 + c) + d instead of the
+expression. These tests compare the two paths; the expression path is the
+reference, reached by replacing the coefficients with None.
+"""
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bilevelpen as bp
+from bilevelpen.model import GENERAL, field_from_expression
+from bilevelpen.selection import OPTIMISTIC, PESSIMISTIC, SelectionConfig
+
+REL = 1e-12
+
+numbers = st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: round(v, 3))
+
+
+def close(a, b, rel=REL):
+    """Equal to rel relative to the reference b, with a unit floor."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all(np.abs(a - b) <= rel * np.maximum(1.0, np.abs(b))))
+
+
+def expression_only(field):
+    return replace(field, coefficients=None)
+
+
+@st.composite
+def quadratic_expressions(draw, dim_y, dim_x, linear=False):
+    """Random expression text of degree <= 2 (<= 1 if linear) in x."""
+
+    def coef():
+        return f"({draw(numbers)!r} + {draw(numbers)!r}*y[{draw(st.integers(0, dim_y - 1))}])"
+
+    def index():
+        return draw(st.integers(0, dim_x - 1))
+
+    kinds = ["x", "scaled"] if linear else ["x", "scaled", "xx", "square", "product"]
+    terms = [coef()]
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "x":
+            terms.append(f"{coef()}*x[{index()}]")
+        elif kind == "scaled":
+            terms.append(f"x[{index()}]/(2 + y[0]^2)")
+        elif kind == "xx":
+            terms.append(f"{coef()}*x[{index()}]*x[{index()}]")
+        elif kind == "square":
+            terms.append(f"({coef()}*x[{index()}] - x[{index()}] + {draw(numbers)!r})^2")
+        else:
+            terms.append(f"-(x[{index()}] + {coef()})*({coef()} - x[{index()}])")
+    return " + ".join(terms)
+
+
+@st.composite
+def field_cases(draw):
+    """(field, y, X): a field of degree <= 2 over dim_x <= 6 and points to test."""
+    dim_y, dim_x = draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    field = field_from_expression(draw(quadratic_expressions(dim_y, dim_x)), dim_y, dim_x)
+    y = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=dim_y, max_size=dim_y)))
+    X = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=dim_x, max_size=dim_x),
+                               min_size=1, max_size=4)))
+    return field, y, X
+
+
+class TestDenseSection:
+    @settings(max_examples=150, deadline=None)
+    @given(field_cases())
+    def test_matches_expression(self, case):
+        field, y, X = case
+        assert field.structure != GENERAL and field.coefficients is not None
+        section, reference = field.fix(y), expression_only(field).fix(y)
+        for x in X:
+            assert close(section.value(x), field.evaluate(y, x))
+            assert close(section.grad(x), field.gradient_x(y, x))
+        assert close(section.value_batch(X), reference.value_batch(X))
+
+    def test_general_field_has_no_coefficients(self):
+        field = field_from_expression("x[0]^3 + y[0]", 1, 2)
+        assert field.structure == GENERAL and field.coefficients is None
+
+    def test_qb_coefficients(self, qb):
+        Q, c, d = qb.follower_objective.coefficients(np.array([0.1]))
+        np.testing.assert_array_equal(Q[:2, :2], [[2.0, 2.0], [2.0, 2.0]])
+        np.testing.assert_array_equal(Q[2:], 0.0)
+        np.testing.assert_array_equal(c, [-2.0, -2.0, 0.0, 0.0])
+        assert d == 1.0
+        _, a, f0 = qb.leader_objective.coefficients(np.array([0.5]))
+        np.testing.assert_array_equal(a, [2.0, 2.0, 0.0, 0.0])
+        assert f0 == 2.0
+
+
+class TestPenalizedCoefficients:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from([PESSIMISTIC, OPTIMISTIC]),
+           st.sampled_from([1e-1, 1e-2, 1e-3]))
+    def test_equal_h_plus_signed_eps_f_squared(self, data, sign, eps):
+        dim_y, dim_x = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 6))
+        f = field_from_expression(
+            data.draw(quadratic_expressions(dim_y, dim_x, linear=True)), dim_y, dim_x)
+        h = field_from_expression(
+            data.draw(quadratic_expressions(dim_y, dim_x)), dim_y, dim_x)
+        field = bp.penalized_field(SimpleNamespace(leader_objective=f, follower_objective=h),
+                                   eps, sign)
+        assert field.coefficients is not None
+        y = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=dim_y, max_size=dim_y)))
+        x = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=dim_x, max_size=dim_x)))
+        Q, c, d = field.coefficients(y)
+        fv = f.evaluate(y, x)
+        assert close(x @ (0.5 * Q @ x + c) + d, h.evaluate(y, x) + sign * eps * fv ** 2)
+        assert close(Q @ x + c, h.gradient_x(y, x) + 2.0 * sign * eps * fv * f.gradient_x(y, x))
+
+    def test_quadratic_leader_takes_expression_path(self, qb):
+        f = field_from_expression("1 + x[0]^2", 1, 4)
+        p = SimpleNamespace(leader_objective=f, follower_objective=qb.follower_objective)
+        assert bp.penalized_field(p, 0.1).coefficients is None
+
+
+def both_paths(problem):
+    """The problem as given, and with its fields on the expression path."""
+    return problem, replace(problem,
+                            leader_objective=expression_only(problem.leader_objective),
+                            follower_objective=expression_only(problem.follower_objective))
+
+
+def assert_same_selection(dense, reference):
+    # x itself may differ: on QB the argmin is a segment, and rounding picks
+    # which start's point wins; f and the penalized value are constant there
+    assert close(dense.leader_value, reference.leader_value)
+    assert close(dense.penalized_value, reference.penalized_value)
+    assert dense.reliable == reference.reliable
+
+
+class TestSelectionPaths:
+    @pytest.mark.parametrize("name", ["QB", "FS"])
+    @pytest.mark.parametrize("sign", [PESSIMISTIC, OPTIMISTIC])
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
+    def test_registry_grid(self, name, sign, eps):
+        dense, reference = both_paths(bp.registry_get(name))
+        cfg = SelectionConfig(sign=sign)
+        for y in np.linspace(0.0, 1.0, 21):
+            assert_same_selection(bp.select_response(dense, [y], eps, cfg),
+                                  bp.select_response(reference, [y], eps, cfg))
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_random_block_simplex(self, data):
+        sizes = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]))
+        n = sum(sizes)
+        A = np.zeros((len(sizes), n))
+        start = 0
+        for k, size in enumerate(sizes):
+            A[k, start:start + size] = 1.0
+            start += size
+        weights = st.floats(0.1, 2.0).map(lambda v: round(v, 3))
+        g = [data.draw(weights) for _ in range(n)]
+        a = [data.draw(weights) for _ in range(n)]
+        doc = {
+            "name": "blocks", "dim_y": 1, "dim_x": n, "A": A.tolist(),
+            "b": [data.draw(st.floats(0.5, 1.5)) for _ in sizes],
+            "K_lower": [0.0], "K_upper": [1.0],
+            "f": "1 + y[0] + " + " + ".join(f"{a[j]!r}*x[{j}]" for j in range(n)),
+            "h": "(" + " + ".join(f"{g[j]!r}*x[{j}]" for j in range(n))
+                 + f" - {data.draw(st.floats(0.5, 2.0))!r} - 0.2*y[0])^2",
+        }
+        dense, reference = both_paths(bp.problem_from_dict(doc))
+        y, eps = data.draw(st.floats(0.0, 1.0)), data.draw(st.sampled_from([1e-1, 1e-2, 1e-3]))
+        assert_same_selection(bp.select_response(dense, [y], eps),
+                              bp.select_response(reference, [y], eps))

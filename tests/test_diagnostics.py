@@ -154,9 +154,11 @@ class TestReports:
     def test_certificate_json(self, fs, fs_oracle):
         cert = bp.build_certificate(fs, fs_oracle)
         doc = bp.certificate_to_json(cert)
-        assert doc["schema"] == "certificate-v1"
+        assert doc["schema"] == "certificate-v2"
         assert doc["valid"] is True
         assert doc["n_counterexamples"] == 0
+        assert doc["min_sum"] == pytest.approx(doc["level_sum"], abs=1e-9)
+        np.testing.assert_allclose(doc["min_sum_x"], fs_oracle.x, atol=1e-9)
 
     def test_gaps_csv(self):
         text = bp.gaps_to_csv([(0.1, 1.0), (0.05, 0.5)])

@@ -102,6 +102,18 @@ class TestValidation:
         assert check.witness is not None
         assert check.worst_value < 0
 
+    def test_infinite_leader_objective_fails_positivity(self, fs):
+        # 1/x[0] is +inf at the vertex (0, 1) of FS's segment
+        bad_f = field_from_expression("1/x[0]", 1, 2)
+        tampered = BilevelProblem("FS_inf", bad_f, fs.follower_objective,
+                                  fs.leader_set, fs.follower_set)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            check = bp.validate_problem(tampered, samples=500)["positivity"]
+        assert not check.passed
+        assert check.worst_value == np.inf
+        y, x = check.witness
+        np.testing.assert_array_equal(x, [0.0, 1.0])
+
     def test_concave_follower_objective_fails_convexity(self, qb):
         bad_h = field_from_expression("-((x[0] + x[1] - 1)^2)", 1, 4,
                                       convex_hint=True)
