@@ -24,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import GENERAL, LINEAR, QUADRATIC, BilevelProblem, FieldSection, Polytope
-from .lower_solver import (_fw_run, enumerate_vertices, frank_wolfe_minimize,
-                           independent_rows, vertex_lmo)
+from .lower_solver import (_feasible_points, _fw_multistart, enumerate_vertices,
+                           frank_wolfe_minimize, independent_rows, vertex_lmo)
 from .oracle import OracleSolution
 
 RATEFIT_SCHEMA = "ratefit-v1"
@@ -73,14 +73,6 @@ class RateFit:
     n_points: int
 
 
-def _sample_feasible(C: Polytope, n, rng):
-    V = enumerate_vertices(C)
-    if n <= len(V):
-        return V[:n]
-    W = rng.dirichlet(np.ones(len(V)), size=n - len(V))
-    return np.vstack([V, W @ V])
-
-
 def build_certificate(problem: BilevelProblem, oracle: OracleSolution,
                       tol=1e-6, n_samples=1000, seed=0) -> Certificate:
     """Certify the oracle solution by sampled set-description agreement.
@@ -114,7 +106,7 @@ def build_certificate(problem: BilevelProblem, oracle: OracleSolution,
                     and h.evaluate(y, x) + f.evaluate(y, x) <= sigma + 2 * tol)
 
     rng = np.random.default_rng(seed)
-    X = _sample_feasible(C, n_samples, rng)
+    X = _feasible_points(enumerate_vertices(C), n_samples, rng)
     hv = h.batch(y, X)
     fv = f.batch(y, X)
     in_bounds = (hv <= alpha + tol) & (fv <= beta + tol)
@@ -184,16 +176,11 @@ def strong_slope_lower_bound(field, y, C: Polytope, n_samples=1000,
                              validity="exact_linear")
 
     rng = np.random.default_rng(seed)
-    samples = _sample_feasible(C, n_samples, rng)
+    samples = _feasible_points(V, n_samples, rng)
 
-    lmo = vertex_lmo(V)
-    minima = []
-    best_val = np.inf
-    for x0 in V:
-        bx, bval, _, _ = _fw_run(section, lmo, x0, tol=1e-10, max_iter=1000)
-        minima.append(bx)
-        best_val = min(best_val, bval)
-    minima = np.array(minima)
+    runs = list(_fw_multistart(section, vertex_lmo(V), V, tol=1e-10, max_iter=1000))
+    minima = np.array([r[0] for r in runs])
+    best_val = min(r[1] for r in runs)
 
     probe_r = 2.0 * exclusion
     probes = []

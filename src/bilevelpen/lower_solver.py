@@ -6,9 +6,12 @@ convex objectives, which needs only that oracle. Vertex enumeration
 supports multistarts, brute-force oracles, and fast linear minimization
 on small polytopes (the minimum of a linear function over a bounded
 polytope is attained at a vertex, so the cached vertex list is an exact
-oracle).
+oracle). The package's one sampler of C (_feasible_points: vertices,
+then seeded Dirichlet mixtures) and one multistart Frank-Wolfe loop
+(_fw_multistart) live here.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -115,6 +118,21 @@ def _simplex_lmo(C):
     return lmo
 
 
+def _feasible_points(V, n, seed):
+    """n points of the polytope with vertex array V: the vertices in order,
+    then Dirichlet mixtures of all of them drawn from default_rng(seed), so
+    seed is an int or a Generator, which is touched only when n > len(V)."""
+    if n <= len(V):
+        return V[:n]
+    rng = np.random.default_rng(seed)
+    W = rng.dirichlet(np.ones(len(V)), size=n - len(V))
+    return np.vstack([V, W @ V])
+
+
+def _finite_or_inf(v):
+    return v if math.isfinite(v) else math.inf
+
+
 def _fw_run(section, lmo, x0, tol, max_iter):
     """One Frank-Wolfe run from x0.
 
@@ -122,23 +140,25 @@ def _fw_run(section, lmo, x0, tol, max_iter):
     exact minimization of the 1-d restriction for fields at most
     quadratic in x, Armijo backtracking otherwise. The endpoint gamma=1
     is always evaluated, so the returned value never exceeds the value
-    at any oracle vertex the run visited.
+    at any oracle vertex the run visited. Non-finite values and gaps
+    count as +inf: the run stops at its first such gap, and a run that
+    met no finite value returns value inf with gap inf.
     """
     exact_steps = section.structure in ("linear_in_x", "quadratic_in_x")
     x = np.array(x0, dtype=float)
-    fx = section.value(x)
+    fx = _finite_or_inf(section.value(x))
     best_x, best_val, best_gap = x.copy(), fx, None
     iters = 0
     for iters in range(1, max_iter + 1):
         g = section.grad(x)
         v = lmo(g)
-        gap = float(g @ (x - v))
+        gap = _finite_or_inf(float(g @ (x - v)))
         if fx < best_val or (fx == best_val and best_gap is None):
             best_x, best_val, best_gap = x.copy(), fx, gap
-        if gap <= tol:
+        if gap <= tol or gap == math.inf:
             break
         d = v - x
-        f_end = section.value(v)
+        f_end = _finite_or_inf(section.value(v))
         if f_end < best_val:
             best_x, best_val, best_gap = v.copy(), f_end, None
         if exact_steps:
@@ -156,12 +176,21 @@ def _fw_run(section, lmo, x0, tol, max_iter):
             if not accepted:
                 break  # no sufficient decrease left: numerically stationary
         x = x + gamma * d
-        fx = section.value(x)
-    if best_gap is None:
+        fx = _finite_or_inf(section.value(x))
+    if best_val == math.inf:
+        best_gap = math.inf
+    elif best_gap is None:
         g = section.grad(best_x)
         v = lmo(g)
-        best_gap = float(g @ (best_x - v))
+        best_gap = _finite_or_inf(float(g @ (best_x - v)))
     return best_x, best_val, best_gap, iters
+
+
+def _fw_multistart(section, lmo, starts, tol, max_iter):
+    """Yield _fw_run's (x, value, gap, iterations) for each start in turn;
+    lazily, so a caller can stop after any start."""
+    for x0 in starts:
+        yield _fw_run(section, lmo, x0, tol, max_iter)
 
 
 def _project_start(start, C):
@@ -189,6 +218,8 @@ def frank_wolfe_minimize(field, C: Polytope, tol=1e-8, max_iter=2000,
     Non-convergence is not an exception: the result carries fw_gap > tol
     when max_iter ran out first.
     """
+    if hasattr(field, "fix") and y is None:
+        raise ValueError("a ScalarField needs the leader point y")
     section = field.fix(y) if hasattr(field, "fix") else field
     if start is not None:
         starts = [_project_start(start, C)]
@@ -206,8 +237,7 @@ def frank_wolfe_minimize(field, C: Polytope, tol=1e-8, max_iter=2000,
         lmo = _simplex_lmo(C)
     best = None
     total = 0
-    for x0 in starts:
-        bx, bval, bgap, iters = _fw_run(section, lmo, x0, tol, max_iter)
+    for bx, bval, bgap, iters in _fw_multistart(section, lmo, starts, tol, max_iter):
         total += iters
         if best is None or bval < best[1]:
             best = (bx, bval, bgap)

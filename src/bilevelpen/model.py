@@ -331,17 +331,6 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def _feasible_samples(C, n, rng):
-    """Random points of C: its vertices plus Dirichlet mixtures of them."""
-    from .lower_solver import enumerate_vertices  # local import, no cycle at module load
-
-    V = enumerate_vertices(C)
-    if n <= len(V):
-        return V[:n]
-    W = rng.dirichlet(np.ones(len(V)), size=n - len(V))
-    return np.vstack([V, W @ V])
-
-
 def validate_problem(problem, samples=500, seed=0):
     """Check the standing assumptions by sampling K x C.
 
@@ -351,13 +340,16 @@ def validate_problem(problem, samples=500, seed=0):
     fields against central finite differences, and boundedness of C. A
     failing check carries a witness point.
     """
+    from .lower_solver import _feasible_points, enumerate_vertices  # no cycle at module load
+
     if samples < 100:
         raise ValueError("samples must be at least 100")
     rng = np.random.default_rng(seed)
     f, h = problem.leader_objective, problem.follower_objective
     K, C = problem.leader_set, problem.follower_set
 
-    X = _feasible_samples(C, samples, rng)
+    V = enumerate_vertices(C)
+    X = _feasible_points(V, samples, rng)
     Y = K.sample(rng, size=samples)
 
     # positivity of the leader objective on K x C
@@ -401,7 +393,7 @@ def validate_problem(problem, samples=500, seed=0):
 
     # boundedness of C (re-derived; construction already enforces it)
     bounded = CheckResult("boundedness", True, None,
-                          float(np.max(np.abs(_feasible_samples(C, 2, rng)))))
+                          float(np.max(np.abs(_feasible_points(V, 2, rng)))))
 
     return ValidationReport(checks=(positivity, convexity, gradients, bounded))
 

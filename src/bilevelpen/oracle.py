@@ -4,9 +4,11 @@ The exact follower argmin set is described either by the optimal face's
 vertices (follower objective linear or constant in x) or by a dense grid
 cloud on the intrinsic coordinates of C (slack variables eliminated).
 The worst-case response minimizes the squared leader objective over that
-description, and the three-level oracle maximizes the resulting value
-over a leader grid with a local compass polish. Oracle values certify
-the penalty solver's convergence and error rates.
+description (on a vertex face by the package's one multistart Frank-Wolfe
+loop, lower_solver._fw_multistart), and the three-level oracle maximizes
+the resulting value over a leader grid, polished by the one compass
+search, upper_solver._compass_climb. Oracle values certify the penalty
+solver's convergence and error rates.
 """
 
 from dataclasses import dataclass
@@ -16,8 +18,10 @@ import numpy as np
 from scipy.linalg import qr as scipy_qr
 
 from .model import LINEAR, BilevelProblem, DimensionGuardError, FEAS_TOL
-from .lower_solver import _fw_run, enumerate_vertices, independent_rows, lp_minimize, vertex_lmo
+from .lower_solver import (_fw_multistart, enumerate_vertices, independent_rows,
+                           lp_minimize, vertex_lmo)
 from .selection import penalized_field
+from .upper_solver import _compass_climb
 
 ORACLE_SCHEMA = "oracle-v1"
 
@@ -116,6 +120,8 @@ def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
     objectives fall back to a dense grid cloud of near-minimal points.
     Membership uses the hybrid cutoff tol * (1 + |min|).
     """
+    if not grid_step > 0:
+        raise ValueError(f"grid_step must be positive, got {grid_step}")
     y = np.asarray(y, dtype=float)
     h = problem.follower_objective
     C = problem.follower_set
@@ -149,10 +155,9 @@ def pessimistic_select(problem: BilevelProblem, y, tol=1e-8,
         return PessimisticResponse(x=x, value=float(f.evaluate(y, x)))
     if desc.kind == "vertex_face":
         section = penalized_field(problem, 1.0).fix(y)
-        lmo = vertex_lmo(desc.points)
         best = None
-        for x0 in desc.points:
-            bx, bval, _, _ = _fw_run(section, lmo, x0, tol=1e-12, max_iter=500)
+        for bx, bval, _, _ in _fw_multistart(section, vertex_lmo(desc.points),
+                                              desc.points, tol=1e-12, max_iter=500):
             if best is None or bval < best[1]:
                 best = (bx, bval)
         return PessimisticResponse(x=best[0], value=float(f.evaluate(y, best[0])))
@@ -182,28 +187,6 @@ def _leader_grid(K, step, budget_points):
     return [np.array(y) for y in product(*axes)], float(spacing)
 
 
-def _compass_polish(value_fn, K, y0, v0, initial_step, min_step, max_evals=500):
-    y, fy = np.array(y0, dtype=float), v0
-    steps = np.full(K.dim, max(initial_step, 10 * min_step))
-    evals = 0
-    while np.max(steps) >= min_step and evals < max_evals:
-        cand_y, cand_val = None, fy
-        for i in range(K.dim):
-            for direction in (+1.0, -1.0):
-                probe = K.clip(y + direction * steps[i] * np.eye(K.dim)[i])
-                if np.array_equal(probe, y):
-                    continue
-                val = value_fn(probe)
-                evals += 1
-                if val > cand_val:
-                    cand_y, cand_val = probe, val
-        if cand_y is not None:
-            y, fy = cand_y, cand_val
-        else:
-            steps *= 0.5
-    return y, fy
-
-
 def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
                       x_grid_step=1e-3) -> OracleSolution:
     """Maximize the worst-case follower value over a leader grid.
@@ -213,6 +196,9 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     recovers the stated accuracy afterward. Guarded to two leader
     dimensions.
     """
+    for name, step in (("y_grid_step", y_grid_step), ("x_grid_step", x_grid_step)):
+        if not step > 0:
+            raise ValueError(f"{name} must be positive, got {step}")
     K = problem.leader_set
     if K.dim > 2:
         raise DimensionGuardError("three-level oracle guarded to <= 2 leader dims")
@@ -232,8 +218,9 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     vals = [value_fn(y) for y in grid]
     i_best = int(np.argmax(vals))
     resolution = y_grid_step / 10.0
-    y_best, _ = _compass_polish(value_fn, K, grid[i_best], vals[i_best],
-                                initial_step=spacing, min_step=resolution)
+    steps = np.full(K.dim, max(spacing, 10 * resolution))
+    y_best, _, _, _ = _compass_climb(value_fn, K, grid[i_best], vals[i_best], steps,
+                                     shrink=0.5, min_step=resolution, max_evals=500)
     response = pessimistic_select(problem, y_best, tol=tol, grid_step=x_grid_step)
     f = problem.leader_objective
     h_val = problem.follower_objective.evaluate(y_best, response.x)

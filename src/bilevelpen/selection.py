@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .model import GENERAL, LINEAR, QUADRATIC, BilevelProblem, ScalarField
-from .lower_solver import _fw_run, enumerate_vertices, vertex_lmo, _simplex_lmo
+from .lower_solver import _feasible_points, _fw_multistart, enumerate_vertices, vertex_lmo
 
 PESSIMISTIC = +1
 OPTIMISTIC = -1
@@ -113,42 +113,24 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
     )
 
 
-def _start_points(C, n_starts, seed):
-    V = enumerate_vertices(C)
-    if n_starts <= len(V):
-        return [V[i] for i in range(n_starts)]
-    rng = np.random.default_rng(seed)
-    W = rng.dirichlet(np.ones(len(V)), size=n_starts - len(V))
-    return [V[i] for i in range(len(V))] + list(W @ V)
-
-
-def _resolve_n_starts(C, cfg):
-    n_vertices = len(enumerate_vertices(C))
-    n = cfg.n_starts if cfg.n_starts is not None else min(n_vertices, 16)
-    if cfg.sign == OPTIMISTIC and n < min(n_vertices, 8):
-        raise ValueError(
-            "optimistic selection is nonconvex; need n_starts >= "
-            f"min(#vertices, 8) = {min(n_vertices, 8)}")
-    return max(n, 1)
-
-
 def _run_starts(problem, y, epsilon, cfg):
-    """All multistart runs at fixed y; returns the per-start outcomes."""
+    """All multistart runs at fixed y, as (value, x, gap) per start, and
+    the best run (lowest value, the earliest start on ties)."""
     y = np.asarray(y, dtype=float)
     if not problem.leader_set.contains(y):
         raise ValueError(f"y={y} is outside the leader box")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    C = problem.follower_set
     section = penalized_field(problem, epsilon, cfg.sign).fix(y)
-    n_starts = _resolve_n_starts(C, cfg)
-    starts = _start_points(C, n_starts, cfg.seed)
-    lmo = vertex_lmo(C.cached_vertices) if C.cached_vertices is not None else _simplex_lmo(C)
-    runs = []
-    for x0 in starts:
-        bx, bval, bgap, _ = _fw_run(section, lmo, x0, cfg.tol, cfg.max_iter)
-        runs.append((bval, bx, bgap))
-    return y, section, runs, n_starts
+    V = enumerate_vertices(problem.follower_set)
+    n_starts = cfg.n_starts if cfg.n_starts is not None else min(len(V), 16)
+    if cfg.sign == OPTIMISTIC and n_starts < min(len(V), 8):
+        raise ValueError(
+            "optimistic selection is nonconvex; need n_starts >= "
+            f"min(#vertices, 8) = {min(len(V), 8)}")
+    n_starts = max(n_starts, 1)
+    starts = _feasible_points(V, n_starts, cfg.seed)
+    runs = [(val, x, gap) for x, val, gap, _ in
+            _fw_multistart(section, vertex_lmo(V), starts, cfg.tol, cfg.max_iter)]
+    return y, runs, min(runs, key=lambda r: r[0]), n_starts
 
 
 def select_response(problem: BilevelProblem, y, epsilon: float,
@@ -162,9 +144,7 @@ def select_response(problem: BilevelProblem, y, epsilon: float,
     returned fw_gap > tol marks the result as unreliable rather than
     raising.
     """
-    y, _, runs, n_starts = _run_starts(problem, y, epsilon, cfg)
-    best_idx = min(range(len(runs)), key=lambda i: (runs[i][0], i))
-    _, x, gap = runs[best_idx]
+    y, _, (_, x, gap), n_starts = _run_starts(problem, y, epsilon, cfg)
     f = problem.leader_objective
     h = problem.follower_objective
     fv = f.evaluate(y, x)
@@ -198,16 +178,14 @@ def constancy_check(problem: BilevelProblem, y, epsilon: float,
     if n_starts < 8:
         raise ValueError("constancy check needs n_starts >= 8")
     cfg = replace(cfg, n_starts=n_starts)
-    y, _, runs, _ = _run_starts(problem, y, epsilon, cfg)
-    best_val = min(r[0] for r in runs)
+    y, runs, (best_val, best_x, _), _ = _run_starts(problem, y, epsilon, cfg)
     f = problem.leader_objective
     witnesses = []
     for val, x, _ in runs:
         if val <= best_val + value_tol:
             witnesses.append((x, float(f.evaluate(y, x))))
     leaders = [w[1] for w in witnesses]
-    best_idx = min(range(len(runs)), key=lambda i: (runs[i][0], i))
-    kappa = float(f.evaluate(y, runs[best_idx][1]))
+    kappa = float(f.evaluate(y, best_x))
     return ConstancyReport(kappa=kappa,
                            spread=float(max(leaders) - min(leaders)),
                            witnesses=tuple(witnesses))

@@ -3,9 +3,10 @@
 The upper objective y -> f(y, x_eps(y)) is continuous but has no usable
 gradient, so the search is a multistart compass pattern search over the
 leader box: poll the 2p axis neighbors, move to a strictly better one,
-halve the step otherwise, stop at a mesh resolution. Starts are the box
+shrink the step otherwise, stop at a mesh resolution. Starts are the box
 midpoint plus a scrambled Sobol set; warm starts can be injected ahead
-of them.
+of them. _compass_climb is the one compass search of the package: it
+runs each start here and the three-level oracle's polish.
 """
 
 from dataclasses import dataclass
@@ -34,6 +35,10 @@ class UpperConfig:
             raise ValueError("min_step must be smaller than initial_step")
         if self.n_multistarts < 1:
             raise ValueError("need at least one start")
+        if not self.min_step > 0.0:
+            raise ValueError("min_step must be positive")
+        if self.max_evals < 1:
+            raise ValueError("max_evals must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,40 @@ def _start_set(K: BoxSet, cfg: UpperConfig, extra_starts):
     return starts
 
 
+def _compass_climb(value_fn, K: BoxSet, y, fy, steps, shrink, min_step, max_evals):
+    """Climb from y, whose value fy is known, to a compass-local maximum.
+
+    Polls the clipped axis neighbors y +- steps[i] e_i that differ from y,
+    moves to the best strictly better one or else scales steps by shrink,
+    until every step is below min_step. Stops with exhausted=True when the
+    next evaluation would exceed max_evals, dropping that unfinished poll.
+    Returns (y, fy, evals, exhausted).
+    """
+    evals = 0
+    while np.max(steps) >= min_step:
+        if evals >= max_evals:
+            return y, fy, evals, True
+        cand_y, cand_val = None, fy
+        for i in range(K.dim):
+            for direction in (+1.0, -1.0):
+                probe = y.copy()
+                probe[i] += direction * steps[i]
+                probe = K.clip(probe)
+                if np.array_equal(probe, y):
+                    continue
+                if evals >= max_evals:
+                    return y, fy, evals, True
+                val = value_fn(probe)
+                evals += 1
+                if val > cand_val:
+                    cand_y, cand_val = probe, val
+        if cand_y is not None:
+            y, fy = cand_y, cand_val
+        else:
+            steps = steps * shrink
+    return y, fy, evals, False
+
+
 def pattern_search_maximize(value_fn, K: BoxSet, cfg: UpperConfig = UpperConfig(),
                             extra_starts=None) -> PatternSearchResult:
     """Compass search maximization of value_fn over the box K.
@@ -89,40 +128,16 @@ def pattern_search_maximize(value_fn, K: BoxSet, cfg: UpperConfig = UpperConfig(
     evals = 0
     exhausted = False
     for y0 in _start_set(K, cfg, extra_starts):
-        y = K.clip(np.asarray(y0, dtype=float))
         if evals >= cfg.max_evals:
             exhausted = True
             break
+        y = K.clip(np.asarray(y0, dtype=float))
         fy = value_fn(y)
         evals += 1
-        steps = _initial_steps(K, cfg)
-        while np.max(steps) >= cfg.min_step:
-            if evals >= cfg.max_evals:
-                exhausted = True
-                break
-            cand_y, cand_val = None, fy
-            for i in range(K.dim):
-                for direction in (+1.0, -1.0):
-                    probe = y.copy()
-                    probe[i] += direction * steps[i]
-                    probe = K.clip(probe)
-                    if np.array_equal(probe, y):
-                        continue
-                    if evals >= cfg.max_evals:
-                        exhausted = True
-                        break
-                    val = value_fn(probe)
-                    evals += 1
-                    if val > cand_val:
-                        cand_y, cand_val = probe, val
-                if exhausted:
-                    break
-            if exhausted:
-                break
-            if cand_y is not None:
-                y, fy = cand_y, cand_val
-            else:
-                steps = steps * cfg.shrink
+        y, fy, used, exhausted = _compass_climb(
+            value_fn, K, y, fy, _initial_steps(K, cfg), cfg.shrink, cfg.min_step,
+            cfg.max_evals - evals)
+        evals += used
         if fy > best_val:
             best_y, best_val = y, fy
         if exhausted:

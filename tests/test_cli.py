@@ -108,6 +108,11 @@ class TestOracle:
         assert doc["leader_value"] == pytest.approx(4.0, abs=1e-3)
         assert doc["y_best"][0] == pytest.approx(0.5, abs=1e-3)
 
+    @pytest.mark.parametrize("problem,flag", [("FS", "--ygrid"), ("QB", "--xgrid")])
+    def test_zero_grid_step_is_input_error(self, tmp_path, capsys, problem, flag):
+        assert run_cli("oracle", "--problem", problem, flag, "0", tmp_path=tmp_path) == 1
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestRates:
     def test_qb_rates_report(self, tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
+from bilevelpen.lower_solver import _feasible_points
 from bilevelpen.model import DimensionGuardError, FieldSection, Polytope
 
 
@@ -99,7 +101,37 @@ class TestEnumerateVertices:
         np.testing.assert_allclose(V, [[0.0, 1.0], [1.0, 0.0]])
 
 
+@st.composite
+def block_simplices(draw):
+    """{x >= 0: sum of each block of x = b_k}: products of scaled simplices."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    edges = np.cumsum([0] + sizes)
+    A = np.zeros((len(sizes), edges[-1]))
+    for k in range(len(sizes)):
+        A[k, edges[k]:edges[k + 1]] = 1.0
+    b = [draw(st.floats(0.5, 2.0)) for _ in sizes]
+    return Polytope(A=A, b=b)
+
+
+class TestFeasiblePoints:
+    @settings(max_examples=60, deadline=None)
+    @given(C=block_simplices(), n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_vertices_then_seeded_mixtures(self, C, n, seed):
+        V = bp.enumerate_vertices(C)
+        P = _feasible_points(V, n, seed)
+        assert P.shape == (n, C.dim)
+        assert all(C.contains(x) for x in P)
+        k = min(n, len(V))
+        np.testing.assert_array_equal(P[:k], V[:k])
+        np.testing.assert_array_equal(P, _feasible_points(V, n, seed))
+        np.testing.assert_array_equal(P, _feasible_points(V, n, np.random.default_rng(seed)))
+
+
 class TestFrankWolfe:
+    def test_scalar_field_needs_y(self, qb):
+        with pytest.raises(ValueError, match="leader point y"):
+            bp.frank_wolfe_minimize(qb.leader_objective, qb.follower_set)
+
     def test_qb_penalized_closed_form(self, qb):
         field = bp.penalized_field(qb, 0.1)
         sol = bp.frank_wolfe_minimize(field, qb.follower_set, tol=1e-8, y=[0.5])

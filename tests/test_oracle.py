@@ -96,6 +96,27 @@ class TestSolveThreeLevel:
         assert sol.y[0] == 0.3
         assert sol.leader_value == pytest.approx(1 + 4 * 0.3 * 0.7, abs=1e-9)
 
+    def test_two_dimensional_polish_leaves_the_grid(self):
+        p = make_problem("3 - (y[0] - 0.33)^2 - (y[1] - 0.61)^2 + x[0]", "0",
+                         dim_y=2, dim_x=2, A=[[1.0, 1.0]], b=[1.0])
+        sol = bp.solve_three_level(p, y_grid_step=0.05)
+        # the best grid point is (0.35, 0.6); the polish moves both coordinates
+        assert sol.y[0] != 0.35 and sol.y[1] != 0.6
+        np.testing.assert_allclose(sol.y, [0.33, 0.61], atol=sol.resolution)
+        assert 3.0 - 2 * sol.resolution ** 2 <= sol.leader_value <= 3.0
+        np.testing.assert_array_equal(sol.x, [0.0, 1.0])
+
+    @pytest.mark.parametrize("fn,kwargs", [
+        (bp.solve_three_level, dict(y_grid_step=0.0)),
+        (bp.solve_three_level, dict(x_grid_step=-1e-3)),
+        (bp.exact_lower_set, dict(y=[0.5], grid_step=0.0)),
+        (bp.pessimistic_select, dict(y=[0.5], grid_step=-1.0)),
+    ], ids=["three_level_y", "three_level_x", "exact_lower_set", "pessimistic_select"])
+    @pytest.mark.parametrize("name", ["FS", "QB"])
+    def test_nonpositive_grid_steps_rejected(self, fn, kwargs, name):
+        with pytest.raises(ValueError, match="must be positive"):
+            fn(bp.registry_get(name), **kwargs)
+
     def test_leader_dimension_guard(self):
         p = BilevelProblem(
             name="wide_leader",

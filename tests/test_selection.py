@@ -1,8 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import bilevelpen as bp
-from bilevelpen.model import BilevelProblem, field_from_expression
+from bilevelpen.model import LINEAR, BilevelProblem, ScalarField, field_from_expression
 from bilevelpen.selection import OPTIMISTIC, SelectionConfig
 
 
@@ -163,3 +166,32 @@ class TestOrderProperties:
             errs.append(abs(field.evaluate([y_target], r.x) - best_at_target))
         assert errs[-1] <= 1e-6
         assert errs[-1] <= errs[0] + 1e-12
+
+
+def with_follower(problem, evaluate):
+    """problem with a hand-built linear follower: evaluate, zero gradient."""
+    h = ScalarField(dim_y=problem.dim_y, dim_x=problem.dim_x, evaluate=evaluate,
+                    gradient_x=lambda y, x: np.zeros(problem.dim_x),
+                    structure=LINEAR, convex_in_x=True)
+    return replace(problem, name=problem.name + "-h", follower_objective=h)
+
+
+class TestNonFiniteFollower:
+    def test_nan_follower_is_never_certified(self, fs):
+        p = with_follower(fs, lambda y, x: math.nan)
+        sel = bp.select_response(p, [0.5], 0.1)
+        assert math.isnan(sel.penalized_value)
+        assert sel.fw_gap == math.inf
+        assert sel.reliable is False
+        assert bp.solve_penalized(p, 0.1).converged is False
+
+    def test_nan_at_one_vertex_returns_the_finite_vertex(self, fs):
+        p = with_follower(fs, lambda y, x: math.nan if x[0] == 1.0 else 0.0)
+        sel = bp.select_response(p, [0.5], 0.1)
+        np.testing.assert_array_equal(sel.x, [0.0, 1.0])
+        assert sel.penalized_value == pytest.approx(0.4) and sel.reliable
+        # a single run started at the NaN vertex leaves it for the finite one
+        sol = bp.frank_wolfe_minimize(bp.penalized_field(p, 0.1), p.follower_set,
+                                      start=[1.0, 0.0], y=[0.5])
+        np.testing.assert_array_equal(sol.x, [0.0, 1.0])
+        assert sol.value == pytest.approx(0.4) and sol.fw_gap == 0.0

@@ -19,6 +19,12 @@ class TestUpperConfig:
         with pytest.raises(ValueError):
             UpperConfig(shrink=0.0)
 
+    @pytest.mark.parametrize("kwargs", [dict(min_step=0.0, max_evals=300),
+                                        dict(min_step=-1e-6), dict(max_evals=0)])
+    def test_search_must_terminate(self, kwargs):
+        with pytest.raises(ValueError):
+            UpperConfig(**kwargs)
+
     def test_min_step_must_undershoot_initial(self):
         with pytest.raises(ValueError):
             UpperConfig(initial_step=1e-7, min_step=1e-6)
