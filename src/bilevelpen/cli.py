@@ -39,7 +39,10 @@ def _sign_code(name):
 
 
 def _ensure_outdir(path):
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {path!r}: {exc.strerror or exc}") from None
     if not os.access(path, os.W_OK):
         raise CliError(f"output directory {path!r} is not writable")
     return path
@@ -88,13 +91,13 @@ def _solve_csv(report):
 
 
 def cmd_solve(args):
+    outdir = _ensure_outdir(args.output)
     problem = resolve_problem(args.problem)
     if args.epsilon <= 0:
         raise CliError("epsilon must be positive")
     cfg = UpperConfig(seed=args.seed)
     sol = solve_penalized(problem, args.epsilon, sign=_sign_code(args.sign), cfg=cfg)
     report = _solve_report(problem, args.epsilon, _sign_code(args.sign), args.seed, sol)
-    outdir = _ensure_outdir(args.output)
     stem = f"{problem.name}_solve"
     if args.format in ("json", "both"):
         _write_json(report, outdir, stem)
@@ -112,11 +115,11 @@ def _run_trace(problem, args):
 
 
 def cmd_continuation(args):
+    outdir = _ensure_outdir(args.output)
     problem = resolve_problem(args.problem)
     if args.limit and args.k < 3:
         raise CliError("need k >= 3 for limit estimate")
     trace = _run_trace(problem, args)
-    outdir = _ensure_outdir(args.output)
     stem = f"{problem.name}_trace"
     doc = trace_to_json(trace)
     report = check_monotone(trace, slack=args.slack)
@@ -143,10 +146,10 @@ def cmd_continuation(args):
 
 
 def cmd_oracle(args):
+    outdir = _ensure_outdir(args.output)
     problem = resolve_problem(args.problem)
     sol = solve_three_level(problem, y_grid_step=args.ygrid, tol=args.tol,
                             x_grid_step=args.xgrid)
-    outdir = _ensure_outdir(args.output)
     _write_json(oracle_to_json(sol), outdir, f"{problem.name}_oracle")
     print(f"{problem.name}: leader value {sol.leader_value:.9g} at y "
           f"{np.asarray(sol.y)} (method {sol.method}, resolution {sol.resolution:g})")
@@ -154,6 +157,7 @@ def cmd_oracle(args):
 
 
 def cmd_rates(args):
+    outdir = _ensure_outdir(args.output)
     problem = resolve_problem(args.problem)
     trace = _run_trace(problem, args)
     oracle_sol = solve_three_level(problem, y_grid_step=args.ygrid,
@@ -161,7 +165,6 @@ def cmd_rates(args):
     gaps = gap_table(oracle_sol, trace)
     fit = fit_rate(gaps, tau=args.tau)
     cert = build_certificate(problem, oracle_sol, tol=args.cert_tol, seed=args.seed)
-    outdir = _ensure_outdir(args.output)
     combined = {
         "schema": "rates-v1",
         "problem": problem.name,

@@ -231,7 +231,7 @@ def frank_wolfe_minimize(field, C: Polytope, tol=1e-8, max_iter=2000,
             if status != "optimal":
                 raise RuntimeError("polytope infeasible")
             starts = [x0]
-    if C.cached_vertices is not None and len(C.cached_vertices):
+    if C.cached_vertices is not None:
         lmo = vertex_lmo(C.cached_vertices)
     else:
         lmo = _simplex_lmo(C)

@@ -8,7 +8,7 @@ and the follower objective convex in x; both assumptions are checked by
 sampling rather than proved.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import json
@@ -200,13 +200,15 @@ class Polytope:
 
     Construction verifies C is nonempty and bounded (two LPs: since
     x >= 0, C is bounded iff max 1'x over C is finite). cached_vertices
-    is filled lazily by enumerate_vertices; manual values are checked
-    for feasibility.
+    is a cache only: enumerate_vertices fills it, and the constructor
+    does not take it, since an incomplete list would make the vertex
+    oracle inexact.
     """
 
     A: np.ndarray
     b: np.ndarray
-    cached_vertices: Optional[np.ndarray] = None
+    cached_vertices: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -219,12 +221,6 @@ class Polytope:
         _, _, _, status = simplex.solve(-np.ones(self.A.shape[1]), self.A, self.b)
         if status == "unbounded":
             raise UnboundedFeasibleSetError("feasible set {Ax=b, x>=0} is unbounded")
-        if self.cached_vertices is not None:
-            V = np.atleast_2d(np.asarray(self.cached_vertices, dtype=float))
-            for v in V:
-                if not self.contains(v):
-                    raise ProblemError(f"cached vertex {v} is not feasible")
-            self.cached_vertices = V
 
     @property
     def dim(self):
@@ -334,11 +330,12 @@ class ValidationReport:
 def validate_problem(problem, samples=500, seed=0):
     """Check the standing assumptions by sampling K x C.
 
-    Runs four checks: positivity of the leader objective (a non-finite
+    Runs three checks: positivity of the leader objective (a non-finite
     value fails it), convexity in x of the follower objective (midpoint
-    tests on random segments inside C), gradient consistency of both
-    fields against central finite differences, and boundedness of C. A
-    failing check carries a witness point.
+    tests on random segments inside C) and gradient consistency of both
+    fields against central finite differences. Boundedness of C is not
+    sampled: constructing the Polytope already enforces it. A failing
+    check carries a witness point.
     """
     from .lower_solver import _feasible_points, enumerate_vertices  # no cycle at module load
 
@@ -391,11 +388,7 @@ def validate_problem(problem, samples=500, seed=0):
                 grad_ok = False
     gradients = CheckResult("gradient_consistency", grad_ok, grad_wit, float(grad_worst))
 
-    # boundedness of C (re-derived; construction already enforces it)
-    bounded = CheckResult("boundedness", True, None,
-                          float(np.max(np.abs(_feasible_points(V, 2, rng)))))
-
-    return ValidationReport(checks=(positivity, convexity, gradients, bounded))
+    return ValidationReport(checks=(positivity, convexity, gradients))
 
 
 def _gradient_relative_error(fld, y, x, step=1e-6):
@@ -407,36 +400,6 @@ def _gradient_relative_error(fld, y, x, step=1e-6):
         fd[j] = (fld.evaluate(y, x + e) - fld.evaluate(y, x - e)) / (2 * step)
     scale = max(1.0, float(np.linalg.norm(g)))
     return float(np.linalg.norm(g - fd)) / scale
-
-
-def shift_objective(f, y0, x0):
-    """Nonnegative replacement for a leader objective of arbitrary sign.
-
-    Returns the field (max(f - f(y0, x0), 0))^2, which is >= 0 everywhere
-    and vanishes at the anchor (y0, x0). Structure degrades to general.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if y0.shape != (f.dim_y,) or x0.shape != (f.dim_x,):
-        raise ProblemError("anchor dimensions do not match the field")
-    c = f.evaluate(y0, x0)
-
-    def evaluate(y, x):
-        return max(f.evaluate(y, x) - c, 0.0) ** 2
-
-    def gradient_x(y, x):
-        r = max(f.evaluate(y, x) - c, 0.0)
-        return 2.0 * r * np.asarray(f.gradient_x(y, x), dtype=float)
-
-    def evaluate_batch(y, X):
-        return np.maximum(f.batch(y, X) - c, 0.0) ** 2
-
-    return ScalarField(
-        dim_y=f.dim_y, dim_x=f.dim_x,
-        evaluate=evaluate, gradient_x=gradient_x,
-        structure=GENERAL, convex_in_x=f.convex_in_x,
-        evaluate_batch=evaluate_batch, expression=None,
-    )
 
 
 # -- registry -------------------------------------------------------------

@@ -126,19 +126,13 @@ def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
     h = problem.follower_objective
     C = problem.follower_set
     if h.structure == LINEAR:
-        V = enumerate_vertices(C)
-        vals = h.batch(y, V)
-        m = float(vals.min())
-        cut = tol * (1.0 + abs(m))
-        pts = V[vals <= m + cut]
-        kind = "single_point" if len(pts) == 1 else "vertex_face"
-        return LowerSetDescription(kind=kind, points=pts, value=m)
-    X = _grid_for(C, grid_step)
+        X, many = enumerate_vertices(C), "vertex_face"
+    else:
+        X, many = _grid_for(C, grid_step), "grid_cloud"
     vals = h.batch(y, X)
     m = float(vals.min())
-    cut = tol * (1.0 + abs(m))
-    pts = X[vals <= m + cut]
-    kind = "single_point" if len(pts) == 1 else "grid_cloud"
+    pts = X[vals <= m + tol * (1.0 + abs(m))]
+    kind = "single_point" if len(pts) == 1 else many
     return LowerSetDescription(kind=kind, points=pts, value=m)
 
 

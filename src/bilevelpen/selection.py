@@ -32,8 +32,13 @@ class SelectionConfig:
     n_starts: Optional[int] = None  # None: min(#vertices, 16)
     seed: int = 0
 
-    def with_sign(self, sign):
-        return replace(self, sign=sign)
+    def __post_init__(self):
+        if self.n_starts is not None and self.n_starts < 1:
+            raise ValueError("n_starts must be at least 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if not self.tol >= 0.0:
+            raise ValueError("tol must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,6 @@ def _run_starts(problem, y, epsilon, cfg):
         raise ValueError(
             "optimistic selection is nonconvex; need n_starts >= "
             f"min(#vertices, 8) = {min(len(V), 8)}")
-    n_starts = max(n_starts, 1)
     starts = _feasible_points(V, n_starts, cfg.seed)
     runs = [(val, x, gap) for x, val, gap, _ in
             _fw_multistart(section, vertex_lmo(V), starts, cfg.tol, cfg.max_iter)]

@@ -86,14 +86,15 @@ def _compass_climb(value_fn, K: BoxSet, y, fy, steps, shrink, min_step, max_eval
     Polls the clipped axis neighbors y +- steps[i] e_i that differ from y,
     moves to the best strictly better one or else scales steps by shrink,
     until every step is below min_step. Stops with exhausted=True when the
-    next evaluation would exceed max_evals, dropping that unfinished poll.
-    Returns (y, fy, evals, exhausted).
+    next evaluation would exceed max_evals, after moving to the best
+    strictly better probe of the unfinished poll, so the returned value is
+    the best one evaluated. Returns (y, fy, evals, exhausted).
     """
     evals = 0
     while np.max(steps) >= min_step:
         if evals >= max_evals:
             return y, fy, evals, True
-        cand_y, cand_val = None, fy
+        cand_y, cand_val = y, fy
         for i in range(K.dim):
             for direction in (+1.0, -1.0):
                 probe = y.copy()
@@ -102,12 +103,12 @@ def _compass_climb(value_fn, K: BoxSet, y, fy, steps, shrink, min_step, max_eval
                 if np.array_equal(probe, y):
                     continue
                 if evals >= max_evals:
-                    return y, fy, evals, True
+                    return cand_y, cand_val, evals, True
                 val = value_fn(probe)
                 evals += 1
                 if val > cand_val:
                     cand_y, cand_val = probe, val
-        if cand_y is not None:
+        if cand_val > fy:
             y, fy = cand_y, cand_val
         else:
             steps = steps * shrink

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import bilevelpen as bp
+from bilevelpen import cli
 from bilevelpen.cli import main
 
 
@@ -112,6 +113,21 @@ class TestOracle:
     def test_zero_grid_step_is_input_error(self, tmp_path, capsys, problem, flag):
         assert run_cli("oracle", "--problem", problem, flag, "0", tmp_path=tmp_path) == 1
         assert "must be positive" in capsys.readouterr().err
+
+
+class TestOutput:
+    @pytest.mark.parametrize("command", [["solve", "--epsilon", "0.1"], ["continuation"],
+                                         ["oracle"], ["rates"]])
+    def test_output_file_is_input_error(self, tmp_path, capsys, monkeypatch, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setattr(cli, "resolve_problem",
+                            lambda name: pytest.fail("--output checked after solving"))
+        code = main(command[:1] + ["--problem", "FS", "--output", str(taken)] + command[1:])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestRates:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen.model import (LINEAR, QUADRATIC, BilevelProblem,
@@ -55,9 +54,16 @@ class TestPolytope:
         assert issubclass(UnboundedFeasibleSetError, ProblemError)
         assert EmptyFeasibleSetError is not UnboundedFeasibleSetError
 
-    def test_cached_vertices_validated(self):
-        with pytest.raises(ProblemError):
-            bp.Polytope(A=[[1.0, 1.0]], b=[1.0], cached_vertices=[[2.0, 2.0]])
+    def test_vertex_list_is_a_cache_only(self):
+        # A given list could be incomplete, which would make the vertex
+        # oracle inexact, so only enumerate_vertices fills the cache.
+        with pytest.raises(TypeError):
+            bp.Polytope(A=[[1.0, 1.0]], b=[1.0], cached_vertices=[[1.0, 0.0]])
+        C = bp.Polytope(A=[[1.0, 1.0]], b=[1.0])
+        assert C.cached_vertices is None
+        V = bp.enumerate_vertices(C)
+        assert C.cached_vertices is V
+        np.testing.assert_array_equal(V, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_contains(self, fs):
         assert fs.follower_set.contains([0.5, 0.5])
@@ -84,7 +90,7 @@ class TestValidation:
             report = bp.validate_problem(problem, samples=500)
             assert report.all_passed, [c for c in report.checks if not c.passed]
             assert [c.name for c in report.checks] == [
-                "positivity", "convexity_in_x", "gradient_consistency", "boundedness"]
+                "positivity", "convexity_in_x", "gradient_consistency"]
 
     def test_sample_floor(self, fs):
         with pytest.raises(ValueError):
@@ -149,45 +155,6 @@ class TestClosedForms:
         sig = Z1 + Z2
         grid_min = ((sig - 1.0) ** 2 + 0.1 * (2.0 * (1.0 + sig)) ** 2).min()
         assert sol.value == pytest.approx(grid_min, abs=1e-5)
-
-
-class TestShiftObjective:
-    def test_constant_field_shifts_to_zero(self):
-        f = field_from_expression("5", dim_y=1, dim_x=2)
-        shifted = bp.shift_objective(f, np.array([0.5]), np.array([0.5, 0.5]))
-        assert shifted.evaluate([0.2], [0.9, 0.1]) == 0.0
-
-    def test_fs_shift_value(self, fs):
-        shifted = bp.shift_objective(fs.leader_objective,
-                                     np.array([0.0]), np.array([1.0, 0.0]))
-        # anchor value is 2; at (0.5, (1,0)) the field is 3, so (3-2)^2 = 1
-        assert shifted.evaluate([0.5], [1.0, 0.0]) == pytest.approx(1.0)
-        assert shifted.evaluate([0.0], [1.0, 0.0]) == 0.0
-
-    def test_clamps_below_anchor(self, fs):
-        # anchor at the largest value of the field; everything clamps to 0
-        shifted = bp.shift_objective(fs.leader_objective,
-                                     np.array([0.5]), np.array([1.0, 0.0]))
-        assert shifted.evaluate([0.0], [0.0, 1.0]) == 0.0
-
-    def test_dimension_mismatch(self, fs):
-        with pytest.raises(ProblemError):
-            bp.shift_objective(fs.leader_objective, np.array([0.0, 0.0]),
-                               np.array([1.0, 0.0]))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1),
-           st.integers(min_value=0, max_value=10 ** 6))
-    def test_nonnegative_and_zero_at_anchor(self, y0, t0, sample_seed):
-        fs = bp.registry_get("FS")
-        x0 = np.array([t0, 1.0 - t0])
-        shifted = bp.shift_objective(fs.leader_objective, np.array([y0]), x0)
-        assert shifted.evaluate([y0], x0) == pytest.approx(0.0, abs=1e-15)
-        rng = np.random.default_rng(sample_seed)
-        for _ in range(10):
-            y = rng.uniform(0, 1, size=1)
-            t = rng.uniform(0, 1)
-            assert shifted.evaluate(y, [t, 1 - t]) >= 0.0
 
 
 class TestJsonDocuments:

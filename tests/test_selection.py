@@ -90,6 +90,13 @@ class TestSelectResponse:
             bp.select_response(qb, [0.5], 0.1,
                                SelectionConfig(sign=OPTIMISTIC, n_starts=2))
 
+    @pytest.mark.parametrize("kwargs", [dict(n_starts=0), dict(n_starts=-3),
+                                        dict(max_iter=0), dict(tol=-1.0),
+                                        dict(tol=math.nan)])
+    def test_config_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            SelectionConfig(**kwargs)
+
     def test_deterministic_given_seed(self, qb):
         cfg = SelectionConfig(seed=123, n_starts=10)
         a = bp.select_response(qb, [0.37], 0.05, cfg)

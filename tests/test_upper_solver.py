@@ -58,6 +58,19 @@ class TestPatternSearch:
         assert res.evals <= 5
         assert res.y is not None
 
+    def test_budget_exhaustion_keeps_best_evaluated(self):
+        for budget in range(2, 60):
+            seen = []
+
+            def fn(y):
+                seen.append(-(y[0] - 0.4) ** 2 - (y[1] - 0.3) ** 2)
+                return seen[-1]
+
+            res = bp.pattern_search_maximize(fn, bp.BoxSet([0.0, 0.0], [1.0, 1.0]),
+                                             UpperConfig(max_evals=budget))
+            assert res.evals == len(seen), budget
+            assert res.value == max(seen), budget
+
     def test_two_dimensional_box(self):
         res = bp.pattern_search_maximize(
             lambda y: -(y[0] - 0.25) ** 2 - (y[1] + 0.5) ** 2,
