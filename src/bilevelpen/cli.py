@@ -48,19 +48,18 @@ def _ensure_outdir(path):
     return path
 
 
-def _write_json(doc, outdir, stem):
-    path = os.path.join(outdir, stem + ".json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return path
-
-
 def _write_text(text, outdir, stem, ext):
     path = os.path.join(outdir, stem + ext)
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path!r}: {exc.strerror or exc}") from None
     return path
+
+
+def _write_json(doc, outdir, stem):
+    return _write_text(json.dumps(doc, indent=2) + "\n", outdir, stem, ".json")
 
 
 def _solve_report(problem, epsilon, sign, seed, sol):

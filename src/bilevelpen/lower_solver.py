@@ -1,14 +1,15 @@
 """Exact LP and convex minimization over the follower polytope.
 
 Two primitives power everything downstream: a two-phase simplex with
-Bland's rule (the linear minimization oracle over C) and Frank-Wolfe for
-convex objectives, which needs only that oracle. Vertex enumeration
-supports multistarts, brute-force oracles, and fast linear minimization
-on small polytopes (the minimum of a linear function over a bounded
-polytope is attained at a vertex, so the cached vertex list is an exact
-oracle). The package's one sampler of C (_feasible_points: vertices,
-then seeded Dirichlet mixtures) and one multistart Frank-Wolfe loop
-(_fw_multistart) live here.
+Bland's rule (the linear minimization oracle over C) and pairwise
+Frank-Wolfe for convex objectives, which needs only that oracle and
+converges linearly on polytopes. Vertex enumeration supports multistarts,
+brute-force oracles, and fast linear minimization on small polytopes (the
+minimum of a linear function over a bounded polytope is attained at a
+vertex, so the cached vertex list is an exact oracle). The package's one
+sampler of C (_feasible_points: vertices, then seeded Dirichlet
+mixtures), one multistart Frank-Wolfe loop (_fw_multistart) and one
+best-of-runs loop (_fw_best) live here.
 """
 
 import math
@@ -134,18 +135,24 @@ def _finite_or_inf(v):
 
 
 def _fw_run(section, lmo, x0, tol, max_iter):
-    """One Frank-Wolfe run from x0.
+    """One pairwise Frank-Wolfe run from x0 (Lacoste-Julien & Jaggi, NeurIPS
+    2015). x is a convex combination of atoms (x0, then oracle vertices);
+    each step moves weight from the away atom a (the active atom with the
+    largest g'a) to the oracle vertex v, at most all of a's weight, exactly
+    along v - a for fields at most quadratic in x, by Armijo otherwise.
+    A step that keeps the active set is followed by _newton_on_atoms.
 
-    Returns (best_x, best_value, gap_at_best, iterations). Step sizes:
-    exact minimization of the 1-d restriction for fields at most
-    quadratic in x, Armijo backtracking otherwise. The endpoint gamma=1
-    is always evaluated, so the returned value never exceeds the value
-    at any oracle vertex the run visited. Non-finite values and gaps
-    count as +inf: the run stops at its first such gap, and a run that
-    met no finite value returns value inf with gap inf.
+    Returns (x, value, gap, iterations), gap = g'(x - v). A run whose gap
+    reaches tol returns that point, unless it met a point lower by more
+    than the gap (only on a nonconvex section). Otherwise it returns the
+    first point of lowest value met; every oracle vertex is evaluated, so
+    that value never exceeds the value at a vertex the run visited.
+    Non-finite values and gaps count as +inf: the run stops at its first
+    such gap, and one that met no finite value returns inf with gap inf.
     """
     exact_steps = section.structure in ("linear_in_x", "quadratic_in_x")
     x = np.array(x0, dtype=float)
+    atoms, weights = {x.tobytes(): x.copy()}, {x.tobytes(): 1.0}
     fx = _finite_or_inf(section.value(x))
     best_x, best_val, best_gap = x.copy(), fx, None
     iters = 0
@@ -153,30 +160,45 @@ def _fw_run(section, lmo, x0, tol, max_iter):
         g = section.grad(x)
         v = lmo(g)
         gap = _finite_or_inf(float(g @ (x - v)))
-        if fx < best_val or (fx == best_val and best_gap is None):
+        if (fx < best_val or (fx == best_val and best_gap is None)
+                or (gap <= tol and fx <= best_val + gap)):
             best_x, best_val, best_gap = x.copy(), fx, gap
         if gap <= tol or gap == math.inf:
             break
-        d = v - x
-        f_end = _finite_or_inf(section.value(v))
-        if f_end < best_val:
-            best_x, best_val, best_gap = v.copy(), f_end, None
-        if exact_steps:
-            curv = f_end - fx + gap  # phi(1) - phi(0) - phi'(0) with phi'(0) = -gap
-            gamma = 1.0 if curv <= 1e-16 else min(1.0, gap / (2.0 * curv))
+        f_v = _finite_or_inf(section.value(v))
+        if f_v < best_val:
+            best_x, best_val, best_gap = v.copy(), f_v, None
+        if len(atoms) == 1:  # x is the only atom: a vanilla step, which ends at v
+            (away,) = atoms
+            cap, d, slope, x_cap, f_cap = weights[away], v - x, -gap, v, f_v
         else:
-            gamma, accepted = 1.0, False
-            f_try = f_end
-            while gamma > 1e-13:
-                if f_try <= fx - 1e-4 * gamma * gap:
-                    accepted = True
-                    break
+            away = max(atoms, key=lambda k: g @ atoms[k])
+            cap, d = weights[away], v - atoms[away]
+            slope = float(g @ d)  # <= -gap < 0
+            x_cap = x + cap * d
+            f_cap = _finite_or_inf(section.value(x_cap))
+        if exact_steps:
+            curv = f_cap - fx - slope * cap  # cap^2 times the curvature along d
+            gamma = cap if curv <= 1e-16 else min(cap, -slope * cap * cap / (2.0 * curv))
+            f_new = f_cap if gamma == cap else None
+        else:
+            gamma, f_new = cap, f_cap
+            while gamma > 1e-13 and not f_new <= fx + 1e-4 * gamma * slope:
                 gamma *= 0.5
-                f_try = section.value(x + gamma * d)
-            if not accepted:
+                f_new = _finite_or_inf(section.value(x + gamma * d))
+            if not f_new <= fx + 1e-4 * gamma * slope:
                 break  # no sufficient decrease left: numerically stationary
-        x = x + gamma * d
-        fx = _finite_or_inf(section.value(x))
+        x = x_cap if gamma == cap else x + gamma * d
+        fx = f_new if f_new is not None else _finite_or_inf(section.value(x))
+        weights[away] -= gamma
+        if gamma == cap:
+            del atoms[away], weights[away]
+        key = v.tobytes()
+        kept = key in atoms and gamma < cap
+        atoms[key] = v
+        weights[key] = weights.get(key, 0.0) + gamma
+        if kept and len(atoms) > 2:
+            x, fx = _newton_on_atoms(section, atoms, weights, x, fx)
     if best_val == math.inf:
         best_gap = math.inf
     elif best_gap is None:
@@ -186,11 +208,57 @@ def _fw_run(section, lmo, x0, tol, max_iter):
     return best_x, best_val, best_gap, iters
 
 
+def _newton_on_atoms(section, atoms, weights, x, fx):
+    """A Newton step in the atoms' weights, cut where a weight reaches 0
+    (that atom leaves), kept if it lowers the value. Pairwise steps zigzag
+    on ill-conditioned faces; on a quadratic section this step lands on the
+    minimum over the atoms' hull. Hessian products are gradient differences
+    between the atoms, which lie in C (a secant model on other sections)."""
+    keys = list(atoms)
+    A, w = np.array([atoms[k] for k in keys]), np.array([weights[k] for k in keys])
+    G, D = np.array([section.grad(a) for a in A]), A[1:] - A[0]
+    M, r = D @ (G[1:] - G[0]).T, -(D @ section.grad(x))
+    if not (np.isfinite(M).all() and np.isfinite(r).all()):
+        return x, fx
+    t = np.linalg.lstsq(M, r, rcond=None)[0]
+    dw = np.concatenate(([-t.sum()], t))
+    ratios = [-wk / dk if dk < 0 else math.inf for wk, dk in zip(w, dw)]
+    j = int(np.argmin(ratios))
+    alpha = min(1.0, ratios[j])
+    x_new = x + alpha * (t @ D)
+    f_new = _finite_or_inf(section.value(x_new))
+    if not f_new < fx:
+        return x, fx
+    w = w + alpha * dw
+    if alpha == ratios[j]:
+        w[j] = 0.0  # the blocking atom leaves exactly
+    for k, wk in zip(keys, w):
+        weights[k] = float(wk)
+        if wk <= 0.0:
+            del atoms[k], weights[k]
+    return x_new, f_new
+
+
 def _fw_multistart(section, lmo, starts, tol, max_iter):
     """Yield _fw_run's (x, value, gap, iterations) for each start in turn;
     lazily, so a caller can stop after any start."""
     for x0 in starts:
         yield _fw_run(section, lmo, x0, tol, max_iter)
+
+
+def _fw_best(section, lmo, starts, tol, max_iter):
+    """(x, value, gap, runs, iterations) of the best multistart run: the
+    lowest value, the earliest start on ties. On a convex section the first
+    run with gap <= tol is a certified minimum, so no later start is run."""
+    best, total = None, 0
+    for runs, (x, val, gap, iters) in enumerate(
+            _fw_multistart(section, lmo, starts, tol, max_iter), 1):
+        total += iters
+        if best is None or val < best[1]:
+            best = (x, val, gap)
+        if section.convex_in_x and gap <= tol:
+            break
+    return (*best, runs, total)
 
 
 def _project_start(start, C):
@@ -210,10 +278,11 @@ def frank_wolfe_minimize(field, C: Polytope, tol=1e-8, max_iter=2000,
     field is a FieldSection (a field already fixed at some y) or a
     ScalarField together with the keyword y. With an explicit start the
     run is single-start (infeasible starts are replaced by a phase-1
-    vertex); with start=None the search restarts from every vertex of C
-    and keeps the best point, which is also how the selection layer
-    drives it. fw_gap is the linear-oracle duality gap at the returned
-    point; for convex fields it bounds value minus the true minimum.
+    vertex); with start=None the search restarts from the vertices of C
+    in turn and keeps the best point, stopping at the first certified
+    run of a convex field, which is also how the selection layer drives
+    it. fw_gap is the linear-oracle duality gap at the returned point;
+    for convex fields it bounds value minus the true minimum.
 
     Non-convergence is not an exception: the result carries fw_gap > tol
     when max_iter ran out first.
@@ -235,13 +304,5 @@ def frank_wolfe_minimize(field, C: Polytope, tol=1e-8, max_iter=2000,
         lmo = vertex_lmo(C.cached_vertices)
     else:
         lmo = _simplex_lmo(C)
-    best = None
-    total = 0
-    for bx, bval, bgap, iters in _fw_multistart(section, lmo, starts, tol, max_iter):
-        total += iters
-        if best is None or bval < best[1]:
-            best = (bx, bval, bgap)
-        if section.convex_in_x and bgap <= tol:
-            break  # certified global minimum for a convex field
-    return FwSolution(x=best[0], value=float(best[1]), fw_gap=float(best[2]),
-                      iterations=total)
+    x, value, gap, _, total = _fw_best(section, lmo, starts, tol, max_iter)
+    return FwSolution(x=x, value=float(value), fw_gap=float(gap), iterations=total)

@@ -4,8 +4,8 @@ The exact follower argmin set is described either by the optimal face's
 vertices (follower objective linear or constant in x) or by a dense grid
 cloud on the intrinsic coordinates of C (slack variables eliminated).
 The worst-case response minimizes the squared leader objective over that
-description (on a vertex face by the package's one multistart Frank-Wolfe
-loop, lower_solver._fw_multistart), and the three-level oracle maximizes
+description (on a vertex face by the package's one best-of-runs Frank-Wolfe
+loop, lower_solver._fw_best), and the three-level oracle maximizes
 the resulting value over a leader grid, polished by the one compass
 search, upper_solver._compass_climb. Oracle values certify the penalty
 solver's convergence and error rates.
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import qr as scipy_qr
 
 from .model import LINEAR, BilevelProblem, DimensionGuardError, FEAS_TOL
-from .lower_solver import (_fw_multistart, enumerate_vertices, independent_rows,
+from .lower_solver import (_fw_best, enumerate_vertices, independent_rows,
                            lp_minimize, vertex_lmo)
 from .selection import penalized_field
 from .upper_solver import _compass_climb
@@ -149,12 +149,9 @@ def pessimistic_select(problem: BilevelProblem, y, tol=1e-8,
         return PessimisticResponse(x=x, value=float(f.evaluate(y, x)))
     if desc.kind == "vertex_face":
         section = penalized_field(problem, 1.0).fix(y)
-        best = None
-        for bx, bval, _, _ in _fw_multistart(section, vertex_lmo(desc.points),
-                                              desc.points, tol=1e-12, max_iter=500):
-            if best is None or bval < best[1]:
-                best = (bx, bval)
-        return PessimisticResponse(x=best[0], value=float(f.evaluate(y, best[0])))
+        x = _fw_best(section, vertex_lmo(desc.points), desc.points,
+                     tol=1e-12, max_iter=500)[0]
+        return PessimisticResponse(x=x, value=float(f.evaluate(y, x)))
     fvals = f.batch(y, desc.points)
     i = int(np.argmin(fvals ** 2))
     return PessimisticResponse(x=desc.points[i], value=float(fvals[i]))

@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .model import GENERAL, LINEAR, QUADRATIC, BilevelProblem, ScalarField
-from .lower_solver import _feasible_points, _fw_multistart, enumerate_vertices, vertex_lmo
+from .lower_solver import (_feasible_points, _fw_best, _fw_multistart, enumerate_vertices,
+                           vertex_lmo)
 
 PESSIMISTIC = +1
 OPTIMISTIC = -1
@@ -29,7 +30,7 @@ class SelectionConfig:
     sign: int = PESSIMISTIC
     tol: float = 1e-8
     max_iter: int = 2000
-    n_starts: Optional[int] = None  # None: min(#vertices, 16)
+    n_starts: Optional[int] = None  # most runs; None: min(#vertices, 16)
     seed: int = 0
 
     def __post_init__(self):
@@ -51,7 +52,7 @@ class SelectionResult:
     follower_value: float
     penalized_value: float
     fw_gap: float
-    n_starts: int
+    n_starts: int  # runs made: a convex section stops at its first certified run
 
     @property
     def reliable(self):
@@ -118,9 +119,9 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
     )
 
 
-def _run_starts(problem, y, epsilon, cfg):
-    """All multistart runs at fixed y, as (value, x, gap) per start, and
-    the best run (lowest value, the earliest start on ties)."""
+def _starts(problem, y, epsilon, cfg):
+    """y as an array, the penalized section at y, the vertices of C and the
+    cfg.n_starts start points (default min(#vertices, 16))."""
     y = np.asarray(y, dtype=float)
     if not problem.leader_set.contains(y):
         raise ValueError(f"y={y} is outside the leader box")
@@ -131,24 +132,23 @@ def _run_starts(problem, y, epsilon, cfg):
         raise ValueError(
             "optimistic selection is nonconvex; need n_starts >= "
             f"min(#vertices, 8) = {min(len(V), 8)}")
-    starts = _feasible_points(V, n_starts, cfg.seed)
-    runs = [(val, x, gap) for x, val, gap, _ in
-            _fw_multistart(section, vertex_lmo(V), starts, cfg.tol, cfg.max_iter)]
-    return y, runs, min(runs, key=lambda r: r[0]), n_starts
+    return y, section, V, _feasible_points(V, n_starts, cfg.seed)
 
 
 def select_response(problem: BilevelProblem, y, epsilon: float,
                     cfg: SelectionConfig = SelectionConfig()) -> SelectionResult:
     """Solve the penalized follower problem at fixed y.
 
-    Multistart Frank-Wolfe from the polytope vertices (plus seeded
-    interior points when n_starts exceeds the vertex count); the best
-    start by penalized value wins, ties broken by start order. A run
-    that never certified its gap still contributes its best point; the
-    returned fw_gap > tol marks the result as unreliable rather than
-    raising.
+    Pairwise Frank-Wolfe from the polytope vertices in turn (plus seeded
+    interior points when n_starts exceeds the vertex count); the lowest
+    penalized value wins, ties broken by start order. A convex
+    (pessimistic) section stops at its first run with gap <= tol, a
+    certified minimum; the nonconvex optimistic sign runs every start.
+    n_starts in the result counts the runs made. An uncertified result
+    is not an error: its fw_gap > tol marks it unreliable.
     """
-    y, _, (_, x, gap), n_starts = _run_starts(problem, y, epsilon, cfg)
+    y, section, V, starts = _starts(problem, y, epsilon, cfg)
+    x, _, gap, runs, _ = _fw_best(section, vertex_lmo(V), starts, cfg.tol, cfg.max_iter)
     f = problem.leader_objective
     h = problem.follower_objective
     fv = f.evaluate(y, x)
@@ -157,7 +157,7 @@ def select_response(problem: BilevelProblem, y, epsilon: float,
         y=y, epsilon=float(epsilon), sign=cfg.sign, x=x,
         leader_value=float(fv), follower_value=float(hv),
         penalized_value=float(hv + cfg.sign * epsilon * fv ** 2),
-        fw_gap=float(gap), n_starts=n_starts,
+        fw_gap=float(gap), n_starts=runs,
     )
 
 
@@ -181,11 +181,12 @@ def constancy_check(problem: BilevelProblem, y, epsilon: float,
     """
     if n_starts < 8:
         raise ValueError("constancy check needs n_starts >= 8")
-    cfg = replace(cfg, n_starts=n_starts)
-    y, runs, (best_val, best_x, _), _ = _run_starts(problem, y, epsilon, cfg)
+    y, section, V, starts = _starts(problem, y, epsilon, replace(cfg, n_starts=n_starts))
+    runs = list(_fw_multistart(section, vertex_lmo(V), starts, cfg.tol, cfg.max_iter))
+    best_x, best_val, _, _ = min(runs, key=lambda r: r[1])
     f = problem.leader_objective
     witnesses = []
-    for val, x, _ in runs:
+    for x, val, _, _ in runs:
         if val <= best_val + value_tol:
             witnesses.append((x, float(f.evaluate(y, x))))
     leaders = [w[1] for w in witnesses]

@@ -129,6 +129,15 @@ class TestOutput:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_unwritable_report_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "FS_oracle.json").mkdir()
+        code = main(["oracle", "--problem", "FS", "--ygrid", "0.1", "--xgrid", "0.1",
+                     "--output", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "FS_oracle.json" in err
+        assert "Traceback" not in err
+
 
 class TestRates:
     def test_qb_rates_report(self, tmp_path):

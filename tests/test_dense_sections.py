@@ -138,6 +138,32 @@ def assert_same_selection(dense, reference):
     assert dense.reliable == reference.reliable
 
 
+@st.composite
+def block_simplex_selections(draw):
+    """(problem, y, eps): a product of scaled simplices, a follower
+    (g'x - c - 0.2*y0)^2 minimized on a whole face and a linear leader."""
+    sizes = draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]))
+    n = sum(sizes)
+    A = np.zeros((len(sizes), n))
+    start = 0
+    for k, size in enumerate(sizes):
+        A[k, start:start + size] = 1.0
+        start += size
+    weights = st.floats(0.1, 2.0).map(lambda v: round(v, 3))
+    g = [draw(weights) for _ in range(n)]
+    a = [draw(weights) for _ in range(n)]
+    doc = {
+        "name": "blocks", "dim_y": 1, "dim_x": n, "A": A.tolist(),
+        "b": [draw(st.floats(0.5, 1.5)) for _ in sizes],
+        "K_lower": [0.0], "K_upper": [1.0],
+        "f": "1 + y[0] + " + " + ".join(f"{a[j]!r}*x[{j}]" for j in range(n)),
+        "h": "(" + " + ".join(f"{g[j]!r}*x[{j}]" for j in range(n))
+             + f" - {draw(st.floats(0.5, 2.0))!r} - 0.2*y[0])^2",
+    }
+    return (bp.problem_from_dict(doc), draw(st.floats(0.0, 1.0)),
+            draw(st.sampled_from([1e-1, 1e-2, 1e-3])))
+
+
 class TestSelectionPaths:
     @pytest.mark.parametrize("name", ["QB", "FS"])
     @pytest.mark.parametrize("sign", [PESSIMISTIC, OPTIMISTIC])
@@ -150,27 +176,28 @@ class TestSelectionPaths:
                                   bp.select_response(reference, [y], eps, cfg))
 
     @settings(max_examples=12, deadline=None)
-    @given(st.data())
-    def test_random_block_simplex(self, data):
-        sizes = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]))
-        n = sum(sizes)
-        A = np.zeros((len(sizes), n))
-        start = 0
-        for k, size in enumerate(sizes):
-            A[k, start:start + size] = 1.0
-            start += size
-        weights = st.floats(0.1, 2.0).map(lambda v: round(v, 3))
-        g = [data.draw(weights) for _ in range(n)]
-        a = [data.draw(weights) for _ in range(n)]
-        doc = {
-            "name": "blocks", "dim_y": 1, "dim_x": n, "A": A.tolist(),
-            "b": [data.draw(st.floats(0.5, 1.5)) for _ in sizes],
-            "K_lower": [0.0], "K_upper": [1.0],
-            "f": "1 + y[0] + " + " + ".join(f"{a[j]!r}*x[{j}]" for j in range(n)),
-            "h": "(" + " + ".join(f"{g[j]!r}*x[{j}]" for j in range(n))
-                 + f" - {data.draw(st.floats(0.5, 2.0))!r} - 0.2*y[0])^2",
-        }
-        dense, reference = both_paths(bp.problem_from_dict(doc))
-        y, eps = data.draw(st.floats(0.0, 1.0)), data.draw(st.sampled_from([1e-1, 1e-2, 1e-3]))
-        assert_same_selection(bp.select_response(dense, [y], eps),
-                              bp.select_response(reference, [y], eps))
+    @given(block_simplex_selections())
+    def test_random_block_simplex(self, case):
+        problem, y, eps = case
+        dense_problem, reference = both_paths(problem)
+        dense = bp.select_response(dense_problem, [y], eps)
+        assert_same_selection(dense, bp.select_response(reference, [y], eps))
+        assert dense.reliable
+
+    @settings(max_examples=25, deadline=None)
+    @given(block_simplex_selections(), st.sampled_from([PESSIMISTIC, OPTIMISTIC]))
+    def test_block_simplex_stops_at_first_certified_run(self, case, sign):
+        problem, y, eps = case
+        C = problem.follower_set
+        cfg = SelectionConfig(sign=sign)
+        sel = bp.select_response(problem, [y], eps, cfg)
+        assert C.residual(sel.x) <= 1e-9
+        V = bp.enumerate_vertices(C)
+        if sign == OPTIMISTIC:
+            assert sel.n_starts == len(V)
+            return
+        # the first start is the first vertex; a convex section whose first
+        # run certifies is at its minimum and runs no other start
+        first = bp.frank_wolfe_minimize(bp.penalized_field(problem, eps), C, tol=cfg.tol,
+                                        max_iter=cfg.max_iter, start=V[0], y=[y])
+        assert (sel.n_starts == 1) == (first.fw_gap <= cfg.tol)

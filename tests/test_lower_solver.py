@@ -173,6 +173,47 @@ class TestFrankWolfe:
                                       max_iter=2, start=start)
         assert np.isfinite(sol.fw_gap)  # reported, not raised
 
+    @pytest.mark.parametrize("start", [[0.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3],
+                                       [0.2, 0.1, 0.7]])
+    def test_minimizer_on_a_face_certifies(self, start):
+        # ||x - (1/2, 1/2, 0)||^2 - 1/2 over the unit simplex: the minimizer
+        # lies on an edge, where vanilla Frank-Wolfe steps zigzag; a run that
+        # certifies returns the point that certified, with its gap
+        simplex3 = Polytope(np.ones((1, 3)), np.ones(1))
+        sec = quadratic_section(2.0 * np.eye(3), [-1.0, -1.0, 0.0])
+        sol = bp.frank_wolfe_minimize(sec, simplex3, tol=1e-10, start=start)
+        assert sol.fw_gap <= 1e-10 and sol.iterations < 2000
+        assert sol.value == pytest.approx(-0.5, abs=1e-10)
+        np.testing.assert_allclose(sol.x, [0.5, 0.5, 0.0], atol=1e-5)
+
+    def test_certifying_point_wins_a_rounding_tie(self):
+        # next to the offset 1e8 every iterate rounds to the same value, so
+        # the first point stays the lowest; the run must still return the
+        # point whose gap certified, not the start with its larger gap
+        simplex3 = Polytope(np.ones((1, 3)), np.ones(1))
+        c = np.array([0.0, 1e-9, 2e-9])
+        sec = FieldSection(value=lambda x: 1e8 + float(c @ x), grad=lambda x: c,
+                           value_batch=lambda X: 1e8 + X @ c,
+                           structure="linear_in_x", convex_in_x=True)
+        sol = bp.frank_wolfe_minimize(sec, simplex3, tol=1e-12, start=[0.2, 0.3, 0.5])
+        assert sol.fw_gap <= 1e-12 and sol.value == 1e8
+        assert float(c @ sol.x) <= 1e-12
+
+    def test_ill_conditioned_face_certifies_in_one_run(self):
+        # h vanishes on a whole face and eps = 1e-3 weighs the leader lightly:
+        # from the first vertex, pairwise steps alone zigzag on that face for
+        # over 2000 iterations; the Newton step on the atoms ends it
+        p = bp.problem_from_dict({
+            "name": "blocks", "dim_y": 1, "dim_x": 6, "K_lower": [0.0], "K_upper": [1.0],
+            "A": [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], "b": [1.0, 1.0],
+            "f": "1 + y[0] + 0.625*x[0] + x[1] + 0.375*x[2] + x[3] + x[4] + 0.5*x[5]",
+            "h": "(0.688*x[0] + x[1] + 0.25*x[2] + 1.25*x[3] + x[4] + 0.25*x[5] - 1)^2"})
+        start = bp.enumerate_vertices(p.follower_set)[0]
+        sol = bp.frank_wolfe_minimize(bp.penalized_field(p, 1e-3), p.follower_set,
+                                      tol=1e-8, start=start, y=[0.0])
+        assert sol.fw_gap <= 1e-8 and sol.iterations <= 50
+        np.testing.assert_allclose(sol.x[[0, 1, 2, 4]], [0.0, 0.0, 1.0, 0.0], atol=1e-12)
+
     @pytest.mark.parametrize("which,n", [("FS", 2), ("QB", 4)])
     def test_matches_dense_grid_on_random_quadratics(self, which, n):
         problem = bp.registry_get(which)
