@@ -92,8 +92,6 @@ def _solve_csv(report):
 def cmd_solve(args):
     outdir = _ensure_outdir(args.output)
     problem = resolve_problem(args.problem)
-    if args.epsilon <= 0:
-        raise CliError("epsilon must be positive")
     cfg = UpperConfig(seed=args.seed)
     sol = solve_penalized(problem, args.epsilon, sign=_sign_code(args.sign), cfg=cfg)
     report = _solve_report(problem, args.epsilon, _sign_code(args.sign), args.seed, sol)

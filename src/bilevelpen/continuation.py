@@ -1,7 +1,8 @@
 """Penalty continuation: drive epsilon to zero and record the path.
 
-Each row of a trace solves the penalized problem at one epsilon, warm
-starting the leader search from the previous row. For the pessimistic
+Each row of a trace solves the penalized problem at one epsilon: the
+first row by the multistart search, every later row by one compass
+climb from the previous row's leader point. For the pessimistic
 sign the leader values along the path are nondecreasing as epsilon
 shrinks and converge to the worst-case limit value from below; the
 optimistic sign mirrors this from above. check_monotone verifies the
@@ -11,6 +12,7 @@ extrapolates the limit value from the tail of the trace.
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,8 +33,8 @@ class EpsSchedule:
     k_max: int = 12
 
     def __post_init__(self):
-        if self.eps0 <= 0:
-            raise ValueError("eps0 must be positive")
+        if not (math.isfinite(self.eps0) and self.eps0 > 0):
+            raise ValueError("eps0 must be positive and finite")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1) so the schedule decreases")
         if self.k_max < 1:
@@ -93,18 +95,32 @@ class LimitEstimate:
 
 def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedule(),
                      sign: int = +1, cfg: UpperConfig = UpperConfig()) -> ContinuationTrace:
-    """Solve the penalized problem along the schedule with warm starts.
+    """Solve the penalized problem along the schedule, warm from row 2 on.
 
-    Only the leader point is warm started; the follower response is
-    re-solved from scratch each row so a wrong branch of the argmin set
-    is not inherited when it jumps. Rows that did not certify keep their
-    best point and are flagged, never dropped.
+    The first row runs the multistart search of solve_penalized, so
+    cfg.n_multistarts shapes only that row. Every later row runs one
+    compass climb from the previous row's leader point y. The climb is
+    enough because the values move monotonically at a fixed y: for
+    eps' < eps, optimality of x_eps' at eps' and of x_eps at eps gives
+    h(x_eps') + eps' f(x_eps')^2 <= h(x_eps) + eps' f(x_eps)^2 and
+    h(x_eps) + eps f(x_eps)^2 <= h(x_eps') + eps f(x_eps')^2; adding them,
+    (eps - eps') (f(x_eps)^2 - f(x_eps')^2) <= 0, and since f > 0,
+    v_eps'(y) >= v_eps(y). So a pessimistic row starts at or above the
+    previous row's value and only climbs; a drop can come only from a
+    selection error, and check_monotone reports it rather than the trace
+    re-running the row. For the optimistic sign the same sum gives
+    v_eps'(y) <= v_eps(y) at every y, so no row rises above the maximum
+    the previous row found, if that maximum was global.
+
+    Only the leader point is carried over; the follower response is
+    re-solved from scratch at every point so a wrong branch of the argmin
+    set is not inherited when it jumps. Rows that did not certify keep
+    their best point and are flagged, never dropped.
     """
     rows = []
     warm = None
     for eps in schedule.epsilons():
-        sol = solve_penalized(problem, eps, sign=sign, cfg=cfg,
-                              warm_starts=None if warm is None else [warm])
+        sol = solve_penalized(problem, eps, sign=sign, cfg=cfg, warm_start=warm)
         sel = sol.selection
         if not problem.leader_set.contains(sol.y):
             raise RuntimeError("solver returned a leader point outside the box")
@@ -128,6 +144,8 @@ def check_monotone(trace: ContinuationTrace, slack: float = 2e-4) -> MonotoneRep
     shrinks; optimistic traces must be nonincreasing. Offending row
     indices are reported.
     """
+    if not 0.0 <= slack < math.inf:
+        raise ValueError("slack must be nonnegative and finite")
     if len(trace) == 0:
         raise ValueError("trace is empty")
     v = trace.values

@@ -141,6 +141,7 @@ def _fw_run(section, lmo, x0, tol, max_iter):
     largest g'a) to the oracle vertex v, at most all of a's weight, exactly
     along v - a for fields at most quadratic in x, by Armijo otherwise.
     A step that keeps the active set is followed by _newton_on_atoms.
+    Atoms never move, so each atom's gradient is computed once per run.
 
     Returns (x, value, gap, iterations), gap = g'(x - v). A run whose gap
     reaches tol returns that point, unless it met a point lower by more
@@ -153,11 +154,14 @@ def _fw_run(section, lmo, x0, tol, max_iter):
     exact_steps = section.structure in ("linear_in_x", "quadratic_in_x")
     x = np.array(x0, dtype=float)
     atoms, weights = {x.tobytes(): x.copy()}, {x.tobytes(): 1.0}
+    grads = {}  # atom key -> gradient at that atom, filled as needed
     fx = _finite_or_inf(section.value(x))
     best_x, best_val, best_gap = x.copy(), fx, None
     iters = 0
     for iters in range(1, max_iter + 1):
         g = section.grad(x)
+        if iters == 1:
+            grads[x.tobytes()] = g
         v = lmo(g)
         gap = _finite_or_inf(float(g @ (x - v)))
         if (fx < best_val or (fx == best_val and best_gap is None)
@@ -198,7 +202,7 @@ def _fw_run(section, lmo, x0, tol, max_iter):
         atoms[key] = v
         weights[key] = weights.get(key, 0.0) + gamma
         if kept and len(atoms) > 2:
-            x, fx = _newton_on_atoms(section, atoms, weights, x, fx)
+            x, fx = _newton_on_atoms(section, atoms, weights, grads, x, fx)
     if best_val == math.inf:
         best_gap = math.inf
     elif best_gap is None:
@@ -208,15 +212,20 @@ def _fw_run(section, lmo, x0, tol, max_iter):
     return best_x, best_val, best_gap, iters
 
 
-def _newton_on_atoms(section, atoms, weights, x, fx):
+def _newton_on_atoms(section, atoms, weights, grads, x, fx):
     """A Newton step in the atoms' weights, cut where a weight reaches 0
     (that atom leaves), kept if it lowers the value. Pairwise steps zigzag
     on ill-conditioned faces; on a quadratic section this step lands on the
     minimum over the atoms' hull. Hessian products are gradient differences
-    between the atoms, which lie in C (a secant model on other sections)."""
+    between the atoms, which lie in C (a secant model on other sections).
+    grads caches the atoms' gradients across calls; an atom missing from it
+    gets its gradient here."""
     keys = list(atoms)
+    for k in keys:
+        if k not in grads:
+            grads[k] = section.grad(atoms[k])
     A, w = np.array([atoms[k] for k in keys]), np.array([weights[k] for k in keys])
-    G, D = np.array([section.grad(a) for a in A]), A[1:] - A[0]
+    G, D = np.array([grads[k] for k in keys]), A[1:] - A[0]
     M, r = D @ (G[1:] - G[0]).T, -(D @ section.grad(x))
     if not (np.isfinite(M).all() and np.isfinite(r).all()):
         return x, fx

@@ -10,6 +10,7 @@ the argmin set, which makes y -> f(y, x(y)) single-valued; the constancy
 check measures that property at runtime.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -79,8 +80,8 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
     result: with f = a'x + f0, it has Q_h + 2s*eps*aa', c_h + 2s*eps*f0*a
     and d_h + s*eps*f0^2.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
     if sign not in (PESSIMISTIC, OPTIMISTIC):
         raise ValueError("sign must be +1 (pessimistic) or -1 (optimistic)")
     f = problem.leader_objective

@@ -1,14 +1,16 @@
 """Derivative-free maximization of the penalized upper objective.
 
 The upper objective y -> f(y, x_eps(y)) is continuous but has no usable
-gradient, so the search is a multistart compass pattern search over the
-leader box: poll the 2p axis neighbors, move to a strictly better one,
-shrink the step otherwise, stop at a mesh resolution. Starts are the box
-midpoint plus a scrambled Sobol set; warm starts can be injected ahead
-of them. _compass_climb is the one compass search of the package: it
-runs each start here and the three-level oracle's polish.
+gradient, so the search is a compass pattern search over the leader box:
+poll the 2p axis neighbors, move to a strictly better one, shrink the
+step otherwise, stop at a mesh resolution. A cold solve climbs from the
+box midpoint and a scrambled Sobol set at step span/4; a warm solve
+(the later rows of a continuation) climbs once from the given point at
+step WARM_STEP * span. _compass_climb is the one compass search of the
+package: it runs each climb here and the three-level oracle's polish.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,6 +19,8 @@ from scipy.stats import qmc
 
 from .model import BilevelProblem, BoxSet
 from .selection import SelectionConfig, SelectionResult, select_response
+
+WARM_STEP = 1e-2  # a warm climb's first step, as a fraction of the box span
 
 
 @dataclass(frozen=True)
@@ -31,12 +35,15 @@ class UpperConfig:
     def __post_init__(self):
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must lie in (0, 1)")
-        if self.initial_step is not None and self.min_step >= self.initial_step:
-            raise ValueError("min_step must be smaller than initial_step")
+        if not 0.0 < self.min_step < math.inf:
+            raise ValueError("min_step must be positive and finite")
+        if self.initial_step is not None:
+            if not math.isfinite(self.initial_step):
+                raise ValueError("initial_step must be finite")
+            if self.min_step >= self.initial_step:
+                raise ValueError("min_step must be smaller than initial_step")
         if self.n_multistarts < 1:
             raise ValueError("need at least one start")
-        if not self.min_step > 0.0:
-            raise ValueError("min_step must be positive")
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
 
@@ -58,20 +65,20 @@ class PenalizedSolution:
     converged: bool
 
 
+def _span_steps(K: BoxSet, fraction, min_step):
+    steps = (K.upper - K.lower) * fraction
+    # collapsed coordinates still need a positive (if useless) step
+    return np.where(steps > min_step, steps, 10 * min_step)
+
+
 def _initial_steps(K: BoxSet, cfg: UpperConfig):
     if cfg.initial_step is not None:
         return np.full(K.dim, float(cfg.initial_step))
-    span = K.upper - K.lower
-    steps = span / 4.0
-    # collapsed coordinates still need a positive (if useless) step
-    return np.where(steps > cfg.min_step, steps, 10 * cfg.min_step)
+    return _span_steps(K, 0.25, cfg.min_step)
 
 
-def _start_set(K: BoxSet, cfg: UpperConfig, extra_starts):
-    starts = []
-    if extra_starts is not None:
-        starts.extend(K.clip(s) for s in extra_starts)
-    starts.append(K.midpoint())
+def _start_set(K: BoxSet, cfg: UpperConfig):
+    starts = [K.midpoint()]
     n_sobol = cfg.n_multistarts - 1
     if n_sobol > 0:
         sampler = qmc.Sobol(d=K.dim, scramble=True, seed=cfg.seed)
@@ -115,20 +122,21 @@ def _compass_climb(value_fn, K: BoxSet, y, fy, steps, shrink, min_step, max_eval
     return y, fy, evals, False
 
 
-def pattern_search_maximize(value_fn, K: BoxSet, cfg: UpperConfig = UpperConfig(),
-                            extra_starts=None) -> PatternSearchResult:
+def pattern_search_maximize(value_fn, K: BoxSet,
+                            cfg: UpperConfig = UpperConfig()) -> PatternSearchResult:
     """Compass search maximization of value_fn over the box K.
 
-    Terminates a start when every step component falls below min_step;
-    the whole search stops early when max_evals is exhausted, in which
-    case the best point so far is returned with converged=False. The
-    returned point is a mesh-local maximizer at resolution min_step,
-    clipped to K.
+    Climbs from the box midpoint, then from cfg.n_multistarts - 1 Sobol
+    points. Terminates a start when every step component falls below
+    min_step; the whole search stops early when max_evals is exhausted,
+    in which case the best point so far is returned with converged=False.
+    The returned point is a mesh-local maximizer at resolution min_step,
+    clipped to K: the earliest evaluation with the strictly highest value.
     """
     best_y, best_val = None, -np.inf
     evals = 0
     exhausted = False
-    for y0 in _start_set(K, cfg, extra_starts):
+    for y0 in _start_set(K, cfg):
         if evals >= cfg.max_evals:
             exhausted = True
             break
@@ -149,26 +157,42 @@ def pattern_search_maximize(value_fn, K: BoxSet, cfg: UpperConfig = UpperConfig(
 
 def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
                     cfg: UpperConfig = UpperConfig(),
-                    warm_starts=None) -> PenalizedSolution:
+                    warm_start=None) -> PenalizedSolution:
     """Maximize the single-valued penalized upper objective over the box.
 
-    Multistart pattern search on y -> upper value at (y, epsilon); the
-    reported solution re-solves the selection at the final y so that
-    value, selection and feasibility data are consistent. Deterministic
-    for a fixed cfg seed. converged=False flags either an exhausted
-    evaluation budget or an uncertified final selection.
+    Without warm_start: the multistart pattern search on y -> upper value
+    at (y, epsilon). With it: one compass climb from warm_start clipped to
+    the box, with first step WARM_STEP of the box span per coordinate and
+    cfg's shrink, min_step and max_evals; it finds the local maximum
+    around that point, not a global one. The reported selection is the
+    one the search made at the returned y (the earliest evaluation with
+    the strictly highest value); selection is deterministic, so it is
+    bitwise the selection a re-solve at y would give. Deterministic for a
+    fixed cfg seed. converged=False flags either an exhausted evaluation
+    budget or an uncertified final selection.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
     sel_cfg = SelectionConfig(sign=sign, seed=cfg.seed)
+    best = None
 
     def value_fn(y):
-        return select_response(problem, y, epsilon, sel_cfg).leader_value
+        nonlocal best
+        selection = select_response(problem, y, epsilon, sel_cfg)
+        if best is None or selection.leader_value > best.leader_value:
+            best = selection
+        return selection.leader_value
 
-    ps = pattern_search_maximize(value_fn, problem.leader_set, cfg,
-                                 extra_starts=warm_starts)
-    selection = select_response(problem, ps.y, epsilon, sel_cfg)
-    converged = ps.converged and selection.fw_gap <= sel_cfg.tol
-    return PenalizedSolution(y=ps.y, selection=selection,
-                             value=selection.leader_value,
-                             evals=ps.evals, converged=converged)
+    K = problem.leader_set
+    if warm_start is None:
+        ps = pattern_search_maximize(value_fn, K, cfg)
+        evals, exhausted = ps.evals, not ps.converged
+    else:
+        y0 = K.clip(warm_start)
+        _, _, used, exhausted = _compass_climb(
+            value_fn, K, y0, value_fn(y0), _span_steps(K, WARM_STEP, cfg.min_step),
+            cfg.shrink, cfg.min_step, cfg.max_evals - 1)
+        evals = used + 1
+    converged = not exhausted and best.fw_gap <= sel_cfg.tol
+    return PenalizedSolution(y=best.y, selection=best, value=best.leader_value,
+                             evals=evals, converged=converged)

@@ -139,6 +139,20 @@ class TestOutput:
         assert "Traceback" not in err
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("command", [
+        ["solve", "--problem", "FS", "--epsilon", "nan"],
+        ["continuation", "--problem", "FS", "--eps0", "nan", "--k", "3"],
+        ["continuation", "--problem", "FS", "--slack", "nan", "--k", "3"],
+    ])
+    def test_is_input_error(self, tmp_path, capsys, command):
+        assert main(command + ["--output", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []  # no report of a rejected run
+
+
 class TestRates:
     def test_qb_rates_report(self, tmp_path):
         code = run_cli("rates", "--problem", "QB", tmp_path=tmp_path)

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import pickle
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import bilevelpen as bp
 from bilevelpen.continuation import ContinuationTrace, EpsSchedule, TraceRow
+from bilevelpen.upper_solver import UpperConfig
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +33,11 @@ class TestEpsSchedule:
             EpsSchedule(rho=1.0)
         with pytest.raises(ValueError):
             EpsSchedule(k_max=0)
+
+    @pytest.mark.parametrize("eps0", [math.nan, math.inf])
+    def test_rejects_non_finite_eps0(self, eps0):
+        with pytest.raises(ValueError, match="finite"):
+            EpsSchedule(eps0=eps0)
 
 
 class TestRunContinuation:
@@ -64,6 +71,23 @@ class TestRunContinuation:
         assert pickle.dumps(again) == pickle.dumps(qb_trace)
 
 
+class TestWarmRows:
+    def test_later_rows_are_one_short_climb(self, qb):
+        trace = bp.run_continuation(qb, EpsSchedule(0.1, 0.5, 12))
+        assert trace.rows[0].evals > 64  # the first row runs the multistart
+        assert all(row.evals <= 64 for row in trace.rows[1:])
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("name", ["QB", "FS"])
+    def test_rows_match_cold_solves(self, name, sign):
+        problem, cfg = bp.registry_get(name), UpperConfig(seed=0)
+        trace = bp.run_continuation(problem, EpsSchedule(0.1, 0.5, 6), sign=sign, cfg=cfg)
+        for row in trace.rows:
+            cold = bp.solve_penalized(problem, row.epsilon, sign=sign, cfg=cfg)
+            assert abs(row.v - cold.value) <= 1e-12
+            assert np.max(np.abs(row.y - cold.y)) <= cfg.min_step
+
+
 class TestTraceInvariants:
     def test_shuffled_rows_rejected(self, qb_trace):
         rows = list(qb_trace.rows)
@@ -88,6 +112,11 @@ class TestCheckMonotone:
         report = bp.check_monotone(trace, slack=2e-4)
         assert not report.ok
         assert report.violations == (3,)
+
+    @pytest.mark.parametrize("slack", [math.nan, -1e-4, math.inf])
+    def test_rejects_bad_slack(self, qb_trace, slack):
+        with pytest.raises(ValueError, match="slack"):
+            bp.check_monotone(qb_trace, slack=slack)
 
     def test_empty_trace_rejected(self):
         trace = ContinuationTrace(problem="QB", sign=+1, rows=())

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen.model import LINEAR, BilevelProblem, ScalarField, field_from_expression
@@ -33,6 +34,11 @@ class TestPenalizedField:
             bp.penalized_field(qb, -0.1)
         with pytest.raises(ValueError):
             bp.penalized_field(qb, 0.1, sign=2)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, qb, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            bp.penalized_field(qb, epsilon)
 
     def test_convexity_flags(self, qb):
         assert bp.penalized_field(qb, 0.1, sign=+1).convex_in_x
@@ -159,6 +165,21 @@ class TestOrderProperties:
                     vo = bp.upper_value(problem, [y], eps,
                                         SelectionConfig(sign=OPTIMISTIC))
                     assert vo >= vp - 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(["QB", "FS"]), y=st.floats(0.0, 1.0),
+           eps1=st.floats(1e-4, 0.3), r=st.floats(0.05, 0.99))
+    def test_value_moves_toward_the_limit_as_eps_shrinks(self, qb, fs, name, y, eps1, r):
+        # For eps2 < eps1 at a fixed y, adding the optimality inequalities of
+        # both selections gives (eps1 - eps2)(f1^2 - f2^2) <= 0 for the
+        # pessimistic sign: a warm continuation row starts no lower than the
+        # row before it. The optimistic sign mirrors this.
+        problem, eps2 = {"QB": qb, "FS": fs}[name], r * eps1
+        for sign in (+1, -1):
+            cfg = SelectionConfig(sign=sign)
+            v1 = bp.upper_value(problem, [y], eps1, cfg)
+            v2 = bp.upper_value(problem, [y], eps2, cfg)
+            assert sign * (v2 - v1) >= -1e-9
 
     def test_selection_stable_along_converging_leader_sequence(self, qb):
         # responses along y_k -> y approach the minimal penalized value at y

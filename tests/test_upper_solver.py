@@ -1,9 +1,13 @@
+import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import bilevelpen as bp
+from bilevelpen import upper_solver
+from bilevelpen.selection import SelectionConfig
 from bilevelpen.upper_solver import UpperConfig
 
 
@@ -28,6 +32,14 @@ class TestUpperConfig:
     def test_min_step_must_undershoot_initial(self):
         with pytest.raises(ValueError):
             UpperConfig(initial_step=1e-7, min_step=1e-6)
+
+    @pytest.mark.parametrize("kwargs", [dict(initial_step=math.nan),
+                                        dict(initial_step=math.inf),
+                                        dict(min_step=math.nan),
+                                        dict(min_step=math.inf)])
+    def test_rejects_non_finite_steps(self, kwargs):
+        with pytest.raises(ValueError):
+            UpperConfig(**kwargs)
 
 
 class TestPatternSearch:
@@ -77,18 +89,61 @@ class TestPatternSearch:
             bp.BoxSet([0.0, -1.0], [1.0, 1.0]))
         np.testing.assert_allclose(res.y, [0.25, -0.5], atol=1e-5)
 
-    def test_warm_start_used(self):
-        # with the warm start exactly at the optimum the search keeps it
-        calls = []
 
-        def fn(y):
-            calls.append(float(y[0]))
-            return -(y[0] - 0.77) ** 2
+def recorded_selections(monkeypatch):
+    """The leader points of every selection solve_penalized makes, in order."""
+    ys = []
 
-        res = bp.pattern_search_maximize(fn, bp.BoxSet([0.0], [1.0]),
-                                         extra_starts=[np.array([0.77])])
-        assert res.y[0] == 0.77
-        assert calls[0] == 0.77
+    def record(problem, y, epsilon, cfg):
+        ys.append(np.array(y, dtype=float))
+        return bp.select_response(problem, y, epsilon, cfg)
+    monkeypatch.setattr(upper_solver, "select_response", record)
+    return ys
+
+
+class TestWarmClimb:
+    def test_first_selection_at_warm_start(self, fs, monkeypatch):
+        # FS peaks at y = 0.5: the climb starts there and keeps it
+        ys = recorded_selections(monkeypatch)
+        sol = bp.solve_penalized(fs, 0.05, warm_start=[0.5])
+        np.testing.assert_array_equal(ys[0], [0.5])
+        np.testing.assert_array_equal(sol.y, [0.5])
+        assert sol.value == 2.0 and sol.converged
+        # one climb: two probes per poll at steps 1e-2 * 0.5^k down to min_step
+        assert sol.evals == len(ys) <= 1 + 2 * 15
+
+    def test_climbs_from_the_clipped_warm_start(self, fs, monkeypatch):
+        ys = recorded_selections(monkeypatch)
+        sol = bp.solve_penalized(fs, 0.05, warm_start=[1.7])
+        np.testing.assert_array_equal(ys[0], [1.0])
+        assert abs(sol.y[0] - 0.5) <= 1e-5
+        assert sol.value == pytest.approx(2.0, abs=1e-9)
+
+    def test_budget_exhaustion_flagged(self, fs):
+        sol = bp.solve_penalized(fs, 0.05, cfg=UpperConfig(max_evals=3), warm_start=[0.3])
+        assert not sol.converged
+        assert sol.evals == 3
+        assert sol.value > bp.upper_value(fs, [0.3], 0.05)
+
+    def test_ties_keep_the_earliest_evaluation(self, fs):
+        # a leader objective flat in y: every evaluation ties with the first
+        flat = replace(fs, leader_objective=bp.field_from_expression("2 + x[0]", 1, 2))
+        cold = bp.solve_penalized(flat, 0.05)
+        np.testing.assert_array_equal(cold.y, flat.leader_set.midpoint())
+        warm = bp.solve_penalized(flat, 0.05, warm_start=[0.3])
+        np.testing.assert_array_equal(warm.y, [0.3])
+        assert cold.evals > 1 and warm.evals > 1
+        for sol in (cold, warm):
+            np.testing.assert_array_equal(sol.selection.y, sol.y)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("warm_start", [None, [0.3]])
+    def test_selection_is_the_re_solve(self, qb, sign, warm_start):
+        cfg = UpperConfig(seed=3)
+        sol = bp.solve_penalized(qb, 0.02, sign=sign, cfg=cfg, warm_start=warm_start)
+        again = bp.select_response(qb, sol.y, 0.02, SelectionConfig(sign=sign, seed=3))
+        assert pickle.dumps(sol.selection) == pickle.dumps(again)
+        assert sol.value == again.leader_value
 
 
 class TestSolvePenalized:
@@ -112,6 +167,11 @@ class TestSolvePenalized:
     def test_rejects_bad_epsilon(self, qb):
         with pytest.raises(ValueError):
             bp.solve_penalized(qb, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, qb, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            bp.solve_penalized(qb, epsilon)
 
     def test_seed_determinism_bitwise(self, qb):
         cfg = UpperConfig(seed=42)
