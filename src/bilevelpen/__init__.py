@@ -18,8 +18,8 @@ from .model import (BilevelProblem, BoxSet, CheckResult, DimensionGuardError,
 from .lower_solver import (FwSolution, LpSolution, enumerate_vertices,
                            frank_wolfe_minimize, lp_minimize)
 from .selection import (OPTIMISTIC, PESSIMISTIC, ConstancyReport,
-                        SelectionConfig, SelectionResult, constancy_check,
-                        penalized_field, select_response, upper_value)
+                        SelectionResult, constancy_check, penalized_field,
+                        select_response)
 from .upper_solver import (PatternSearchResult, PenalizedSolution, UpperConfig,
                            pattern_search_maximize, solve_penalized)
 from .continuation import (ContinuationTrace, EpsSchedule, LimitEstimate,
@@ -44,9 +44,8 @@ __all__ = [
     "registry_register", "resolve_problem", "save_problem", "validate_problem",
     "FwSolution", "LpSolution", "enumerate_vertices", "frank_wolfe_minimize",
     "lp_minimize",
-    "OPTIMISTIC", "PESSIMISTIC", "ConstancyReport", "SelectionConfig",
-    "SelectionResult", "constancy_check", "penalized_field", "select_response",
-    "upper_value",
+    "OPTIMISTIC", "PESSIMISTIC", "ConstancyReport", "SelectionResult",
+    "constancy_check", "penalized_field", "select_response",
     "PatternSearchResult", "PenalizedSolution", "UpperConfig",
     "pattern_search_maximize", "solve_penalized",
     "ContinuationTrace", "EpsSchedule", "LimitEstimate", "MonotoneReport",

@@ -97,9 +97,10 @@ def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedul
                      sign: int = +1, cfg: UpperConfig = UpperConfig()) -> ContinuationTrace:
     """Solve the penalized problem along the schedule, warm from row 2 on.
 
-    The first row runs the multistart search of solve_penalized, so
-    cfg.n_multistarts shapes only that row. Every later row runs one
-    compass climb from the previous row's leader point y. The climb is
+    sign picks the selection at every row. The first row runs the
+    multistart search of solve_penalized, the only use of cfg.seed. Every
+    later row runs one compass climb from the previous row's leader
+    point y; cfg.max_evals bounds each row. The climb is
     enough because the values move monotonically at a fixed y: for
     eps' < eps, optimality of x_eps' at eps' and of x_eps at eps gives
     h(x_eps') + eps' f(x_eps')^2 <= h(x_eps) + eps' f(x_eps)^2 and

@@ -93,6 +93,8 @@ def build_certificate(problem: BilevelProblem, oracle: OracleSolution,
     """
     if oracle.problem != problem.name:
         raise ValueError("oracle does not belong to this problem")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     alpha = oracle.follower_value
     beta = oracle.leader_value
     sigma = alpha + beta
@@ -218,8 +220,11 @@ def fit_rate(gaps, tau=0.15) -> RateFit:
     Gaps at or below the 1e-12 floor are treated as numerically zero; if
     none survive, the selection was exact at every epsilon, which is
     stronger than any power rate. Otherwise at least 4 points spanning
-    two decades of epsilon are required for a least-squares fit.
+    two decades of epsilon are required for a least-squares fit. tau,
+    the slack on the slopes 1 and 1/2, must be finite and nonnegative.
     """
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     pts = [(float(e), float(g)) for e, g in gaps if g > GAP_FLOOR]
     if not pts:
         return RateFit(slope=math.inf, intercept=math.nan, r_squared=1.0,

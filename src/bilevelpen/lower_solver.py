@@ -271,12 +271,12 @@ def _fw_best(section, lmo, starts, tol, max_iter):
 
 
 def _project_start(start, C):
-    start = np.asarray(start, dtype=float)
-    if C.residual(start) <= FEAS_TOL:
-        return start
+    """start if it lies in C, else (also for start=None) a phase-1 vertex."""
+    if start is not None and C.residual(start) <= FEAS_TOL:
+        return np.asarray(start, dtype=float)
     x, status = simplex.feasible_point(C.A, C.b)
     if status != "optimal":
-        raise RuntimeError("cannot project start: polytope infeasible")
+        raise RuntimeError("polytope infeasible")
     return x
 
 
@@ -285,13 +285,15 @@ def frank_wolfe_minimize(field, C: Polytope, tol=1e-8, max_iter=2000,
     """Minimize a convex field over C by Frank-Wolfe.
 
     field is a FieldSection (a field already fixed at some y) or a
-    ScalarField together with the keyword y. With an explicit start the
-    run is single-start (infeasible starts are replaced by a phase-1
-    vertex); with start=None the search restarts from the vertices of C
-    in turn and keeps the best point, stopping at the first certified
-    run of a convex field, which is also how the selection layer drives
-    it. fw_gap is the linear-oracle duality gap at the returned point;
-    for convex fields it bounds value minus the true minimum.
+    ScalarField together with the keyword y. The linear oracle is the
+    vertex list of C up to dim 12 and the simplex above. With an explicit
+    start the run is single-start (infeasible starts are replaced by a
+    phase-1 vertex); with start=None the search restarts from the
+    vertices of C in turn (above dim 12, from one phase-1 vertex) and
+    keeps the best point, stopping at the first certified run of a convex
+    field, which is also how the selection layer drives it. fw_gap is the
+    linear-oracle duality gap at the returned point; for convex fields it
+    bounds value minus the true minimum.
 
     Non-convergence is not an exception: the result carries fw_gap > tol
     when max_iter ran out first.
@@ -299,19 +301,11 @@ def frank_wolfe_minimize(field, C: Polytope, tol=1e-8, max_iter=2000,
     if hasattr(field, "fix") and y is None:
         raise ValueError("a ScalarField needs the leader point y")
     section = field.fix(y) if hasattr(field, "fix") else field
-    if start is not None:
-        starts = [_project_start(start, C)]
+    if C.dim <= VERTEX_DIM_GUARD:
+        V = enumerate_vertices(C)
+        lmo = vertex_lmo(V)
     else:
-        if C.dim <= VERTEX_DIM_GUARD:
-            starts = list(enumerate_vertices(C))
-        else:
-            x0, status = simplex.feasible_point(C.A, C.b)
-            if status != "optimal":
-                raise RuntimeError("polytope infeasible")
-            starts = [x0]
-    if C.cached_vertices is not None:
-        lmo = vertex_lmo(C.cached_vertices)
-    else:
-        lmo = _simplex_lmo(C)
+        V, lmo = None, _simplex_lmo(C)
+    starts = V if start is None and V is not None else [_project_start(start, C)]
     x, value, gap, _, total = _fw_best(section, lmo, starts, tol, max_iter)
     return FwSolution(x=x, value=float(value), fw_gap=float(gap), iterations=total)

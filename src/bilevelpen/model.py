@@ -198,11 +198,11 @@ def _quadratic_coefficients(node, grad_nodes, dim_y, dim_x):
 class Polytope:
     """The follower feasible set C = {x : Ax = b, x >= 0}.
 
-    Construction verifies C is nonempty and bounded (two LPs: since
-    x >= 0, C is bounded iff max 1'x over C is finite). cached_vertices
-    is a cache only: enumerate_vertices fills it, and the constructor
-    does not take it, since an incomplete list would make the vertex
-    oracle inexact.
+    Construction verifies C is nonempty and bounded with one LP, max 1'x
+    over C: since x >= 0, C is bounded iff that maximum is finite.
+    cached_vertices is a cache only: enumerate_vertices fills it, and the
+    constructor does not take it, since an incomplete list would make the
+    vertex oracle inexact.
     """
 
     A: np.ndarray
@@ -215,10 +215,9 @@ class Polytope:
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
         if self.A.shape[0] != self.b.shape[0]:
             raise ProblemError("A and b row counts differ")
-        _, status = simplex.feasible_point(self.A, self.b)
+        _, _, _, status = simplex.solve(-np.ones(self.A.shape[1]), self.A, self.b)
         if status == "infeasible":
             raise EmptyFeasibleSetError("feasible set {Ax=b, x>=0} is empty")
-        _, _, _, status = simplex.solve(-np.ones(self.A.shape[1]), self.A, self.b)
         if status == "unbounded":
             raise UnboundedFeasibleSetError("feasible set {Ax=b, x>=0} is unbounded")
 

@@ -11,6 +11,7 @@ search, upper_solver._compass_climb. Oracle values certify the penalty
 solver's convergence and error rates.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -118,10 +119,13 @@ def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
     A follower objective that is linear (or constant) in x attains its
     minimum on a face; the description is that face's vertex set. Other
     objectives fall back to a dense grid cloud of near-minimal points.
-    Membership uses the hybrid cutoff tol * (1 + |min|).
+    Membership uses the hybrid cutoff tol * (1 + |min|), so tol must be
+    finite and nonnegative (a NaN would keep no point).
     """
     if not grid_step > 0:
         raise ValueError(f"grid_step must be positive, got {grid_step}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     y = np.asarray(y, dtype=float)
     h = problem.follower_objective
     C = problem.follower_set
@@ -211,7 +215,7 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     resolution = y_grid_step / 10.0
     steps = np.full(K.dim, max(spacing, 10 * resolution))
     y_best, _, _, _ = _compass_climb(value_fn, K, grid[i_best], vals[i_best], steps,
-                                     shrink=0.5, min_step=resolution, max_evals=500)
+                                     min_step=resolution, max_evals=500)
     response = pessimistic_select(problem, y_best, tol=tol, grid_step=x_grid_step)
     f = problem.leader_objective
     h_val = problem.follower_objective.evaluate(y_best, response.x)

@@ -11,8 +11,7 @@ check measures that property at runtime.
 """
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,25 +21,9 @@ from .lower_solver import (_feasible_points, _fw_best, _fw_multistart, enumerate
 
 PESSIMISTIC = +1
 OPTIMISTIC = -1
-
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    """Knobs for one selection solve; seed fixes the interior starts."""
-
-    sign: int = PESSIMISTIC
-    tol: float = 1e-8
-    max_iter: int = 2000
-    n_starts: Optional[int] = None  # most runs; None: min(#vertices, 16)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_starts is not None and self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not self.tol >= 0.0:
-            raise ValueError("tol must be nonnegative")
+FW_TOL = 1e-8       # a Frank-Wolfe run with gap <= FW_TOL is certified
+FW_MAX_ITER = 2000  # Frank-Wolfe iterations per run
+MAX_STARTS = 16     # selection runs from the first min(#vertices, MAX_STARTS) vertices
 
 
 @dataclass(frozen=True)
@@ -120,70 +103,58 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
     )
 
 
-def _starts(problem, y, epsilon, cfg):
-    """y as an array, the penalized section at y, the vertices of C and the
-    cfg.n_starts start points (default min(#vertices, 16))."""
+def _section(problem, y, epsilon, sign):
+    """y as an array, the penalized section at y and the vertices of C."""
     y = np.asarray(y, dtype=float)
     if not problem.leader_set.contains(y):
         raise ValueError(f"y={y} is outside the leader box")
-    section = penalized_field(problem, epsilon, cfg.sign).fix(y)
-    V = enumerate_vertices(problem.follower_set)
-    n_starts = cfg.n_starts if cfg.n_starts is not None else min(len(V), 16)
-    if cfg.sign == OPTIMISTIC and n_starts < min(len(V), 8):
-        raise ValueError(
-            "optimistic selection is nonconvex; need n_starts >= "
-            f"min(#vertices, 8) = {min(len(V), 8)}")
-    return y, section, V, _feasible_points(V, n_starts, cfg.seed)
+    section = penalized_field(problem, epsilon, sign).fix(y)
+    return y, section, enumerate_vertices(problem.follower_set)
 
 
 def select_response(problem: BilevelProblem, y, epsilon: float,
-                    cfg: SelectionConfig = SelectionConfig()) -> SelectionResult:
+                    sign: int = PESSIMISTIC) -> SelectionResult:
     """Solve the penalized follower problem at fixed y.
 
-    Pairwise Frank-Wolfe from the polytope vertices in turn (plus seeded
-    interior points when n_starts exceeds the vertex count); the lowest
-    penalized value wins, ties broken by start order. A convex
-    (pessimistic) section stops at its first run with gap <= tol, a
-    certified minimum; the nonconvex optimistic sign runs every start.
-    n_starts in the result counts the runs made. An uncertified result
-    is not an error: its fw_gap > tol marks it unreliable.
+    Pairwise Frank-Wolfe from the first min(#vertices, MAX_STARTS)
+    polytope vertices in turn; the lowest penalized value wins, ties
+    broken by start order. A convex (pessimistic) section stops at its
+    first run with gap <= FW_TOL, a certified minimum; the nonconvex
+    optimistic sign runs every start. n_starts in the result counts the
+    runs made. An uncertified result is not an error: its fw_gap > FW_TOL
+    marks it unreliable.
     """
-    y, section, V, starts = _starts(problem, y, epsilon, cfg)
-    x, _, gap, runs, _ = _fw_best(section, vertex_lmo(V), starts, cfg.tol, cfg.max_iter)
+    y, section, V = _section(problem, y, epsilon, sign)
+    x, _, gap, runs, _ = _fw_best(section, vertex_lmo(V), V[:MAX_STARTS], FW_TOL, FW_MAX_ITER)
     f = problem.leader_objective
     h = problem.follower_objective
     fv = f.evaluate(y, x)
     hv = h.evaluate(y, x)
     return SelectionResult(
-        y=y, epsilon=float(epsilon), sign=cfg.sign, x=x,
+        y=y, epsilon=float(epsilon), sign=sign, x=x,
         leader_value=float(fv), follower_value=float(hv),
-        penalized_value=float(hv + cfg.sign * epsilon * fv ** 2),
+        penalized_value=float(hv + sign * epsilon * fv ** 2),
         fw_gap=float(gap), n_starts=runs,
     )
 
 
-def upper_value(problem: BilevelProblem, y, epsilon: float,
-                cfg: SelectionConfig = SelectionConfig()) -> float:
-    """Leader objective at the penalized selection; deterministic per seed."""
-    return select_response(problem, y, epsilon, cfg).leader_value
-
-
 def constancy_check(problem: BilevelProblem, y, epsilon: float,
-                    n_starts: int = 16, cfg: SelectionConfig = SelectionConfig(),
+                    n_starts: int = 16, seed: int = 0,
                     value_tol: float = 1e-8) -> ConstancyReport:
     """Measure how constant the leader objective is on the argmin set.
 
-    Runs n_starts independent solves (distinct vertices first, then
-    seeded interior points), keeps every run whose penalized value lies
-    within value_tol of the best, and reports the max-min spread of the
-    leader objective over those runs. A spread near zero realizes the
-    constant-on-argmin property even when the minimizers form a
-    nontrivial face.
+    Runs n_starts independent pessimistic solves (distinct vertices
+    first, then interior points seeded by seed), keeps every run whose
+    penalized value lies within value_tol of the best, and reports the
+    max-min spread of the leader objective over those runs. A spread
+    near zero realizes the constant-on-argmin property even when the
+    minimizers form a nontrivial face.
     """
     if n_starts < 8:
         raise ValueError("constancy check needs n_starts >= 8")
-    y, section, V, starts = _starts(problem, y, epsilon, replace(cfg, n_starts=n_starts))
-    runs = list(_fw_multistart(section, vertex_lmo(V), starts, cfg.tol, cfg.max_iter))
+    y, section, V = _section(problem, y, epsilon, PESSIMISTIC)
+    runs = list(_fw_multistart(section, vertex_lmo(V), _feasible_points(V, n_starts, seed),
+                               FW_TOL, FW_MAX_ITER))
     best_x, best_val, _, _ = min(runs, key=lambda r: r[1])
     f = problem.leader_objective
     witnesses = []

@@ -4,46 +4,37 @@ The upper objective y -> f(y, x_eps(y)) is continuous but has no usable
 gradient, so the search is a compass pattern search over the leader box:
 poll the 2p axis neighbors, move to a strictly better one, shrink the
 step otherwise, stop at a mesh resolution. A cold solve climbs from the
-box midpoint and a scrambled Sobol set at step span/4; a warm solve
-(the later rows of a continuation) climbs once from the given point at
-step WARM_STEP * span. _compass_climb is the one compass search of the
-package: it runs each climb here and the three-level oracle's polish.
+box midpoint and N_MULTISTARTS - 1 scrambled Sobol points at step
+COLD_STEP * span; a warm solve (the later rows of a continuation) climbs
+once from the given point at step WARM_STEP * span. Every climb scales
+its steps by SHRINK down to MIN_STEP. Only the evaluation budget and the
+Sobol seed are settable, in UpperConfig. _compass_climb is the one
+compass search of the package: it runs each climb here and the
+three-level oracle's polish.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.stats import qmc
 
 from .model import BilevelProblem, BoxSet
-from .selection import SelectionConfig, SelectionResult, select_response
+from .selection import FW_TOL, SelectionResult, select_response
 
-WARM_STEP = 1e-2  # a warm climb's first step, as a fraction of the box span
+N_MULTISTARTS = 8  # a cold solve climbs from the box midpoint and 7 Sobol points
+COLD_STEP = 0.25   # a cold climb's first step, as a fraction of the box span
+WARM_STEP = 1e-2   # a warm climb's first step, as a fraction of the box span
+SHRINK = 0.5       # a poll with no better neighbor scales the steps by this
+MIN_STEP = 1e-6    # a solve's climb ends when every step is below this
 
 
 @dataclass(frozen=True)
 class UpperConfig:
-    n_multistarts: int = 8
-    initial_step: Optional[float] = None  # None: (upper - lower) / 4 per coordinate
-    shrink: float = 0.5
-    min_step: float = 1e-6
     max_evals: int = 20000
-    seed: int = 0
+    seed: int = 0  # scrambles the Sobol starts of a cold solve
 
     def __post_init__(self):
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if not 0.0 < self.min_step < math.inf:
-            raise ValueError("min_step must be positive and finite")
-        if self.initial_step is not None:
-            if not math.isfinite(self.initial_step):
-                raise ValueError("initial_step must be finite")
-            if self.min_step >= self.initial_step:
-                raise ValueError("min_step must be smaller than initial_step")
-        if self.n_multistarts < 1:
-            raise ValueError("need at least one start")
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
 
@@ -65,33 +56,24 @@ class PenalizedSolution:
     converged: bool
 
 
-def _span_steps(K: BoxSet, fraction, min_step):
+def _span_steps(K: BoxSet, fraction):
     steps = (K.upper - K.lower) * fraction
     # collapsed coordinates still need a positive (if useless) step
-    return np.where(steps > min_step, steps, 10 * min_step)
+    return np.where(steps > MIN_STEP, steps, 10 * MIN_STEP)
 
 
-def _initial_steps(K: BoxSet, cfg: UpperConfig):
-    if cfg.initial_step is not None:
-        return np.full(K.dim, float(cfg.initial_step))
-    return _span_steps(K, 0.25, cfg.min_step)
+def _start_set(K: BoxSet, seed):
+    sampler = qmc.Sobol(d=K.dim, scramble=True, seed=seed)
+    # N_MULTISTARTS is a power of 2, the draw size that keeps Sobol balanced
+    U = sampler.random(N_MULTISTARTS)[:N_MULTISTARTS - 1]
+    return [K.midpoint(), *(K.lower + U * (K.upper - K.lower))]
 
 
-def _start_set(K: BoxSet, cfg: UpperConfig):
-    starts = [K.midpoint()]
-    n_sobol = cfg.n_multistarts - 1
-    if n_sobol > 0:
-        sampler = qmc.Sobol(d=K.dim, scramble=True, seed=cfg.seed)
-        U = sampler.random(1 << (n_sobol - 1).bit_length())[:n_sobol]
-        starts.extend(K.lower + U * (K.upper - K.lower))
-    return starts
-
-
-def _compass_climb(value_fn, K: BoxSet, y, fy, steps, shrink, min_step, max_evals):
+def _compass_climb(value_fn, K: BoxSet, y, fy, steps, min_step, max_evals):
     """Climb from y, whose value fy is known, to a compass-local maximum.
 
     Polls the clipped axis neighbors y +- steps[i] e_i that differ from y,
-    moves to the best strictly better one or else scales steps by shrink,
+    moves to the best strictly better one or else scales steps by SHRINK,
     until every step is below min_step. Stops with exhausted=True when the
     next evaluation would exceed max_evals, after moving to the best
     strictly better probe of the unfinished poll, so the returned value is
@@ -118,7 +100,7 @@ def _compass_climb(value_fn, K: BoxSet, y, fy, steps, shrink, min_step, max_eval
         if cand_val > fy:
             y, fy = cand_y, cand_val
         else:
-            steps = steps * shrink
+            steps = steps * SHRINK
     return y, fy, evals, False
 
 
@@ -126,17 +108,18 @@ def pattern_search_maximize(value_fn, K: BoxSet,
                             cfg: UpperConfig = UpperConfig()) -> PatternSearchResult:
     """Compass search maximization of value_fn over the box K.
 
-    Climbs from the box midpoint, then from cfg.n_multistarts - 1 Sobol
-    points. Terminates a start when every step component falls below
-    min_step; the whole search stops early when max_evals is exhausted,
-    in which case the best point so far is returned with converged=False.
-    The returned point is a mesh-local maximizer at resolution min_step,
+    Climbs from the box midpoint, then from N_MULTISTARTS - 1 Sobol
+    points seeded by cfg.seed, each at first step COLD_STEP of the span.
+    Terminates a start when every step component falls below MIN_STEP;
+    the whole search stops early when cfg.max_evals is exhausted, in
+    which case the best point so far is returned with converged=False.
+    The returned point is a mesh-local maximizer at resolution MIN_STEP,
     clipped to K: the earliest evaluation with the strictly highest value.
     """
     best_y, best_val = None, -np.inf
     evals = 0
     exhausted = False
-    for y0 in _start_set(K, cfg):
+    for y0 in _start_set(K, cfg.seed):
         if evals >= cfg.max_evals:
             exhausted = True
             break
@@ -144,8 +127,7 @@ def pattern_search_maximize(value_fn, K: BoxSet,
         fy = value_fn(y)
         evals += 1
         y, fy, used, exhausted = _compass_climb(
-            value_fn, K, y, fy, _initial_steps(K, cfg), cfg.shrink, cfg.min_step,
-            cfg.max_evals - evals)
+            value_fn, K, y, fy, _span_steps(K, COLD_STEP), MIN_STEP, cfg.max_evals - evals)
         evals += used
         if fy > best_val:
             best_y, best_val = y, fy
@@ -160,25 +142,25 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
                     warm_start=None) -> PenalizedSolution:
     """Maximize the single-valued penalized upper objective over the box.
 
-    Without warm_start: the multistart pattern search on y -> upper value
-    at (y, epsilon). With it: one compass climb from warm_start clipped to
-    the box, with first step WARM_STEP of the box span per coordinate and
-    cfg's shrink, min_step and max_evals; it finds the local maximum
+    sign picks the selection (PESSIMISTIC or OPTIMISTIC). Without
+    warm_start: the multistart pattern search on y -> upper value at
+    (y, epsilon). With it: one compass climb from warm_start clipped to
+    the box, with first step WARM_STEP of the box span per coordinate,
+    down to MIN_STEP within cfg.max_evals; it finds the local maximum
     around that point, not a global one. The reported selection is the
     one the search made at the returned y (the earliest evaluation with
     the strictly highest value); selection is deterministic, so it is
     bitwise the selection a re-solve at y would give. Deterministic for a
     fixed cfg seed. converged=False flags either an exhausted evaluation
-    budget or an uncertified final selection.
+    budget or a final selection with fw_gap > FW_TOL.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be positive and finite")
-    sel_cfg = SelectionConfig(sign=sign, seed=cfg.seed)
     best = None
 
     def value_fn(y):
         nonlocal best
-        selection = select_response(problem, y, epsilon, sel_cfg)
+        selection = select_response(problem, y, epsilon, sign)
         if best is None or selection.leader_value > best.leader_value:
             best = selection
         return selection.leader_value
@@ -190,9 +172,9 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     else:
         y0 = K.clip(warm_start)
         _, _, used, exhausted = _compass_climb(
-            value_fn, K, y0, value_fn(y0), _span_steps(K, WARM_STEP, cfg.min_step),
-            cfg.shrink, cfg.min_step, cfg.max_evals - 1)
+            value_fn, K, y0, value_fn(y0), _span_steps(K, WARM_STEP), MIN_STEP,
+            cfg.max_evals - 1)
         evals = used + 1
-    converged = not exhausted and best.fw_gap <= sel_cfg.tol
+    converged = not exhausted and best.fw_gap <= FW_TOL
     return PenalizedSolution(y=best.y, selection=best, value=best.leader_value,
                              evals=evals, converged=converged)

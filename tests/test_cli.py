@@ -115,6 +115,17 @@ class TestOracle:
         assert "must be positive" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tol_is_input_error(self, tmp_path, capsys, tol):
+        code = run_cli("oracle", "--problem", "FS", "--tol", tol, "--ygrid", "0.1",
+                       "--xgrid", "0.1", tmp_path=tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tol must be" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOutput:
     @pytest.mark.parametrize("command", [["solve", "--epsilon", "0.1"], ["continuation"],
                                          ["oracle"], ["rates"]])
@@ -183,6 +194,17 @@ class TestRates:
         doc = json.loads((tmp_path / "FS_rates.json").read_text())
         assert doc["ratefit"]["classification"] == "exact_selection"
         assert doc["certificate"]["valid"] is True
+
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    @pytest.mark.parametrize("flag,name", [("--cert-tol", "tol"), ("--tau", "tau")])
+    def test_bad_tolerance_is_input_error(self, tmp_path, capsys, flag, name, value):
+        code = run_cli("rates", "--problem", "FS", flag, value, "--k", "3",
+                       "--ygrid", "0.1", "--xgrid", "0.1", tmp_path=tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{name} must be" in err
+        assert list(tmp_path.iterdir()) == []  # no report of a rejected run
 
 
 class TestRoundTrip:

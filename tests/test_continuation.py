@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bilevelpen as bp
+from bilevelpen import upper_solver
 from bilevelpen.continuation import ContinuationTrace, EpsSchedule, TraceRow
 from bilevelpen.upper_solver import UpperConfig
 
@@ -85,7 +86,7 @@ class TestWarmRows:
         for row in trace.rows:
             cold = bp.solve_penalized(problem, row.epsilon, sign=sign, cfg=cfg)
             assert abs(row.v - cold.value) <= 1e-12
-            assert np.max(np.abs(row.y - cold.y)) <= cfg.min_step
+            assert np.max(np.abs(row.y - cold.y)) <= upper_solver.MIN_STEP
 
 
 class TestTraceInvariants:

@@ -6,6 +6,8 @@ expression. These tests compare the two paths; the expression path is the
 reference, reached by replacing the coefficients with None.
 """
 
+import json
+import pickle
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen.model import GENERAL, field_from_expression
-from bilevelpen.selection import OPTIMISTIC, PESSIMISTIC, SelectionConfig
+from bilevelpen.selection import FW_MAX_ITER, FW_TOL, OPTIMISTIC, PESSIMISTIC
 
 REL = 1e-12
 
@@ -170,10 +172,9 @@ class TestSelectionPaths:
     @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
     def test_registry_grid(self, name, sign, eps):
         dense, reference = both_paths(bp.registry_get(name))
-        cfg = SelectionConfig(sign=sign)
         for y in np.linspace(0.0, 1.0, 21):
-            assert_same_selection(bp.select_response(dense, [y], eps, cfg),
-                                  bp.select_response(reference, [y], eps, cfg))
+            assert_same_selection(bp.select_response(dense, [y], eps, sign),
+                                  bp.select_response(reference, [y], eps, sign))
 
     @settings(max_examples=12, deadline=None)
     @given(block_simplex_selections())
@@ -184,13 +185,21 @@ class TestSelectionPaths:
         assert_same_selection(dense, bp.select_response(reference, [y], eps))
         assert dense.reliable
 
+    @settings(max_examples=12, deadline=None)
+    @given(block_simplex_selections())
+    def test_json_round_trip_selects_bit_identically(self, case):
+        problem, y, eps = case
+        again = bp.problem_from_dict(json.loads(json.dumps(bp.problem_to_dict(problem))))
+        for sign in (PESSIMISTIC, OPTIMISTIC):
+            assert (pickle.dumps(bp.select_response(again, [y], eps, sign))
+                    == pickle.dumps(bp.select_response(problem, [y], eps, sign)))
+
     @settings(max_examples=25, deadline=None)
     @given(block_simplex_selections(), st.sampled_from([PESSIMISTIC, OPTIMISTIC]))
     def test_block_simplex_stops_at_first_certified_run(self, case, sign):
         problem, y, eps = case
         C = problem.follower_set
-        cfg = SelectionConfig(sign=sign)
-        sel = bp.select_response(problem, [y], eps, cfg)
+        sel = bp.select_response(problem, [y], eps, sign)
         assert C.residual(sel.x) <= 1e-9
         V = bp.enumerate_vertices(C)
         if sign == OPTIMISTIC:
@@ -198,6 +207,6 @@ class TestSelectionPaths:
             return
         # the first start is the first vertex; a convex section whose first
         # run certifies is at its minimum and runs no other start
-        first = bp.frank_wolfe_minimize(bp.penalized_field(problem, eps), C, tol=cfg.tol,
-                                        max_iter=cfg.max_iter, start=V[0], y=[y])
-        assert (sel.n_starts == 1) == (first.fw_gap <= cfg.tol)
+        first = bp.frank_wolfe_minimize(bp.penalized_field(problem, eps), C, tol=FW_TOL,
+                                        max_iter=FW_MAX_ITER, start=V[0], y=[y])
+        assert (sel.n_starts == 1) == (first.fw_gap <= FW_TOL)

@@ -55,6 +55,11 @@ class TestCertificate:
             assert cert.membership(oracle.x)
             assert cert.level_sum == cert.follower_level + cert.leader_level
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6])
+    def test_bad_tol_rejected(self, fs, fs_oracle, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            bp.build_certificate(fs, fs_oracle, tol=tol)
+
     def test_problem_mismatch(self, fs, qb_oracle):
         with pytest.raises(ValueError):
             bp.build_certificate(fs, qb_oracle)
@@ -135,6 +140,11 @@ class TestFitRate:
     def test_needs_two_decades(self):
         with pytest.raises(ValueError):
             bp.fit_rate([(0.1, 0.1), (0.08, 0.08), (0.05, 0.05), (0.04, 0.04)])
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -0.1])
+    def test_bad_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+            bp.fit_rate(self.synthetic(1.0), tau=tau)
 
     def test_tau_controls_thresholds(self):
         fit = bp.fit_rate(self.synthetic(0.8), tau=0.05)

@@ -214,6 +214,34 @@ class TestFrankWolfe:
         assert sol.fw_gap <= 1e-8 and sol.iterations <= 50
         np.testing.assert_allclose(sol.x[[0, 1, 2, 4]], [0.0, 0.0, 1.0, 0.0], atol=1e-12)
 
+    def test_oracle_does_not_depend_on_the_vertex_cache(self):
+        # x0 is minimal on a whole face of QB's box: which vertex the oracle
+        # returns must not depend on whether enumerate_vertices ran before
+        def solve():
+            return bp.frank_wolfe_minimize(bp.field_from_expression("x[0]", 1, 4), C,
+                                           start=[0.5] * 4, y=[0.0])
+        C = bp.registry_get("QB").follower_set
+        fresh = solve()
+        bp.enumerate_vertices(C)
+        cached = solve()
+        np.testing.assert_array_equal(fresh.x, cached.x)
+        assert (fresh.value, fresh.fw_gap, fresh.iterations) == (
+            cached.value, cached.fw_gap, cached.iterations)
+
+    @pytest.mark.parametrize("start", [None, np.full(14, 1.0 / 14)])
+    def test_simplex_oracle_above_the_vertex_guard(self, start):
+        # 14 variables are past vertex enumeration, so the simplex is the
+        # linear oracle; ||x - t||^2 on the unit simplex with sum t = 2/3 is
+        # minimal at x = t + 1/42, with value 14 * (1/42)^2
+        simplex14 = Polytope(np.ones((1, 14)), np.ones(1))
+        t = (2.0 / 3.0) * np.arange(1, 15) / 105.0
+        sec = quadratic_section(2.0 * np.eye(14), -2.0 * t)
+        sol = bp.frank_wolfe_minimize(sec, simplex14, tol=1e-10, start=start)
+        assert sol.fw_gap <= 1e-10 and sol.iterations < 2000
+        assert sol.value + float(t @ t) == pytest.approx(14 * (1 / 42) ** 2, abs=1e-10)
+        np.testing.assert_allclose(sol.x, t + 1 / 42, atol=1e-6)
+        assert simplex14.cached_vertices is None
+
     @pytest.mark.parametrize("which,n", [("FS", 2), ("QB", 4)])
     def test_matches_dense_grid_on_random_quadratics(self, which, n):
         problem = bp.registry_get(which)

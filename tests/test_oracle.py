@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,17 @@ class TestSolveThreeLevel:
     def test_nonpositive_grid_steps_rejected(self, fn, kwargs, name):
         with pytest.raises(ValueError, match="must be positive"):
             fn(bp.registry_get(name), **kwargs)
+
+    @pytest.mark.parametrize("fn,kwargs", [
+        (bp.solve_three_level, dict(y_grid_step=0.1, x_grid_step=0.1)),
+        (bp.exact_lower_set, dict(y=[0.5])),
+        (bp.pessimistic_select, dict(y=[0.5])),
+    ], ids=["three_level", "exact_lower_set", "pessimistic_select"])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tol_rejected(self, fs, fn, kwargs, tol):
+        # a NaN tol used to keep no point of the argmin set
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            fn(fs, tol=tol, **kwargs)
 
     def test_leader_dimension_guard(self):
         p = BilevelProblem(

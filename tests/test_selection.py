@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen.model import LINEAR, BilevelProblem, ScalarField, field_from_expression
-from bilevelpen.selection import OPTIMISTIC, SelectionConfig
+from bilevelpen.selection import OPTIMISTIC
+
+
+def upper_value(problem, y, epsilon, sign=+1):
+    """The single-valued upper objective: the leader value of the selection."""
+    return bp.select_response(problem, y, epsilon, sign).leader_value
 
 
 def qb_sigma(eps, y):
@@ -73,7 +79,7 @@ class TestSelectResponse:
             assert r.leader_value == pytest.approx(1 + 4 * y * (1 - y), abs=1e-12)
 
     def test_fs_optimistic_selects_high_end(self, fs):
-        r = bp.select_response(fs, [0.5], 0.01, SelectionConfig(sign=OPTIMISTIC))
+        r = bp.select_response(fs, [0.5], 0.01, OPTIMISTIC)
         np.testing.assert_allclose(r.x, [1.0, 0.0], atol=1e-10)
         assert r.leader_value == pytest.approx(3.0, abs=1e-12)
 
@@ -93,32 +99,28 @@ class TestSelectResponse:
         with pytest.raises(ValueError):
             bp.select_response(qb, [0.5], 0.0)
         with pytest.raises(ValueError):
-            bp.select_response(qb, [0.5], 0.1,
-                               SelectionConfig(sign=OPTIMISTIC, n_starts=2))
-
-    @pytest.mark.parametrize("kwargs", [dict(n_starts=0), dict(n_starts=-3),
-                                        dict(max_iter=0), dict(tol=-1.0),
-                                        dict(tol=math.nan)])
-    def test_config_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            SelectionConfig(**kwargs)
+            bp.select_response(qb, [0.5], 0.1, sign=0)
 
     def test_deterministic_given_seed(self, qb):
-        cfg = SelectionConfig(seed=123, n_starts=10)
-        a = bp.select_response(qb, [0.37], 0.05, cfg)
-        b = bp.select_response(qb, [0.37], 0.05, cfg)
-        np.testing.assert_array_equal(a.x, b.x)
-        assert a.leader_value == b.leader_value
+        a = bp.select_response(qb, [0.37], 0.05)
+        b = bp.select_response(bp.registry_get("QB"), [0.37], 0.05)
+        assert pickle.dumps(a) == pickle.dumps(b)
+        # 16 starts on QB's 4 vertices: 12 interior points drawn from the seed
+        c = bp.constancy_check(qb, [0.37], 0.05, n_starts=16, seed=123)
+        d = bp.constancy_check(bp.registry_get("QB"), [0.37], 0.05, n_starts=16, seed=123)
+        assert pickle.dumps(c) == pickle.dumps(d)
+        e = bp.constancy_check(qb, [0.37], 0.05, n_starts=16, seed=124)
+        assert not all(np.array_equal(u[0], v[0]) for u, v in zip(c.witnesses, e.witnesses))
 
 
 class TestUpperValue:
     def test_qb_values(self, qb):
-        assert bp.upper_value(qb, [0.5], 0.1) == pytest.approx(4.0 / 1.4, abs=1e-8)
-        assert bp.upper_value(qb, [0.0], 0.1) == pytest.approx(2.0 / 1.1, abs=1e-8)
+        assert upper_value(qb, [0.5], 0.1) == pytest.approx(4.0 / 1.4, abs=1e-8)
+        assert upper_value(qb, [0.0], 0.1) == pytest.approx(2.0 / 1.1, abs=1e-8)
 
     def test_fs_value_independent_of_epsilon(self, fs):
         for eps in (0.5, 0.1, 1e-4):
-            assert bp.upper_value(fs, [0.5], eps) == pytest.approx(2.0, abs=1e-12)
+            assert upper_value(fs, [0.5], eps) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestConstancy:
@@ -161,9 +163,8 @@ class TestOrderProperties:
         for problem in (qb, fs):
             for y in (0.1, 0.5, 0.9):
                 for eps in (0.1, 0.01):
-                    vp = bp.upper_value(problem, [y], eps)
-                    vo = bp.upper_value(problem, [y], eps,
-                                        SelectionConfig(sign=OPTIMISTIC))
+                    vp = upper_value(problem, [y], eps)
+                    vo = upper_value(problem, [y], eps, OPTIMISTIC)
                     assert vo >= vp - 1e-8
 
     @settings(max_examples=200, deadline=None)
@@ -176,9 +177,8 @@ class TestOrderProperties:
         # row before it. The optimistic sign mirrors this.
         problem, eps2 = {"QB": qb, "FS": fs}[name], r * eps1
         for sign in (+1, -1):
-            cfg = SelectionConfig(sign=sign)
-            v1 = bp.upper_value(problem, [y], eps1, cfg)
-            v2 = bp.upper_value(problem, [y], eps2, cfg)
+            v1 = upper_value(problem, [y], eps1, sign)
+            v2 = upper_value(problem, [y], eps2, sign)
             assert sign * (v2 - v1) >= -1e-9
 
     def test_selection_stable_along_converging_leader_sequence(self, qb):
