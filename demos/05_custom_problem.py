@@ -28,7 +28,7 @@ doc = {
 }
 
 problem = bp.problem_from_dict(doc)
-report = bp.validate_problem(problem, samples=500)
+report = bp.validate_problem(problem)
 print(f"{problem.name}: all standing assumptions hold: {report.all_passed}")
 print(f"  leader objective: {problem.leader_objective.structure}")
 print(f"  follower objective: {problem.follower_objective.structure}")

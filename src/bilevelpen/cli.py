@@ -17,7 +17,8 @@ from .continuation import (EpsSchedule, check_monotone, limit_estimate,
                            run_continuation, trace_to_csv, trace_to_json)
 from .diagnostics import (build_certificate, certificate_to_json, fit_rate,
                           gaps_to_csv, ratefit_to_json)
-from .model import ProblemError, UnknownProblemError, registry_names, resolve_problem
+from .model import (ProblemError, UnknownProblemError, registry_names, require_finite,
+                    resolve_problem)
 from .expressions import ExpressionError
 from .oracle import gap_table, oracle_to_json, solve_three_level
 from .upper_solver import UpperConfig, solve_penalized
@@ -105,10 +106,10 @@ def cmd_solve(args):
     return 0 if sol.converged else 2
 
 
-def _run_trace(problem, args):
+def _run_trace(problem, args, sign):
     schedule = EpsSchedule(eps0=args.eps0, rho=args.rho, k_max=args.k)
     cfg = UpperConfig(seed=args.seed)
-    return run_continuation(problem, schedule, sign=_sign_code(args.sign), cfg=cfg)
+    return run_continuation(problem, schedule, sign=sign, cfg=cfg)
 
 
 def cmd_continuation(args):
@@ -116,7 +117,7 @@ def cmd_continuation(args):
     problem = resolve_problem(args.problem)
     if args.limit and args.k < 3:
         raise CliError("need k >= 3 for limit estimate")
-    trace = _run_trace(problem, args)
+    trace = _run_trace(problem, args, _sign_code(args.sign))
     stem = f"{problem.name}_trace"
     doc = trace_to_json(trace)
     report = check_monotone(trace, slack=args.slack)
@@ -154,9 +155,13 @@ def cmd_oracle(args):
 
 
 def cmd_rates(args):
+    # checked before any solve; the oracle, fit and certificate check them again
+    for name, value, positive in (("tau", args.tau, False), ("cert-tol", args.cert_tol, False),
+                                  ("ygrid", args.ygrid, True), ("xgrid", args.xgrid, True)):
+        require_finite(name, value, positive)
     outdir = _ensure_outdir(args.output)
     problem = resolve_problem(args.problem)
-    trace = _run_trace(problem, args)
+    trace = _run_trace(problem, args, +1)  # pessimistic, as the oracle
     oracle_sol = solve_three_level(problem, y_grid_step=args.ygrid,
                                    x_grid_step=args.xgrid)
     gaps = gap_table(oracle_sol, trace)
@@ -200,12 +205,12 @@ def build_parser():
     def add_common(p):
         p.add_argument("--problem", required=True,
                        help="registry name or path to a problem JSON file")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=".")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
     p = sub.add_parser("solve", help="solve the penalized problem at one epsilon")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--sign", choices=("pessimistic", "optimistic"),
                    default="pessimistic")
@@ -213,6 +218,7 @@ def build_parser():
 
     p = sub.add_parser("continuation", help="drive epsilon to zero and record a trace")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps0", type=float, default=0.1)
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--k", type=int, default=12)
@@ -230,13 +236,12 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("rates", help="continuation + oracle + rate fit + certificate")
+    p = sub.add_parser("rates", help="pessimistic continuation + oracle + rate fit + certificate")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps0", type=float, default=0.1)
     p.add_argument("--rho", type=float, default=0.4641588833612779)  # 0.1 ** (1/3)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--sign", choices=("pessimistic", "optimistic"),
-                   default="pessimistic")
     p.add_argument("--ygrid", type=float, default=1e-3)
     p.add_argument("--xgrid", type=float, default=1e-3)
     p.add_argument("--tau", type=float, default=0.15)

@@ -12,13 +12,12 @@ extrapolates the limit value from the tail of the trace.
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import BilevelProblem
+from .model import BilevelProblem, require_finite
 from .upper_solver import UpperConfig, solve_penalized
 
 TRACE_SCHEMA = "trace-v1"
@@ -33,8 +32,7 @@ class EpsSchedule:
     k_max: int = 12
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps0) and self.eps0 > 0):
-            raise ValueError("eps0 must be positive and finite")
+        require_finite("eps0", self.eps0, positive=True)
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1) so the schedule decreases")
         if self.k_max < 1:
@@ -145,8 +143,7 @@ def check_monotone(trace: ContinuationTrace, slack: float = 2e-4) -> MonotoneRep
     shrinks; optimistic traces must be nonincreasing. Offending row
     indices are reported.
     """
-    if not 0.0 <= slack < math.inf:
-        raise ValueError("slack must be nonnegative and finite")
+    require_finite("slack", slack)
     if len(trace) == 0:
         raise ValueError("trace is empty")
     v = trace.values

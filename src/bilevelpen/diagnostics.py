@@ -23,8 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import GENERAL, LINEAR, QUADRATIC, BilevelProblem, FieldSection, Polytope
-from .lower_solver import (_feasible_points, _fw_multistart, enumerate_vertices,
+from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem, FieldSection, Polytope,
+                    require_finite)
+from .lower_solver import (_feasible_points, _fw_run, enumerate_vertices,
                            frank_wolfe_minimize, independent_rows, vertex_lmo)
 from .oracle import OracleSolution
 
@@ -33,6 +34,10 @@ CERTIFICATE_SCHEMA = "certificate-v2"
 
 GAP_FLOOR = 1e-12
 SLOPE_UNAVAILABLE_CUT = 1e-4
+CERT_SAMPLES = 1000   # points of C sampled by build_certificate
+SLOPE_SAMPLES = 1000  # points of C sampled by strong_slope_lower_bound
+SLOPE_SEED = 0
+SLOPE_EXCLUSION = 1e-6  # radius around each located minimizer left out of the bound
 
 EXACT_SELECTION = "exact_selection"
 LINEAR_RATE = "linear_rate"
@@ -74,18 +79,18 @@ class RateFit:
 
 
 def build_certificate(problem: BilevelProblem, oracle: OracleSolution,
-                      tol=1e-6, n_samples=1000, seed=0) -> Certificate:
+                      tol=1e-6, seed=0) -> Certificate:
     """Certify the oracle solution by sampled set-description agreement.
 
-    For each sampled x in C the three descriptions of the optimal set are
-    evaluated at tolerance tol (the sum description at 2*tol, since it
-    adds two bounds): h <= follower_level + tol and f <= leader_level +
-    tol; h + f <= level_sum + 2*tol; |h - follower_level| <= tol and
-    |f - leader_level| <= tol. Any sample on which the three disagree is
-    a counterexample and invalidates the certificate, signalling either
-    a wrong oracle value or a failed problem assumption. The returned
-    membership is the same sum-sublevel test (C and h + f <= level_sum +
-    2*tol), and the oracle point must pass it.
+    At each of CERT_SAMPLES points of C (drawn from seed) the three
+    descriptions of the optimal set are evaluated at tolerance tol (the
+    sum description at 2*tol, since it adds two bounds): h <=
+    follower_level + tol and f <= leader_level + tol; h + f <= level_sum
+    + 2*tol; |h - follower_level| <= tol and |f - leader_level| <= tol.
+    A sample on which they disagree is a counterexample and invalidates
+    the certificate: a wrong oracle value or a failed problem assumption.
+    The returned membership is the same sum-sublevel test (C and h + f
+    <= level_sum + 2*tol), and the oracle point must pass it.
 
     min_sum = min over C of h + f (by Frank-Wolfe) is at most level_sum;
     when it is lower (QB: 3 < 4), its minimizer min_sum_x lies in the sum
@@ -93,8 +98,7 @@ def build_certificate(problem: BilevelProblem, oracle: OracleSolution,
     """
     if oracle.problem != problem.name:
         raise ValueError("oracle does not belong to this problem")
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    require_finite("tol", tol)
     alpha = oracle.follower_value
     beta = oracle.leader_value
     sigma = alpha + beta
@@ -108,7 +112,7 @@ def build_certificate(problem: BilevelProblem, oracle: OracleSolution,
                     and h.evaluate(y, x) + f.evaluate(y, x) <= sigma + 2 * tol)
 
     rng = np.random.default_rng(seed)
-    X = _feasible_points(enumerate_vertices(C), n_samples, rng)
+    X = _feasible_points(enumerate_vertices(C), CERT_SAMPLES, rng)
     hv = h.batch(y, X)
     fv = f.batch(y, X)
     in_bounds = (hv <= alpha + tol) & (fv <= beta + tol)
@@ -154,17 +158,17 @@ def _null_space_directions(C, rng, count):
     return dirs / np.maximum(norms, 1e-300)
 
 
-def strong_slope_lower_bound(field, y, C: Polytope, n_samples=1000,
-                             seed=0, exclusion=1e-6) -> SlopeEstimate:
+def strong_slope_lower_bound(field, y, C: Polytope) -> SlopeEstimate:
     """Lower-bound the infimum of the gradient norm away from minimizers.
 
     Linear fields have a constant gradient, so the bound is exact. For
-    other fields the candidate set is a feasible sample cloud plus
-    probe points just outside the excluded neighborhood of each located
-    minimizer (where the infimum is typically attained); candidates that
-    are themselves minimal are dropped, matching the convention that the
-    slope vanishes at local minima. A bound below 1e-4 is reported as
-    unavailable: no useful Hoffman constant follows from it.
+    other fields the candidate set is SLOPE_SAMPLES feasible points (drawn
+    from SLOPE_SEED) plus probe points just outside the SLOPE_EXCLUSION
+    ball around each located minimizer (where the infimum is typically
+    attained); candidates that are themselves minimal are dropped,
+    matching the convention that the slope vanishes at local minima. A
+    bound below 1e-4 is reported as unavailable: no useful Hoffman
+    constant follows from it.
     """
     y = np.asarray(y, dtype=float)
     section = field.fix(y)
@@ -177,14 +181,15 @@ def strong_slope_lower_bound(field, y, C: Polytope, n_samples=1000,
         return SlopeEstimate(slope_lower=norm, hoffman_constant=1.0 / norm,
                              validity="exact_linear")
 
-    rng = np.random.default_rng(seed)
-    samples = _feasible_points(V, n_samples, rng)
+    rng = np.random.default_rng(SLOPE_SEED)
+    samples = _feasible_points(V, SLOPE_SAMPLES, rng)
 
-    runs = list(_fw_multistart(section, vertex_lmo(V), V, tol=1e-10, max_iter=1000))
+    lmo = vertex_lmo(V)
+    runs = [_fw_run(section, lmo, v, 1e-10, 1000) for v in V]
     minima = np.array([r[0] for r in runs])
     best_val = min(r[1] for r in runs)
 
-    probe_r = 2.0 * exclusion
+    probe_r = 2.0 * SLOPE_EXCLUSION
     probes = []
     dirs = _null_space_directions(C, rng, 16)
     for m in minima:
@@ -198,7 +203,7 @@ def strong_slope_lower_bound(field, y, C: Polytope, n_samples=1000,
     # whose value says they belong to the argmin set
     keep = np.ones(len(candidates), dtype=bool)
     for m in minima:
-        keep &= np.linalg.norm(candidates - m, axis=1) > exclusion
+        keep &= np.linalg.norm(candidates - m, axis=1) > SLOPE_EXCLUSION
     vals = section.value_batch(candidates)
     keep &= vals > best_val + 1e-12 * (1.0 + abs(best_val))
     candidates = candidates[keep]
@@ -223,8 +228,7 @@ def fit_rate(gaps, tau=0.15) -> RateFit:
     two decades of epsilon are required for a least-squares fit. tau,
     the slack on the slopes 1 and 1/2, must be finite and nonnegative.
     """
-    if not 0 <= tau < math.inf:
-        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    require_finite("tau", tau)
     pts = [(float(e), float(g)) for e, g in gaps if g > GAP_FLOOR]
     if not pts:
         return RateFit(slope=math.inf, intercept=math.nan, r_squared=1.0,

@@ -8,8 +8,8 @@ brute-force oracles, and fast linear minimization on small polytopes (the
 minimum of a linear function over a bounded polytope is attained at a
 vertex, so the cached vertex list is an exact oracle). The package's one
 sampler of C (_feasible_points: vertices, then seeded Dirichlet
-mixtures), one multistart Frank-Wolfe loop (_fw_multistart) and one
-best-of-runs loop (_fw_best) live here.
+mixtures), one Frank-Wolfe run (_fw_run) and one best-of-runs loop
+(_fw_best) live here.
 """
 
 import math
@@ -20,9 +20,10 @@ import numpy as np
 from scipy.linalg import qr as scipy_qr
 
 from . import simplex
-from .model import DimensionGuardError, FEAS_TOL, Polytope
+from .model import DimensionGuardError, FEAS_TOL, FieldSection, Polytope
 
 VERTEX_DIM_GUARD = 12
+RANK_TOL = 1e-10  # singular-value cutoff of independent_rows
 _DEDUP_DECIMALS = 8
 
 
@@ -54,10 +55,10 @@ def lp_minimize(c, C: Polytope) -> LpSolution:
     return LpSolution(x=x, value=value, basis=basis, status=status)
 
 
-def independent_rows(A, tol=1e-10):
-    """Indices of a maximal linearly independent subset of rows."""
+def independent_rows(A):
+    """Indices of a maximal linearly independent subset of rows, at RANK_TOL."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    rank = np.linalg.matrix_rank(A, tol=tol)
+    rank = np.linalg.matrix_rank(A, tol=RANK_TOL)
     if rank == A.shape[0]:
         return list(range(A.shape[0]))
     _, _, piv = scipy_qr(A.T, pivoting=True)
@@ -248,20 +249,13 @@ def _newton_on_atoms(section, atoms, weights, grads, x, fx):
     return x_new, f_new
 
 
-def _fw_multistart(section, lmo, starts, tol, max_iter):
-    """Yield _fw_run's (x, value, gap, iterations) for each start in turn;
-    lazily, so a caller can stop after any start."""
-    for x0 in starts:
-        yield _fw_run(section, lmo, x0, tol, max_iter)
-
-
 def _fw_best(section, lmo, starts, tol, max_iter):
     """(x, value, gap, runs, iterations) of the best multistart run: the
     lowest value, the earliest start on ties. On a convex section the first
     run with gap <= tol is a certified minimum, so no later start is run."""
     best, total = None, 0
-    for runs, (x, val, gap, iters) in enumerate(
-            _fw_multistart(section, lmo, starts, tol, max_iter), 1):
+    for runs, x0 in enumerate(starts, 1):
+        x, val, gap, iters = _fw_run(section, lmo, x0, tol, max_iter)
         total += iters
         if best is None or val < best[1]:
             best = (x, val, gap)
@@ -272,7 +266,7 @@ def _fw_best(section, lmo, starts, tol, max_iter):
 
 def _project_start(start, C):
     """start if it lies in C, else (also for start=None) a phase-1 vertex."""
-    if start is not None and C.residual(start) <= FEAS_TOL:
+    if start is not None and C.contains(start):
         return np.asarray(start, dtype=float)
     x, status = simplex.feasible_point(C.A, C.b)
     if status != "optimal":
@@ -280,32 +274,26 @@ def _project_start(start, C):
     return x
 
 
-def frank_wolfe_minimize(field, C: Polytope, tol=1e-8, max_iter=2000,
-                         start=None, y=None) -> FwSolution:
-    """Minimize a convex field over C by Frank-Wolfe.
+def frank_wolfe_minimize(section: FieldSection, C: Polytope, tol=1e-8, max_iter=2000,
+                         start=None) -> FwSolution:
+    """Minimize a convex section over C by Frank-Wolfe.
 
-    field is a FieldSection (a field already fixed at some y) or a
-    ScalarField together with the keyword y. The linear oracle is the
-    vertex list of C up to dim 12 and the simplex above. With an explicit
+    section is a FieldSection, a field already fixed at some y (for a
+    ScalarField, pass field.fix(y)). The linear oracle is the vertex
+    list of C up to dim 12 and the simplex above. With an explicit
     start the run is single-start (infeasible starts are replaced by a
     phase-1 vertex); with start=None the search restarts from the
     vertices of C in turn (above dim 12, from one phase-1 vertex) and
     keeps the best point, stopping at the first certified run of a convex
-    field, which is also how the selection layer drives it. fw_gap is the
-    linear-oracle duality gap at the returned point; for convex fields it
+    section, which is also how the selection layer drives it. fw_gap is the
+    linear-oracle duality gap at the returned point; for convex sections it
     bounds value minus the true minimum.
 
     Non-convergence is not an exception: the result carries fw_gap > tol
     when max_iter ran out first.
     """
-    if hasattr(field, "fix") and y is None:
-        raise ValueError("a ScalarField needs the leader point y")
-    section = field.fix(y) if hasattr(field, "fix") else field
-    if C.dim <= VERTEX_DIM_GUARD:
-        V = enumerate_vertices(C)
-        lmo = vertex_lmo(V)
-    else:
-        V, lmo = None, _simplex_lmo(C)
+    V = enumerate_vertices(C) if C.dim <= VERTEX_DIM_GUARD else None
+    lmo = _simplex_lmo(C) if V is None else vertex_lmo(V)
     starts = V if start is None and V is not None else [_project_start(start, C)]
     x, value, gap, _, total = _fw_best(section, lmo, starts, tol, max_iter)
     return FwSolution(x=x, value=float(value), fw_gap=float(gap), iterations=total)

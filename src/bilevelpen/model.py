@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import json
+import math
 import numpy as np
 
 from . import expressions as ex
@@ -22,6 +23,8 @@ QUADRATIC = "quadratic_in_x"
 GENERAL = "general"
 
 FEAS_TOL = 1e-9
+VALIDATION_SAMPLES = 500  # sampled (y, x) pairs per validate_problem check
+VALIDATION_SEED = 0
 
 
 class ProblemError(ValueError):
@@ -42,6 +45,13 @@ class DimensionGuardError(ProblemError):
 
 class UnknownProblemError(KeyError):
     """Requested registry name is not registered."""
+
+
+def require_finite(name, value, positive=False):
+    """Raise ValueError unless 0 <= value < inf (0 < value if positive)."""
+    if not (0 < value if positive else 0 <= value) or not value < math.inf:
+        kind = "positive and finite" if positive else "finite and nonnegative"
+        raise ValueError(f"{name} must be {kind}, got {value}")
 
 
 class FieldSection:
@@ -230,11 +240,6 @@ class Polytope:
         return (np.max(np.abs(self.A @ x - self.b)) <= tol
                 and np.min(x) >= -tol)
 
-    def residual(self, x):
-        x = np.asarray(x, dtype=float)
-        return max(float(np.max(np.abs(self.A @ x - self.b))),
-                   float(max(0.0, -np.min(x))))
-
 
 @dataclass(frozen=True)
 class BoxSet:
@@ -326,31 +331,30 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def validate_problem(problem, samples=500, seed=0):
-    """Check the standing assumptions by sampling K x C.
+def validate_problem(problem):
+    """Check the standing assumptions on VALIDATION_SAMPLES points of K x C
+    drawn from VALIDATION_SEED.
 
     Runs three checks: positivity of the leader objective (a non-finite
     value fails it), convexity in x of the follower objective (midpoint
     tests on random segments inside C) and gradient consistency of both
-    fields against central finite differences. Boundedness of C is not
+    fields against central differences at 64 of them. Boundedness of C is not
     sampled: constructing the Polytope already enforces it. A failing
     check carries a witness point.
     """
     from .lower_solver import _feasible_points, enumerate_vertices  # no cycle at module load
 
-    if samples < 100:
-        raise ValueError("samples must be at least 100")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATION_SEED)
     f, h = problem.leader_objective, problem.follower_objective
     K, C = problem.leader_set, problem.follower_set
 
     V = enumerate_vertices(C)
-    X = _feasible_points(V, samples, rng)
-    Y = K.sample(rng, size=samples)
+    X = _feasible_points(V, VALIDATION_SAMPLES, rng)
+    Y = K.sample(rng, size=VALIDATION_SAMPLES)
 
     # positivity of the leader objective on K x C
     worst_val, worst_pt = np.inf, None
-    for i in range(samples):
+    for i in range(VALIDATION_SAMPLES):
         y, x = Y[i], X[i % len(X)]
         v = f.evaluate(y, x)
         if not np.isfinite(v):
@@ -363,7 +367,7 @@ def validate_problem(problem, samples=500, seed=0):
 
     # convexity in x of the follower objective: midpoint test on segments
     conv_ok, conv_wit, conv_worst = True, None, -np.inf
-    for i in range(samples):
+    for i in range(VALIDATION_SAMPLES):
         y = Y[i]
         xa, xb = X[rng.integers(len(X))], X[rng.integers(len(X))]
         mid = 0.5 * (xa + xb)
@@ -376,8 +380,7 @@ def validate_problem(problem, samples=500, seed=0):
 
     # gradient consistency against central differences
     grad_ok, grad_wit, grad_worst = True, None, 0.0
-    n_grad = min(64, samples)
-    for i in range(n_grad):
+    for i in range(64):
         y, x = Y[i], X[i % len(X)]
         for fld in (f, h):
             err = _gradient_relative_error(fld, y, x)

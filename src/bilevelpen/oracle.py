@@ -11,14 +11,13 @@ search, upper_solver._compass_climb. Oracle values certify the penalty
 solver's convergence and error rates.
 """
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 from scipy.linalg import qr as scipy_qr
 
-from .model import LINEAR, BilevelProblem, DimensionGuardError, FEAS_TOL
+from .model import LINEAR, BilevelProblem, DimensionGuardError, FEAS_TOL, require_finite
 from .lower_solver import (_fw_best, enumerate_vertices, independent_rows,
                            lp_minimize, vertex_lmo)
 from .selection import penalized_field
@@ -120,12 +119,11 @@ def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
     minimum on a face; the description is that face's vertex set. Other
     objectives fall back to a dense grid cloud of near-minimal points.
     Membership uses the hybrid cutoff tol * (1 + |min|), so tol must be
-    finite and nonnegative (a NaN would keep no point).
+    finite and nonnegative (a NaN would keep no point); grid_step must be
+    positive and finite (an infinite step grids one point).
     """
-    if not grid_step > 0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    require_finite("grid_step", grid_step, positive=True)
+    require_finite("tol", tol)
     y = np.asarray(y, dtype=float)
     h = problem.follower_objective
     C = problem.follower_set
@@ -189,11 +187,12 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     The leader grid is coarsened when the total evaluation count would
     exceed the guard, and a compass polish at resolution y_grid_step/10
     recovers the stated accuracy afterward. Guarded to two leader
-    dimensions.
+    dimensions. Both steps must be positive and finite and tol finite
+    and nonnegative; all three are checked before any grid is built.
     """
-    for name, step in (("y_grid_step", y_grid_step), ("x_grid_step", x_grid_step)):
-        if not step > 0:
-            raise ValueError(f"{name} must be positive, got {step}")
+    require_finite("y_grid_step", y_grid_step, positive=True)
+    require_finite("x_grid_step", x_grid_step, positive=True)
+    require_finite("tol", tol)
     K = problem.leader_set
     if K.dim > 2:
         raise DimensionGuardError("three-level oracle guarded to <= 2 leader dims")

@@ -10,14 +10,12 @@ the argmin set, which makes y -> f(y, x(y)) single-valued; the constancy
 check measures that property at runtime.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GENERAL, LINEAR, QUADRATIC, BilevelProblem, ScalarField
-from .lower_solver import (_feasible_points, _fw_best, _fw_multistart, enumerate_vertices,
-                           vertex_lmo)
+from .model import GENERAL, LINEAR, QUADRATIC, BilevelProblem, ScalarField, require_finite
+from .lower_solver import _feasible_points, _fw_best, _fw_run, enumerate_vertices, vertex_lmo
 
 PESSIMISTIC = +1
 OPTIMISTIC = -1
@@ -63,8 +61,7 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
     result: with f = a'x + f0, it has Q_h + 2s*eps*aa', c_h + 2s*eps*f0*a
     and d_h + s*eps*f0^2.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
+    require_finite("epsilon", epsilon, positive=True)
     if sign not in (PESSIMISTIC, OPTIMISTIC):
         raise ValueError("sign must be +1 (pessimistic) or -1 (optimistic)")
     f = problem.leader_objective
@@ -139,13 +136,12 @@ def select_response(problem: BilevelProblem, y, epsilon: float,
 
 
 def constancy_check(problem: BilevelProblem, y, epsilon: float,
-                    n_starts: int = 16, seed: int = 0,
-                    value_tol: float = 1e-8) -> ConstancyReport:
+                    n_starts: int = 16, seed: int = 0) -> ConstancyReport:
     """Measure how constant the leader objective is on the argmin set.
 
     Runs n_starts independent pessimistic solves (distinct vertices
     first, then interior points seeded by seed), keeps every run whose
-    penalized value lies within value_tol of the best, and reports the
+    penalized value lies within FW_TOL of the best, and reports the
     max-min spread of the leader objective over those runs. A spread
     near zero realizes the constant-on-argmin property even when the
     minimizers form a nontrivial face.
@@ -153,13 +149,14 @@ def constancy_check(problem: BilevelProblem, y, epsilon: float,
     if n_starts < 8:
         raise ValueError("constancy check needs n_starts >= 8")
     y, section, V = _section(problem, y, epsilon, PESSIMISTIC)
-    runs = list(_fw_multistart(section, vertex_lmo(V), _feasible_points(V, n_starts, seed),
-                               FW_TOL, FW_MAX_ITER))
+    lmo = vertex_lmo(V)
+    runs = [_fw_run(section, lmo, x0, FW_TOL, FW_MAX_ITER)
+            for x0 in _feasible_points(V, n_starts, seed)]
     best_x, best_val, _, _ = min(runs, key=lambda r: r[1])
     f = problem.leader_objective
     witnesses = []
     for x, val, _, _ in runs:
-        if val <= best_val + value_tol:
+        if val <= best_val + FW_TOL:
             witnesses.append((x, float(f.evaluate(y, x))))
     leaders = [w[1] for w in witnesses]
     kappa = float(f.evaluate(y, best_x))

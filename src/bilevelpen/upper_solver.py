@@ -13,13 +13,12 @@ compass search of the package: it runs each climb here and the
 three-level oracle's polish.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import qmc
 
-from .model import BilevelProblem, BoxSet
+from .model import BilevelProblem, BoxSet, require_finite
 from .selection import FW_TOL, SelectionResult, select_response
 
 N_MULTISTARTS = 8  # a cold solve climbs from the box midpoint and 7 Sobol points
@@ -154,8 +153,7 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     fixed cfg seed. converged=False flags either an exhausted evaluation
     budget or a final selection with fw_gap > FW_TOL.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
+    require_finite("epsilon", epsilon, positive=True)
     best = None
 
     def value_fn(y):

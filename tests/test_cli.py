@@ -114,6 +114,19 @@ class TestOracle:
         assert run_cli("oracle", "--problem", problem, flag, "0", tmp_path=tmp_path) == 1
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,other", [("--xgrid", "--ygrid"), ("--ygrid", "--xgrid")])
+    def test_infinite_grid_step_is_input_error(self, tmp_path, capsys, flag, other):
+        # an infinite step used to grid a single point and report a wrong value
+        code = run_cli("oracle", "--problem", "QB", flag, "inf", other, "0.1", tmp_path=tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be positive and finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_is_not_an_oracle_flag(self, tmp_path, capsys):
+        assert run_cli("oracle", "--problem", "FS", "--seed", "3", tmp_path=tmp_path) == 1
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_bad_tol_is_input_error(self, tmp_path, capsys, tol):
@@ -205,6 +218,22 @@ class TestRates:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{name} must be" in err
         assert list(tmp_path.iterdir()) == []  # no report of a rejected run
+
+    @pytest.mark.parametrize("args", [["--tau", "nan"], ["--cert-tol", "-1"],
+                                      ["--ygrid", "inf"], ["--xgrid", "0"]],
+                             ids=["tau", "cert-tol", "ygrid", "xgrid"])
+    def test_bad_arguments_fail_before_any_solve(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.setattr(cli, "run_continuation",
+                            lambda *a, **k: pytest.fail("continuation ran"))
+        assert run_cli("rates", "--problem", "QB", *args, tmp_path=tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rates_is_pessimistic_only(self, tmp_path, capsys):
+        # the grid oracle it compares against is pessimistic
+        assert run_cli("rates", "--problem", "FS", "--sign", "optimistic",
+                       tmp_path=tmp_path) == 1
+        assert "unrecognized arguments: --sign" in capsys.readouterr().err
 
 
 class TestRoundTrip:

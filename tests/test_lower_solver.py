@@ -128,13 +128,9 @@ class TestFeasiblePoints:
 
 
 class TestFrankWolfe:
-    def test_scalar_field_needs_y(self, qb):
-        with pytest.raises(ValueError, match="leader point y"):
-            bp.frank_wolfe_minimize(qb.leader_objective, qb.follower_set)
-
     def test_qb_penalized_closed_form(self, qb):
         field = bp.penalized_field(qb, 0.1)
-        sol = bp.frank_wolfe_minimize(field, qb.follower_set, tol=1e-8, y=[0.5])
+        sol = bp.frank_wolfe_minimize(field.fix([0.5]), qb.follower_set, tol=1e-8)
         assert sol.fw_gap <= 1e-8
         assert sol.value == pytest.approx(8.0 / 7.0, abs=1e-9)
 
@@ -209,8 +205,8 @@ class TestFrankWolfe:
             "f": "1 + y[0] + 0.625*x[0] + x[1] + 0.375*x[2] + x[3] + x[4] + 0.5*x[5]",
             "h": "(0.688*x[0] + x[1] + 0.25*x[2] + 1.25*x[3] + x[4] + 0.25*x[5] - 1)^2"})
         start = bp.enumerate_vertices(p.follower_set)[0]
-        sol = bp.frank_wolfe_minimize(bp.penalized_field(p, 1e-3), p.follower_set,
-                                      tol=1e-8, start=start, y=[0.0])
+        sol = bp.frank_wolfe_minimize(bp.penalized_field(p, 1e-3).fix([0.0]), p.follower_set,
+                                      tol=1e-8, start=start)
         assert sol.fw_gap <= 1e-8 and sol.iterations <= 50
         np.testing.assert_allclose(sol.x[[0, 1, 2, 4]], [0.0, 0.0, 1.0, 0.0], atol=1e-12)
 
@@ -218,8 +214,8 @@ class TestFrankWolfe:
         # x0 is minimal on a whole face of QB's box: which vertex the oracle
         # returns must not depend on whether enumerate_vertices ran before
         def solve():
-            return bp.frank_wolfe_minimize(bp.field_from_expression("x[0]", 1, 4), C,
-                                           start=[0.5] * 4, y=[0.0])
+            return bp.frank_wolfe_minimize(bp.field_from_expression("x[0]", 1, 4).fix([0.0]), C,
+                                           start=[0.5] * 4)
         C = bp.registry_get("QB").follower_set
         fresh = solve()
         bp.enumerate_vertices(C)

@@ -4,7 +4,8 @@ import pytest
 import bilevelpen as bp
 from bilevelpen.model import (LINEAR, QUADRATIC, BilevelProblem,
                               EmptyFeasibleSetError, ProblemError,
-                              UnboundedFeasibleSetError, field_from_expression)
+                              UnboundedFeasibleSetError, field_from_expression,
+                              require_finite)
 
 
 class TestRegistry:
@@ -84,17 +85,27 @@ class TestBoxSet:
         np.testing.assert_allclose(box.midpoint(), [0.5, 0.0])
 
 
+class TestRequireFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-300])
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_rejects(self, value, positive):
+        with pytest.raises(ValueError, match=f"tol must be .*, got {value}"):
+            require_finite("tol", value, positive)
+
+    def test_zero_is_nonnegative_but_not_positive(self):
+        require_finite("tol", 0.0)
+        require_finite("step", 1e-300, positive=True)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            require_finite("step", 0.0, positive=True)
+
+
 class TestValidation:
     def test_registry_problems_pass(self, fs, qb):
         for problem in (fs, qb):
-            report = bp.validate_problem(problem, samples=500)
+            report = bp.validate_problem(problem)
             assert report.all_passed, [c for c in report.checks if not c.passed]
             assert [c.name for c in report.checks] == [
                 "positivity", "convexity_in_x", "gradient_consistency"]
-
-    def test_sample_floor(self, fs):
-        with pytest.raises(ValueError):
-            bp.validate_problem(fs, samples=99)
 
     def test_negative_leader_objective_fails_positivity(self, qb):
         # leader objective shifted below zero everywhere on K x C (f <= 6 there)
@@ -102,7 +113,7 @@ class TestValidation:
             "(1 + 4*y[0]*(1 - y[0])) * (1 + x[0] + x[1]) - 10", 1, 4)
         tampered = BilevelProblem("QB_neg", bad_f, qb.follower_objective,
                                   qb.leader_set, qb.follower_set)
-        report = bp.validate_problem(tampered, samples=500)
+        report = bp.validate_problem(tampered)
         check = report["positivity"]
         assert not check.passed
         assert check.witness is not None
@@ -114,7 +125,7 @@ class TestValidation:
         tampered = BilevelProblem("FS_inf", bad_f, fs.follower_objective,
                                   fs.leader_set, fs.follower_set)
         with np.errstate(divide="ignore", invalid="ignore"):
-            check = bp.validate_problem(tampered, samples=500)["positivity"]
+            check = bp.validate_problem(tampered)["positivity"]
         assert not check.passed
         assert check.worst_value == np.inf
         y, x = check.witness
@@ -125,7 +136,7 @@ class TestValidation:
                                       convex_hint=True)
         tampered = BilevelProblem("QB_conc", qb.leader_objective, bad_h,
                                   qb.leader_set, qb.follower_set)
-        report = bp.validate_problem(tampered, samples=500)
+        report = bp.validate_problem(tampered)
         check = report["convexity_in_x"]
         assert not check.passed
         assert check.worst_value > 1e-9
@@ -143,7 +154,7 @@ class TestClosedForms:
         # minimum over C of h + eps*f^2 at y = 1/2, eps = 0.1: the analytic
         # optimum sits on the diagonal z1 + z2 = 0.6/1.4
         field = bp.penalized_field(qb, 0.1)
-        sol = bp.frank_wolfe_minimize(field, qb.follower_set, tol=1e-10, y=[0.5])
+        sol = bp.frank_wolfe_minimize(field.fix([0.5]), qb.follower_set, tol=1e-10)
         sigma = 0.6 / 1.4
         w2 = 4.0
         analytic = (sigma - 1.0) ** 2 + 0.1 * w2 * (1.0 + sigma) ** 2

@@ -113,7 +113,13 @@ class TestSolveThreeLevel:
         (bp.solve_three_level, dict(x_grid_step=-1e-3)),
         (bp.exact_lower_set, dict(y=[0.5], grid_step=0.0)),
         (bp.pessimistic_select, dict(y=[0.5], grid_step=-1.0)),
-    ], ids=["three_level_y", "three_level_x", "exact_lower_set", "pessimistic_select"])
+        # an infinite step grids one point: on QB the lower set was the
+        # single point (1, 1, 0, 0) with h = 1, above the minimum 0
+        (bp.solve_three_level, dict(y_grid_step=math.inf)),
+        (bp.solve_three_level, dict(x_grid_step=math.inf)),
+        (bp.exact_lower_set, dict(y=[0.5], grid_step=math.inf)),
+    ], ids=["three_level_y", "three_level_x", "exact_lower_set", "pessimistic_select",
+            "three_level_y_inf", "three_level_x_inf", "exact_lower_set_inf"])
     @pytest.mark.parametrize("name", ["FS", "QB"])
     def test_nonpositive_grid_steps_rejected(self, fn, kwargs, name):
         with pytest.raises(ValueError, match="must be positive"):
@@ -129,6 +135,14 @@ class TestSolveThreeLevel:
         # a NaN tol used to keep no point of the argmin set
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             fn(fs, tol=tol, **kwargs)
+
+    @pytest.mark.parametrize("name", ["FS", "QB"])
+    def test_three_level_checks_tol_before_any_grid(self, monkeypatch, name):
+        from bilevelpen import oracle
+        for attr in ("_grid_for", "enumerate_vertices"):
+            monkeypatch.setattr(oracle, attr, lambda *a, attr=attr: pytest.fail(f"{attr} ran"))
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            bp.solve_three_level(bp.registry_get(name), tol=math.nan)
 
     def test_leader_dimension_guard(self):
         p = BilevelProblem(

@@ -181,6 +181,17 @@ class TestOrderProperties:
             v2 = upper_value(problem, [y], eps2, sign)
             assert sign * (v2 - v1) >= -1e-9
 
+    @pytest.mark.parametrize("name", ["QB", "FS"])
+    @settings(max_examples=150, deadline=None)
+    @given(y=st.floats(0.0, 1.0), eps=st.floats(1e-4, 0.3))
+    def test_sandwich_around_the_worst_case_value(self, qb, fs, name, y, eps):
+        # the pessimistic selection's leader value approaches the worst-case
+        # value from below, the optimistic one stays above it
+        problem = {"QB": qb, "FS": fs}[name]
+        worst = bp.pessimistic_select(problem, [y], grid_step=1e-2).value
+        assert upper_value(problem, [y], eps) <= worst + 1e-9
+        assert worst + 1e-9 <= upper_value(problem, [y], eps, OPTIMISTIC) + 2e-9
+
     def test_selection_stable_along_converging_leader_sequence(self, qb):
         # responses along y_k -> y approach the minimal penalized value at y
         eps = 0.1
@@ -219,7 +230,7 @@ class TestNonFiniteFollower:
         np.testing.assert_array_equal(sel.x, [0.0, 1.0])
         assert sel.penalized_value == pytest.approx(0.4) and sel.reliable
         # a single run started at the NaN vertex leaves it for the finite one
-        sol = bp.frank_wolfe_minimize(bp.penalized_field(p, 0.1), p.follower_set,
-                                      start=[1.0, 0.0], y=[0.5])
+        sol = bp.frank_wolfe_minimize(bp.penalized_field(p, 0.1).fix([0.5]), p.follower_set,
+                                      start=[1.0, 0.0])
         np.testing.assert_array_equal(sol.x, [0.0, 1.0])
         assert sol.value == pytest.approx(0.4) and sol.fw_gap == 0.0
