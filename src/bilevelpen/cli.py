@@ -17,9 +17,7 @@ from .continuation import (EpsSchedule, check_monotone, limit_estimate,
                            run_continuation, trace_to_csv, trace_to_json)
 from .diagnostics import (build_certificate, certificate_to_json, fit_rate,
                           gaps_to_csv, ratefit_to_json)
-from .model import (ProblemError, UnknownProblemError, registry_names, require_finite,
-                    resolve_problem)
-from .expressions import ExpressionError
+from .model import UnknownProblemError, registry_names, require_finite, resolve_problem
 from .oracle import gap_table, oracle_to_json, solve_three_level
 from .upper_solver import UpperConfig, solve_penalized
 
@@ -61,6 +59,14 @@ def _write_text(text, outdir, stem, ext):
 
 def _write_json(doc, outdir, stem):
     return _write_text(json.dumps(doc, indent=2) + "\n", outdir, stem, ".json")
+
+
+def _check_flags(args, *names):
+    """Reject a NaN, infinite or negative flag (a zero grid step too) before
+    any solve, naming the flag; the library checks it again under its own name."""
+    for name in names:
+        require_finite(name, getattr(args, name.replace("-", "_")),
+                       positive=name in ("ygrid", "xgrid"))
 
 
 def _solve_report(problem, epsilon, sign, seed, sol):
@@ -144,6 +150,7 @@ def cmd_continuation(args):
 
 
 def cmd_oracle(args):
+    _check_flags(args, "ygrid", "xgrid", "tol")
     outdir = _ensure_outdir(args.output)
     problem = resolve_problem(args.problem)
     sol = solve_three_level(problem, y_grid_step=args.ygrid, tol=args.tol,
@@ -155,10 +162,7 @@ def cmd_oracle(args):
 
 
 def cmd_rates(args):
-    # checked before any solve; the oracle, fit and certificate check them again
-    for name, value, positive in (("tau", args.tau, False), ("cert-tol", args.cert_tol, False),
-                                  ("ygrid", args.ygrid, True), ("xgrid", args.xgrid, True)):
-        require_finite(name, value, positive)
+    _check_flags(args, "tau", "cert-tol", "ygrid", "xgrid")
     outdir = _ensure_outdir(args.output)
     problem = resolve_problem(args.problem)
     trace = _run_trace(problem, args, +1)  # pessimistic, as the oracle
@@ -258,15 +262,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UnknownProblemError, ProblemError, ExpressionError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        print(f"error: {msg}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # ProblemError and ExpressionError are ValueErrors; str() of a KeyError
+    # (UnknownProblemError) quotes its message
+    except (CliError, UnknownProblemError, ValueError) as exc:
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
 
 

@@ -99,7 +99,7 @@ class _Parser:
             self.next()
             exponent = self.parse_unary()
             k = _const_value(exponent)
-            if k is None or k != int(k) or k < 0:
+            if k is None or not k.is_integer() or k < 0:
                 raise ExpressionError("exponent must be a nonnegative integer constant")
             return ("pow", base, int(k))
         return base
@@ -112,7 +112,7 @@ class _Parser:
             name = tok[1]
             self.expect("[")
             idx = self.next()
-            if not (isinstance(idx, tuple) and idx[0] == "num" and idx[1] == int(idx[1])):
+            if not (isinstance(idx, tuple) and idx[0] == "num" and idx[1].is_integer()):
                 raise ExpressionError(f"{name}[...] index must be an integer")
             self.expect("]")
             return (name, int(idx[1]))

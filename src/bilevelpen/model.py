@@ -210,15 +210,16 @@ class Polytope:
 
     Construction verifies C is nonempty and bounded with one LP, max 1'x
     over C: since x >= 0, C is bounded iff that maximum is finite.
-    cached_vertices is a cache only: enumerate_vertices fills it, and the
-    constructor does not take it, since an incomplete list would make the
-    vertex oracle inexact.
+    cached_vertices and cached_grids (grid step -> points) are caches only,
+    filled by enumerate_vertices and the grid oracle; the constructor does not
+    take them, since an incomplete list would make the vertex oracle inexact.
     """
 
     A: np.ndarray
     b: np.ndarray
     cached_vertices: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                                   compare=False)
+    cached_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -335,12 +336,13 @@ def validate_problem(problem):
     """Check the standing assumptions on VALIDATION_SAMPLES points of K x C
     drawn from VALIDATION_SEED.
 
-    Runs three checks: positivity of the leader objective (a non-finite
-    value fails it), convexity in x of the follower objective (midpoint
-    tests on random segments inside C) and gradient consistency of both
-    fields against central differences at 64 of them. Boundedness of C is not
-    sampled: constructing the Polytope already enforces it. A failing
-    check carries a witness point.
+    Runs three checks: positivity of the leader objective, convexity in x
+    of the follower objective (midpoint tests on random segments inside C)
+    and gradient consistency of f, then h, against central differences at
+    the first 64 pairs. Each check scores every sample by one rule (see
+    _worst_sample): a non-finite score fails it, and its witness is the
+    worst sample. Boundedness of C is not sampled: constructing the
+    Polytope already enforces it.
     """
     from .lower_solver import _feasible_points, enumerate_vertices  # no cycle at module load
 
@@ -351,55 +353,45 @@ def validate_problem(problem):
     V = enumerate_vertices(C)
     X = _feasible_points(V, VALIDATION_SAMPLES, rng)
     Y = K.sample(rng, size=VALIDATION_SAMPLES)
+    Xi = X[np.arange(VALIDATION_SAMPLES) % len(X)]
 
-    # positivity of the leader objective on K x C
-    worst_val, worst_pt = np.inf, None
-    for i in range(VALIDATION_SAMPLES):
-        y, x = Y[i], X[i % len(X)]
-        v = f.evaluate(y, x)
-        if not np.isfinite(v):
-            worst_val, worst_pt = v, (y.copy(), x.copy())
-            break
-        if v < worst_val:
-            worst_val, worst_pt = v, (y.copy(), x.copy())
-    positivity = CheckResult("positivity", bool(np.isfinite(worst_val) and worst_val > 0.0),
-                             worst_pt, float(worst_val))
+    positivity = _worst_sample("positivity", [f.evaluate(y, x) for y, x in zip(Y, Xi)],
+                               Y, Xi, lambda v: v > 0.0, lowest=True)
 
-    # convexity in x of the follower objective: midpoint test on segments
-    conv_ok, conv_wit, conv_worst = True, None, -np.inf
-    for i in range(VALIDATION_SAMPLES):
-        y = Y[i]
+    gaps, mids = [], []
+    for y in Y:
         xa, xb = X[rng.integers(len(X))], X[rng.integers(len(X))]
-        mid = 0.5 * (xa + xb)
-        gap = h.evaluate(y, mid) - 0.5 * (h.evaluate(y, xa) + h.evaluate(y, xb))
-        if gap > conv_worst:
-            conv_worst, conv_wit = gap, (y.copy(), mid.copy())
-        if gap > 1e-9:
-            conv_ok = False
-    convexity = CheckResult("convexity_in_x", conv_ok, conv_wit, float(conv_worst))
+        mids.append(0.5 * (xa + xb))
+        gaps.append(h.evaluate(y, mids[-1]) - 0.5 * (h.evaluate(y, xa) + h.evaluate(y, xb)))
+    convexity = _worst_sample("convexity_in_x", gaps, Y, np.array(mids),
+                              lambda gap: gap <= 1e-9)
 
-    # gradient consistency against central differences
-    grad_ok, grad_wit, grad_worst = True, None, 0.0
-    for i in range(64):
-        y, x = Y[i], X[i % len(X)]
-        for fld in (f, h):
-            err = _gradient_relative_error(fld, y, x)
-            if err > grad_worst:
-                grad_worst, grad_wit = err, (y.copy(), x.copy())
-            if err > 1e-5:
-                grad_ok = False
-    gradients = CheckResult("gradient_consistency", grad_ok, grad_wit, float(grad_worst))
+    pairs = np.repeat(np.arange(64), 2)  # f then h at each pair
+    errs = [_gradient_relative_error(fld, Y[i], Xi[i]) for i in range(64) for fld in (f, h)]
+    gradients = _worst_sample("gradient_consistency", errs, Y[pairs], Xi[pairs],
+                              lambda err: err <= 1e-5)
 
     return ValidationReport(checks=(positivity, convexity, gradients))
 
 
+def _worst_sample(name, scores, Y, X, passes, lowest=False):
+    """CheckResult of one score per sample (Y[i], X[i]), witnessed by the worst
+    sample: the first non-finite score, which fails the check, else the first
+    lowest (lowest=True) or highest score, which passes(score) decides."""
+    scores = np.asarray(scores, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    i = bad[0] if len(bad) else (np.argmin(scores) if lowest else np.argmax(scores))
+    v = float(scores[i])
+    return CheckResult(name, bool(math.isfinite(v) and passes(v)), (Y[i].copy(), X[i].copy()), v)
+
+
 def _gradient_relative_error(fld, y, x, step=1e-6):
+    """|g - fd| / max(1, |g|) for g = fld.gradient_x(y, x) and fd its central
+    differences, whose 2 * dim_x points are evaluated in one fld.batch."""
     g = np.asarray(fld.gradient_x(y, x), dtype=float)
-    fd = np.zeros_like(g)
-    for j in range(len(x)):
-        e = np.zeros_like(x)
-        e[j] = step
-        fd[j] = (fld.evaluate(y, x + e) - fld.evaluate(y, x - e)) / (2 * step)
+    E = step * np.eye(len(x))
+    vals = fld.batch(y, np.vstack([x + E, x - E]))
+    fd = (vals[:len(x)] - vals[len(x):]) / (2 * step)
     scale = max(1.0, float(np.linalg.norm(g)))
     return float(np.linalg.norm(g - fd)) / scale
 

@@ -102,13 +102,9 @@ def _intrinsic_grid(C, step):
 
 
 def _grid_for(C, step):
-    cache = getattr(C, "_grid_cache", None)
-    if cache is None:
-        cache = {}
-        C._grid_cache = cache
-    if step not in cache:
-        cache[step] = _intrinsic_grid(C, step)
-    return cache[step]
+    if step not in C.cached_grids:
+        C.cached_grids[step] = _intrinsic_grid(C, step)
+    return C.cached_grids[step]
 
 
 def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,

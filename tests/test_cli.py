@@ -121,6 +121,7 @@ class TestOracle:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must be positive and finite" in err
+        assert f"{flag[2:]} must" in err  # the flag's name, not the library's
         assert list(tmp_path.iterdir()) == []
 
     def test_seed_is_not_an_oracle_flag(self, tmp_path, capsys):
@@ -175,6 +176,17 @@ class TestNonFiniteInputs:
         assert err.startswith("error:") and "finite" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []  # no report of a rejected run
+
+    def test_infinite_exponent_literal_is_input_error(self, tmp_path, fs, capsys):
+        # int(inf) used to end the parse in an OverflowError traceback
+        doc = {**bp.problem_to_dict(fs), "f": "1 + x[0]^1e400"}
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = run_cli("solve", "--problem", str(tmp_path / "doc.json"), "--epsilon", "0.1",
+                       tmp_path=out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(out.iterdir()) == []
 
 
 class TestRates:

@@ -33,7 +33,7 @@ def test_vectorized_evaluation():
 
 @pytest.mark.parametrize("bad", [
     "x[0] +", "1 + * 2", "x[", "x[0.5]", "z[0]", "x[0]^x[1]",
-    "x[0]^(-1)", "x[0]^1.5", "(1 + 2", "2 @ 3",
+    "x[0]^(-1)", "x[0]^1.5", "(1 + 2", "2 @ 3", "x[0]^1e400", "x[1e400]",
 ])
 def test_syntax_errors(bad):
     with pytest.raises(ex.ExpressionError):

@@ -141,6 +141,32 @@ class TestValidation:
         assert not check.passed
         assert check.worst_value > 1e-9
 
+    def test_nan_follower_objective_fails_convexity(self, fs):
+        # every midpoint gap is NaN; a NaN is never > 1e-9, so it once passed
+        nan_h = bp.ScalarField(dim_y=1, dim_x=2, evaluate=lambda y, x: np.nan,
+                               gradient_x=lambda y, x: np.zeros(2), convex_in_x=True)
+        tampered = BilevelProblem("FS_nan_h", fs.leader_objective, nan_h,
+                                  fs.leader_set, fs.follower_set)
+        check = bp.validate_problem(tampered)["convexity_in_x"]
+        assert not check.passed
+        assert np.isnan(check.worst_value)
+        y, mid = check.witness
+        assert fs.leader_set.contains(y) and fs.follower_set.contains(mid)
+
+    def test_nan_leader_gradient_fails_gradient_check(self, fs):
+        f = fs.leader_objective
+        nan_grad = bp.ScalarField(dim_y=1, dim_x=2, evaluate=f.evaluate,
+                                  gradient_x=lambda y, x: np.full(2, np.nan))
+        tampered = BilevelProblem("FS_nan_grad", nan_grad, fs.follower_objective,
+                                  fs.leader_set, fs.follower_set)
+        report = bp.validate_problem(tampered)
+        check = report["gradient_consistency"]
+        assert report["positivity"].passed
+        assert not check.passed
+        assert np.isnan(check.worst_value)
+        y, x = check.witness
+        assert fs.leader_set.contains(y) and fs.follower_set.contains(x)
+
     def test_declared_nonconvex_follower_rejected(self, qb):
         bad_h = field_from_expression("-((x[0] + x[1] - 1)^2)", 1, 4)
         assert not bad_h.convex_in_x
