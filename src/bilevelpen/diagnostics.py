@@ -222,14 +222,21 @@ def strong_slope_lower_bound(field, y, C: Polytope) -> SlopeEstimate:
 def fit_rate(gaps, tau=0.15) -> RateFit:
     """Classify the decay rate of (epsilon, gap) pairs by log-log slope.
 
-    Gaps at or below the 1e-12 floor are treated as numerically zero; if
-    none survive, the selection was exact at every epsilon, which is
-    stronger than any power rate. Otherwise at least 4 points spanning
-    two decades of epsilon are required for a least-squares fit. tau,
-    the slack on the slopes 1 and 1/2, must be finite and nonnegative.
+    Every epsilon must be positive and finite and every gap finite.
+    Gaps at or below the 1e-12 floor (negative ones too) are treated as
+    numerically zero; if none survive, the selection was exact at every
+    epsilon, which is stronger than any power rate. Otherwise at least 4
+    points spanning two decades of epsilon are required for a
+    least-squares fit. tau, the slack on the slopes 1 and 1/2, must be
+    finite and nonnegative.
     """
     require_finite("tau", tau)
-    pts = [(float(e), float(g)) for e, g in gaps if g > GAP_FLOOR]
+    pairs = [(float(e), float(g)) for e, g in gaps]
+    for k, (e, g) in enumerate(pairs):
+        require_finite(f"epsilon of pair {k} ({e!r}, {g!r})", e, positive=True)
+        if not math.isfinite(g):
+            raise ValueError(f"gap of pair {k} ({e!r}, {g!r}) must be finite, got {g}")
+    pts = [(e, g) for e, g in pairs if g > GAP_FLOOR]
     if not pts:
         return RateFit(slope=math.inf, intercept=math.nan, r_squared=1.0,
                        classification=EXACT_SELECTION, tau=tau, n_points=0)

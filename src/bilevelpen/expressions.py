@@ -48,10 +48,26 @@ def _tokenize(text):
     return tokens
 
 
+MAX_DEPTH = 300  # nesting levels; each recursive pass takes about one frame per level
+
+
 class _Parser:
+    """Recursive descent that recurses only into parentheses (two frames a
+    level) and exponents (one frame); sums, products and signs are loops.
+    The grammar is
+
+        expr   := term (('+' | '-') term)*
+        term   := factor (('*' | '/') factor)*
+        factor := ('+' | '-')* atom ('^' factor)?
+        atom   := number | x[int] | y[int] | '(' expr ')'
+
+    with left-associative operators and '^' binding tighter than a sign.
+    """
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.level = 0  # open parentheses and exponents
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -69,43 +85,42 @@ class _Parser:
             raise ExpressionError(f"expected {tok!r}, got {got!r}")
 
     def parse_expr(self):
-        node = self.parse_term()
+        node, op = None, None
+        while True:
+            term = self.parse_factor()
+            while self.peek() in ("*", "/"):
+                term = ("mul" if self.next() == "*" else "div", term, self.parse_factor())
+            node = term if op is None else (op, node, term)
+            if self.peek() not in ("+", "-"):
+                return node
+            op = "add" if self.next() == "+" else "sub"
+
+    def parse_factor(self):
+        signs = []
         while self.peek() in ("+", "-"):
-            op = self.next()
-            rhs = self.parse_term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while self.peek() in ("*", "/"):
-            op = self.next()
-            rhs = self.parse_unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def parse_unary(self):
-        if self.peek() == "-":
-            self.next()
-            return ("neg", self.parse_unary())
-        if self.peek() == "+":
-            self.next()
-            return self.parse_unary()
-        return self.parse_power()
-
-    def parse_power(self):
-        base = self.parse_atom()
+            signs.append(self.next())
+        tok = self.next()
+        if tok == "(":
+            self.enter()
+            node = self.parse_expr()
+            self.level -= 1
+            self.expect(")")
+        else:
+            node = self.parse_leaf(tok)
         if self.peek() == "^":
             self.next()
-            exponent = self.parse_unary()
-            k = _const_value(exponent)
+            self.enter()
+            k = _const_value(self.parse_factor())
+            self.level -= 1
             if k is None or not k.is_integer() or k < 0:
                 raise ExpressionError("exponent must be a nonnegative integer constant")
-            return ("pow", base, int(k))
-        return base
+            node = ("pow", node, int(k))
+        for sign in reversed(signs):
+            if sign == "-":
+                node = ("neg", node)
+        return node
 
-    def parse_atom(self):
-        tok = self.next()
+    def parse_leaf(self, tok):
         if isinstance(tok, tuple) and tok[0] == "num":
             return ("const", tok[1])
         if isinstance(tok, tuple) and tok[0] == "var":
@@ -116,29 +131,44 @@ class _Parser:
                 raise ExpressionError(f"{name}[...] index must be an integer")
             self.expect("]")
             return (name, int(idx[1]))
-        if tok == "(":
-            node = self.parse_expr()
-            self.expect(")")
-            return node
         raise ExpressionError(f"unexpected token {tok!r}")
+
+    def enter(self):
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels")
 
 
 def _const_value(node):
-    if node[0] == "const":
-        return node[1]
-    if node[0] == "neg":
-        v = _const_value(node[1])
-        return None if v is None else -v
-    return None
+    sign = 1.0
+    while node[0] == "neg":
+        sign, node = -sign, node[1]
+    return sign * node[1] if node[0] == "const" else None
+
+
+def depth(node):
+    """Levels of an AST, counted without recursion."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((child, d + 1) for child in node[1:] if isinstance(child, tuple))
+    return deepest
+
+
+def _bounded(node, what):
+    if depth(node) > MAX_DEPTH:
+        raise ExpressionError(f"{what} nests deeper than {MAX_DEPTH} levels")
+    return node
 
 
 def parse(text):
-    """Parse an expression string into an AST."""
+    """Parse an expression string into an AST of at most MAX_DEPTH levels."""
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
     if parser.peek() is not None:
         raise ExpressionError(f"trailing input at token {parser.peek()!r}")
-    return node
+    return _bounded(node, "expression")
 
 
 def check_indices(node, dim_y, dim_x):
@@ -163,7 +193,10 @@ def uses_y(node):
     """Whether the expression reads any leader variable y[i]."""
     if node[0] == "y":
         return True
-    return any(uses_y(child) for child in node[1:] if isinstance(child, tuple))
+    for child in node[1:]:
+        if isinstance(child, tuple) and uses_y(child):
+            return True
+    return False
 
 
 def compile_evaluator(node):
@@ -240,30 +273,36 @@ def _mul(a, b):
 
 
 def diff_x(node, j):
-    """Symbolic partial derivative with respect to x[j]."""
+    """Symbolic partial derivative with respect to x[j]. A derivative can
+    nest up to three levels per level of node; one that nests deeper than
+    MAX_DEPTH is an ExpressionError."""
+    return _bounded(_diff(node, j), f"derivative in x[{j}]")
+
+
+def _diff(node, j):
     kind = node[0]
     if kind in ("const", "y"):
         return _ZERO
     if kind == "x":
         return _ONE if node[1] == j else _ZERO
     if kind == "add":
-        return _add(diff_x(node[1], j), diff_x(node[2], j))
+        return _add(_diff(node[1], j), _diff(node[2], j))
     if kind == "sub":
-        return _sub(diff_x(node[1], j), diff_x(node[2], j))
+        return _sub(_diff(node[1], j), _diff(node[2], j))
     if kind == "mul":
         a, b = node[1], node[2]
-        return _add(_mul(diff_x(a, j), b), _mul(a, diff_x(b, j)))
+        return _add(_mul(_diff(a, j), b), _mul(a, _diff(b, j)))
     if kind == "div":
         a, b = node[1], node[2]
-        num = _sub(_mul(diff_x(a, j), b), _mul(a, diff_x(b, j)))
+        num = _sub(_mul(_diff(a, j), b), _mul(a, _diff(b, j)))
         return ("div", num, ("pow", b, 2))
     if kind == "neg":
-        return ("neg", diff_x(node[1], j))
+        return ("neg", _diff(node[1], j))
     if kind == "pow":
         a, k = node[1], node[2]
         if k == 0:
             return _ZERO
-        return _mul(_mul(("const", float(k)), ("pow", a, k - 1)), diff_x(a, j))
+        return _mul(_mul(("const", float(k)), ("pow", a, k - 1)), _diff(a, j))
     raise ExpressionError(f"unknown node {kind!r}")
 
 

@@ -76,9 +76,11 @@ class ScalarField:
     convex_in_x declares convexity of x -> f(y, x) for every y. The
     declaration is trusted by the solvers and cross-checked by
     validate_problem. evaluate_batch, when given, evaluates a whole
-    (N, dim_x) batch of x points at once. coefficients, when given, maps
-    y to (Q, c, d) with f(y, x) = x'(Qx/2 + c) + d; fix then returns a
-    section evaluated by dense linear algebra instead of evaluate.
+    (N, dim_x) batch of x points at once, at one leader point of shape
+    (dim_y,) or at one per row, y of shape (N, dim_y): a hand-built
+    evaluate_batch must accept both (see batch). coefficients, when given,
+    maps y to (Q, c, d) with f(y, x) = x'(Qx/2 + c) + d; fix then returns
+    a section evaluated by dense linear algebra instead of evaluate.
     """
 
     dim_y: int
@@ -92,10 +94,14 @@ class ScalarField:
     coefficients: Optional[Callable] = None
 
     def batch(self, y, X):
+        """Values at the rows of X (N, dim_x): all at the leader point y of
+        shape (dim_y,), or row i at y[i] for y of shape (N, dim_y). Without
+        evaluate_batch, evaluate runs once per row."""
         X = np.asarray(X, dtype=float)
         if self.evaluate_batch is not None:
             return np.asarray(self.evaluate_batch(y, X), dtype=float)
-        return np.array([self.evaluate(y, x) for x in X], dtype=float)
+        Y = np.broadcast_to(np.asarray(y, dtype=float), (len(X), self.dim_y))
+        return np.array([self.evaluate(yi, x) for yi, x in zip(Y, X)], dtype=float)
 
     def fix(self, y):
         """Freeze the leader variable, yielding a function of x alone."""
@@ -119,14 +125,14 @@ class ScalarField:
         )
 
 
-def field_from_expression(text, dim_y, dim_x, convex_hint=None):
+def field_from_expression(text, dim_y, dim_x):
     """Build a ScalarField from an expression string.
 
     Structure (linear/quadratic/general in x) is derived from the
     polynomial degree of the expression; gradients are symbolic. Fields
     of degree <= 2 carry their coefficients (see _quadratic_coefficients).
     Convexity in x is decided automatically for degree <= 2 (PSD test of
-    the Hessian at 5 sampled y) and may be overridden with convex_hint.
+    the Hessian at 5 sampled y).
     """
     node = ex.parse(text)
     ex.check_indices(node, dim_y, dim_x)
@@ -144,9 +150,7 @@ def field_from_expression(text, dim_y, dim_x, convex_hint=None):
     coefficients = (None if structure == GENERAL
                     else _quadratic_coefficients(node, grad_nodes, dim_y, dim_x))
 
-    if convex_hint is not None:
-        convex = bool(convex_hint)
-    elif structure == QUADRATIC:
+    if structure == QUADRATIC:
         rng = np.random.default_rng(0)
         convex = all(np.linalg.eigvalsh(coefficients(rng.uniform(-1.0, 2.0, size=dim_y))[0])
                      .min() >= -1e-9 for _ in range(5))
@@ -162,7 +166,8 @@ def field_from_expression(text, dim_y, dim_x, convex_hint=None):
         return np.array([g(y, x) for g in grad_fns], dtype=float)
 
     def evaluate_batch(y, X):
-        out = value_fn(np.asarray(y, float), np.asarray(X, float))
+        # for a y per row, y.T[i] is a column that lines up with X[..., j]
+        out = value_fn(np.asarray(y, float).T, np.asarray(X, float))
         return np.broadcast_to(np.asarray(out, float), (X.shape[0],)).copy()
 
     return ScalarField(
@@ -336,13 +341,13 @@ def validate_problem(problem):
     """Check the standing assumptions on VALIDATION_SAMPLES points of K x C
     drawn from VALIDATION_SEED.
 
-    Runs three checks: positivity of the leader objective, convexity in x
-    of the follower objective (midpoint tests on random segments inside C)
-    and gradient consistency of f, then h, against central differences at
-    the first 64 pairs. Each check scores every sample by one rule (see
-    _worst_sample): a non-finite score fails it, and its witness is the
-    worst sample. Boundedness of C is not sampled: constructing the
-    Polytope already enforces it.
+    Runs three checks: positivity of the leader objective (one f.batch over
+    the pairs), convexity in x of the follower objective (midpoint tests on
+    random segments inside C, three h.batch calls) and gradient consistency
+    of f, then h, against central differences at the first 64 pairs. Each
+    check scores every sample by one rule (see _worst_sample): a non-finite
+    score fails it, and its witness is the worst sample. Boundedness of C is
+    not sampled: constructing the Polytope already enforces it.
     """
     from .lower_solver import _feasible_points, enumerate_vertices  # no cycle at module load
 
@@ -353,22 +358,18 @@ def validate_problem(problem):
     V = enumerate_vertices(C)
     X = _feasible_points(V, VALIDATION_SAMPLES, rng)
     Y = K.sample(rng, size=VALIDATION_SAMPLES)
-    Xi = X[np.arange(VALIDATION_SAMPLES) % len(X)]
 
-    positivity = _worst_sample("positivity", [f.evaluate(y, x) for y, x in zip(Y, Xi)],
-                               Y, Xi, lambda v: v > 0.0, lowest=True)
+    positivity = _worst_sample("positivity", f.batch(Y, X), Y, X,
+                               lambda v: v > 0.0, lowest=True)
 
-    gaps, mids = [], []
-    for y in Y:
-        xa, xb = X[rng.integers(len(X))], X[rng.integers(len(X))]
-        mids.append(0.5 * (xa + xb))
-        gaps.append(h.evaluate(y, mids[-1]) - 0.5 * (h.evaluate(y, xa) + h.evaluate(y, xb)))
-    convexity = _worst_sample("convexity_in_x", gaps, Y, np.array(mids),
-                              lambda gap: gap <= 1e-9)
+    a, b = rng.integers(len(X), size=(VALIDATION_SAMPLES, 2)).T  # a, b per sample in turn
+    mids = 0.5 * (X[a] + X[b])
+    gaps = h.batch(Y, mids) - 0.5 * (h.batch(Y, X[a]) + h.batch(Y, X[b]))
+    convexity = _worst_sample("convexity_in_x", gaps, Y, mids, lambda gap: gap <= 1e-9)
 
     pairs = np.repeat(np.arange(64), 2)  # f then h at each pair
-    errs = [_gradient_relative_error(fld, Y[i], Xi[i]) for i in range(64) for fld in (f, h)]
-    gradients = _worst_sample("gradient_consistency", errs, Y[pairs], Xi[pairs],
+    errs = [_gradient_relative_error(fld, Y[i], X[i]) for i in range(64) for fld in (f, h)]
+    gradients = _worst_sample("gradient_consistency", errs, Y[pairs], X[pairs],
                               lambda err: err <= 1e-5)
 
     return ValidationReport(checks=(positivity, convexity, gradients))

@@ -13,6 +13,7 @@ solver's convergence and error rates.
 
 from dataclasses import dataclass
 from itertools import product
+import math
 
 import numpy as np
 from scipy.linalg import qr as scipy_qr
@@ -77,21 +78,20 @@ def _intrinsic_grid(C, step):
     B = A[:, basic]
     N = A[:, free]
 
-    axes = []
+    bounds, counts = [], []
     for j in free:
         c = np.zeros(n)
         c[j] = 1.0
         lo = lp_minimize(c, C).value
         c[j] = -1.0
         hi = -lp_minimize(c, C).value
-        if hi - lo <= step * 1e-9:
-            axes.append(np.array([lo]))
-        else:
-            axes.append(np.linspace(lo, hi, int(round((hi - lo) / step)) + 1))
-    size = int(np.prod([len(a) for a in axes]))
+        bounds.append((lo, hi))
+        counts.append(1 if hi - lo <= step * 1e-9 else int(round((hi - lo) / step)) + 1)
+    size = math.prod(counts)
     if size > GRID_EVAL_GUARD:
         raise DimensionGuardError(
             f"grid of {size} points exceeds the {GRID_EVAL_GUARD} guard; coarsen the step")
+    axes = [np.linspace(lo, hi, k) for (lo, hi), k in zip(bounds, counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     Xfree = np.stack([m.ravel() for m in mesh], axis=1)
     X = np.zeros((Xfree.shape[0], n))
@@ -156,21 +156,16 @@ def pessimistic_select(problem: BilevelProblem, y, tol=1e-8,
 
 
 def _leader_grid(K, step, budget_points):
-    """Leader grid points and the realized per-axis spacing."""
-    axes = []
-    for i in range(K.dim):
-        span = K.upper[i] - K.lower[i]
-        if span <= 0:
-            axes.append(np.array([K.lower[i]]))
-        else:
-            axes.append(np.linspace(K.lower[i], K.upper[i],
-                                    int(round(span / step)) + 1))
-    total = int(np.prod([len(a) for a in axes]))
+    """Leader grid points and the realized per-axis spacing. The per-axis
+    counts are coarsened to the budget before any axis is built."""
+    spans = K.upper - K.lower
+    counts = [int(round(span / step)) + 1 if span > 0 else 1 for span in spans]
+    total = math.prod(counts)
     if total > budget_points:
         scale = (budget_points / total) ** (1.0 / K.dim)
-        axes = [a if len(a) <= 3 else
-                np.linspace(a[0], a[-1], max(3, int(len(a) * scale)))
-                for a in axes]
+        counts = [k if k <= 3 else max(3, int(k * scale)) for k in counts]
+    axes = [np.linspace(lo, hi, k) if span > 0 else np.array([lo])
+            for lo, hi, span, k in zip(K.lower, K.upper, spans, counts)]
     spacing = max((a[1] - a[0]) for a in axes if len(a) > 1) if any(
         len(a) > 1 for a in axes) else step
     return [np.array(y) for y in product(*axes)], float(spacing)

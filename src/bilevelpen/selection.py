@@ -152,14 +152,10 @@ def constancy_check(problem: BilevelProblem, y, epsilon: float,
     lmo = vertex_lmo(V)
     runs = [_fw_run(section, lmo, x0, FW_TOL, FW_MAX_ITER)
             for x0 in _feasible_points(V, n_starts, seed)]
-    best_x, best_val, _, _ = min(runs, key=lambda r: r[1])
-    f = problem.leader_objective
-    witnesses = []
-    for x, val, _, _ in runs:
-        if val <= best_val + FW_TOL:
-            witnesses.append((x, float(f.evaluate(y, x))))
-    leaders = [w[1] for w in witnesses]
-    kappa = float(f.evaluate(y, best_x))
-    return ConstancyReport(kappa=kappa,
-                           spread=float(max(leaders) - min(leaders)),
-                           witnesses=tuple(witnesses))
+    best = min(range(len(runs)), key=lambda i: runs[i][1])
+    kept = [i for i, r in enumerate(runs) if r[1] <= runs[best][1] + FW_TOL]
+    xs = [runs[i][0] for i in kept]
+    leaders = [float(v) for v in problem.leader_objective.batch(y, np.array(xs))]
+    return ConstancyReport(kappa=leaders[kept.index(best)],
+                           spread=max(leaders) - min(leaders),
+                           witnesses=tuple(zip(xs, leaders)))

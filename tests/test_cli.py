@@ -188,6 +188,33 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err.startswith("error:")
         assert list(out.iterdir()) == []
 
+    def test_deeply_nested_expression_is_input_error(self, tmp_path, fs, capsys):
+        # the parser once ended in a RecursionError traceback
+        doc = {**bp.problem_to_dict(fs), "f": "(" * 700 + "1 + x[0]" + ")" * 700}
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = run_cli("solve", "--problem", str(tmp_path / "doc.json"), "--epsilon", "0.1",
+                       tmp_path=out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nests deeper than" in err
+        assert list(out.iterdir()) == []
+
+    def test_250_term_sum_validates_and_solves(self, tmp_path, fs):
+        terms = " + ".join(f"0.001*x[{k % 2}]" for k in range(250))
+        doc = {**bp.problem_to_dict(fs), "f": "1 + y[0] + " + terms,
+               "h": f"({terms} - 0.2*y[0])^2"}
+        assert bp.validate_problem(bp.problem_from_dict(doc)).all_passed
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        assert run_cli("solve", "--problem", str(tmp_path / "doc.json"), "--epsilon", "0.1",
+                       tmp_path=tmp_path / "out") == 0
+
+    def test_oversized_x_grid_is_input_error(self, tmp_path, capsys):
+        assert run_cli("oracle", "--problem", "QB", "--xgrid", "1e-10", tmp_path=tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "guard" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRates:
     def test_qb_rates_report(self, tmp_path):

@@ -146,6 +146,33 @@ class TestFitRate:
         with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
             bp.fit_rate(self.synthetic(1.0), tau=tau)
 
+    def test_nan_gaps_rejected(self):
+        # all-NaN gaps once classified as exact_selection
+        eps = 0.1 * (0.5 ** np.arange(8))
+        with pytest.raises(ValueError, match=r"gap of pair 0 \(0.1, nan\) must be finite"):
+            bp.fit_rate([(e, math.nan) for e in eps])
+
+    def test_nan_epsilon_rejected(self):
+        # a NaN epsilon once ended in LinAlgError: SVD did not converge
+        gaps = self.synthetic(1.0)
+        gaps[3] = (math.nan, gaps[3][1])
+        with pytest.raises(ValueError, match=r"epsilon of pair 3 \(nan, .*\) must be "
+                                             "positive and finite"):
+            bp.fit_rate(gaps)
+
+    def test_infinite_gap_rejected(self):
+        # an infinite gap once returned inconclusive with slope NaN
+        gaps = self.synthetic(1.0)
+        gaps[5] = (gaps[5][0], math.inf)
+        with pytest.raises(ValueError, match=r"gap of pair 5 \(.*, inf\) must be finite"):
+            bp.fit_rate(gaps)
+
+    def test_negative_gaps_count_as_zero(self):
+        eps = 0.1 * (0.5 ** np.arange(8))
+        assert bp.fit_rate([(e, -1e-3) for e in eps]).classification == EXACT_SELECTION
+        gaps = self.synthetic(1.0) + [(1e-6, -0.5)]
+        assert bp.fit_rate(gaps).n_points == len(gaps) - 1
+
     def test_tau_controls_thresholds(self):
         fit = bp.fit_rate(self.synthetic(0.8), tau=0.05)
         assert fit.classification == SQRT_RATE

@@ -90,3 +90,41 @@ def test_polynomial_identity(a, b):
     lhs = ev("(x[0] + x[1])^2", [], [a, b])
     rhs = ev("x[0]^2 + 2*x[0]*x[1] + x[1]^2", [], [a, b])
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+class TestDepthBound:
+    """Every recursive pass takes about one frame per level (the parser two
+    per parenthesis), so MAX_DEPTH keeps them all below Python's default
+    recursion limit."""
+
+    @pytest.mark.parametrize("text", [
+        "1 + " + " + ".join(["x[0]"] * 400),
+        "(" * 700 + "1 + x[0]" + ")" * 700,
+        "x[0]" + "^1" * 1000,
+        "-" * 1000 + "x[0]",
+    ], ids=["sum-400", "parentheses-700", "exponents-1000", "signs-1000"])
+    def test_deep_expressions_are_expression_errors(self, text):
+        with pytest.raises(ex.ExpressionError, match=f"nests deeper than {ex.MAX_DEPTH}"):
+            ex.parse(text)
+
+    def test_deep_derivative_is_an_expression_error(self):
+        # d/dx[0] of a square adds two levels to a sum just inside the bound
+        node = ex.parse("(" + " + ".join(["x[0]"] * 299) + ")^2")
+        assert ex.depth(node) <= ex.MAX_DEPTH
+        with pytest.raises(ex.ExpressionError, match=r"derivative in x\[0\] nests deeper"):
+            ex.diff_x(node, 0)
+
+    def test_deepest_expressions_run_every_pass(self):
+        # 200 parentheses once ended in RecursionError
+        texts = ["(" * 200 + "1 + x[0]" + ")" * 200,
+                 "(" * (ex.MAX_DEPTH - 1) + "1 + x[0]" + ")" * (ex.MAX_DEPTH - 1),
+                 "1 + " + " + ".join(["0.5*x[1]"] * (ex.MAX_DEPTH - 3))]
+        for text in texts:
+            node = ex.parse(text)
+            assert ex.depth(node) <= ex.MAX_DEPTH
+            ex.check_indices(node, 1, 2)
+            assert not ex.uses_y(node)
+            assert ex.degree_in_x(node) == 1
+            grads = [ex.compile_evaluator(ex.diff_x(node, j)) for j in range(2)]
+            value = ex.compile_evaluator(node)(np.zeros(1), np.ones((3, 2)))
+            assert np.all(value > 1) and grads[0](np.zeros(1), np.ones(2)) >= 0

@@ -1,11 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen.model import (LINEAR, QUADRATIC, BilevelProblem,
                               EmptyFeasibleSetError, ProblemError,
                               UnboundedFeasibleSetError, field_from_expression,
                               require_finite)
+from bilevelpen.model import (VALIDATION_SAMPLES, VALIDATION_SEED, _gradient_relative_error,
+                              _worst_sample)
+from bilevelpen.lower_solver import _feasible_points, enumerate_vertices
 
 
 class TestRegistry:
@@ -132,8 +138,8 @@ class TestValidation:
         np.testing.assert_array_equal(x, [0.0, 1.0])
 
     def test_concave_follower_objective_fails_convexity(self, qb):
-        bad_h = field_from_expression("-((x[0] + x[1] - 1)^2)", 1, 4,
-                                      convex_hint=True)
+        bad_h = dataclasses.replace(field_from_expression("-((x[0] + x[1] - 1)^2)", 1, 4),
+                                    convex_in_x=True)
         tampered = BilevelProblem("QB_conc", qb.leader_objective, bad_h,
                                   qb.leader_set, qb.follower_set)
         report = bp.validate_problem(tampered)
@@ -173,6 +179,113 @@ class TestValidation:
         with pytest.raises(ProblemError):
             BilevelProblem("bad", qb.leader_objective, bad_h,
                            qb.leader_set, qb.follower_set)
+
+
+def _per_sample_validation(problem):
+    """validate_problem written as per-sample loops: one scalar evaluate per
+    positivity sample and three per convexity segment, whose end points a, b
+    are drawn one at a time, a then b, segment by segment."""
+    rng = np.random.default_rng(VALIDATION_SEED)
+    f, h = problem.leader_objective, problem.follower_objective
+    X = _feasible_points(enumerate_vertices(problem.follower_set), VALIDATION_SAMPLES, rng)
+    Y = problem.leader_set.sample(rng, size=VALIDATION_SAMPLES)
+    Xi = X[np.arange(VALIDATION_SAMPLES) % len(X)]
+    positivity = _worst_sample("positivity", [f.evaluate(y, x) for y, x in zip(Y, Xi)],
+                               Y, Xi, lambda v: v > 0.0, lowest=True)
+    gaps, mids = [], []
+    for y in Y:
+        xa, xb = X[rng.integers(len(X))], X[rng.integers(len(X))]
+        mids.append(0.5 * (xa + xb))
+        gaps.append(h.evaluate(y, mids[-1]) - 0.5 * (h.evaluate(y, xa) + h.evaluate(y, xb)))
+    convexity = _worst_sample("convexity_in_x", gaps, Y, np.array(mids),
+                              lambda gap: gap <= 1e-9)
+    pairs = np.repeat(np.arange(64), 2)
+    errs = [_gradient_relative_error(fld, Y[i], Xi[i]) for i in range(64) for fld in (f, h)]
+    gradients = _worst_sample("gradient_consistency", errs, Y[pairs], Xi[pairs],
+                              lambda err: err <= 1e-5)
+    return (positivity, convexity, gradients)
+
+
+def _block_simplex(quadratic):
+    """Two scaled simplices in R^5; h is minimized on a hyperplane section."""
+    f = "1 + y[0] + 0.3*x[0] + 0.7*x[1] + 0.2*x[2] + 0.5*x[3] + 0.9*x[4]"
+    if quadratic:
+        f += " + 0.5*(x[1] - x[3])^2"
+    return bp.problem_from_dict({
+        "name": "blocks-quad" if quadratic else "blocks-lin", "dim_y": 1, "dim_x": 5,
+        "A": [[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]], "b": [0.8, 1.3],
+        "K_lower": [0.0], "K_upper": [1.0], "f": f,
+        "h": "(0.8*x[0] + 1.5*x[1] + x[2] + 0.6*x[3] + 1.9*x[4] - 1.7 - 0.2*y[0])^2"})
+
+
+def _report_bytes(checks):
+    return [(c.name, c.passed, np.float64(c.worst_value).tobytes(),
+             [np.asarray(w, dtype=float).tobytes() for w in c.witness]) for c in checks]
+
+
+class TestBatchedValidation:
+    @pytest.mark.parametrize("make", [
+        lambda: bp.registry_get("QB"), lambda: bp.registry_get("FS"),
+        lambda: _block_simplex(False), lambda: _block_simplex(True)],
+        ids=["QB", "FS", "blocks-lin", "blocks-quad"])
+    def test_reports_match_per_sample_loops(self, make):
+        problem = make()
+        report = bp.validate_problem(problem)
+        assert report.all_passed
+        assert _report_bytes(report.checks) == _report_bytes(_per_sample_validation(problem))
+
+
+# Expressions over x[0], x[1], y[0], y[1] with + * / and powers 2, 3 and 7 of
+# bases that read x. All values are positive, so no cancellation magnifies
+# the last-bit differences between the scalar evaluate and the array path.
+_LEAVES = st.sampled_from(["x[0]", "x[1]", "y[0]", "y[1]", "0.5", "1.25", "3"])
+_EXPRESSIONS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from("+*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    st.tuples(inner, st.sampled_from("01"), st.sampled_from("237")).map(
+        lambda t: f"({t[0]} + x[{t[1]}])^{t[2]}")), max_leaves=6)
+
+
+class TestRowBatches:
+    @settings(max_examples=60, deadline=None)
+    @given(text=_EXPRESSIONS, n=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+    def test_rows_match_single_points(self, text, n, seed):
+        fld = field_from_expression(text, dim_y=2, dim_x=2)
+        rng = np.random.default_rng(seed)
+        Y, X = rng.uniform(0.1, 2.0, size=(n, 2)), rng.uniform(0.1, 2.0, size=(n, 2))
+        rows = fld.batch(Y, X)
+        assert rows.shape == (n,)
+        stacked = np.concatenate([fld.batch(Y[i], X[i:i + 1]) for i in range(n)])
+        np.testing.assert_array_equal(rows, stacked)
+        scalar = [fld.evaluate(y, x) for y, x in zip(Y, X)]
+        np.testing.assert_allclose(rows, scalar, rtol=1e-12)
+
+    def test_seventh_power_with_subtraction(self):
+        fld = field_from_expression("(x[0]+x[1]*y[0])^7 - 2*x[0]^4", dim_y=1, dim_x=2)
+        rng = np.random.default_rng(0)
+        Y, X = rng.uniform(0.0, 1.0, size=(3000, 1)), rng.uniform(0.0, 1.0, size=(3000, 2))
+        rows = fld.batch(Y, X)
+        np.testing.assert_array_equal(
+            rows, np.concatenate([fld.batch(y, x[None]) for y, x in zip(Y, X)]))
+        np.testing.assert_allclose(rows, [fld.evaluate(y, x) for y, x in zip(Y, X)],
+                                   rtol=1e-12)
+
+    def test_constant_expression_fills_every_row(self):
+        fld = field_from_expression("2 + y[0]", dim_y=1, dim_x=3)
+        np.testing.assert_array_equal(fld.batch([[1.0], [2.0]], np.zeros((2, 3))), [3.0, 4.0])
+        np.testing.assert_array_equal(fld.batch([1.0], np.zeros((2, 3))), [3.0, 3.0])
+
+    def test_hand_built_field_gets_each_rows_y(self):
+        seen = []
+
+        def evaluate(y, x):
+            seen.append(float(y[0]))
+            return 10.0 * y[0] + x[0]
+        fld = bp.ScalarField(dim_y=1, dim_x=1, evaluate=evaluate,
+                             gradient_x=lambda y, x: np.ones(1))
+        Y, X = np.array([[1.0], [2.0], [3.0]]), np.array([[0.5], [0.25], [0.125]])
+        np.testing.assert_array_equal(fld.batch(Y, X), [10.5, 20.25, 30.125])
+        assert seen == [1.0, 2.0, 3.0]
+        np.testing.assert_array_equal(fld.batch([1.0], X), [10.5, 10.25, 10.125])
 
 
 class TestClosedForms:

@@ -22,6 +22,20 @@ def make_problem(f_expr, h_expr, dim_y=1, dim_x=4, box=(0.0, 1.0), name="custom"
     )
 
 
+def _spy_linspace(monkeypatch):
+    """Record the num of every np.linspace call; fail one above the grid guard
+    before it allocates."""
+    from bilevelpen.oracle import GRID_EVAL_GUARD
+    asked, linspace = [], np.linspace
+
+    def spy(start, stop, num=50, **kwargs):
+        asked.append(num)
+        assert num <= GRID_EVAL_GUARD, f"np.linspace asked for {num} points"
+        return linspace(start, stop, num, **kwargs)
+    monkeypatch.setattr(np, "linspace", spy)
+    return asked
+
+
 class TestExactLowerSet:
     def test_fs_whole_segment_is_optimal(self, fs):
         desc = bp.exact_lower_set(fs, [0.37])
@@ -143,6 +157,26 @@ class TestSolveThreeLevel:
             monkeypatch.setattr(oracle, attr, lambda *a, attr=attr: pytest.fail(f"{attr} ran"))
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             bp.solve_three_level(bp.registry_get(name), tol=math.nan)
+
+    def test_tiny_leader_step_is_coarsened_before_allocating(self, monkeypatch):
+        from bilevelpen import oracle
+        asked = _spy_linspace(monkeypatch)
+        K = BoxSet(lower=[0.0], upper=[1.0])
+        grid, spacing = oracle._leader_grid(K, 1e-9, 10)  # the budget of a QB solve
+        assert asked == [10] and len(grid) == 10
+        assert spacing == pytest.approx(1.0 / 9)
+        K2 = BoxSet(lower=[0.0, -1.0], upper=[1.0, 1.0])
+        asked.clear()
+        grid, _ = oracle._leader_grid(K2, 1e-9, 100)
+        assert len(asked) == 2 and max(asked) <= 100 and len(grid) <= 100
+
+    @pytest.mark.parametrize("step", [1e-10, 1e-4])
+    def test_x_grid_guard_raises_before_allocating(self, monkeypatch, qb, step):
+        from bilevelpen import oracle
+        asked = _spy_linspace(monkeypatch)
+        with pytest.raises(DimensionGuardError, match="guard; coarsen the step"):
+            oracle._intrinsic_grid(qb.follower_set, step)
+        assert asked == []
 
     def test_leader_dimension_guard(self):
         p = BilevelProblem(
