@@ -18,6 +18,7 @@ import math
 import numpy as np
 from scipy.linalg import qr as scipy_qr
 
+from . import expressions as ex
 from .model import LINEAR, BilevelProblem, DimensionGuardError, FEAS_TOL, require_finite
 from .lower_solver import (_fw_best, enumerate_vertices, independent_rows,
                            lp_minimize, vertex_lmo)
@@ -86,19 +87,24 @@ def _intrinsic_grid(C, step):
         c[j] = -1.0
         hi = -lp_minimize(c, C).value
         bounds.append((lo, hi))
-        counts.append(1 if hi - lo <= step * 1e-9 else int(round((hi - lo) / step)) + 1)
+        # counted in floats: a subnormal step makes the count inf, not an int
+        counts.append(1.0 if hi - lo <= step * 1e-9 else np.rint((hi - lo) / step) + 1.0)
     size = math.prod(counts)
     if size > GRID_EVAL_GUARD:
         raise DimensionGuardError(
-            f"grid of {size} points exceeds the {GRID_EVAL_GUARD} guard; coarsen the step")
-    axes = [np.linspace(lo, hi, k) for (lo, hi), k in zip(bounds, counts)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    Xfree = np.stack([m.ravel() for m in mesh], axis=1)
-    X = np.zeros((Xfree.shape[0], n))
-    X[:, free] = Xfree
-    X[:, basic] = np.linalg.solve(B, b[:, None] - N @ Xfree.T).T
-    mask = X.min(axis=1) >= -FEAS_TOL
-    return X[mask]
+            f"grid of {size:.0f} points exceeds the {GRID_EVAL_GUARD} guard; coarsen the step")
+    counts = [int(k) for k in counts]
+    X = np.empty((int(size), n))
+    mesh = X.reshape(*counts, n)  # a view: row order is that of an "ij" meshgrid
+    for axis, (j, (lo, hi), k) in enumerate(zip(free, bounds, counts)):
+        shape = [1] * free_dim
+        shape[axis] = k
+        mesh[..., j] = np.linspace(lo, hi, k).reshape(shape)
+    X[:, basic] = np.linalg.solve(B, b[:, None] - N @ X[:, free].T).T
+    mask = X[:, 0] >= -FEAS_TOL
+    for j in range(1, n):
+        mask &= X[:, j] >= -FEAS_TOL
+    return X if mask.all() else X[mask]
 
 
 def _grid_for(C, step):
@@ -137,10 +143,16 @@ def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
 def pessimistic_select(problem: BilevelProblem, y, tol=1e-8,
                        grid_step=1e-3) -> PessimisticResponse:
     """Worst-case follower response: minimize the squared leader objective
-    over the exact follower argmin set. A vertex face is searched with
-    h + f^2, whose minimizers are those of f^2 since h is constant there."""
+    over the exact follower argmin set."""
     y = np.asarray(y, dtype=float)
-    desc = exact_lower_set(problem, y, tol=tol, grid_step=grid_step)
+    return _worst_response(problem, y, exact_lower_set(problem, y, tol=tol,
+                                                       grid_step=grid_step))
+
+
+def _worst_response(problem, y, desc) -> PessimisticResponse:
+    """Minimize the squared leader objective at y over the lower set desc.
+    A vertex face is searched with h + f^2, whose minimizers are those of
+    f^2 since h is constant there."""
     f = problem.leader_objective
     if desc.kind == "single_point":
         x = desc.points[0]
@@ -157,14 +169,17 @@ def pessimistic_select(problem: BilevelProblem, y, tol=1e-8,
 
 def _leader_grid(K, step, budget_points):
     """Leader grid points and the realized per-axis spacing. The per-axis
-    counts are coarsened to the budget before any axis is built."""
-    spans = K.upper - K.lower
-    counts = [int(round(span / step)) + 1 if span > 0 else 1 for span in spans]
+    counts are coarsened to the budget before any axis is built. They are
+    counted in floats and capped at 2**53 + 1, the largest count a double
+    holds exactly, so a subnormal step coarsens like any tiny one."""
+    spans = (K.upper - K.lower).tolist()  # float division overflows to inf quietly
+    counts = [min(np.rint(span / step), 2.0 ** 53) + 1.0 if span > 0 else 1.0
+              for span in spans]
     total = math.prod(counts)
     if total > budget_points:
         scale = (budget_points / total) ** (1.0 / K.dim)
         counts = [k if k <= 3 else max(3, int(k * scale)) for k in counts]
-    axes = [np.linspace(lo, hi, k) if span > 0 else np.array([lo])
+    axes = [np.linspace(lo, hi, int(k)) if span > 0 else np.array([lo])
             for lo, hi, span, k in zip(K.lower, K.upper, spans, counts)]
     spacing = max((a[1] - a[0]) for a in axes if len(a) > 1) if any(
         len(a) > 1 for a in axes) else step
@@ -180,6 +195,8 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     recovers the stated accuracy afterward. Guarded to two leader
     dimensions. Both steps must be positive and finite and tol finite
     and nonnegative; all three are checked before any grid is built.
+    A follower objective given as an expression that does not read y has
+    one argmin set for every leader point: it is computed once.
     """
     require_finite("y_grid_step", y_grid_step, positive=True)
     require_finite("x_grid_step", x_grid_step, positive=True)
@@ -195,8 +212,17 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
         cost_per_y = max(1, len(_grid_for(problem.follower_set, x_grid_step)))
         method = "grid"
 
+    if h.expression is not None and not ex.uses_y(ex.parse(h.expression)):
+        desc = exact_lower_set(problem, K.lower, tol=tol, grid_step=x_grid_step)
+
+        def respond(y):
+            return _worst_response(problem, np.asarray(y, dtype=float), desc)
+    else:
+        def respond(y):
+            return pessimistic_select(problem, y, tol=tol, grid_step=x_grid_step)
+
     def value_fn(y):
-        return pessimistic_select(problem, y, tol=tol, grid_step=x_grid_step).value
+        return respond(y).value
 
     budget_points = max(3, GRID_EVAL_GUARD // cost_per_y)
     grid, spacing = _leader_grid(K, y_grid_step, budget_points)
@@ -206,9 +232,9 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     steps = np.full(K.dim, max(spacing, 10 * resolution))
     y_best, _, _, _ = _compass_climb(value_fn, K, grid[i_best], vals[i_best], steps,
                                      min_step=resolution, max_evals=500)
-    response = pessimistic_select(problem, y_best, tol=tol, grid_step=x_grid_step)
+    response = respond(y_best)
     f = problem.leader_objective
-    h_val = problem.follower_objective.evaluate(y_best, response.x)
+    h_val = h.evaluate(y_best, response.x)
     return OracleSolution(
         problem=problem.name, y=y_best, x=response.x,
         leader_value=float(f.evaluate(y_best, response.x)),

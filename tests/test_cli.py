@@ -215,6 +215,26 @@ class TestNonFiniteInputs:
         assert err.startswith("error:") and "guard" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_subnormal_x_grid_is_input_error(self, tmp_path, capsys):
+        # its point count overflowed to inf and int() raised OverflowError
+        assert run_cli("oracle", "--problem", "QB", "--xgrid", "1e-320", tmp_path=tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "guard" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+    def test_subnormal_leader_step_coarsens_to_the_budget(self, tmp_path):
+        # the leader grid coarsens to the same 9 points as for any tiny step;
+        # only the stated resolution, ygrid / 10, differs
+        docs = []
+        for step in ("1e-9", "1e-320"):
+            assert run_cli("oracle", "--problem", "QB", "--ygrid", step,
+                           tmp_path=tmp_path / step) == 0
+            docs.append(json.loads((tmp_path / step / "QB_oracle.json").read_text()))
+        assert docs[1].pop("resolution") == 1e-321
+        assert docs[0].pop("resolution") == 1e-10
+        assert docs[0] == docs[1]
+
 
 class TestRates:
     def test_qb_rates_report(self, tmp_path):

@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import qr as scipy_qr
 
 import bilevelpen as bp
+from bilevelpen import oracle
 from bilevelpen.continuation import EpsSchedule
+from bilevelpen.lower_solver import independent_rows, lp_minimize
 from bilevelpen.model import (BilevelProblem, BoxSet, DimensionGuardError,
                               Polytope, field_from_expression)
 
@@ -170,7 +174,14 @@ class TestSolveThreeLevel:
         grid, _ = oracle._leader_grid(K2, 1e-9, 100)
         assert len(asked) == 2 and max(asked) <= 100 and len(grid) <= 100
 
-    @pytest.mark.parametrize("step", [1e-10, 1e-4])
+    def test_subnormal_leader_step_coarsens_like_a_tiny_one(self):
+        K = BoxSet(lower=[0.0], upper=[1.0])
+        grid, spacing = oracle._leader_grid(K, 1e-320, 9)  # the budget of a QB solve
+        ref, ref_spacing = oracle._leader_grid(K, 1e-9, 9)
+        np.testing.assert_array_equal(grid, ref)
+        assert len(grid) == 9 and spacing == ref_spacing == 0.125
+
+    @pytest.mark.parametrize("step", [1e-10, 1e-4, 1e-320])
     def test_x_grid_guard_raises_before_allocating(self, monkeypatch, qb, step):
         from bilevelpen import oracle
         asked = _spy_linspace(monkeypatch)
@@ -188,6 +199,119 @@ class TestSolveThreeLevel:
         )
         with pytest.raises(DimensionGuardError):
             bp.solve_three_level(p)
+
+
+def _per_y(problem):
+    """The same problem with a follower that hides its expression, which
+    forces the three-level oracle to compute the argmin set at every y."""
+    h = dataclasses.replace(problem.follower_objective, expression=None)
+    return dataclasses.replace(problem, follower_objective=h)
+
+
+def _count_calls(monkeypatch, name):
+    calls, fn = [], getattr(oracle, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(oracle, name, spy)
+    return calls
+
+
+SIMPLEX_3 = dict(dim_x=3, A=[[1.0, 1.0, 1.0]], b=[1.0])
+
+
+class TestArgminSetOnce:
+    @pytest.mark.parametrize("problem", [
+        "QB", "FS",
+        make_problem("2 + y[0]*(1 - y[0]) + x[0]*y[0] - x[2]", "(x[0] - x[1])^2",
+                     name="quadratic", **SIMPLEX_3),
+        make_problem("1 + (y[0] - 0.3)^2 + x[1]*y[0] + x[2]", "x[0]",
+                     name="linear", **SIMPLEX_3),
+    ], ids=["QB", "FS", "quadratic_simplex", "linear_simplex"])
+    def test_matches_the_per_y_scan_bit_for_bit(self, problem):
+        if isinstance(problem, str):
+            problem = bp.registry_get(problem)
+        once = bp.solve_three_level(problem)
+        scan = bp.solve_three_level(_per_y(problem))
+        for fld in dataclasses.fields(once):
+            a, b = getattr(once, fld.name), getattr(scan, fld.name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), fld.name
+            else:
+                assert a == b and type(a) is type(b), fld.name
+
+    def test_qb_computes_one_argmin_set(self, monkeypatch, qb):
+        lower_sets = _count_calls(monkeypatch, "exact_lower_set")
+        selects = _count_calls(monkeypatch, "pessimistic_select")
+        bp.solve_three_level(qb)
+        assert len(lower_sets) == 1 and selects == []
+
+    def test_follower_reading_y_keeps_the_per_y_scan(self, monkeypatch, qb):
+        # argmin set x0 + x1 = y, where the leader is (1 + 4y(1 - y))(1 + y)
+        p = dataclasses.replace(qb, follower_objective=field_from_expression(
+            "(x[0] + x[1] - y[0])^2", 1, 4))
+        lower_sets = _count_calls(monkeypatch, "exact_lower_set")
+        selects = _count_calls(monkeypatch, "pessimistic_select")
+        step = 0.01
+        sol = bp.solve_three_level(p, y_grid_step=step, x_grid_step=step)
+        assert len(selects) > 100 and len(lower_sets) == len(selects)
+        y = np.linspace(0.0, 1.0, 100001)
+        brute = float(np.max((1 + 4 * y * (1 - y)) * (1 + y)))
+        # the band x0 + x1 = y is hit within step / 2 and the leader's slope
+        # along x0 + x1 is at most 2
+        assert abs(sol.leader_value - brute) <= step
+        assert sol.y[0] == pytest.approx(math.sqrt(5 / 12), abs=step)
+
+
+def _meshgrid_reference(C, step):
+    """The x grid as built before it was written straight into X: meshgrid,
+    stack, a zeroed X and a column copy. Kept to pin the grid's bits."""
+    rows = independent_rows(C.A)
+    A = C.A[rows]
+    b = C.b[rows]
+    r, n = A.shape[0], C.dim
+    _, _, piv = scipy_qr(A, pivoting=True)
+    basic = sorted(piv[:r])
+    free = [j for j in range(n) if j not in basic]
+    B = A[:, basic]
+    N = A[:, free]
+    bounds, counts = [], []
+    for j in free:
+        c = np.zeros(n)
+        c[j] = 1.0
+        lo = lp_minimize(c, C).value
+        c[j] = -1.0
+        hi = -lp_minimize(c, C).value
+        bounds.append((lo, hi))
+        counts.append(1 if hi - lo <= step * 1e-9 else int(round((hi - lo) / step)) + 1)
+    axes = [np.linspace(lo, hi, k) for (lo, hi), k in zip(bounds, counts)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    Xfree = np.stack([m.ravel() for m in mesh], axis=1)
+    X = np.zeros((Xfree.shape[0], n))
+    X[:, free] = Xfree
+    X[:, basic] = np.linalg.solve(B, b[:, None] - N @ Xfree.T).T
+    mask = X.min(axis=1) >= -oracle.FEAS_TOL
+    return X[mask], B, len(X)
+
+
+# no column of A is a unit vector, so no basic block is the identity
+DENSE_BASIS = Polytope(A=[[2.0, 1.0, 1.0, 1.0], [1.0, 3.0, 1.0, 2.0]], b=[1.0, 1.0])
+
+
+class TestIntrinsicGrid:
+    @pytest.mark.parametrize("step", [1e-3, 2e-3, 0.05])
+    @pytest.mark.parametrize("polytope", [
+        bp.registry_get("QB").follower_set, bp.registry_get("FS").follower_set,
+        Polytope(A=SIMPLEX_3["A"], b=SIMPLEX_3["b"]), DENSE_BASIS,
+    ], ids=["QB", "FS", "simplex_3", "dense_basis"])
+    def test_bits_match_the_meshgrid_build(self, polytope, step):
+        ref, B, size = _meshgrid_reference(polytope, step)
+        X = oracle._intrinsic_grid(polytope, step)
+        assert X.shape == ref.shape and X.tobytes() == ref.tobytes()
+        if polytope is DENSE_BASIS:
+            assert not np.array_equal(B, np.eye(2))
+            assert len(X) < size  # the feasibility mask dropped rows
 
 
 @pytest.fixture(scope="module")
