@@ -17,7 +17,8 @@ from .continuation import (EpsSchedule, check_monotone, limit_estimate,
                            run_continuation, trace_to_csv, trace_to_json)
 from .diagnostics import (build_certificate, certificate_to_json, fit_rate,
                           gaps_to_csv, ratefit_to_json)
-from .model import UnknownProblemError, registry_names, require_finite, resolve_problem
+from .model import (UnknownProblemError, _csv_table, registry_names, require_finite,
+                    resolve_problem)
 from .oracle import gap_table, oracle_to_json, solve_three_level
 from .upper_solver import UpperConfig, solve_penalized
 
@@ -61,6 +62,14 @@ def _write_json(doc, outdir, stem):
     return _write_text(json.dumps(doc, indent=2) + "\n", outdir, stem, ".json")
 
 
+def _write_report(args, outdir, doc, stem, csv_text, csv_stem=None):
+    """Write the JSON report and/or its CSV, as --format asks."""
+    if args.format in ("json", "both"):
+        _write_json(doc, outdir, stem)
+    if args.format in ("csv", "both"):
+        _write_text(csv_text, outdir, csv_stem or stem, ".csv")
+
+
 def _check_flags(args, *names):
     """Reject a NaN, infinite or negative flag (a zero grid step too) before
     any solve, naming the flag; the library checks it again under its own name."""
@@ -87,26 +96,15 @@ def _solve_report(problem, epsilon, sign, seed, sol):
     }
 
 
-def _solve_csv(report):
-    keys = ["epsilon", "sign", "seed", "value", "h_value", "fw_gap", "evals", "converged"]
-    cols = ([f"y{i}" for i in range(len(report["y"]))]
-            + [f"x{j}" for j in range(len(report["x"]))] + keys)
-    vals = ([repr(v) for v in report["y"]] + [repr(v) for v in report["x"]]
-            + [str(report[k]) for k in keys])
-    return ",".join(cols) + "\n" + ",".join(vals) + "\n"
-
-
 def cmd_solve(args):
     outdir = _ensure_outdir(args.output)
     problem = resolve_problem(args.problem)
     cfg = UpperConfig(seed=args.seed)
     sol = solve_penalized(problem, args.epsilon, sign=_sign_code(args.sign), cfg=cfg)
     report = _solve_report(problem, args.epsilon, _sign_code(args.sign), args.seed, sol)
-    stem = f"{problem.name}_solve"
-    if args.format in ("json", "both"):
-        _write_json(report, outdir, stem)
-    if args.format in ("csv", "both"):
-        _write_text(_solve_csv(report), outdir, stem, ".csv")
+    _write_report(args, outdir, report, f"{problem.name}_solve", _csv_table(
+        [report], ["y", "x", "epsilon", "sign", "seed", "value", "h_value", "fw_gap",
+                   "evals", "converged"]))
     print(f"{problem.name}: value {sol.value:.9g} at y {np.asarray(sol.y)} "
           f"(epsilon {args.epsilon:g}, converged {sol.converged})")
     return 0 if sol.converged else 2
@@ -124,7 +122,6 @@ def cmd_continuation(args):
     if args.limit and args.k < 3:
         raise CliError("need k >= 3 for limit estimate")
     trace = _run_trace(problem, args, _sign_code(args.sign))
-    stem = f"{problem.name}_trace"
     doc = trace_to_json(trace)
     report = check_monotone(trace, slack=args.slack)
     doc["monotone_ok"] = report.ok
@@ -134,10 +131,7 @@ def cmd_continuation(args):
         doc["limit"] = {"y": list(map(float, est.y_limit)),
                         "x": list(map(float, est.x_limit)),
                         "v": est.v_limit}
-    if args.format in ("json", "both"):
-        _write_json(doc, outdir, stem)
-    if args.format in ("csv", "both"):
-        _write_text(trace_to_csv(trace), outdir, stem, ".csv")
+    _write_report(args, outdir, doc, f"{problem.name}_trace", trace_to_csv(trace))
     for row in trace.rows:
         print(f"epsilon {row.epsilon:.6g}  v {row.v:.9g}  converged {row.converged}")
     if not report.ok:
@@ -181,10 +175,8 @@ def cmd_rates(args):
         "ratefit": ratefit_to_json(fit, problem=problem.name),
         "certificate": certificate_to_json(cert),
     }
-    if args.format in ("json", "both"):
-        _write_json(combined, outdir, f"{problem.name}_rates")
-    if args.format in ("csv", "both"):
-        _write_text(gaps_to_csv(gaps), outdir, f"{problem.name}_gaps", ".csv")
+    _write_report(args, outdir, combined, f"{problem.name}_rates", gaps_to_csv(gaps),
+                  f"{problem.name}_gaps")
     slope = "exact" if fit.classification == "exact_selection" else f"{fit.slope:.4f}"
     excess = cert.min_sum - cert.level_sum
     rel = "=" if abs(excess) <= 2 * cert.tol else ("<" if excess < 0 else ">")

@@ -10,14 +10,12 @@ appropriate direction up to solver slack, and limit_estimate
 extrapolates the limit value from the tail of the trace.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import BilevelProblem, require_finite
+from .model import BilevelProblem, _csv_table, require_finite
 from .upper_solver import UpperConfig, solve_penalized
 
 TRACE_SCHEMA = "trace-v1"
@@ -173,22 +171,10 @@ def limit_estimate(trace: ContinuationTrace) -> LimitEstimate:
 
 # -- export ----------------------------------------------------------------
 
-def trace_csv_header(trace: ContinuationTrace) -> list:
-    p = len(trace.rows[0].y)
-    n = len(trace.rows[0].x)
-    return (["epsilon"] + [f"y{i}" for i in range(p)] + [f"x{j}" for j in range(n)]
-            + ["v", "h_value", "fw_gap", "evals"])
-
-
 def trace_to_csv(trace: ContinuationTrace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(trace_csv_header(trace))
-    for r in trace.rows:
-        writer.writerow([repr(r.epsilon)] + [repr(v) for v in r.y]
-                        + [repr(v) for v in r.x]
-                        + [repr(r.v), repr(r.h_value), repr(r.fw_gap), r.evals])
-    return buf.getvalue()
+    """The rows of trace_to_json as CSV, without the converged column."""
+    return _csv_table(trace_to_json(trace)["rows"],
+                      ["epsilon", "y", "x", "v", "h_value", "fw_gap", "evals"])
 
 
 def trace_to_json(trace: ContinuationTrace) -> dict:

@@ -15,8 +15,6 @@ Three diagnostics relate a solver run to the brute-force oracle:
   is numerically zero, exact selection.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -24,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem, FieldSection, Polytope,
-                    require_finite)
+                    _csv_table, require_finite)
 from .lower_solver import (_feasible_points, _fw_run, enumerate_vertices,
                            frank_wolfe_minimize, independent_rows, vertex_lmo)
 from .oracle import OracleSolution
@@ -296,9 +294,5 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def gaps_to_csv(gaps) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epsilon", "gap"])
-    for e, g in gaps:
-        writer.writerow([repr(float(e)), repr(float(g))])
-    return buf.getvalue()
+    return _csv_table([{"epsilon": float(e), "gap": float(g)} for e, g in gaps],
+                      ["epsilon", "gap"])

@@ -146,14 +146,21 @@ def _const_value(node):
     return sign * node[1] if node[0] == "const" else None
 
 
-def depth(node):
-    """Levels of an AST, counted without recursion."""
-    deepest, stack = 0, [(node, 1)]
+def _walk(node):
+    """Yield (node, level) for every node of an AST, without recursion:
+    a parent before its children, children left to right (text order)."""
+    stack = [(node, 1)]
     while stack:
         node, d = stack.pop()
-        deepest = max(deepest, d)
-        stack.extend((child, d + 1) for child in node[1:] if isinstance(child, tuple))
-    return deepest
+        yield node, d
+        for child in node[:0:-1]:  # pushed right to left, so popped left to right
+            if isinstance(child, tuple):
+                stack.append((child, d + 1))
+
+
+def depth(node):
+    """Levels of an AST."""
+    return max(d for _, d in _walk(node))
 
 
 def _bounded(node, what):
@@ -172,31 +179,18 @@ def parse(text):
 
 
 def check_indices(node, dim_y, dim_x):
-    """Verify every y[i]/x[j] index is within the declared arities."""
-    kind = node[0]
-    if kind == "y":
-        if not 0 <= node[1] < dim_y:
-            raise ExpressionError(f"y[{node[1]}] out of range for dim_y={dim_y}")
-    elif kind == "x":
-        if not 0 <= node[1] < dim_x:
-            raise ExpressionError(f"x[{node[1]}] out of range for dim_x={dim_x}")
-    elif kind in ("add", "sub", "mul", "div"):
-        check_indices(node[1], dim_y, dim_x)
-        check_indices(node[2], dim_y, dim_x)
-    elif kind == "neg":
-        check_indices(node[1], dim_y, dim_x)
-    elif kind == "pow":
-        check_indices(node[1], dim_y, dim_x)
+    """Verify every y[i]/x[j] index is within the declared arities; the
+    error names the first one out of range in text order."""
+    dims = {"y": dim_y, "x": dim_x}
+    for n, _ in _walk(node):
+        dim = dims.get(n[0])
+        if dim is not None and not 0 <= n[1] < dim:
+            raise ExpressionError(f"{n[0]}[{n[1]}] out of range for dim_{n[0]}={dim}")
 
 
 def uses_y(node):
     """Whether the expression reads any leader variable y[i]."""
-    if node[0] == "y":
-        return True
-    for child in node[1:]:
-        if isinstance(child, tuple) and uses_y(child):
-            return True
-    return False
+    return any(n[0] == "y" for n, _ in _walk(node))
 
 
 def compile_evaluator(node):

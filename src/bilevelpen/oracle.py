@@ -12,7 +12,6 @@ solver's convergence and error rates.
 """
 
 from dataclasses import dataclass
-from itertools import product
 import math
 
 import numpy as np
@@ -55,6 +54,23 @@ class OracleSolution:
     resolution: float
 
 
+def _axis_count(span, step):
+    """Points of a grid axis over span at step, counted in floats and capped
+    at 2**53 + 1, the largest count a double holds exactly: a subnormal step
+    gives a finite count, not inf."""
+    return min(np.rint(span / step), 2.0 ** 53) + 1.0
+
+
+def _write_mesh(out, cols, axes):
+    """Write the "ij" mesh of axes into the columns cols of out: its rows
+    run through every combination of axis values, the last axis fastest."""
+    mesh = out.reshape(*map(len, axes), out.shape[1])  # a view of out
+    for axis, (j, values) in enumerate(zip(cols, axes)):
+        shape = [1] * len(axes)
+        shape[axis] = len(values)
+        mesh[..., j] = values.reshape(shape)
+
+
 def _intrinsic_grid(C, step):
     """Grid the polytope over its free coordinates after slack elimination.
 
@@ -79,27 +95,21 @@ def _intrinsic_grid(C, step):
     B = A[:, basic]
     N = A[:, free]
 
-    bounds, counts = [], []
+    bounds = []
     for j in free:
         c = np.zeros(n)
         c[j] = 1.0
         lo = lp_minimize(c, C).value
         c[j] = -1.0
-        hi = -lp_minimize(c, C).value
-        bounds.append((lo, hi))
-        # counted in floats: a subnormal step makes the count inf, not an int
-        counts.append(1.0 if hi - lo <= step * 1e-9 else np.rint((hi - lo) / step) + 1.0)
+        bounds.append((lo, -lp_minimize(c, C).value))
+    # LP round-off may put hi a hair below lo; a tiny step must not make that a negative count
+    counts = [_axis_count(max(hi - lo, 0.0), step) for lo, hi in bounds]
     size = math.prod(counts)
     if size > GRID_EVAL_GUARD:
         raise DimensionGuardError(
             f"grid of {size:.0f} points exceeds the {GRID_EVAL_GUARD} guard; coarsen the step")
-    counts = [int(k) for k in counts]
     X = np.empty((int(size), n))
-    mesh = X.reshape(*counts, n)  # a view: row order is that of an "ij" meshgrid
-    for axis, (j, (lo, hi), k) in enumerate(zip(free, bounds, counts)):
-        shape = [1] * free_dim
-        shape[axis] = k
-        mesh[..., j] = np.linspace(lo, hi, k).reshape(shape)
+    _write_mesh(X, free, [np.linspace(lo, hi, int(k)) for (lo, hi), k in zip(bounds, counts)])
     X[:, basic] = np.linalg.solve(B, b[:, None] - N @ X[:, free].T).T
     mask = X[:, 0] >= -FEAS_TOL
     for j in range(1, n):
@@ -168,22 +178,20 @@ def _worst_response(problem, y, desc) -> PessimisticResponse:
 
 
 def _leader_grid(K, step, budget_points):
-    """Leader grid points and the realized per-axis spacing. The per-axis
-    counts are coarsened to the budget before any axis is built. They are
-    counted in floats and capped at 2**53 + 1, the largest count a double
-    holds exactly, so a subnormal step coarsens like any tiny one."""
+    """The leader grid as one (N, K.dim) array and the realized per-axis
+    spacing. The per-axis counts are coarsened to the budget before any
+    axis is built, so a subnormal step coarsens like any tiny one."""
     spans = (K.upper - K.lower).tolist()  # float division overflows to inf quietly
-    counts = [min(np.rint(span / step), 2.0 ** 53) + 1.0 if span > 0 else 1.0
-              for span in spans]
+    counts = [_axis_count(span, step) for span in spans]
     total = math.prod(counts)
     if total > budget_points:
         scale = (budget_points / total) ** (1.0 / K.dim)
         counts = [k if k <= 3 else max(3, int(k * scale)) for k in counts]
-    axes = [np.linspace(lo, hi, int(k)) if span > 0 else np.array([lo])
-            for lo, hi, span, k in zip(K.lower, K.upper, spans, counts)]
-    spacing = max((a[1] - a[0]) for a in axes if len(a) > 1) if any(
-        len(a) > 1 for a in axes) else step
-    return [np.array(y) for y in product(*axes)], float(spacing)
+    axes = [np.linspace(lo, hi, int(k)) for lo, hi, k in zip(K.lower, K.upper, counts)]
+    spacing = max((a[1] - a[0] for a in axes if len(a) > 1), default=step)
+    grid = np.empty((math.prod(map(len, axes)), K.dim))
+    _write_mesh(grid, range(K.dim), axes)
+    return grid, float(spacing)
 
 
 def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
@@ -230,7 +238,7 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     i_best = int(np.argmax(vals))
     resolution = y_grid_step / 10.0
     steps = np.full(K.dim, max(spacing, 10 * resolution))
-    y_best, _, _, _ = _compass_climb(value_fn, K, grid[i_best], vals[i_best], steps,
+    y_best, _, _, _ = _compass_climb(value_fn, K, grid[i_best].copy(), vals[i_best], steps,
                                      min_step=resolution, max_evals=500)
     response = respond(y_best)
     f = problem.leader_objective

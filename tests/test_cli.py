@@ -76,7 +76,14 @@ class TestContinuation:
         assert vs[-1] == pytest.approx(4 / (1 + 4 * 0.1 * 0.5 ** 9), abs=2e-4)
         with open(tmp_path / "QB_trace.csv") as fh:
             header = fh.readline().strip()
+            rows = list(csv.reader(fh))
         assert header == "epsilon,y0,x0,x1,x2,x3,v,h_value,fw_gap,evals"
+        # every cell is a number, and each row holds its JSON row's values
+        assert len(rows) == len(doc["rows"])
+        for row, doc_row in zip(rows, doc["rows"]):
+            assert [float(c) for c in row] == (
+                [doc_row["epsilon"]] + doc_row["y"] + doc_row["x"]
+                + [doc_row[k] for k in ("v", "h_value", "fw_gap", "evals")])
 
     def test_fs_constant_trace(self, tmp_path):
         code = run_cli("continuation", "--problem", "FS", "--k", "4",

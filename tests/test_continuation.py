@@ -154,6 +154,10 @@ class TestExports:
         # numeric round trip through repr
         assert float(rows[0][0]) == qb_trace.rows[0].epsilon
         assert float(rows[0][6]) == qb_trace.rows[0].v
+        # every cell is a number, and the y/x cells are the JSON report's values
+        for row, doc_row in zip(rows, bp.trace_to_json(qb_trace)["rows"]):
+            cells = [float(c) for c in row]
+            assert cells[1:6] == doc_row["y"] + doc_row["x"]
 
     def test_json_mirror(self, qb_trace):
         doc = bp.trace_to_json(qb_trace)

@@ -45,6 +45,9 @@ def test_index_range_check():
     with pytest.raises(ex.ExpressionError):
         ex.check_indices(node, dim_y=1, dim_x=2)
     ex.check_indices(node, dim_y=2, dim_x=4)
+    # both indices are out of range: the error names the first in text order
+    with pytest.raises(ex.ExpressionError, match=r"^x\[7\] out of range for dim_x=2$"):
+        ex.check_indices(ex.parse("x[7] + y[5]"), dim_y=1, dim_x=2)
 
 
 @pytest.mark.parametrize("text,expected", [

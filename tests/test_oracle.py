@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -167,12 +168,41 @@ class TestSolveThreeLevel:
         asked = _spy_linspace(monkeypatch)
         K = BoxSet(lower=[0.0], upper=[1.0])
         grid, spacing = oracle._leader_grid(K, 1e-9, 10)  # the budget of a QB solve
-        assert asked == [10] and len(grid) == 10
+        assert asked == [10] and grid.shape == (10, 1)
         assert spacing == pytest.approx(1.0 / 9)
         K2 = BoxSet(lower=[0.0, -1.0], upper=[1.0, 1.0])
         asked.clear()
         grid, _ = oracle._leader_grid(K2, 1e-9, 100)
         assert len(asked) == 2 and max(asked) <= 100 and len(grid) <= 100
+        assert grid.shape == (math.prod(asked), 2)
+
+    @pytest.mark.parametrize("lower,upper,step", [
+        ([0.0], [1.0], 0.1),
+        ([0.0, -1.0], [1.0, 2.0], 0.25),
+        ([0.0, 0.3], [1.0, 0.3], 0.2),  # the second axis is collapsed
+    ], ids=["1d", "2d", "collapsed_axis"])
+    def test_leader_grid_is_one_array_in_product_order(self, lower, upper, step):
+        grid, _ = oracle._leader_grid(BoxSet(lower=lower, upper=upper), step, 10 ** 7)
+        axes = [np.linspace(lo, hi, round((hi - lo) / step) + 1)
+                for lo, hi in zip(lower, upper)]
+        ref = np.array(list(itertools.product(*axes)))
+        assert isinstance(grid, np.ndarray) and grid.dtype == np.float64
+        assert grid.shape == (math.prod(map(len, axes)), len(lower))
+        assert grid.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", ["FS", "QB"])
+    def test_solution_is_not_a_view_of_the_leader_grid(self, monkeypatch, name):
+        grids, leader_grid = [], oracle._leader_grid
+
+        def spy(*args):
+            grid, spacing = leader_grid(*args)
+            grids.append(grid)
+            return grid, spacing
+        monkeypatch.setattr(oracle, "_leader_grid", spy)
+        # at this step the best grid point is the optimum, so the polish keeps it
+        sol = bp.solve_three_level(bp.registry_get(name), y_grid_step=0.1)
+        assert sol.y[0] == 0.5 and len(grids) == 1
+        assert not np.shares_memory(sol.y, grids[0])
 
     def test_subnormal_leader_step_coarsens_like_a_tiny_one(self):
         K = BoxSet(lower=[0.0], upper=[1.0])
