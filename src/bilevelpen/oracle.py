@@ -61,22 +61,24 @@ def _axis_count(span, step):
     return min(np.rint(span / step), 2.0 ** 53) + 1.0
 
 
-def _write_mesh(out, cols, axes):
-    """Write the "ij" mesh of axes into the columns cols of out: its rows
-    run through every combination of axis values, the last axis fastest."""
-    mesh = out.reshape(*map(len, axes), out.shape[1])  # a view of out
-    for axis, (j, values) in enumerate(zip(cols, axes)):
+def _write_mesh(out, rows, axes):
+    """Write the "ij" mesh of axes into the rows `rows` of out, one
+    contiguous row per axis: the columns of out run through every
+    combination of axis values, the last axis fastest."""
+    dims = [len(values) for values in axes]
+    for axis, (i, values) in enumerate(zip(rows, axes)):
         shape = [1] * len(axes)
         shape[axis] = len(values)
-        mesh[..., j] = values.reshape(shape)
+        out[i].reshape(dims)[...] = values.reshape(shape)  # out[i] is a view of out
 
 
 def _intrinsic_grid(C, step):
     """Grid the polytope over its free coordinates after slack elimination.
 
     Picks a well-conditioned basic column set by QR pivoting, bounds each
-    free coordinate by LPs, and assembles full feasible points. Guarded
-    to 4 intrinsic dimensions and 1e7 grid points.
+    free coordinate by LPs, and assembles full feasible points as the
+    (N, n) transpose of one array with a contiguous row per coordinate.
+    Guarded to 4 intrinsic dimensions and 1e7 grid points.
     """
     rows = independent_rows(C.A)
     A = C.A[rows]
@@ -108,13 +110,21 @@ def _intrinsic_grid(C, step):
     if size > GRID_EVAL_GUARD:
         raise DimensionGuardError(
             f"grid of {size:.0f} points exceeds the {GRID_EVAL_GUARD} guard; coarsen the step")
-    X = np.empty((int(size), n))
-    _write_mesh(X, free, [np.linspace(lo, hi, int(k)) for (lo, hi), k in zip(bounds, counts)])
-    X[:, basic] = np.linalg.solve(B, b[:, None] - N @ X[:, free].T).T
-    mask = X[:, 0] >= -FEAS_TOL
-    for j in range(1, n):
-        mask &= X[:, j] >= -FEAS_TOL
-    return X if mask.all() else X[mask]
+    Xt = np.empty((n, int(size)))  # one row per coordinate; the grid is its transpose
+    _write_mesh(Xt, free, [np.linspace(lo, hi, int(k)) for (lo, hi), k in zip(bounds, counts)])
+    # numpy runs a one-row product as a gemv, whose sum order follows the
+    # layout: point-major keeps the bits of the former meshgrid build
+    R = N @ (Xt[free] if r > 1 else np.ascontiguousarray(Xt[free].T).T)
+    np.subtract(b[:, None], R, out=R)  # R = b - N x_free
+    # solve(I, R) returns R bit for bit unless R holds a non-finite value or
+    # a -0.0, and R holds a -0.0 only where b does
+    identity = (np.array_equal(B, np.eye(r)) and not np.signbit(b).any()
+                and np.isfinite(R).all())
+    Xt[basic] = R if identity else np.linalg.solve(B, R)
+    mask = Xt[0] >= -FEAS_TOL
+    for row in Xt[1:]:
+        mask &= row >= -FEAS_TOL
+    return Xt.T if mask.all() else Xt.T[mask]
 
 
 def _grid_for(C, step):
@@ -155,20 +165,20 @@ def pessimistic_select(problem: BilevelProblem, y, tol=1e-8,
     """Worst-case follower response: minimize the squared leader objective
     over the exact follower argmin set."""
     y = np.asarray(y, dtype=float)
-    return _worst_response(problem, y, exact_lower_set(problem, y, tol=tol,
-                                                       grid_step=grid_step))
+    return _worst_response(problem, penalized_field(problem, 1.0), y,
+                           exact_lower_set(problem, y, tol=tol, grid_step=grid_step))
 
 
-def _worst_response(problem, y, desc) -> PessimisticResponse:
+def _worst_response(problem, penalized, y, desc) -> PessimisticResponse:
     """Minimize the squared leader objective at y over the lower set desc.
-    A vertex face is searched with h + f^2, whose minimizers are those of
-    f^2 since h is constant there."""
+    A vertex face is searched with penalized = h + f^2, whose minimizers
+    are those of f^2 since h is constant there."""
     f = problem.leader_objective
     if desc.kind == "single_point":
         x = desc.points[0]
         return PessimisticResponse(x=x, value=float(f.evaluate(y, x)))
     if desc.kind == "vertex_face":
-        section = penalized_field(problem, 1.0).fix(y)
+        section = penalized.fix(y)
         x = _fw_best(section, vertex_lmo(desc.points), desc.points,
                      tol=1e-12, max_iter=500)[0]
         return PessimisticResponse(x=x, value=float(f.evaluate(y, x)))
@@ -178,9 +188,10 @@ def _worst_response(problem, y, desc) -> PessimisticResponse:
 
 
 def _leader_grid(K, step, budget_points):
-    """The leader grid as one (N, K.dim) array and the realized per-axis
-    spacing. The per-axis counts are coarsened to the budget before any
-    axis is built, so a subnormal step coarsens like any tiny one."""
+    """The leader grid as the (N, K.dim) transpose of one array with a row
+    per axis, and the realized per-axis spacing. The per-axis counts are
+    coarsened to the budget before any axis is built, so a subnormal step
+    coarsens like any tiny one."""
     spans = (K.upper - K.lower).tolist()  # float division overflows to inf quietly
     counts = [_axis_count(span, step) for span in spans]
     total = math.prod(counts)
@@ -189,9 +200,9 @@ def _leader_grid(K, step, budget_points):
         counts = [k if k <= 3 else max(3, int(k * scale)) for k in counts]
     axes = [np.linspace(lo, hi, int(k)) for lo, hi, k in zip(K.lower, K.upper, counts)]
     spacing = max((a[1] - a[0] for a in axes if len(a) > 1), default=step)
-    grid = np.empty((math.prod(map(len, axes)), K.dim))
+    grid = np.empty((K.dim, math.prod(map(len, axes))))
     _write_mesh(grid, range(K.dim), axes)
-    return grid, float(spacing)
+    return grid.T, float(spacing)
 
 
 def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
@@ -222,9 +233,10 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
 
     if h.expression is not None and not ex.uses_y(ex.parse(h.expression)):
         desc = exact_lower_set(problem, K.lower, tol=tol, grid_step=x_grid_step)
+        penalized = penalized_field(problem, 1.0)
 
         def respond(y):
-            return _worst_response(problem, np.asarray(y, dtype=float), desc)
+            return _worst_response(problem, penalized, np.asarray(y, dtype=float), desc)
     else:
         def respond(y):
             return pessimistic_select(problem, y, tol=tol, grid_step=x_grid_step)

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import qr as scipy_qr
 
 import bilevelpen as bp
@@ -11,7 +13,7 @@ from bilevelpen import oracle
 from bilevelpen.continuation import EpsSchedule
 from bilevelpen.lower_solver import independent_rows, lp_minimize
 from bilevelpen.model import (BilevelProblem, BoxSet, DimensionGuardError,
-                              Polytope, field_from_expression)
+                              Polytope, ProblemError, field_from_expression)
 
 
 def make_problem(f_expr, h_expr, dim_y=1, dim_x=4, box=(0.0, 1.0), name="custom",
@@ -327,6 +329,10 @@ def _meshgrid_reference(C, step):
 
 # no column of A is a unit vector, so no basic block is the identity
 DENSE_BASIS = Polytope(A=[[2.0, 1.0, 1.0, 1.0], [1.0, 3.0, 1.0, 2.0]], b=[1.0, 1.0])
+# the QR pivot picks the two unit columns, and no entry of N is zero
+IDENTITY_DENSE_N = Polytope(A=[[1.0, 0.0, 0.5, 0.25], [0.0, 1.0, 0.25, 0.5]], b=[1.0, 1.0])
+# x1 = x4 = 0 on a row whose b is -0.0; the basic block is the identity
+NEG_ZERO_B = Polytope(A=[[1.0, 0.0, 0.1, 0.1, 0.0], [0.0, 1.0, 0.0, 0.0, 0.5]], b=[0.7, -0.0])
 
 
 class TestIntrinsicGrid:
@@ -342,6 +348,84 @@ class TestIntrinsicGrid:
         if polytope is DENSE_BASIS:
             assert not np.array_equal(B, np.eye(2))
             assert len(X) < size  # the feasibility mask dropped rows
+
+    @pytest.mark.parametrize("step", [0.01, 0.05])
+    def test_identity_basis_with_dense_n_skips_the_solve(self, monkeypatch, step):
+        ref, B, _ = _meshgrid_reference(IDENTITY_DENSE_N, step)
+        assert np.array_equal(B, np.eye(2))
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: pytest.fail("solve ran"))
+        X = oracle._intrinsic_grid(IDENTITY_DENSE_N, step)
+        assert X.shape == ref.shape and X.tobytes() == ref.tobytes()
+
+    def test_negative_zero_in_b_keeps_the_solve(self):
+        ref, B, _ = _meshgrid_reference(NEG_ZERO_B, 0.05)
+        assert np.array_equal(B, np.eye(2))
+        # b - N x is -0.0 in every x1, but the solve turns it into +0.0
+        # where x0 is a hair below zero
+        assert 0 < np.signbit(ref[:, 1]).sum() < len(ref)
+        X = oracle._intrinsic_grid(NEG_ZERO_B, 0.05)
+        assert X.shape == ref.shape and X.tobytes() == ref.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 2), cols=st.integers(3, 5), data=st.data(),
+           step=st.sampled_from([0.05, 0.1, 0.25]))
+    def test_random_polytopes_match_the_meshgrid_build(self, rows, cols, data, step):
+        entry = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+        A = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+        b = data.draw(st.lists(entry, min_size=rows, max_size=rows))
+        # a lower guard keeps every grid small: a larger one raises
+        # DimensionGuardError, a ProblemError, and the draw is skipped
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "GRID_EVAL_GUARD", 10 ** 5)
+            try:
+                C = Polytope(A=A, b=b)
+                X = oracle._intrinsic_grid(C, step)
+            except ProblemError:
+                assume(False)
+        ref, _, _ = _meshgrid_reference(C, step)
+        assert X.shape == ref.shape and X.tobytes() == ref.tobytes()
+        assert (X >= -oracle.FEAS_TOL).all()
+
+
+def _qb_with(name, h, follower_set=None):
+    qb = bp.registry_get("QB")
+    return dataclasses.replace(
+        qb, name=name, follower_objective=field_from_expression(h, 1, 4),
+        follower_set=qb.follower_set if follower_set is None else follower_set)
+
+
+# oracle_to_json text of solve_three_level at its default steps, pinned
+# before the x grid was built one row per coordinate
+PINNED_REPORTS = {
+    "QB": (lambda: bp.registry_get("QB"),
+           '{"schema": "oracle-v1", "problem": "QB", "y_best": [0.5], "x_best": '
+           '[0.957, 0.04299999999999993, 0.043000000000000003, 0.9570000000000001], '
+           '"leader_value": 3.9999999999999996, "follower_value": 1.232595164407831e-32, '
+           '"method": "grid", "resolution": 0.0001}'),
+    "FS": (lambda: bp.registry_get("FS"),
+           '{"schema": "oracle-v1", "problem": "FS", "y_best": [0.5], "x_best": [0.0, 1.0], '
+           '"leader_value": 2.0, "follower_value": 0.0, "method": "face_enum", '
+           '"resolution": 0.0001}'),
+    "QB_band": (lambda: _qb_with("QB_band", "(x[0] + x[1] - 0.7)^2"),
+                '{"schema": "oracle-v1", "problem": "QB_band", "y_best": [0.5], "x_best": '
+                '[0.6579999999999999, 0.041999999999999926, 0.342, 0.9580000000000001], '
+                '"leader_value": 3.3999999999999995, "follower_value": 1.232595164407831e-32, '
+                '"method": "grid", "resolution": 0.0001}'),
+    "dense_basis": (lambda: _qb_with("dense_basis", "(x[2] + x[3] - 0.5)^2",
+                                     Polytope(A=DENSE_BASIS.A, b=DENSE_BASIS.b)),
+                    '{"schema": "oracle-v1", "problem": "dense_basis", "y_best": [0.5], '
+                    '"x_best": [0.21978018018018017, 0.06034054054054055, 0.401, '
+                    '0.09909909909909911], "leader_value": 2.5602414414414416, '
+                    '"follower_value": 9.820631442255063e-09, "method": "grid", '
+                    '"resolution": 0.0001}'),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_oracle_report_text_is_pinned(name):
+    make, text = PINNED_REPORTS[name]
+    assert json.dumps(bp.oracle_to_json(bp.solve_three_level(make()))) == text
 
 
 @pytest.fixture(scope="module")
