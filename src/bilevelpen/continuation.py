@@ -68,10 +68,6 @@ class ContinuationTrace:
         return len(self.rows)
 
     @property
-    def epsilons(self):
-        return np.array([r.epsilon for r in self.rows])
-
-    @property
     def values(self):
         return np.array([r.v for r in self.rows])
 

@@ -172,12 +172,8 @@ def strong_slope_lower_bound(field, y, C: Polytope) -> SlopeEstimate:
     section = field.fix(y)
     V = enumerate_vertices(C)
     if field.structure == LINEAR:
-        norm = float(np.linalg.norm(section.grad(V[0])))
-        if norm <= 1e-12:
-            return SlopeEstimate(slope_lower=0.0, hoffman_constant=math.inf,
-                                 validity="unavailable")
-        return SlopeEstimate(slope_lower=norm, hoffman_constant=1.0 / norm,
-                             validity="exact_linear")
+        norm = float(np.linalg.norm(section.grad(V[0])))  # round-off below 1e-12 reads 0
+        return _slope_estimate(norm if norm > 1e-12 else 0.0, "exact_linear", cut=1e-12)
 
     rng = np.random.default_rng(SLOPE_SEED)
     samples = _feasible_points(V, SLOPE_SAMPLES, rng)
@@ -206,15 +202,18 @@ def strong_slope_lower_bound(field, y, C: Polytope) -> SlopeEstimate:
     keep &= vals > best_val + 1e-12 * (1.0 + abs(best_val))
     candidates = candidates[keep]
     if len(candidates) == 0:
-        return SlopeEstimate(slope_lower=0.0, hoffman_constant=math.inf,
-                             validity="unavailable")
+        return _slope_estimate(0.0, "sampled")
     norms = np.array([np.linalg.norm(section.grad(x)) for x in candidates])
-    sigma = float(norms.min())
-    if sigma < SLOPE_UNAVAILABLE_CUT:
+    return _slope_estimate(float(norms.min()), "sampled")
+
+
+def _slope_estimate(sigma, validity, cut=SLOPE_UNAVAILABLE_CUT):
+    """Every SlopeEstimate: a bound sigma below cut is unavailable, with an
+    infinite Hoffman constant; otherwise the constant is 1 / sigma."""
+    if sigma < cut:
         return SlopeEstimate(slope_lower=sigma, hoffman_constant=math.inf,
                              validity="unavailable")
-    return SlopeEstimate(slope_lower=sigma, hoffman_constant=1.0 / sigma,
-                         validity="sampled")
+    return SlopeEstimate(slope_lower=sigma, hoffman_constant=1.0 / sigma, validity=validity)
 
 
 def fit_rate(gaps, tau=0.15) -> RateFit:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import qr as scipy_qr
 
 from . import simplex
-from .model import DimensionGuardError, FEAS_TOL, FieldSection, Polytope
+from .model import LINEAR, QUADRATIC, DimensionGuardError, FEAS_TOL, FieldSection, Polytope
 
 VERTEX_DIM_GUARD = 12
 RANK_TOL = 1e-10  # singular-value cutoff of independent_rows
@@ -152,7 +152,7 @@ def _fw_run(section, lmo, x0, tol, max_iter):
     Non-finite values and gaps count as +inf: the run stops at its first
     such gap, and one that met no finite value returns inf with gap inf.
     """
-    exact_steps = section.structure in ("linear_in_x", "quadratic_in_x")
+    exact_steps = section.structure in (LINEAR, QUADRATIC)
     x = np.array(x0, dtype=float)
     atoms, weights = {x.tobytes(): x.copy()}, {x.tobytes(): 1.0}
     grads = {}  # atom key -> gradient at that atom, filled as needed

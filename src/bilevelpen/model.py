@@ -69,17 +69,15 @@ def _csv_table(rows, keys):
     return "".join(",".join(line) + "\n" for line in lines)
 
 
+@dataclass(slots=True)
 class FieldSection:
     """A scalar field with the leader variable frozen; function of x only."""
 
-    __slots__ = ("value", "grad", "value_batch", "structure", "convex_in_x")
-
-    def __init__(self, value, grad, value_batch, structure, convex_in_x):
-        self.value = value
-        self.grad = grad
-        self.value_batch = value_batch
-        self.structure = structure
-        self.convex_in_x = convex_in_x
+    value: Callable
+    grad: Callable
+    value_batch: Callable
+    structure: str
+    convex_in_x: bool
 
 
 @dataclass(frozen=True)
@@ -285,9 +283,9 @@ class BoxSet:
     def dim(self):
         return self.lower.shape[0]
 
-    def contains(self, y, tol=1e-12):
+    def contains(self, y):
         y = np.asarray(y, dtype=float)
-        return bool(np.all(y >= self.lower - tol) and np.all(y <= self.upper + tol))
+        return bool(np.all(y >= self.lower - 1e-12) and np.all(y <= self.upper + 1e-12))
 
     def clip(self, y):
         return np.clip(np.asarray(y, dtype=float), self.lower, self.upper)
@@ -295,9 +293,7 @@ class BoxSet:
     def midpoint(self):
         return 0.5 * (self.lower + self.upper)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return rng.uniform(self.lower, self.upper)
+    def sample(self, rng, size):
         return rng.uniform(self.lower, self.upper, size=(size, self.dim))
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.linalg import qr as scipy_qr
 
 from . import expressions as ex
-from .model import LINEAR, BilevelProblem, DimensionGuardError, FEAS_TOL, require_finite
+from .model import (LINEAR, BilevelProblem, DimensionGuardError, FEAS_TOL, ProblemError,
+                    require_finite)
 from .lower_solver import (_fw_best, enumerate_vertices, independent_rows,
                            lp_minimize, vertex_lmo)
 from .selection import penalized_field
@@ -133,6 +134,15 @@ def _grid_for(C, step):
     return C.cached_grids[step]
 
 
+def _follower_points(problem, grid_step):
+    """(points, kind) the argmin set is read from: the vertices of C when h is
+    linear in x ("vertex_face"), else the x grid of C ("grid_cloud")."""
+    C = problem.follower_set
+    if problem.follower_objective.structure == LINEAR:
+        return enumerate_vertices(C), "vertex_face"
+    return _grid_for(C, grid_step), "grid_cloud"
+
+
 def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
                     grid_step=1e-3) -> LowerSetDescription:
     """The follower argmin set at fixed y, described exactly or on a grid.
@@ -142,19 +152,17 @@ def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
     objectives fall back to a dense grid cloud of near-minimal points.
     Membership uses the hybrid cutoff tol * (1 + |min|), so tol must be
     finite and nonnegative (a NaN would keep no point); grid_step must be
-    positive and finite (an infinite step grids one point).
+    positive and finite (an infinite step grids one point). A minimum
+    that is not finite raises ProblemError.
     """
     require_finite("grid_step", grid_step, positive=True)
     require_finite("tol", tol)
     y = np.asarray(y, dtype=float)
-    h = problem.follower_objective
-    C = problem.follower_set
-    if h.structure == LINEAR:
-        X, many = enumerate_vertices(C), "vertex_face"
-    else:
-        X, many = _grid_for(C, grid_step), "grid_cloud"
-    vals = h.batch(y, X)
+    X, many = _follower_points(problem, grid_step)
+    vals = problem.follower_objective.batch(y, X)
     m = float(vals.min())
+    if not math.isfinite(m):
+        raise ProblemError(f"follower objective is {m} at y = {y.tolist()} on C")
     pts = X[vals <= m + tol * (1.0 + abs(m))]
     kind = "single_point" if len(pts) == 1 else many
     return LowerSetDescription(kind=kind, points=pts, value=m)
@@ -191,12 +199,14 @@ def _leader_grid(K, step, budget_points):
     """The leader grid as the (N, K.dim) transpose of one array with a row
     per axis, and the realized per-axis spacing. The per-axis counts are
     coarsened to the budget before any axis is built, so a subnormal step
-    coarsens like any tiny one."""
+    coarsens like any tiny one. Axes of 3 points or fewer are kept, so the
+    others shrink by the root of the overrun over their own number."""
     spans = (K.upper - K.lower).tolist()  # float division overflows to inf quietly
     counts = [_axis_count(span, step) for span in spans]
     total = math.prod(counts)
     if total > budget_points:
-        scale = (budget_points / total) ** (1.0 / K.dim)
+        shrinkable = max(1, sum(k > 3 for k in counts))
+        scale = (budget_points / total) ** (1.0 / shrinkable)
         counts = [k if k <= 3 else max(3, int(k * scale)) for k in counts]
     axes = [np.linspace(lo, hi, int(k)) for lo, hi, k in zip(K.lower, K.upper, counts)]
     spacing = max((a[1] - a[0] for a in axes if len(a) > 1), default=step)
@@ -224,12 +234,8 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     if K.dim > 2:
         raise DimensionGuardError("three-level oracle guarded to <= 2 leader dims")
     h = problem.follower_objective
-    if h.structure == LINEAR:
-        cost_per_y = max(1, len(enumerate_vertices(problem.follower_set)))
-        method = "face_enum"
-    else:
-        cost_per_y = max(1, len(_grid_for(problem.follower_set, x_grid_step)))
-        method = "grid"
+    X, kind = _follower_points(problem, x_grid_step)
+    method = "face_enum" if kind == "vertex_face" else "grid"
 
     if h.expression is not None and not ex.uses_y(ex.parse(h.expression)):
         desc = exact_lower_set(problem, K.lower, tol=tol, grid_step=x_grid_step)
@@ -244,7 +250,7 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     def value_fn(y):
         return respond(y).value
 
-    budget_points = max(3, GRID_EVAL_GUARD // cost_per_y)
+    budget_points = max(3, GRID_EVAL_GUARD // max(1, len(X)))
     grid, spacing = _leader_grid(K, y_grid_step, budget_points)
     vals = [value_fn(y) for y in grid]
     i_best = int(np.argmax(vals))

@@ -97,6 +97,13 @@ def _phase1(A, b):
     return T, basis, "optimal"
 
 
+def _basic_solution(T, basis, n):
+    """The basic solution of tableau T in R^n, clipped at 0 (-0.0, round-off dust)."""
+    x = np.zeros(n)
+    x[basis] = T[:len(basis), -1]
+    return np.maximum(x, 0.0, out=x)
+
+
 def solve(c, A, b):
     """Minimize c'x over {Ax = b, x >= 0}.
 
@@ -122,22 +129,13 @@ def solve(c, A, b):
     if status == "unbounded":
         return None, -np.inf, (), "unbounded"
 
-    x = np.zeros(n)
-    for i in range(m):
-        x[basis[i]] = T[i, -1]
-    np.maximum(x, 0.0, out=x)  # clip -0.0 / roundoff dust
+    x = _basic_solution(T, basis, n)
     return x, float(np.dot(c, x)), tuple(sorted(basis)), "optimal"
 
 
 def feasible_point(A, b):
     """Phase-1 only: return (x, status) with x a basic feasible solution."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[1]
     T, basis, status = _phase1(A, b)
     if status == "infeasible":
         return None, "infeasible"
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        x[bi] = T[i, -1]
-    np.maximum(x, 0.0, out=x)
-    return x, "optimal"
+    return _basic_solution(T, basis, np.shape(A)[1]), "optimal"

@@ -10,7 +10,7 @@ once from the given point at step WARM_STEP * span. Every climb scales
 its steps by SHRINK down to MIN_STEP. Only the evaluation budget and the
 Sobol seed are settable, in UpperConfig. _compass_climb is the one
 compass search of the package: it runs each climb here and the
-three-level oracle's polish.
+three-level oracle's polish; _climb_from runs the starts of both solves.
 """
 
 from dataclasses import dataclass
@@ -103,6 +103,29 @@ def _compass_climb(value_fn, K: BoxSet, y, fy, steps, min_step, max_evals):
     return y, fy, evals, False
 
 
+def _climb_from(value_fn, K: BoxSet, starts, fraction, max_evals):
+    """Compass climbs from each start in turn, clipped to K, at first step
+    fraction of the span down to MIN_STEP, within max_evals evaluations in
+    all. Returns (y, value, evals, exhausted) with y, value the best climb's
+    end: the earliest evaluation with the strictly highest value."""
+    best_y, best_val, evals, exhausted = None, -np.inf, 0, False
+    for y0 in starts:
+        if evals >= max_evals:
+            exhausted = True
+            break
+        y = K.clip(np.asarray(y0, dtype=float))
+        fy = value_fn(y)
+        evals += 1
+        y, fy, used, exhausted = _compass_climb(
+            value_fn, K, y, fy, _span_steps(K, fraction), MIN_STEP, max_evals - evals)
+        evals += used
+        if fy > best_val:
+            best_y, best_val = y, fy
+        if exhausted:
+            break
+    return best_y, best_val, evals, exhausted
+
+
 def pattern_search_maximize(value_fn, K: BoxSet,
                             cfg: UpperConfig = UpperConfig()) -> PatternSearchResult:
     """Compass search maximization of value_fn over the box K.
@@ -115,25 +138,9 @@ def pattern_search_maximize(value_fn, K: BoxSet,
     The returned point is a mesh-local maximizer at resolution MIN_STEP,
     clipped to K: the earliest evaluation with the strictly highest value.
     """
-    best_y, best_val = None, -np.inf
-    evals = 0
-    exhausted = False
-    for y0 in _start_set(K, cfg.seed):
-        if evals >= cfg.max_evals:
-            exhausted = True
-            break
-        y = K.clip(np.asarray(y0, dtype=float))
-        fy = value_fn(y)
-        evals += 1
-        y, fy, used, exhausted = _compass_climb(
-            value_fn, K, y, fy, _span_steps(K, COLD_STEP), MIN_STEP, cfg.max_evals - evals)
-        evals += used
-        if fy > best_val:
-            best_y, best_val = y, fy
-        if exhausted:
-            break
-    return PatternSearchResult(y=best_y, value=float(best_val), evals=evals,
-                               converged=not exhausted)
+    y, value, evals, exhausted = _climb_from(value_fn, K, _start_set(K, cfg.seed),
+                                             COLD_STEP, cfg.max_evals)
+    return PatternSearchResult(y=y, value=float(value), evals=evals, converged=not exhausted)
 
 
 def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
@@ -168,11 +175,7 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
         ps = pattern_search_maximize(value_fn, K, cfg)
         evals, exhausted = ps.evals, not ps.converged
     else:
-        y0 = K.clip(warm_start)
-        _, _, used, exhausted = _compass_climb(
-            value_fn, K, y0, value_fn(y0), _span_steps(K, WARM_STEP), MIN_STEP,
-            cfg.max_evals - 1)
-        evals = used + 1
+        _, _, evals, exhausted = _climb_from(value_fn, K, [warm_start], WARM_STEP, cfg.max_evals)
     converged = not exhausted and best.fw_gap <= FW_TOL
     return PenalizedSolution(y=best.y, selection=best, value=best.leader_value,
                              evals=evals, converged=converged)

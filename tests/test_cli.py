@@ -207,6 +207,17 @@ class TestNonFiniteInputs:
         assert err.startswith("error:") and "nests deeper than" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("h", ["(y[0]/y[0]) * x[0]", "(y[0]/y[0]) * (x[0] - 0.5)^2"],
+                             ids=["vertex_face", "grid"])
+    def test_non_finite_follower_is_oracle_input_error(self, tmp_path, fs, capsys, h):
+        # NaN at y = 0 once ended in a TypeError traceback or an empty-argmin error
+        (tmp_path / "doc.json").write_text(json.dumps({**bp.problem_to_dict(fs), "h": h}))
+        out = tmp_path / "out"
+        assert run_cli("oracle", "--problem", str(tmp_path / "doc.json"), tmp_path=out) == 1
+        assert capsys.readouterr().err.startswith("error: follower objective is nan")
+        assert list(out.iterdir()) == []
+
     def test_250_term_sum_validates_and_solves(self, tmp_path, fs):
         terms = " + ".join(f"0.001*x[{k % 2}]" for k in range(250))
         doc = {**bp.problem_to_dict(fs), "f": "1 + y[0] + " + terms,

@@ -119,6 +119,27 @@ class TestSolveThreeLevel:
         assert sol.y[0] == 0.3
         assert sol.leader_value == pytest.approx(1 + 4 * 0.3 * 0.7, abs=1e-9)
 
+    def test_zero_dimensional_follower_set(self):
+        # A = I leaves no free coordinate: the x grid is the one point of C
+        p = make_problem("2 + x[0]", "(x[0] - 0.3)^2 + x[1]^2", dim_x=2,
+                         A=[[1.0, 0.0], [0.0, 1.0]], b=[0.3, 0.7])
+        desc = bp.exact_lower_set(p, [0.5])
+        assert desc.kind == "single_point"
+        np.testing.assert_array_equal(desc.points, [[0.3, 0.7]])
+        sol = bp.solve_three_level(p)
+        np.testing.assert_array_equal(sol.x, [0.3, 0.7])
+        assert sol.method == "grid" and sol.leader_value == pytest.approx(2.3, abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("h", ["(y[0]/y[0]) * x[0]", "(y[0]/y[0]) * (x[0] - 0.5)^2"],
+                             ids=["vertex_face", "grid"])
+    def test_non_finite_follower_value_raises(self, h):
+        # NaN at y = 0 once emptied the argmin set: a TypeError deep in
+        # Frank-Wolfe on the vertex path, an empty argmin on the grid path
+        p = make_problem("1 + x[0]", h, dim_x=2, A=[[1.0, 1.0]], b=[1.0])
+        with pytest.raises(ProblemError, match=r"follower objective is nan at y = \[0\.0\]"):
+            bp.solve_three_level(p)
+
     def test_two_dimensional_polish_leaves_the_grid(self):
         p = make_problem("3 - (y[0] - 0.33)^2 - (y[1] - 0.61)^2 + x[0]", "0",
                          dim_y=2, dim_x=2, A=[[1.0, 1.0]], b=[1.0])
@@ -177,6 +198,11 @@ class TestSolveThreeLevel:
         grid, _ = oracle._leader_grid(K2, 1e-9, 100)
         assert len(asked) == 2 and max(asked) <= 100 and len(grid) <= 100
         assert grid.shape == (math.prod(asked), 2)
+        # a collapsed or thin axis keeps its 1-3 points; the other axis alone
+        # shrinks to the budget (these boxes once got 94, 134 and 162 points)
+        for upper in ([1.0, 0.0], [1.0, 1e-3], [1.0, 2e-3]):
+            grid, _ = oracle._leader_grid(BoxSet(lower=[0.0, 0.0], upper=upper), 1e-3, 9)
+            assert len(grid) <= 9, upper
 
     @pytest.mark.parametrize("lower,upper,step", [
         ([0.0], [1.0], 0.1),

@@ -47,6 +47,12 @@ class TestPatternSearch:
         assert not res.converged
         assert res.evals <= 5
         assert res.y is not None
+        # a climb on a constant costs 37 evaluations, so this budget runs out
+        # between the first and the second start
+        calls = []
+        res = bp.pattern_search_maximize(lambda y: calls.append(y) or 7.0,
+                                         bp.BoxSet([0.0], [1.0]), UpperConfig(max_evals=37))
+        assert res.evals == len(calls) == 37 and not res.converged
 
     def test_budget_exhaustion_keeps_best_evaluated(self):
         for budget in range(2, 60):
