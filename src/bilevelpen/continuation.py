@@ -35,6 +35,9 @@ class EpsSchedule:
             raise ValueError("rho must lie in (0, 1) so the schedule decreases")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
+        eps = self.epsilons()
+        if eps[-1] <= 0.0 or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
+            raise ValueError("schedule epsilons must be positive and strictly decreasing")
 
     def epsilons(self):
         return [self.eps0 * self.rho ** k for k in range(self.k_max)]
@@ -110,8 +113,7 @@ def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedul
     set is not inherited when it jumps. Rows that did not certify keep
     their best point and are flagged, never dropped.
     """
-    rows = []
-    warm = None
+    rows, warm = [], None
     for eps in schedule.epsilons():
         sol = solve_penalized(problem, eps, sign=sign, cfg=cfg, warm_start=warm)
         sel = sol.selection
@@ -141,15 +143,9 @@ def check_monotone(trace: ContinuationTrace, slack: float = 2e-4) -> MonotoneRep
     if len(trace) == 0:
         raise ValueError("trace is empty")
     v = trace.values
-    violations = []
-    for k in range(1, len(v)):
-        if trace.sign >= 0:
-            bad = v[k] < v[k - 1] - slack
-        else:
-            bad = v[k] > v[k - 1] + slack
-        if bad:
-            violations.append(k)
-    return MonotoneReport(ok=not violations, violations=tuple(violations))
+    violations = tuple(k for k in range(1, len(v)) if (
+        v[k] < v[k - 1] - slack if trace.sign >= 0 else v[k] > v[k - 1] + slack))
+    return MonotoneReport(ok=not violations, violations=violations)
 
 
 def limit_estimate(trace: ContinuationTrace) -> LimitEstimate:

@@ -11,6 +11,8 @@ to the x variables, and a conservative polynomial-degree analysis used
 to classify fields as linear or quadratic in x.
 """
 
+import numpy as np
+
 # AST nodes are tuples: ("const", v), ("y", i), ("x", j),
 # ("add", a, b), ("sub", a, b), ("mul", a, b), ("div", a, b),
 # ("neg", a), ("pow", a, k) with k a nonnegative integer.
@@ -201,7 +203,7 @@ def compile_evaluator(node):
     """
     kind = node[0]
     if kind == "const":
-        v = node[1]
+        v = np.float64(node[1])  # so constants divide and overflow like y and x do
         return lambda y, x: v
     if kind == "y":
         i = node[1]

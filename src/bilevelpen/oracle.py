@@ -23,7 +23,7 @@ from .model import (LINEAR, BilevelProblem, DimensionGuardError, FEAS_TOL, Probl
 from .lower_solver import (_fw_best, enumerate_vertices, independent_rows,
                            lp_minimize, vertex_lmo)
 from .selection import penalized_field
-from .upper_solver import _compass_climb
+from .upper_solver import _compass_climb, _improves, _require_finite_best
 
 ORACLE_SCHEMA = "oracle-v1"
 
@@ -89,9 +89,6 @@ def _intrinsic_grid(C, step):
     if free_dim > GRID_DIM_GUARD:
         raise DimensionGuardError(
             f"grid oracle guarded to {GRID_DIM_GUARD} intrinsic dims, got {free_dim}")
-    if free_dim == 0:
-        x = np.linalg.solve(A, b)
-        return x.reshape(1, -1) if x.min() >= -FEAS_TOL else np.empty((0, n))
     _, _, piv = scipy_qr(A, pivoting=True)
     basic = sorted(piv[:r])
     free = [j for j in range(n) if j not in basic]
@@ -217,13 +214,13 @@ def _leader_grid(K, step, budget_points):
 
 def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
                       x_grid_step=1e-3) -> OracleSolution:
-    """Maximize the worst-case follower value over a leader grid.
+    """Maximize the worst-case leader value over a leader grid.
 
     The leader grid is coarsened when the total evaluation count would
     exceed the guard, and a compass polish at resolution y_grid_step/10
-    recovers the stated accuracy afterward. Guarded to two leader
-    dimensions. Both steps must be positive and finite and tol finite
-    and nonnegative; all three are checked before any grid is built.
+    recovers the stated accuracy; ProblemError if no leader value is finite.
+    Guarded to two leader dimensions. Steps positive and finite, tol finite
+    and nonnegative: all three are checked before any grid is built.
     A follower objective given as an expression that does not read y has
     one argmin set for every leader point: it is computed once.
     """
@@ -237,35 +234,33 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     X, kind = _follower_points(problem, x_grid_step)
     method = "face_enum" if kind == "vertex_face" else "grid"
 
+    desc = None
     if h.expression is not None and not ex.uses_y(ex.parse(h.expression)):
         desc = exact_lower_set(problem, K.lower, tol=tol, grid_step=x_grid_step)
         penalized = penalized_field(problem, 1.0)
 
-        def respond(y):
-            return _worst_response(problem, penalized, np.asarray(y, dtype=float), desc)
-    else:
-        def respond(y):
-            return pessimistic_select(problem, y, tol=tol, grid_step=x_grid_step)
-
-    def value_fn(y):
-        return respond(y).value
+    def evaluate(y):
+        response = (pessimistic_select(problem, y, tol=tol, grid_step=x_grid_step)
+                    if desc is None else
+                    _worst_response(problem, penalized, np.asarray(y, dtype=float), desc))
+        return response.value, response
 
     budget_points = max(3, GRID_EVAL_GUARD // max(1, len(X)))
     grid, spacing = _leader_grid(K, y_grid_step, budget_points)
-    vals = [value_fn(y) for y in grid]
-    i_best = int(np.argmax(vals))
+    best = (grid[0], *evaluate(grid[0]))
+    for y in grid[1:]:
+        value, response = evaluate(y)
+        if _improves(value, best[1]):
+            best = (y, value, response)
     resolution = y_grid_step / 10.0
     steps = np.full(K.dim, max(spacing, 10 * resolution))
-    y_best, _, _, _ = _compass_climb(value_fn, K, grid[i_best].copy(), vals[i_best], steps,
-                                     min_step=resolution, max_evals=500)
-    response = respond(y_best)
-    f = problem.leader_objective
-    h_val = h.evaluate(y_best, response.x)
+    best, evals, _ = _compass_climb(evaluate, K, (best[0].copy(), *best[1:]), steps,
+                                    min_step=resolution, max_evals=500)
+    y_best, _, response = _require_finite_best(best, len(grid) + evals)
     return OracleSolution(
-        problem=problem.name, y=y_best, x=response.x,
-        leader_value=float(f.evaluate(y_best, response.x)),
-        follower_value=float(h_val), method=method, resolution=resolution,
-    )
+        problem=problem.name, y=y_best, x=response.x, method=method, resolution=resolution,
+        leader_value=float(problem.leader_objective.evaluate(y_best, response.x)),
+        follower_value=float(h.evaluate(y_best, response.x)))
 
 
 def gap_table(oracle: OracleSolution, trace) -> list:

@@ -18,6 +18,10 @@ def run_cli(*args, tmp_path=None):
     return main(argv)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class TestList:
     def test_lists_registry(self, capsys):
         assert run_cli("list") == 0
@@ -216,6 +220,36 @@ class TestNonFiniteInputs:
         out = tmp_path / "out"
         assert run_cli("oracle", "--problem", str(tmp_path / "doc.json"), tmp_path=out) == 1
         assert capsys.readouterr().err.startswith("error: follower objective is nan")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_grid_point_oracle_writes_strict_json(self, tmp_path, fs):
+        # the NaN at y = 0.3 used to win the grid scan and write "NaN" to the report
+        doc = {**bp.problem_to_dict(fs),
+               "f": "1 + 4*y[0]*(1 - y[0]) + x[0] + 0*(1/(y[0] - 0.3))"}
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        assert run_cli("oracle", "--problem", str(tmp_path / "doc.json"),
+                       tmp_path=tmp_path / "out") == 0
+        report = json.loads((tmp_path / "out" / "FS_oracle.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert report["y_best"] == [0.5] and report["leader_value"] == 2.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("f", ["1 + x[0] + 0*(1/(y[0] - y[0]))",
+                                   "2 + x[0] + (1 - 1)/(1 - 1)", "2 + x[0] + 10^400"],
+                             ids=["nan_everywhere", "constant_division", "constant_overflow"])
+    @pytest.mark.parametrize("command", [["solve", "--epsilon", "0.1"], ["oracle"]])
+    def test_non_finite_leader_is_input_error(self, tmp_path, fs, capsys, f, command):
+        # these reported NaN (exit 0 or 2) or ended in a ZeroDivisionError or
+        # OverflowError traceback
+        (tmp_path / "doc.json").write_text(json.dumps({**bp.problem_to_dict(fs), "f": f}))
+        out = tmp_path / "out"
+        code = run_cli(command[0], "--problem", str(tmp_path / "doc.json"), *command[1:],
+                       tmp_path=out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: leader objective is not finite")
+        assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
     def test_250_term_sum_validates_and_solves(self, tmp_path, fs):

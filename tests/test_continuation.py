@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bilevelpen as bp
-from bilevelpen import upper_solver
+from bilevelpen import cli, continuation, upper_solver
 from bilevelpen.continuation import ContinuationTrace, EpsSchedule, TraceRow
 from bilevelpen.upper_solver import UpperConfig
 
@@ -34,6 +34,22 @@ class TestEpsSchedule:
             EpsSchedule(rho=1.0)
         with pytest.raises(ValueError):
             EpsSchedule(k_max=0)
+
+    @pytest.mark.parametrize("eps0, rho, k_max", [(1e-300, 0.1, 30), (0.1, 0.5, 1100)])
+    def test_rejects_a_schedule_that_underflows(self, eps0, rho, k_max):
+        # these reach 0.0 at rows 24 and 1072; the trace raised only after solving them
+        with pytest.raises(ValueError, match="positive and strictly decreasing"):
+            EpsSchedule(eps0=eps0, rho=rho, k_max=k_max)
+
+    def test_underflowing_continuation_exits_before_any_solve(self, tmp_path, capsys,
+                                                              monkeypatch):
+        solves = []
+        monkeypatch.setattr(continuation, "solve_penalized",
+                            lambda *args, **kwargs: solves.append(args))
+        code = cli.main(["continuation", "--problem", "QB", "--eps0", "1e-300", "--rho", "0.1",
+                         "--k", "30", "--output", str(tmp_path)])
+        assert code == 1 and solves == []
+        assert capsys.readouterr().err.startswith("error: schedule epsilons must be positive")
 
     @pytest.mark.parametrize("eps0", [math.nan, math.inf])
     def test_rejects_non_finite_eps0(self, eps0):

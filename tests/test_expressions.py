@@ -31,6 +31,15 @@ def test_vectorized_evaluation():
     np.testing.assert_allclose(fn(np.zeros(0), X), [3.0, 13.0])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_constants_follow_numpy_arithmetic():
+    # Python floats raised ZeroDivisionError and OverflowError here
+    assert np.isnan(ev("2 + x[0] + (1 - 1)/(1 - 1)", [], [0.0]))
+    assert ev("2 + x[0] + 10^400", [], [0.0]) == np.inf
+    assert ev("-(2^2000)", [], [0.0]) == -np.inf
+    np.testing.assert_array_equal(ev("x[0] + 1/0", [], [[0.0], [1.0]]), [np.inf, np.inf])
+
+
 @pytest.mark.parametrize("bad", [
     "x[0] +", "1 + * 2", "x[", "x[0.5]", "z[0]", "x[0]^x[1]",
     "x[0]^(-1)", "x[0]^1.5", "(1 + 2", "2 @ 3", "x[0]^1e400", "x[1e400]",

@@ -130,6 +130,24 @@ class TestSolveThreeLevel:
         np.testing.assert_array_equal(sol.x, [0.3, 0.7])
         assert sol.method == "grid" and sol.leader_value == pytest.approx(2.3, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("per_y", [False, True], ids=["argmin_once", "per_y"])
+    def test_nan_grid_point_never_wins(self, fs, per_y):
+        # NaN at the grid point y = 0.3 only; np.argmax used to pick it
+        p = bp.problem_from_dict({**bp.problem_to_dict(fs),
+                                  "f": "1 + 4*y[0]*(1 - y[0]) + x[0] + 0*(1/(y[0] - 0.3))"})
+        sol = bp.solve_three_level(_per_y(p) if per_y else p)
+        np.testing.assert_array_equal(sol.y, [0.5])
+        assert sol.leader_value == 2.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("per_y", [False, True], ids=["argmin_once", "per_y"])
+    def test_nan_everywhere_is_a_problem_error(self, fs, per_y):
+        p = bp.problem_from_dict({**bp.problem_to_dict(fs),
+                                  "f": "1 + x[0] + 0*(1/(y[0] - y[0]))"})
+        with pytest.raises(ProblemError, match="leader objective is not finite"):
+            bp.solve_three_level(_per_y(p) if per_y else p, y_grid_step=0.05)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("h", ["(y[0]/y[0]) * x[0]", "(y[0]/y[0]) * (x[0] - 0.5)^2"],
                              ids=["vertex_face", "grid"])

@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen import upper_solver
@@ -72,6 +73,34 @@ class TestPatternSearch:
             lambda y: -(y[0] - 0.25) ** 2 - (y[1] + 0.5) ** 2,
             bp.BoxSet([0.0, -1.0], [1.0, 1.0]))
         np.testing.assert_allclose(res.y, [0.25, -0.5], atol=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(center=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           injected=st.dictionaries(st.integers(0, 199),
+                                    st.sampled_from([math.nan, math.inf, -math.inf]),
+                                    max_size=60),
+           budget=st.integers(1, 200))
+    def test_best_is_the_earliest_highest_finite_evaluation(self, center, injected, budget):
+        # rounding makes plateaus, so ties between evaluations are common
+        ys, values = [], []
+
+        def fn(y):
+            value = injected.get(len(values), round(-abs(y[0] - center[0])
+                                                    - abs(y[1] - center[1]), 2))
+            ys.append(y.copy())
+            values.append(value)
+            return value
+
+        box = bp.BoxSet([0.0, 0.0], [1.0, 1.0])
+        try:
+            res = bp.pattern_search_maximize(fn, box, UpperConfig(max_evals=budget))
+        except bp.ProblemError:
+            assert not any(math.isfinite(v) for v in values)
+            return
+        best = max(v for v in values if math.isfinite(v))
+        first = next(i for i, v in enumerate(values) if v == best)
+        assert res.value == best
+        np.testing.assert_array_equal(res.y, ys[first])
 
 
 def recorded_selections(monkeypatch):
@@ -196,3 +225,26 @@ class TestValueChain:
                 sol = bp.solve_penalized(problem, eps)
                 at_star = bp.select_response(problem, oracle.y, eps).leader_value
                 assert at_star <= sol.value + slack
+
+
+# FS with a leader objective that is NaN at one leader point or at all of them
+NAN_AT_MIDPOINT = "1 + 4*y[0]*(1 - y[0]) + x[0] + 0*(1/(y[0] - 0.5))"
+NAN_EVERYWHERE = "1 + x[0] + 0*(1/(y[0] - y[0]))"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteLeader:
+    def test_nan_at_the_first_probe_still_climbs(self, fs):
+        # the box midpoint is the first probe; a NaN there used to stop the climb
+        p = bp.problem_from_dict({**bp.problem_to_dict(fs), "f": NAN_AT_MIDPOINT})
+        sol = bp.solve_penalized(p, 0.1)
+        assert sol.converged
+        assert abs(sol.y[0] - 0.5) <= 1e-5
+        assert sol.value == pytest.approx(2.0, abs=1e-9)
+        assert sol.value == sol.selection.leader_value
+
+    @pytest.mark.parametrize("warm_start", [None, [0.3]])
+    def test_nan_everywhere_is_a_problem_error(self, fs, warm_start):
+        p = bp.problem_from_dict({**bp.problem_to_dict(fs), "f": NAN_EVERYWHERE})
+        with pytest.raises(bp.ProblemError, match="leader objective is not finite"):
+            bp.solve_penalized(p, 0.1, warm_start=warm_start)
