@@ -55,17 +55,12 @@ def _write_text(text, outdir, stem, ext):
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path!r}: {exc.strerror or exc}") from None
-    return path
-
-
-def _write_json(doc, outdir, stem):
-    return _write_text(json.dumps(doc, indent=2) + "\n", outdir, stem, ".json")
 
 
 def _write_report(args, outdir, doc, stem, csv_text, csv_stem=None):
     """Write the JSON report and/or its CSV, as --format asks."""
     if args.format in ("json", "both"):
-        _write_json(doc, outdir, stem)
+        _write_text(json.dumps(doc, indent=2) + "\n", outdir, stem, ".json")
     if args.format in ("csv", "both"):
         _write_text(csv_text, outdir, csv_stem or stem, ".csv")
 
@@ -149,7 +144,9 @@ def cmd_oracle(args):
     problem = resolve_problem(args.problem)
     sol = solve_three_level(problem, y_grid_step=args.ygrid, tol=args.tol,
                             x_grid_step=args.xgrid)
-    _write_json(oracle_to_json(sol), outdir, f"{problem.name}_oracle")
+    doc = oracle_to_json(sol)
+    _write_report(args, outdir, doc, f"{problem.name}_oracle", _csv_table(
+        [doc], ["y_best", "x_best", "leader_value", "follower_value", "method", "resolution"]))
     print(f"{problem.name}: leader value {sol.leader_value:.9g} at y "
           f"{np.asarray(sol.y)} (method {sol.method}, resolution {sol.resolution:g})")
     return 0

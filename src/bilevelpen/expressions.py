@@ -296,8 +296,8 @@ def _diff(node, j):
         return ("neg", _diff(node[1], j))
     if kind == "pow":
         a, k = node[1], node[2]
-        if k == 0:
-            return _ZERO
+        if k < 2:  # d(a^1) = 1 * a^0 * da is da to the bit: a^0 is 1 even at a NaN
+            return _mul(("const", float(k)), _diff(a, j))
         return _mul(_mul(("const", float(k)), ("pow", a, k - 1)), _diff(a, j))
     raise ExpressionError(f"unknown node {kind!r}")
 

@@ -8,7 +8,8 @@ and the follower objective convex in x; both assumptions are checked by
 sampling rather than proved.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import json
@@ -144,8 +145,8 @@ def field_from_expression(text, dim_y, dim_x):
     Structure (linear/quadratic/general in x) is derived from the
     polynomial degree of the expression; gradients are symbolic. Fields
     of degree <= 2 carry their coefficients (see _quadratic_coefficients).
-    Convexity in x is decided automatically for degree <= 2 (PSD test of
-    the Hessian at 5 sampled y).
+    Convexity in x is decided for degree <= 2 by a PSD test of the Hessian
+    at 5 y drawn from U(-1, 2), or once if it reads no y (see _convex_on).
     """
     node = ex.parse(text)
     ex.check_indices(node, dim_y, dim_x)
@@ -164,9 +165,8 @@ def field_from_expression(text, dim_y, dim_x):
                     else _quadratic_coefficients(node, grad_nodes, dim_y, dim_x))
 
     if structure == QUADRATIC:
-        rng = np.random.default_rng(0)
-        convex = all(np.linalg.eigvalsh(coefficients(rng.uniform(-1.0, 2.0, size=dim_y))[0])
-                     .min() >= -1e-9 for _ in range(5))
+        draws = 5 if coefficients.hessian_reads_y else 1
+        convex = _psd_at(coefficients, np.random.default_rng(0).uniform(-1.0, 2.0, (draws, dim_y)))
     else:
         convex = structure == LINEAR
 
@@ -198,7 +198,7 @@ def _quadratic_coefficients(node, grad_nodes, dim_y, dim_x):
     Q is the Hessian from the symbolic second derivatives, c the gradient
     and d the value at x = 0, so f(y, x) = x'(Qx/2 + c) + d exactly. They
     are packed in one vector [Q.ravel(), c, d]; entries that do not read y
-    are evaluated once here.
+    are evaluated once here, and coefficients.hessian_reads_y tells if Q does.
     """
     n = dim_x
     terms = [([n * n + n], node)] + [([n * n + j], g) for j, g in enumerate(grad_nodes)]
@@ -219,7 +219,13 @@ def _quadratic_coefficients(node, grad_nodes, dim_y, dim_x):
         for idx, fn in varying:
             theta[idx] = fn(y, x0)
         return theta[:n * n].reshape(n, n), theta[n * n:-1], float(theta[-1])
+    coefficients.hessian_reads_y = any(idx[0] < n * n for idx, _ in varying)
     return coefficients
+
+
+def _psd_at(coefficients, ys):
+    """Whether the Hessian of coefficients is PSD (to -1e-9) at every row of ys."""
+    return all(np.linalg.eigvalsh(coefficients(y)[0]).min() >= -1e-9 for y in ys)
 
 
 @dataclass
@@ -423,48 +429,10 @@ def registry_names():
 
 def registry_get(name):
     """Return a fresh instance of a registered problem."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
+    if name not in _REGISTRY:
         raise UnknownProblemError(f"unknown problem {name!r}; "
-                                  f"known: {', '.join(registry_names())}") from None
-    return factory()
-
-
-def _make_fs():
-    # Follower set is the segment z1 + z2 = 1, z >= 0. The follower
-    # objective is identically zero, so every feasible point is optimal
-    # and the worst-case selection does all the work.
-    f = field_from_expression("1 + 4*y[0]*(1 - y[0]) + x[0]", dim_y=1, dim_x=2)
-    h = field_from_expression("0", dim_y=1, dim_x=2)
-    return BilevelProblem(
-        name="FS",
-        leader_objective=f,
-        follower_objective=h,
-        leader_set=BoxSet(lower=[0.0], upper=[1.0]),
-        follower_set=Polytope(A=[[1.0, 1.0]], b=[1.0]),
-    )
-
-
-def _make_qb():
-    # Unit box in (z1, z2) written with slacks; the follower objective is
-    # minimized on the whole band z1 + z2 = 1, on which the leader
-    # objective is constant in x.
-    f = field_from_expression(
-        "(1 + 4*y[0]*(1 - y[0])) * (1 + x[0] + x[1])", dim_y=1, dim_x=4)
-    h = field_from_expression("(x[0] + x[1] - 1)^2", dim_y=1, dim_x=4)
-    return BilevelProblem(
-        name="QB",
-        leader_objective=f,
-        follower_objective=h,
-        leader_set=BoxSet(lower=[0.0], upper=[1.0]),
-        follower_set=Polytope(A=[[1.0, 0.0, 1.0, 0.0],
-                                 [0.0, 1.0, 0.0, 1.0]], b=[1.0, 1.0]),
-    )
-
-
-registry_register("FS", _make_fs)
-registry_register("QB", _make_qb)
+                                  f"known: {', '.join(registry_names())}")
+    return _REGISTRY[name]()
 
 
 # -- JSON problem documents ------------------------------------------------
@@ -490,11 +458,20 @@ def problem_from_dict(doc):
         raise ProblemError("box bounds do not match dim_y")
     return BilevelProblem(
         name=str(doc["name"]),
-        leader_objective=f,
-        follower_objective=h,
+        leader_objective=_convex_on(f, K),
+        follower_objective=_convex_on(h, K),
         leader_set=K,
         follower_set=Polytope(A=A, b=doc["b"]),
     )
+
+
+def _convex_on(fld, K):
+    """fld with its convexity in x decided again at 5 y drawn from K, when it
+    is of degree 2 and its Hessian reads y."""
+    if fld.structure != QUADRATIC or not fld.coefficients.hessian_reads_y:
+        return fld
+    return replace(fld, convex_in_x=_psd_at(fld.coefficients,
+                                            K.sample(np.random.default_rng(0), 5)))
 
 
 def problem_to_dict(problem):
@@ -523,6 +500,29 @@ def save_problem(problem, path):
     with open(path, "w") as fh:
         json.dump(problem_to_dict(problem), fh, indent=2)
         fh.write("\n")
+
+
+# -- built-in problems ------------------------------------------------------
+
+# Follower set is the segment z1 + z2 = 1, z >= 0. The follower objective is
+# identically zero, so every feasible point is optimal and the worst-case
+# selection does all the work.
+FS_DOC = {"name": "FS", "dim_y": 1, "dim_x": 2, "A": [[1.0, 1.0]], "b": [1.0],
+          "K_lower": [0.0], "K_upper": [1.0],
+          "f": "1 + 4*y[0]*(1 - y[0]) + x[0]", "h": "0"}
+
+# Unit box in (z1, z2) written with slacks; the follower objective is
+# minimized on the whole band z1 + z2 = 1, on which the leader objective is
+# constant in x.
+QB_DOC = {"name": "QB", "dim_y": 1, "dim_x": 4,
+          "A": [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], "b": [1.0, 1.0],
+          "K_lower": [0.0], "K_upper": [1.0],
+          "f": "(1 + 4*y[0]*(1 - y[0])) * (1 + x[0] + x[1])", "h": "(x[0] + x[1] - 1)^2"}
+
+# partial binds problem_from_dict now, so a registry_get makes one call to the
+# function defined above whatever rebinds the module name later
+registry_register("FS", partial(problem_from_dict, FS_DOC))
+registry_register("QB", partial(problem_from_dict, QB_DOC))
 
 
 def resolve_problem(name_or_path):

@@ -175,9 +175,9 @@ def pessimistic_select(problem: BilevelProblem, y, tol=1e-8,
 
 
 def _worst_response(problem, penalized, y, desc) -> PessimisticResponse:
-    """Minimize the squared leader objective at y over the lower set desc.
-    A vertex face is searched with penalized = h + f^2, whose minimizers
-    are those of f^2 since h is constant there."""
+    """Minimize the squared leader objective at y over the lower set desc: on
+    a grid, at its first point of least finite square; on a vertex face, by
+    Frank-Wolfe on penalized = h + f^2, as h is constant there."""
     f = problem.leader_objective
     if desc.kind == "single_point":
         x = desc.points[0]
@@ -189,6 +189,8 @@ def _worst_response(problem, penalized, y, desc) -> PessimisticResponse:
         return PessimisticResponse(x=x, value=float(f.evaluate(y, x)))
     fvals = f.batch(y, desc.points)
     i = int(np.argmin(fvals ** 2))
+    if not math.isfinite(fvals[i] ** 2):  # a NaN wins np.argmin
+        i = int(np.argmin(np.where(np.isfinite(fvals), fvals ** 2, np.inf)))
     return PessimisticResponse(x=desc.points[i], value=float(fvals[i]))
 
 

@@ -135,6 +135,23 @@ class TestOracle:
         assert f"{flag[2:]} must" in err  # the flag's name, not the library's
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt,files", [("json", ["FS_oracle.json"]),
+                                           ("csv", ["FS_oracle.csv"]),
+                                           ("both", ["FS_oracle.csv", "FS_oracle.json"])])
+    def test_format_picks_the_reports(self, tmp_path, fmt, files):
+        assert run_cli("oracle", "--problem", "FS", "--format", fmt, tmp_path=tmp_path) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+    def test_csv_holds_the_json_values(self, tmp_path):
+        assert run_cli("oracle", "--problem", "FS", tmp_path=tmp_path) == 0
+        doc = json.loads((tmp_path / "FS_oracle.json").read_text())
+        with open(tmp_path / "FS_oracle.csv") as fh:
+            header, row = csv.reader(fh)
+        assert header == ["y_best0", "x_best0", "x_best1", "leader_value", "follower_value",
+                          "method", "resolution"]
+        assert row == [str(v) for v in [*doc["y_best"], *doc["x_best"], doc["leader_value"],
+                                        doc["follower_value"], doc["method"], doc["resolution"]]]
+
     def test_seed_is_not_an_oracle_flag(self, tmp_path, capsys):
         assert run_cli("oracle", "--problem", "FS", "--seed", "3", tmp_path=tmp_path) == 1
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
@@ -221,6 +238,20 @@ class TestNonFiniteInputs:
         assert run_cli("oracle", "--problem", str(tmp_path / "doc.json"), tmp_path=out) == 1
         assert capsys.readouterr().err.startswith("error: follower objective is nan")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_leader_point_never_wins_the_oracle(self, tmp_path, qb):
+        # f is NaN where x[0] = 0 on QB; the oracle once took that point as the
+        # worst response at every leader point and exited 1
+        doc = {**bp.problem_to_dict(qb),
+               "f": "(1 + 4*y[0]*(1 - y[0])) * (1 + x[0] + x[1]) + 0*(1/x[0])"}
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("oracle", "--problem", str(tmp_path / "doc.json"), "--xgrid", "0.1",
+                       "--ygrid", "0.01", "--format", "json", tmp_path=out) == 0
+        report = json.loads((out / "QB_oracle.json").read_text())
+        assert report["leader_value"] == pytest.approx(4.0, abs=1e-12)
+        assert report["y_best"] == pytest.approx([0.5], abs=1e-3)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_grid_point_oracle_writes_strict_json(self, tmp_path, fs):

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
+from bilevelpen import cli, model
 from bilevelpen.model import (LINEAR, QUADRATIC, BilevelProblem,
                               EmptyFeasibleSetError, ProblemError,
                               UnboundedFeasibleSetError, field_from_expression,
@@ -37,6 +39,11 @@ class TestRegistry:
         assert qb.follower_objective.structure == QUADRATIC
         assert qb.follower_objective.convex_in_x
 
+    @pytest.mark.parametrize("name", ["FS", "QB"])
+    def test_registered_document_round_trips(self, name):
+        doc = {"FS": model.FS_DOC, "QB": model.QB_DOC}[name]
+        assert bp.problem_to_dict(bp.registry_get(name)) == doc
+
     def test_user_registration(self):
         bp.registry_register("FS_alias", lambda: bp.registry_get("FS"))
         try:
@@ -45,6 +52,69 @@ class TestRegistry:
         finally:
             from bilevelpen.model import _REGISTRY
             _REGISTRY.pop("FS_alias")
+
+
+# FS's polytope with the leader box K = [4, 5], on which 3 - y[0] < 0: the
+# Hessians below are convex or concave on K, and the reverse on U(-1, 2)
+ON_K45 = {"name": "K45", "dim_y": 1, "dim_x": 2, "A": [[1.0, 1.0]], "b": [1.0],
+          "K_lower": [4.0], "K_upper": [5.0], "f": "1 + x[0]"}
+CONVEX_ON_K = {**ON_K45, "h": "(y[0] - 3) * (x[0] - 0.25)^2"}
+CONCAVE_ON_K = {**ON_K45, "h": "(3 - y[0]) * (x[0] - 0.25)^2"}
+CONCAVE_LEADER_ON_K = {**ON_K45, "f": "5 + y[0] + (3 - y[0])*(x[0] - 0.3)^2", "h": "0"}
+
+
+class TestConvexityOnLeaderBox:
+    def test_follower_convex_on_k_is_accepted(self):
+        assert bp.problem_from_dict(CONVEX_ON_K).follower_objective.convex_in_x
+
+    def test_follower_concave_on_k_is_rejected(self):
+        with pytest.raises(ProblemError, match="convex in x"):
+            bp.problem_from_dict(CONCAVE_ON_K)
+
+    def test_leader_concave_on_k_is_searched_as_nonconvex(self):
+        # decided on U(-1, 2), f was once declared convex, and one Frank-Wolfe run
+        # stopped at the vertex (0, 1), where f = 9.365; the least f is 8.765 at (1, 0)
+        p = bp.problem_from_dict(CONCAVE_LEADER_ON_K)
+        assert not p.leader_objective.convex_in_x
+        sel = bp.select_response(p, [4.5], 0.01)
+        np.testing.assert_allclose(sel.x, [1.0, 0.0], atol=1e-9)
+        assert sel.leader_value == pytest.approx(8.765, abs=1e-9)
+
+    def test_hand_built_problem_keeps_its_declaration(self):
+        # field_from_expression knows no K; only problem_from_dict decides on it
+        h = field_from_expression(CONCAVE_ON_K["h"], 1, 2)
+        assert h.convex_in_x
+        p = bp.problem_from_dict({**ON_K45, "h": "0"})
+        assert BilevelProblem("hand", p.leader_objective, h, p.leader_set,
+                              p.follower_set).follower_objective is h
+
+    @pytest.mark.parametrize("doc,code,value", [
+        (CONVEX_ON_K, 0, 1 + 0.49 / 2.01), (CONCAVE_ON_K, 1, None),
+        (CONCAVE_LEADER_ON_K, 0, 9.02)])
+    def test_solve_command(self, tmp_path, capsys, doc, code, value):
+        # both values are at y = 5: x[0] = 0.49 / 2.01 minimizes 2 (x[0] - 0.25)^2
+        # + 0.01 f^2, and the concave leader's least f on the segment is 6.47 + 0.51 y
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        assert cli.main(["solve", "--problem", str(tmp_path / "doc.json"), "--epsilon", "0.01",
+                         "--format", "json", "--output", str(tmp_path)]) == code
+        if value is None:
+            assert capsys.readouterr().err.startswith(
+                "error: follower objective must be declared convex in x")
+        else:
+            report = json.loads((tmp_path / "K45_solve.json").read_text())
+            assert report["value"] == pytest.approx(value, abs=1e-9)
+
+    @pytest.mark.parametrize("doc,calls", [
+        (model.FS_DOC, []), (model.QB_DOC, [1]),
+        # the benchmark's custom-select follower: the symbolic Hessian of a
+        # square reads y only through a^0, which differentiation drops
+        ({**model.QB_DOC, "h": "(1.3*x[0] + 0.7*x[1] - 1 - 0.2*y[0])^2"}, [1])])
+    def test_hessian_free_of_y_is_tested_once(self, monkeypatch, doc, calls):
+        made = []
+        psd_at = model._psd_at
+        monkeypatch.setattr(model, "_psd_at", lambda c, ys: made.append(len(ys)) or psd_at(c, ys))
+        assert bp.problem_from_dict(doc).follower_objective.convex_in_x
+        assert made == calls
 
 
 class TestPolytope:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import qr as scipy_qr
 
 import bilevelpen as bp
-from bilevelpen import oracle
+from bilevelpen import cli, oracle
 from bilevelpen.continuation import EpsSchedule
 from bilevelpen.lower_solver import independent_rows, lp_minimize
 from bilevelpen.model import (BilevelProblem, BoxSet, DimensionGuardError,
@@ -90,6 +91,16 @@ class TestPessimisticSelect:
     def test_qb_band_value(self, qb):
         r = bp.pessimistic_select(qb, [0.5])
         assert r.value == pytest.approx(4.0, abs=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_grid_point_never_wins(self):
+        # f is NaN where x[0] = 0, at 1 of the 11 band points of the step-0.1
+        # grid, and np.argmin of the squares once picked it; f = 4 at the others
+        p = make_problem("(1 + 4*y[0]*(1 - y[0])) * (1 + x[0] + x[1]) + 0*(1/x[0])",
+                         "(x[0] + x[1] - 1)^2")
+        r = bp.pessimistic_select(p, [0.5], grid_step=0.1)
+        assert r.value == pytest.approx(4.0, abs=1e-12)
+        assert r.x[0] > 0 and p.follower_set.contains(r.x)
 
     def test_leader_objective_independent_of_x(self):
         p = make_problem("2 + y[0]", "(x[0] + x[1] - 1)^2")
@@ -470,6 +481,28 @@ PINNED_REPORTS = {
 def test_oracle_report_text_is_pinned(name):
     make, text = PINNED_REPORTS[name]
     assert json.dumps(bp.oracle_to_json(bp.solve_three_level(make()))) == text
+
+
+# SHA-256 of the --format json reports of the README's QB solve and of seed-7
+# QB continuations of both signs, pinned before FS and QB were built from
+# problem documents
+PINNED_CLI_REPORTS = {
+    "solve": (["solve", "--problem", "QB", "--epsilon", "0.1", "--seed", "7"], "QB_solve.json",
+              "74de982f6fb3bf030f85dc197612ea2164a5612c04db6619ae0461361912340e"),
+    "pessimistic": (["continuation", "--problem", "QB", "--seed", "7"], "QB_trace.json",
+                    "080aecedcfba854258a1830230a97a2cef970e0b935bbc6e3087998ef52e1350"),
+    "optimistic": (["continuation", "--problem", "QB", "--seed", "7", "--sign", "optimistic"],
+                   "QB_trace.json",
+                   "664984173532ea7e656dbd35ecdac17afb36de480b9b5c74c5410a5be76dd3eb"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CLI_REPORTS)
+def test_cli_report_bytes_are_pinned(tmp_path, capsys, name):
+    argv, report, digest = PINNED_CLI_REPORTS[name]
+    assert cli.main(argv + ["--format", "json", "--output", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [report]
+    assert hashlib.sha256((tmp_path / report).read_bytes()).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
