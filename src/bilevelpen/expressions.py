@@ -11,6 +11,8 @@ to the x variables, and a conservative polynomial-degree analysis used
 to classify fields as linear or quadratic in x.
 """
 
+import operator
+
 import numpy as np
 
 # AST nodes are tuples: ("const", v), ("y", i), ("x", j),
@@ -195,6 +197,18 @@ def uses_y(node):
     return any(n[0] == "y" for n, _ in _walk(node))
 
 
+# The arithmetic of every compiled expression, compile_evaluator's and
+# compile_shared's alike, so the two give the same bits.
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+        "div": operator.truediv, "neg": operator.neg, "pow": operator.pow}
+
+
+def _op(kind):
+    if kind not in _OPS:
+        raise ExpressionError(f"unknown node {kind!r}")
+    return _OPS[kind]
+
+
 def compile_evaluator(node):
     """Compile the AST to a closure ``fn(y, x) -> value``.
 
@@ -211,25 +225,72 @@ def compile_evaluator(node):
     if kind == "x":
         j = node[1]
         return lambda y, x: x[..., j]
-    if kind == "add":
-        fa, fb = compile_evaluator(node[1]), compile_evaluator(node[2])
-        return lambda y, x: fa(y, x) + fb(y, x)
-    if kind == "sub":
-        fa, fb = compile_evaluator(node[1]), compile_evaluator(node[2])
-        return lambda y, x: fa(y, x) - fb(y, x)
-    if kind == "mul":
-        fa, fb = compile_evaluator(node[1]), compile_evaluator(node[2])
-        return lambda y, x: fa(y, x) * fb(y, x)
-    if kind == "div":
-        fa, fb = compile_evaluator(node[1]), compile_evaluator(node[2])
-        return lambda y, x: fa(y, x) / fb(y, x)
+    op = _op(kind)
+    fa = compile_evaluator(node[1])
     if kind == "neg":
-        fa = compile_evaluator(node[1])
-        return lambda y, x: -fa(y, x)
+        return lambda y, x: op(fa(y, x))
     if kind == "pow":
-        fa, k = compile_evaluator(node[1]), node[2]
-        return lambda y, x: fa(y, x) ** k
-    raise ExpressionError(f"unknown node {kind!r}")
+        k = node[2]
+        return lambda y, x: op(fa(y, x), k)
+    fb = compile_evaluator(node[2])
+    return lambda y, x: op(fa(y, x), fb(y, x))
+
+
+def compile_shared(nodes, x):
+    """Compile ASTs to one closure ``fn(y) -> list`` of their values at the
+    leader point y and the fixed follower point x.
+
+    Each distinct subtree is evaluated once per call, and each subtree that
+    reads no y once here. The arithmetic is compile_evaluator's, so every
+    value has the bits of compile_evaluator(node)(y, x). Constants are told
+    apart by their float bits, so 0.0 and -0.0 are never merged.
+    """
+    values = [None]  # None marks a slot that reads y; slot 0 holds y during a call
+    slots = {}       # subtree key -> its slot in values
+    program = []     # (slot, op, a, b): values[slot] = op(values[a]) or op(values[a], values[b])
+
+    def constant(key, value):
+        if key not in slots:
+            slots[key] = len(values)
+            values.append(value)
+        return slots[key]
+
+    def apply(key, op, a, b=None):
+        if key not in slots:
+            slots[key] = len(values)
+            args = [values[a]] if b is None else [values[a], values[b]]
+            if any(v is None for v in args):
+                program.append((len(values), op, a, b))
+                values.append(None)
+            else:
+                values.append(op(*args))
+        return slots[key]
+
+    def visit(node):
+        kind = node[0]
+        if kind == "const":
+            v = np.float64(node[1])
+            return constant(("const", v.tobytes()), v)
+        if kind == "x":
+            return constant(node, x[..., node[1]])
+        if kind == "y":
+            return apply(node, operator.getitem, 0, constant(("int", node[1]), node[1]))
+        op = _op(kind)
+        a = visit(node[1])
+        if kind == "neg":
+            return apply((kind, a), op, a)
+        b = constant(("int", node[2]), node[2]) if kind == "pow" else visit(node[2])
+        return apply((kind, a, b), op, a, b)
+
+    roots = [visit(node) for node in nodes]
+
+    def fn(y):
+        v = values.copy()
+        v[0] = y
+        for slot, op, a, b in program:
+            v[slot] = op(v[a]) if b is None else op(v[a], v[b])
+        return [v[r] for r in roots]
+    return fn
 
 
 # -- symbolic differentiation -------------------------------------------

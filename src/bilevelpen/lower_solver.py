@@ -106,7 +106,7 @@ def vertex_lmo(V):
     V = np.asarray(V, dtype=float)
 
     def lmo(g):
-        return V[int(np.argmin(V @ g))]
+        return V[(V @ g).argmin()]
 
     return lmo
 

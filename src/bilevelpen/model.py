@@ -10,6 +10,7 @@ sampling rather than proved.
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 import json
@@ -26,6 +27,7 @@ GENERAL = "general"
 FEAS_TOL = 1e-9
 VALIDATION_SAMPLES = 500  # sampled (y, x) pairs per validate_problem check
 VALIDATION_SEED = 0
+CORNER_DIM_GUARD = 12  # leader dimensions whose 2**dim_y box corners _convex_on tests
 
 
 class ProblemError(ValueError):
@@ -197,8 +199,11 @@ def _quadratic_coefficients(node, grad_nodes, dim_y, dim_x):
 
     Q is the Hessian from the symbolic second derivatives, c the gradient
     and d the value at x = 0, so f(y, x) = x'(Qx/2 + c) + d exactly. They
-    are packed in one vector [Q.ravel(), c, d]; entries that do not read y
-    are evaluated once here, and coefficients.hessian_reads_y tells if Q does.
+    are packed in one vector [Q.ravel(), c, d]. Entries that do not read y
+    are evaluated once here; the others in one ex.compile_shared pass per
+    call, which evaluates each distinct subtree once (QB's three entries
+    are one w(y)) with the bits of evaluating each entry on its own.
+    coefficients.hessian_reads_y tells if Q reads y.
     """
     n = dim_x
     terms = [([n * n + n], node)] + [([n * n + j], g) for j, g in enumerate(grad_nodes)]
@@ -208,16 +213,18 @@ def _quadratic_coefficients(node, grad_nodes, dim_y, dim_x):
     base = np.zeros(n * n + n + 1)
     varying = []
     for idx, term in terms:
-        fn = ex.compile_evaluator(term)
         if ex.uses_y(term):
-            varying.append((idx, fn))
+            varying.append((idx, term))
         else:
-            base[idx] = fn(np.zeros(dim_y), x0)
+            base[idx] = ex.compile_evaluator(term)(np.zeros(dim_y), x0)
+    entries = ex.compile_shared([term for _, term in varying], x0)
+    positions = [(k, i) for i, (idx, _) in enumerate(varying) for k in idx]
 
     def coefficients(y):
         theta = base.copy()
-        for idx, fn in varying:
-            theta[idx] = fn(y, x0)
+        values = entries(y)
+        for k, i in positions:
+            theta[k] = values[i]
         return theta[:n * n].reshape(n, n), theta[n * n:-1], float(theta[-1])
     coefficients.hessian_reads_y = any(idx[0] < n * n for idx, _ in varying)
     return coefficients
@@ -291,7 +298,7 @@ class BoxSet:
 
     def contains(self, y):
         y = np.asarray(y, dtype=float)
-        return bool(np.all(y >= self.lower - 1e-12) and np.all(y <= self.upper + 1e-12))
+        return bool((y >= self.lower - 1e-12).all() and (y <= self.upper + 1e-12).all())
 
     def clip(self, y):
         return np.clip(np.asarray(y, dtype=float), self.lower, self.upper)
@@ -312,6 +319,10 @@ class BilevelProblem:
     follower_objective: ScalarField
     leader_set: BoxSet
     follower_set: Polytope
+    # a cache only: the set-up of the last (epsilon, sign) selected, see
+    # selection._setup; a replace() starts without it
+    cached_selection: Optional[tuple] = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         f, h = self.leader_objective, self.follower_objective
@@ -466,12 +477,21 @@ def problem_from_dict(doc):
 
 
 def _convex_on(fld, K):
-    """fld with its convexity in x decided again at 5 y drawn from K, when it
-    is of degree 2 and its Hessian reads y."""
+    """fld with its convexity in x decided again on K, when it is of degree 2
+    and its Hessian reads y: a PSD test at 5 y drawn from K and at the
+    2**dim_y corners of K, skipping a corner whose Hessian is not finite.
+    The corners decide a Hessian affine in y exactly: its least eigenvalue
+    is concave in y, so it is least at a corner. DimensionGuardError above
+    CORNER_DIM_GUARD leader dimensions."""
     if fld.structure != QUADRATIC or not fld.coefficients.hessian_reads_y:
         return fld
-    return replace(fld, convex_in_x=_psd_at(fld.coefficients,
-                                            K.sample(np.random.default_rng(0), 5)))
+    if K.dim > CORNER_DIM_GUARD:
+        raise DimensionGuardError(f"a Hessian that reads y is tested at the 2**dim_y corners "
+                                  f"of K, guarded to dim_y <= {CORNER_DIM_GUARD}, got {K.dim}")
+    corners = [y for y in map(np.array, product(*zip(K.lower, K.upper)))
+               if np.isfinite(fld.coefficients(y)[0]).all()]
+    ys = np.concatenate([K.sample(np.random.default_rng(0), 5), np.reshape(corners, (-1, K.dim))])
+    return replace(fld, convex_in_x=_psd_at(fld.coefficients, ys))
 
 
 def problem_to_dict(problem):

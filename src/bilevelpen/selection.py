@@ -100,13 +100,32 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
     )
 
 
+def _setup(problem, epsilon, sign):
+    """(penalized field, vertices V of C, vertex LMO, V[:MAX_STARTS]) of a
+    selection. Built once per (problem, epsilon, sign) and kept in
+    problem.cached_selection, keyed by the identity of f, h, K and C and by
+    epsilon and sign (==), so a replace() of the problem or another epsilon
+    never reuses a stale set-up."""
+    parts = (problem.leader_objective, problem.follower_objective,
+             problem.leader_set, problem.follower_set)
+    cached = problem.cached_selection
+    if (cached is not None and cached[1] == (epsilon, sign)
+            and all(a is b for a, b in zip(cached[0], parts))):
+        return cached[2]
+    penalized = penalized_field(problem, epsilon, sign)
+    V = enumerate_vertices(problem.follower_set)
+    setup = (penalized, V, vertex_lmo(V), V[:MAX_STARTS])
+    problem.cached_selection = (parts, (epsilon, sign), setup)
+    return setup
+
+
 def _section(problem, y, epsilon, sign):
-    """y as an array, the penalized section at y and the vertices of C."""
+    """y as an array, the penalized section at y and the rest of _setup."""
     y = np.asarray(y, dtype=float)
     if not problem.leader_set.contains(y):
         raise ValueError(f"y={y} is outside the leader box")
-    section = penalized_field(problem, epsilon, sign).fix(y)
-    return y, section, enumerate_vertices(problem.follower_set)
+    penalized, *rest = _setup(problem, epsilon, sign)
+    return y, penalized.fix(y), *rest
 
 
 def select_response(problem: BilevelProblem, y, epsilon: float,
@@ -119,10 +138,12 @@ def select_response(problem: BilevelProblem, y, epsilon: float,
     first run with gap <= FW_TOL, a certified minimum; the nonconvex
     optimistic sign runs every start. n_starts in the result counts the
     runs made. An uncertified result is not an error: its fw_gap > FW_TOL
-    marks it unreliable.
+    marks it unreliable. The penalized field, the vertices, the LMO and the
+    starts are built once per (problem, epsilon, sign) (see _setup); each
+    call fixes the field at y and runs Frank-Wolfe.
     """
-    y, section, V = _section(problem, y, epsilon, sign)
-    x, _, gap, runs, _ = _fw_best(section, vertex_lmo(V), V[:MAX_STARTS], FW_TOL, FW_MAX_ITER)
+    y, section, _, lmo, starts = _section(problem, y, epsilon, sign)
+    x, _, gap, runs, _ = _fw_best(section, lmo, starts, FW_TOL, FW_MAX_ITER)
     f = problem.leader_objective
     h = problem.follower_objective
     fv = f.evaluate(y, x)
@@ -148,8 +169,7 @@ def constancy_check(problem: BilevelProblem, y, epsilon: float,
     """
     if n_starts < 8:
         raise ValueError("constancy check needs n_starts >= 8")
-    y, section, V = _section(problem, y, epsilon, PESSIMISTIC)
-    lmo = vertex_lmo(V)
+    y, section, V, lmo, _ = _section(problem, y, epsilon, PESSIMISTIC)
     runs = [_fw_run(section, lmo, x0, FW_TOL, FW_MAX_ITER)
             for x0 in _feasible_points(V, n_starts, seed)]
     best = min(range(len(runs)), key=lambda i: runs[i][1])

@@ -100,7 +100,7 @@ def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals):
                 probe = y.copy()
                 probe[i] += direction * steps[i]
                 probe = K.clip(probe)
-                if np.array_equal(probe, y):
+                if (probe == y).all():
                     continue
                 if evals >= max_evals:
                     return cand, evals, True
@@ -169,15 +169,22 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     around that point, not a global one. The reported selection is the
     one the search made at the returned y (the earliest evaluation with
     the highest finite value); selection is deterministic, so it is
-    bitwise the selection a re-solve at y would give. Deterministic for a
-    fixed cfg seed. converged=False flags an exhausted budget or a final
+    bitwise the selection a re-solve at y would give. So a leader point
+    probed again within one solve (the compass poll probes the point it
+    just left, and after a shrink both neighbours again) reuses its first
+    selection; evals still counts every probe. Deterministic for a fixed
+    cfg seed. converged=False flags an exhausted budget or a final
     selection with fw_gap > FW_TOL; ProblemError if no value is finite.
     """
     require_finite("epsilon", epsilon, positive=True)
+    memo = {}  # y.tobytes() -> (value, selection), for this solve
 
     def evaluate(y):
-        selection = select_response(problem, y, epsilon, sign)
-        return selection.leader_value, selection
+        key = y.tobytes()
+        if key not in memo:
+            selection = select_response(problem, y, epsilon, sign)
+            memo[key] = selection.leader_value, selection
+        return memo[key]
 
     K = problem.leader_set
     starts, fraction = ((_start_set(K, cfg.seed), COLD_STEP) if warm_start is None

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import pickle
 
@@ -183,3 +184,91 @@ class TestExports:
         row = doc["rows"][0]
         assert set(row) == {"epsilon", "y", "x", "v", "h_value", "fw_gap",
                             "evals", "converged"}
+
+
+# trace_to_json text of 12-row QB traces at UpperConfig(seed=7), pinned before
+# solve_penalized selected each leader point once and selections kept their set-up
+PINNED_TRACES = {
+    +1: (
+        '{"schema": "trace-v1", "problem": "QB", "sign": 1, "seed": 7, '
+        '"rows": [{"epsilon": 0.1, "y": [0.5], "x": [0.2142857142857143, 0.2142857142857143, '
+        '0.7857142857142857, 0.7857142857142857], "v": 2.8571428571428577, '
+        '"h_value": 0.32653061224489793, "fw_gap": 0.0, "evals": 436, "converged": true},'
+        ' {"epsilon": 0.05, "y": [0.5], "x": [0.33333333333333337, 0.33333333333333337, '
+        '0.6666666666666666, 0.6666666666666666], "v": 3.333333333333334, '
+        '"h_value": 0.11111111111111106, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.025, "y": [0.5], "x": [0.40909090909090906, 0.40909090909090906, '
+        '0.5909090909090909, 0.5909090909090909], "v": 3.6363636363636367, '
+        '"h_value": 0.03305785123966944, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.0125, "y": [0.5], "x": [0.45238095238095233, 0.45238095238095233, '
+        '0.5476190476190477, 0.5476190476190477], "v": 3.8095238095238093, '
+        '"h_value": 0.009070294784580518, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.00625, "y": [0.5], "x": [0.475609756097561, 0.475609756097561, '
+        '0.524390243902439, 0.524390243902439], "v": 3.902439024390244, '
+        '"h_value": 0.0023795359904818496, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.003125, "y": [0.5], "x": [0.4876543209876544, 0.4876543209876544, '
+        '0.5123456790123456, 0.5123456790123456], "v": 3.950617283950617, '
+        '"h_value": 0.0006096631611034848, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.0015625, "y": [0.5], "x": [0.4937888198757764, 0.4937888198757764, '
+        '0.5062111801242236, 0.5062111801242236], "v": 3.975155279503106, '
+        '"h_value": 0.0001543150341422019, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.00078125, "y": [0.5], "x": [0.49688473520249216, 0.49688473520249216, '
+        '0.5031152647975079, 0.5031152647975079], "v": 3.9875389408099684, '
+        '"h_value": 3.8819499034366357e-05, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.000390625, "y": [0.5], "x": [0.49843993759750393, 0.49843993759750393, '
+        '0.5015600624024961, 0.5015600624024961], "v": 3.9937597503900157, '
+        '"h_value": 9.73517879872718e-06, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.0001953125, "y": [0.5], "x": [0.49921935987509763, '
+        '0.49921935987509763, 0.5007806401249024, 0.5007806401249024], '
+        '"v": 3.9968774395003903, "h_value": 2.4375960184303223e-06, "fw_gap": 0.0, '
+        '"evals": 29, "converged": true},'
+        ' {"epsilon": 9.765625e-05, "y": [0.5], "x": [0.4996095275283092, 0.4996095275283092, '
+        '0.5003904724716908, 0.5003904724716908], "v": 3.998438110113237, '
+        '"h_value": 6.098750045932048e-07, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 4.8828125e-05, "y": [0.5], "x": [0.4998047256395235, 0.4998047256395235, '
+        '0.5001952743604765, 0.5001952743604765], "v": 3.999218902558094, '
+        '"h_value": 1.5252830343803212e-07, "fw_gap": 0.0, "evals": 29, "converged": true}]}'),
+    -1: (
+        '{"schema": "trace-v1", "problem": "QB", "sign": -1, "seed": 7, '
+        '"rows": [{"epsilon": 0.1, "y": [0.5], "x": [1.0, 1.0, 0.0, 0.0], "v": 6.0, '
+        '"h_value": 1.0, "fw_gap": 0.0, "evals": 436, "converged": true},'
+        ' {"epsilon": 0.05, "y": [0.5], "x": [0.4999999999999999, 1.0, 0.5000000000000001, '
+        '0.0], "v": 5.0, "h_value": 0.25, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.025, "y": [0.5], "x": [0.6111111111111112, 0.6111111111111112, '
+        '0.38888888888888884, 0.38888888888888884], "v": 4.444444444444445, '
+        '"h_value": 0.04938271604938276, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.0125, "y": [0.5], "x": [0.5526315789473685, 0.5526315789473685, '
+        '0.4473684210526315, 0.4473684210526315], "v": 4.210526315789474, '
+        '"h_value": 0.011080332409972322, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.00625, "y": [0.5], "x": [0.5256410256410257, 0.5256410256410257, '
+        '0.47435897435897434, 0.47435897435897434], "v": 4.102564102564102, '
+        '"h_value": 0.0026298487836949416, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.003125, "y": [0.5], "x": [0.5126582278481012, 0.5126582278481012, '
+        '0.4873417721518988, 0.4873417721518988], "v": 4.050632911392405, '
+        '"h_value": 0.0006409229290177811, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.0015625, "y": [0.5], "x": [0.5062893081761006, 0.5062893081761006, '
+        '0.4937106918238994, 0.4937106918238994], "v": 4.0251572327044025, '
+        '"h_value": 0.0001582215893358648, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.00078125, "y": [0.5], "x": [0.006269592476489117, 1.0, '
+        '0.9937304075235108, 0.0], "v": 4.012539184952978, "h_value": 3.9307789821248234e-05, '
+        '"fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.000390625, "y": [0.5], "x": [0.501564945226917, 0.501564945226917, '
+        '0.49843505477308303, 0.49843505477308303], "v": 4.006259780907667, '
+        '"h_value": 9.796214253000821e-06, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.0001953125, "y": [0.5], "x": [0.5007818608287724, 0.5007818608287724, '
+        '0.4992181391712276, 0.4992181391712276], "v": 4.00312744331509, '
+        '"h_value": 2.4452254222747013e-06, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 9.765625e-05, "y": [0.5], "x": [0.5003907776475186, 0.5003907776475186, '
+        '0.4996092223524814, 0.4996092223524814], "v": 4.001563110590075, '
+        '"h_value": 6.108286792006945e-07, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 4.8828125e-05, "y": [0.5], "x": [0.5001953506544248, 0.5001953506544248, '
+        '0.4998046493455752, 0.4998046493455752], "v": 4.000781402617699, '
+        '"h_value": 1.5264751273675173e-07, "fw_gap": 0.0, "evals": 29, "converged": true}]}'),
+}
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_trace_text_is_pinned(sign):
+    trace = bp.run_continuation(bp.registry_get("QB"), EpsSchedule(), sign=sign,
+                                cfg=UpperConfig(seed=7))
+    assert json.dumps(bp.trace_to_json(trace)) == PINNED_TRACES[sign]

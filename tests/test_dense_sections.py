@@ -7,16 +7,18 @@ reference, reached by replacing the coefficients with None.
 """
 
 import json
+import math
 import pickle
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bilevelpen as bp
-from bilevelpen.model import GENERAL, field_from_expression
+from bilevelpen import expressions as ex
+from bilevelpen.model import GENERAL, QB_DOC, _quadratic_coefficients, field_from_expression
 from bilevelpen.selection import FW_MAX_ITER, FW_TOL, OPTIMISTIC, PESSIMISTIC
 
 REL = 1e-12
@@ -97,6 +99,70 @@ class TestDenseSection:
         _, a, f0 = qb.leader_objective.coefficients(np.array([0.5]))
         np.testing.assert_array_equal(a, [2.0, 2.0, 0.0, 0.0])
         assert f0 == 2.0
+
+
+def per_term_coefficients(node, dim_x, y):
+    """(Q, c, d) of node with each entry evaluated by its own compile_evaluator."""
+    x0 = np.zeros(dim_x)
+    grads = [ex.diff_x(node, j) for j in range(dim_x)]
+
+    def value(term):
+        return ex.compile_evaluator(term)(y, x0)
+    Q = np.zeros((dim_x, dim_x))
+    for i in range(dim_x):
+        for j in range(i, dim_x):
+            Q[i, j] = Q[j, i] = value(ex.diff_x(grads[i], j))
+    return Q, np.array([value(g) for g in grads], dtype=float), float(value(node))
+
+
+@st.composite
+def coefficient_cases(draw):
+    """(node, dim_y, dim_x, y): an AST of degree <= 2 in x that reads y, with
+    signed zeros and infinities among its constants, and a leader point."""
+    dim_y, dim_x = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    leaves = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, 1.5, 2.0, math.inf]).map(lambda v: ("const", v)),
+        st.integers(0, dim_y - 1).map(lambda i: ("y", i)),
+        st.integers(0, dim_x - 1).map(lambda j: ("x", j)))
+    nodes = st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), kids, kids),
+        st.tuples(st.just("neg"), kids),
+        st.tuples(st.just("pow"), kids, st.integers(0, 3))), max_leaves=12)
+    node = draw(nodes.filter(lambda n: ex.uses_y(n) and ex.degree_in_x(n) in (0, 1, 2)))
+    y = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0]),
+                               min_size=dim_y, max_size=dim_y)))
+    return node, dim_y, dim_x, y
+
+
+class TestOnePassCoefficients:
+    # with -0.0 and 0.0 merged, y*(-0.0) + y*0.0 would read -0.0 instead of 0.0
+    @example((("add", ("mul", ("y", 0), ("const", -0.0)), ("mul", ("y", 0), ("const", 0.0))),
+              1, 1, np.array([0.5])))
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_cases())
+    def test_bits_match_each_entry_on_its_own(self, case):
+        node, dim_y, dim_x, y = case
+        with np.errstate(all="ignore"):
+            grads = [ex.diff_x(node, j) for j in range(dim_x)]
+            got = _quadratic_coefficients(node, grads, dim_y, dim_x)(y)
+            want = per_term_coefficients(node, dim_x, y)
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_each_distinct_subtree_is_evaluated_once(self):
+        # QB's y-dependent entries of f, its value and its gradient at x = 0,
+        # share w(y) = 1 + 4y(1 - y), which reads y[0] twice
+        node = ex.parse(QB_DOC["f"])
+        entries = [node, ex.diff_x(node, 0), ex.diff_x(node, 1)]
+        reads = []
+
+        class Leader:
+            def __getitem__(self, i):
+                reads.append(i)
+                return np.float64(0.3)
+        values = ex.compile_shared(entries, np.zeros(4))(Leader())
+        assert reads == [0]
+        assert values == [ex.compile_evaluator(e)(np.array([0.3]), np.zeros(4)) for e in entries]
 
 
 class TestPenalizedCoefficients:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen import cli, model
-from bilevelpen.model import (LINEAR, QUADRATIC, BilevelProblem,
+from bilevelpen.model import (LINEAR, QUADRATIC, BilevelProblem, DimensionGuardError,
                               EmptyFeasibleSetError, ProblemError,
                               UnboundedFeasibleSetError, field_from_expression,
                               require_finite)
@@ -61,6 +61,8 @@ ON_K45 = {"name": "K45", "dim_y": 1, "dim_x": 2, "A": [[1.0, 1.0]], "b": [1.0],
 CONVEX_ON_K = {**ON_K45, "h": "(y[0] - 3) * (x[0] - 0.25)^2"}
 CONCAVE_ON_K = {**ON_K45, "h": "(3 - y[0]) * (x[0] - 0.25)^2"}
 CONCAVE_LEADER_ON_K = {**ON_K45, "f": "5 + y[0] + (3 - y[0])*(x[0] - 0.3)^2", "h": "0"}
+# concave only on the sliver y < 3 of K = [2.99, 5], which 5 draws from K miss
+CONCAVE_ON_A_SLIVER = {**CONVEX_ON_K, "name": "sliver", "K_lower": [2.99]}
 
 
 class TestConvexityOnLeaderBox:
@@ -79,6 +81,21 @@ class TestConvexityOnLeaderBox:
         sel = bp.select_response(p, [4.5], 0.01)
         np.testing.assert_allclose(sel.x, [1.0, 0.0], atol=1e-9)
         assert sel.leader_value == pytest.approx(8.765, abs=1e-9)
+
+    def test_follower_concave_on_a_sliver_of_k_is_rejected(self, tmp_path, capsys):
+        # the corners of K decide a Hessian affine in y: 2 (y - 3) < 0 at y = 2.99
+        with pytest.raises(ProblemError, match="convex in x"):
+            bp.problem_from_dict(CONCAVE_ON_A_SLIVER)
+        (tmp_path / "doc.json").write_text(json.dumps(CONCAVE_ON_A_SLIVER))
+        assert cli.main(["solve", "--problem", str(tmp_path / "doc.json"), "--epsilon", "0.01",
+                         "--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_corners_are_guarded(self):
+        dim_y = model.CORNER_DIM_GUARD + 1
+        doc = {**CONVEX_ON_K, "dim_y": dim_y, "K_lower": [4.0] * dim_y, "K_upper": [5.0] * dim_y}
+        with pytest.raises(DimensionGuardError, match="corners"):
+            bp.problem_from_dict(doc)
 
     def test_hand_built_problem_keeps_its_declaration(self):
         # field_from_expression knows no K; only problem_from_dict decides on it

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
-from bilevelpen.model import LINEAR, BilevelProblem, ScalarField, field_from_expression
+from bilevelpen.model import LINEAR, QB_DOC, BilevelProblem, ScalarField, field_from_expression
 from bilevelpen.selection import OPTIMISTIC
 
 
@@ -111,6 +111,38 @@ class TestSelectResponse:
         assert pickle.dumps(c) == pickle.dumps(d)
         e = bp.constancy_check(qb, [0.37], 0.05, n_starts=16, seed=124)
         assert not all(np.array_equal(u[0], v[0]) for u, v in zip(c.witnesses, e.witnesses))
+
+
+class TestSetupCache:
+    """A selection keeps its set-up on the problem; none may be stale."""
+
+    QB_FLAT = {**QB_DOC, "f": "2 + x[0] + x[1]"}
+
+    def test_replaced_leader_matches_a_fresh_problem(self):
+        p = bp.registry_get("QB")
+        before = bp.select_response(p, [0.3], 0.01)
+        flat = bp.problem_from_dict(self.QB_FLAT)
+        fresh = bp.select_response(flat, [0.3], 0.01)
+        assert fresh.leader_value != before.leader_value
+        replaced = replace(p, leader_objective=flat.leader_objective)
+        assert pickle.dumps(bp.select_response(replaced, [0.3], 0.01)) == pickle.dumps(fresh)
+        p.leader_objective = flat.leader_objective  # the same object, changed in place
+        assert pickle.dumps(bp.select_response(p, [0.3], 0.01)) == pickle.dumps(fresh)
+
+    def test_each_epsilon_and_sign_match_a_fresh_problem(self):
+        p = bp.registry_get("QB")
+        for epsilon, sign in [(0.01, +1), (0.02, +1), (0.02, -1), (0.01, +1), (0.01, -1)]:
+            for y in ([0.3], [0.5]):
+                fresh = bp.select_response(bp.registry_get("QB"), y, epsilon, sign)
+                assert pickle.dumps(bp.select_response(p, y, epsilon, sign)) == pickle.dumps(fresh)
+
+    @pytest.mark.parametrize("name", ["QB", "FS"])
+    def test_constancy_check_is_unchanged(self, name):
+        p = bp.registry_get(name)
+        for epsilon, sign in [(0.01, -1), (0.01, +1), (0.02, +1)]:
+            bp.select_response(p, [0.3], epsilon, sign)
+            fresh = bp.constancy_check(bp.registry_get(name), [0.3], 0.01, seed=1)
+            assert pickle.dumps(bp.constancy_check(p, [0.3], 0.01, seed=1)) == pickle.dumps(fresh)
 
 
 class TestUpperValue:

@@ -192,6 +192,15 @@ class TestSolvePenalized:
         b = bp.solve_penalized(bp.registry_get("QB"), 0.05, cfg=cfg)
         assert pickle.dumps(a) == pickle.dumps(b)
 
+    @pytest.mark.parametrize("warm_start,probes,points", [(None, 438, 301), ([0.3], 69, 50)])
+    def test_selects_each_leader_point_once(self, monkeypatch, warm_start, probes, points):
+        # the compass poll probes the point it just left, and after a shrink both
+        # neighbours again; each is selected once, and evals counts every probe
+        ys = recorded_selections(monkeypatch)
+        sol = bp.solve_penalized(bp.registry_get("QB"), 0.01, warm_start=warm_start)
+        assert len({y.tobytes() for y in ys}) == len(ys) == points
+        assert sol.evals == probes
+
     def test_budget_exhaustion_returns_best(self, qb):
         sol = bp.solve_penalized(qb, 0.1, cfg=UpperConfig(max_evals=6))
         assert not sol.converged
