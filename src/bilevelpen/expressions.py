@@ -8,7 +8,8 @@ Expressions are written over ``y[i]`` (leader variables) and ``x[j]``
 The parser produces a small AST that supports numeric evaluation
 (vectorized over batches of x), symbolic differentiation with respect
 to the x variables, and a conservative polynomial-degree analysis used
-to classify fields as linear or quadratic in x.
+to classify fields as linear or quadratic in x. compile_evaluator is the
+one compiler; it folds each subtree that reads no variable left to vary.
 """
 
 import operator
@@ -197,100 +198,52 @@ def uses_y(node):
     return any(n[0] == "y" for n, _ in _walk(node))
 
 
-# The arithmetic of every compiled expression, compile_evaluator's and
-# compile_shared's alike, so the two give the same bits.
+# The arithmetic of every compiled expression, at build time and per call alike
 _OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
         "div": operator.truediv, "neg": operator.neg, "pow": operator.pow}
 
 
-def _op(kind):
-    if kind not in _OPS:
-        raise ExpressionError(f"unknown node {kind!r}")
-    return _OPS[kind]
-
-
-def compile_evaluator(node):
+def compile_evaluator(node, x=None):
     """Compile the AST to a closure ``fn(y, x) -> value``.
 
     ``x`` may be a single point of shape (n,) or a batch of shape (N, n);
-    the result broadcasts accordingly.
+    the result broadcasts accordingly. An x given here fixes the follower
+    point, and fn then ignores its own x argument.
+
+    Each subtree that reads no variable left to vary (no y, and no x once x
+    is fixed) is evaluated once, here, from np.float64 constants with the
+    operator a call would apply, so folding changes no bit. fn.value holds
+    the value of a tree that folds whole, and is None otherwise.
     """
+    value = _compile(node, x)
+    fn = value if callable(value) else lambda y, x: value
+    fn.value = None if callable(value) else value
+    return fn
+
+
+def _compile(node, x):
+    """node's value if it reads no variable left to vary, else its closure."""
     kind = node[0]
     if kind == "const":
-        v = np.float64(node[1])  # so constants divide and overflow like y and x do
-        return lambda y, x: v
+        return np.float64(node[1])  # so constants divide and overflow like y and x do
     if kind == "y":
         i = node[1]
         return lambda y, x: y[i]
     if kind == "x":
         j = node[1]
-        return lambda y, x: x[..., j]
-    op = _op(kind)
-    fa = compile_evaluator(node[1])
+        return (lambda y, x: x[..., j]) if x is None else x[..., j]
+    if kind not in _OPS:
+        raise ExpressionError(f"unknown node {kind!r}")
+    op = _OPS[kind]
+    a = _compile(node[1], x)
     if kind == "neg":
-        return lambda y, x: op(fa(y, x))
-    if kind == "pow":
-        k = node[2]
-        return lambda y, x: op(fa(y, x), k)
-    fb = compile_evaluator(node[2])
-    return lambda y, x: op(fa(y, x), fb(y, x))
-
-
-def compile_shared(nodes, x):
-    """Compile ASTs to one closure ``fn(y) -> list`` of their values at the
-    leader point y and the fixed follower point x.
-
-    Each distinct subtree is evaluated once per call, and each subtree that
-    reads no y once here. The arithmetic is compile_evaluator's, so every
-    value has the bits of compile_evaluator(node)(y, x). Constants are told
-    apart by their float bits, so 0.0 and -0.0 are never merged.
-    """
-    values = [None]  # None marks a slot that reads y; slot 0 holds y during a call
-    slots = {}       # subtree key -> its slot in values
-    program = []     # (slot, op, a, b): values[slot] = op(values[a]) or op(values[a], values[b])
-
-    def constant(key, value):
-        if key not in slots:
-            slots[key] = len(values)
-            values.append(value)
-        return slots[key]
-
-    def apply(key, op, a, b=None):
-        if key not in slots:
-            slots[key] = len(values)
-            args = [values[a]] if b is None else [values[a], values[b]]
-            if any(v is None for v in args):
-                program.append((len(values), op, a, b))
-                values.append(None)
-            else:
-                values.append(op(*args))
-        return slots[key]
-
-    def visit(node):
-        kind = node[0]
-        if kind == "const":
-            v = np.float64(node[1])
-            return constant(("const", v.tobytes()), v)
-        if kind == "x":
-            return constant(node, x[..., node[1]])
-        if kind == "y":
-            return apply(node, operator.getitem, 0, constant(("int", node[1]), node[1]))
-        op = _op(kind)
-        a = visit(node[1])
-        if kind == "neg":
-            return apply((kind, a), op, a)
-        b = constant(("int", node[2]), node[2]) if kind == "pow" else visit(node[2])
-        return apply((kind, a, b), op, a, b)
-
-    roots = [visit(node) for node in nodes]
-
-    def fn(y):
-        v = values.copy()
-        v[0] = y
-        for slot, op, a, b in program:
-            v[slot] = op(v[a]) if b is None else op(v[a], v[b])
-        return [v[r] for r in roots]
-    return fn
+        return op(a) if not callable(a) else lambda y, x: op(a(y, x))
+    b = node[2] if kind == "pow" else _compile(node[2], x)  # an exponent is an int
+    if not callable(a):
+        return op(a, b) if not callable(b) else lambda y, x: op(a, b(y, x))
+    if not callable(b):
+        return lambda y, x: op(a(y, x), b)
+    return lambda y, x: op(a(y, x), b(y, x))
 
 
 # -- symbolic differentiation -------------------------------------------

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import json
 import math
+import numbers
 import numpy as np
 
 from . import expressions as ex
@@ -164,7 +165,7 @@ def field_from_expression(text, dim_y, dim_x):
     else:
         structure = LINEAR
     coefficients = (None if structure == GENERAL
-                    else _quadratic_coefficients(node, grad_nodes, dim_y, dim_x))
+                    else _quadratic_coefficients(node, grad_nodes))
 
     if structure == QUADRATIC:
         draws = 5 if coefficients.hessian_reads_y else 1
@@ -194,18 +195,18 @@ def field_from_expression(text, dim_y, dim_x):
     )
 
 
-def _quadratic_coefficients(node, grad_nodes, dim_y, dim_x):
-    """y -> (Q, c, d) of a field of degree <= 2 in x.
+def _quadratic_coefficients(node, grad_nodes):
+    """y -> (Q, c, d) of a field of degree <= 2 in x, given its gradient nodes.
 
     Q is the Hessian from the symbolic second derivatives, c the gradient
     and d the value at x = 0, so f(y, x) = x'(Qx/2 + c) + d exactly. They
-    are packed in one vector [Q.ravel(), c, d]. Entries that do not read y
-    are evaluated once here; the others in one ex.compile_shared pass per
-    call, which evaluates each distinct subtree once (QB's three entries
-    are one w(y)) with the bits of evaluating each entry on its own.
-    coefficients.hessian_reads_y tells if Q reads y.
+    are packed in one vector [Q.ravel(), c, d]. Each entry is compiled at
+    x = 0: one that folds to a value (reads no y) is stored once here, the
+    others are evaluated per call, each with the bits of
+    ex.compile_evaluator(entry)(y, 0). coefficients.hessian_reads_y tells if
+    Q reads y.
     """
-    n = dim_x
+    n = len(grad_nodes)
     terms = [([n * n + n], node)] + [([n * n + j], g) for j, g in enumerate(grad_nodes)]
     terms += [([i * n + j, j * n + i], ex.diff_x(grad_nodes[i], j))
               for i in range(n) for j in range(i, n)]
@@ -213,18 +214,18 @@ def _quadratic_coefficients(node, grad_nodes, dim_y, dim_x):
     base = np.zeros(n * n + n + 1)
     varying = []
     for idx, term in terms:
-        if ex.uses_y(term):
-            varying.append((idx, term))
+        fn = ex.compile_evaluator(term, x0)
+        if fn.value is None:
+            varying.append((idx, fn))
         else:
-            base[idx] = ex.compile_evaluator(term)(np.zeros(dim_y), x0)
-    entries = ex.compile_shared([term for _, term in varying], x0)
-    positions = [(k, i) for i, (idx, _) in enumerate(varying) for k in idx]
+            base[idx] = fn.value
 
     def coefficients(y):
         theta = base.copy()
-        values = entries(y)
-        for k, i in positions:
-            theta[k] = values[i]
+        for idx, fn in varying:
+            value = fn(y, None)
+            for k in idx:
+                theta[k] = value
         return theta[:n * n].reshape(n, n), theta[n * n:-1], float(theta[-1])
     coefficients.hessian_reads_y = any(idx[0] < n * n for idx, _ in varying)
     return coefficients
@@ -239,8 +240,9 @@ def _psd_at(coefficients, ys):
 class Polytope:
     """The follower feasible set C = {x : Ax = b, x >= 0}.
 
-    Construction verifies C is nonempty and bounded with one LP, max 1'x
-    over C: since x >= 0, C is bounded iff that maximum is finite.
+    Construction rejects a non-finite A or b, then verifies C is nonempty
+    and bounded with one LP, max 1'x over C: since x >= 0, C is bounded iff
+    that maximum is finite.
     cached_vertices and cached_grids (grid step -> points) are caches only,
     filled by enumerate_vertices and the grid oracle; the constructor does not
     take them, since an incomplete list would make the vertex oracle inexact.
@@ -257,6 +259,8 @@ class Polytope:
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
         if self.A.shape[0] != self.b.shape[0]:
             raise ProblemError("A and b row counts differ")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
+            raise ProblemError("A and b must be finite")
         _, _, _, status = simplex.solve(-np.ones(self.A.shape[1]), self.A, self.b)
         if status == "infeasible":
             raise EmptyFeasibleSetError("feasible set {Ax=b, x>=0} is empty")
@@ -451,13 +455,21 @@ def registry_get(name):
 def problem_from_dict(doc):
     """Build a problem from the JSON document schema.
 
-    Expected keys: name, dim_y, dim_x, A (row-major nested lists), b,
-    K_lower, K_upper, f, h (expression strings).
+    Expected keys: name, dim_y, dim_x (integers), A (row-major nested
+    lists), b, K_lower, K_upper, f, h (expression strings). A key of another
+    type is a ProblemError, never a truncation.
     """
+    if not isinstance(doc, dict):
+        raise ProblemError(f"a problem document is a JSON object, got {type(doc).__name__}")
     required = ("name", "dim_y", "dim_x", "A", "b", "K_lower", "K_upper", "f", "h")
     missing = [k for k in required if k not in doc]
     if missing:
         raise ProblemError(f"problem document missing keys: {missing}")
+    integer, text = (numbers.Integral, "an integer"), (str, "an expression string")
+    for key, (kind, noun) in (("dim_y", integer), ("dim_x", integer), ("f", text), ("h", text)):
+        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
+            got = json.dumps(doc[key], default=repr)
+            raise ProblemError(f"{key} must be {noun}, got {got}")
     dim_y, dim_x = int(doc["dim_y"]), int(doc["dim_x"])
     f = field_from_expression(doc["f"], dim_y=dim_y, dim_x=dim_x)
     h = field_from_expression(doc["h"], dim_y=dim_y, dim_x=dim_x)
@@ -512,8 +524,14 @@ def problem_to_dict(problem):
 
 
 def load_problem(path):
-    with open(path) as fh:
-        return problem_from_dict(json.load(fh))
+    """The problem of the JSON document at path; ProblemError if it cannot be read."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ProblemError(f"cannot read problem document {str(path)!r}: "
+                           f"{exc.strerror or exc}") from None
+    return problem_from_dict(doc)
 
 
 def save_problem(problem, path):

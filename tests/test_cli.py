@@ -283,6 +283,36 @@ class TestNonFiniteInputs:
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("change", [
+        {"h": None}, {"f": 1}, {"dim_x": 2.7}, {"dim_x": "2"}, {"dim_x": True},
+        {"dim_x": None}, {"b": [float("nan")]}, {"A": [[float("nan"), 1.0]]},
+        {"b": [float("inf")]}],
+        ids=["h_null", "f_number", "dim_x_2.7", "dim_x_string", "dim_x_true", "dim_x_null",
+             "b_nan", "A_nan", "b_inf"])
+    @pytest.mark.parametrize("command", [["solve", "--epsilon", "0.1"], ["oracle"]])
+    def test_malformed_document_is_input_error(self, tmp_path, fs, capsys, change, command):
+        # these ended in a TypeError or SVD traceback, were truncated, or blamed
+        # the leader objective for NaN vertices
+        (tmp_path / "doc.json").write_text(json.dumps({**bp.problem_to_dict(fs), **change}))
+        out = tmp_path / "out"
+        code = run_cli(command[0], "--problem", str(tmp_path / "doc.json"), *command[1:],
+                       tmp_path=out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_directory_as_problem_is_input_error(self, tmp_path, capsys):
+        # open() of a directory ended in an IsADirectoryError traceback
+        (tmp_path / "docs").mkdir()
+        out = tmp_path / "out"
+        code = run_cli("solve", "--problem", str(tmp_path / "docs"), "--epsilon", "0.1",
+                       tmp_path=out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: cannot read problem document")
+        assert list(out.iterdir()) == []
+
     def test_250_term_sum_validates_and_solves(self, tmp_path, fs):
         terms = " + ".join(f"0.001*x[{k % 2}]" for k in range(250))
         doc = {**bp.problem_to_dict(fs), "f": "1 + y[0] + " + terms,

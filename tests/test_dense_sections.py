@@ -144,25 +144,28 @@ class TestOnePassCoefficients:
         node, dim_y, dim_x, y = case
         with np.errstate(all="ignore"):
             grads = [ex.diff_x(node, j) for j in range(dim_x)]
-            got = _quadratic_coefficients(node, grads, dim_y, dim_x)(y)
+            got = _quadratic_coefficients(node, grads)(y)
             want = per_term_coefficients(node, dim_x, y)
         for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
-    def test_each_distinct_subtree_is_evaluated_once(self):
-        # QB's y-dependent entries of f, its value and its gradient at x = 0,
-        # share w(y) = 1 + 4y(1 - y), which reads y[0] twice
-        node = ex.parse(QB_DOC["f"])
-        entries = [node, ex.diff_x(node, 0), ex.diff_x(node, 1)]
+    def test_entries_that_read_no_y_fold_at_build(self):
+        # QB's h reads no y, so each of its entries folds to a value when the
+        # field is built and a call reads y zero times; QB's f reads y, and its
+        # entries keep the bits of compiling each on its own
         reads = []
 
         class Leader:
             def __getitem__(self, i):
                 reads.append(i)
                 return np.float64(0.3)
-        values = ex.compile_shared(entries, np.zeros(4))(Leader())
-        assert reads == [0]
-        assert values == [ex.compile_evaluator(e)(np.array([0.3]), np.zeros(4)) for e in entries]
+        h = field_from_expression(QB_DOC["h"], 1, 4)
+        h.coefficients(Leader())
+        assert reads == [] and not h.coefficients.hessian_reads_y
+        got = field_from_expression(QB_DOC["f"], 1, 4).coefficients(Leader())
+        want = per_term_coefficients(ex.parse(QB_DOC["f"]), 4, np.array([0.3]))
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestPenalizedCoefficients:

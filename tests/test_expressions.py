@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bilevelpen import expressions as ex
 
@@ -38,6 +40,73 @@ def test_constants_follow_numpy_arithmetic():
     assert ev("2 + x[0] + 10^400", [], [0.0]) == np.inf
     assert ev("-(2^2000)", [], [0.0]) == -np.inf
     np.testing.assert_array_equal(ev("x[0] + 1/0", [], [[0.0], [1.0]]), [np.inf, np.inf])
+
+
+def plain_value(node, y, x):
+    """node's value by plain recursion over the AST, from np.float64 constants."""
+    kind = node[0]
+    if kind == "const":
+        return np.float64(node[1])
+    if kind == "y":
+        return y[node[1]]
+    if kind == "x":
+        return x[..., node[1]]
+    a = plain_value(node[1], y, x)
+    if kind == "neg":
+        return -a
+    if kind == "pow":
+        return a ** node[2]
+    b = plain_value(node[2], y, x)
+    if kind == "add":
+        return a + b
+    if kind == "sub":
+        return a - b
+    return a * b if kind == "mul" else a / b
+
+
+@st.composite
+def folding_cases(draw):
+    """(node, y, x, Y, X): an AST whose constants include signed zeros,
+    infinities, 1/0 and 10^400, a leader and a follower point, and a batch
+    of three follower points with a leader point per row."""
+    dim_y, dim_x = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    leaves = st.one_of(
+        st.sampled_from([("const", v) for v in (0.0, -0.0, 0.5, 2.0, math.inf)]
+                        + [ex.parse("1/0"), ex.parse("10^400")]),
+        st.integers(0, dim_y - 1).map(lambda i: ("y", i)),
+        st.integers(0, dim_x - 1).map(lambda j: ("x", j)))
+    node = draw(st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), kids, kids),
+        st.tuples(st.just("neg"), kids),
+        st.tuples(st.just("pow"), kids, st.integers(0, 3))), max_leaves=12))
+    values = st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, 1e300])
+
+    def points(*shape):
+        return np.array(draw(st.lists(values, min_size=math.prod(shape),
+                                      max_size=math.prod(shape)))).reshape(shape)
+    return node, points(dim_y), points(dim_x), points(3, dim_y), points(3, dim_x)
+
+
+def same_bits(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(folding_cases())
+def test_folding_changes_no_bit(case):
+    # what reads no variable left to vary is evaluated at compile time, from
+    # the np.float64 constants a call would use; folded as Python floats,
+    # 1/0 and 10^400 would raise and every folded value would change type
+    node, y, x, Y, X = case
+    with np.errstate(all="ignore"):
+        for term in [node] + [ex.diff_x(node, j) for j in range(x.size)]:
+            fn = ex.compile_evaluator(term)
+            for at in [(y, x), (y, X), (Y.T, X)]:  # a point, a batch, a y per row
+                assert same_bits(fn(*at), plain_value(term, *at))
+            fixed = ex.compile_evaluator(term, x)  # the follower point fixed
+            assert same_bits(fixed(y, None), plain_value(term, y, x))
+            assert (fixed.value is None) == ex.uses_y(term)
 
 
 @pytest.mark.parametrize("bad", [

@@ -143,6 +143,15 @@ class TestPolytope:
         with pytest.raises(UnboundedFeasibleSetError):
             bp.Polytope(A=[[1.0, -1.0]], b=[0.0])
 
+    @pytest.mark.parametrize("A,b", [([[1.0, 1.0]], [np.nan]), ([[np.nan, 1.0]], [1.0]),
+                                     ([[1.0, 1.0]], [np.inf]), ([[1.0, -np.inf]], [1.0])])
+    def test_non_finite_data_raises_before_the_lp(self, monkeypatch, A, b):
+        # a NaN b once gave NaN vertices, a NaN A an SVD error and an
+        # infinite b simplex warnings and an empty set
+        monkeypatch.setattr(model.simplex, "solve", lambda *a: pytest.fail("LP ran"))
+        with pytest.raises(ProblemError, match="A and b must be finite"):
+            bp.Polytope(A=A, b=b)
+
     def test_distinct_error_codes(self):
         assert issubclass(EmptyFeasibleSetError, ProblemError)
         assert issubclass(UnboundedFeasibleSetError, ProblemError)
@@ -412,6 +421,29 @@ class TestJsonDocuments:
     def test_missing_keys(self):
         with pytest.raises(ProblemError, match="missing keys"):
             bp.problem_from_dict({"name": "x"})
+
+    @pytest.mark.parametrize("key,value", [
+        ("h", None), ("f", 1), ("f", ["x[0]"]), ("dim_x", 2.7), ("dim_x", 2.0),
+        ("dim_x", "2"), ("dim_x", True), ("dim_y", None), ("dim_y", False)])
+    def test_mistyped_field_raises(self, fs, key, value):
+        # None reached the tokenizer as a TypeError, and 2.7 was truncated to 2
+        with pytest.raises(ProblemError, match=f"^{key} must be an"):
+            bp.problem_from_dict({**bp.problem_to_dict(fs), key: value})
+
+    def test_numpy_integer_dimensions_load(self, fs):
+        doc = {**bp.problem_to_dict(fs), "dim_y": np.int64(1), "dim_x": np.int32(2)}
+        assert bp.problem_from_dict(doc).dim_x == 2
+
+    @pytest.mark.parametrize("doc", [[], 5, None, "FS"])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(ProblemError, match="is a JSON object"):
+            bp.problem_from_dict(doc)
+
+    def test_unreadable_path_raises(self, tmp_path):
+        with pytest.raises(ProblemError, match="cannot read problem document"):
+            bp.load_problem(tmp_path)
+        with pytest.raises(ProblemError, match="No such file"):
+            bp.load_problem(tmp_path / "missing.json")
 
     def test_dimension_mismatch(self, qb):
         doc = bp.problem_to_dict(qb)
