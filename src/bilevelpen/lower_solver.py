@@ -20,7 +20,8 @@ import numpy as np
 from scipy.linalg import qr as scipy_qr
 
 from . import simplex
-from .model import LINEAR, QUADRATIC, DimensionGuardError, FEAS_TOL, FieldSection, Polytope
+from .model import (LINEAR, QUADRATIC, DimensionGuardError, FEAS_TOL, FieldSection, Polytope,
+                    _read_only)
 
 VERTEX_DIM_GUARD = 12
 RANK_TOL = 1e-10  # singular-value cutoff of independent_rows
@@ -97,7 +98,7 @@ def enumerate_vertices(C: Polytope) -> np.ndarray:
         if key not in seen:
             seen[key] = v
     V = np.array(sorted(seen.values(), key=tuple))
-    C.cached_vertices = V
+    object.__setattr__(C, "cached_vertices", _read_only(V))
     return V
 
 

@@ -29,6 +29,7 @@ FEAS_TOL = 1e-9
 VALIDATION_SAMPLES = 500  # sampled (y, x) pairs per validate_problem check
 VALIDATION_SEED = 0
 CORNER_DIM_GUARD = 12  # leader dimensions whose 2**dim_y box corners _convex_on tests
+_cache = partial(field, init=False, repr=False, compare=False)  # a field that only caches
 
 
 class ProblemError(ValueError):
@@ -56,6 +57,12 @@ def require_finite(name, value, positive=False):
     if not (0 < value if positive else 0 <= value) or not value < math.inf:
         kind = "positive and finite" if positive else "finite and nonnegative"
         raise ValueError(f"{name} must be {kind}, got {value}")
+
+
+def _read_only(a):
+    """a, an array that no caller holds, with writing switched off."""
+    a.flags.writeable = False
+    return a
 
 
 def _csv_table(rows, keys):
@@ -236,27 +243,26 @@ def _psd_at(coefficients, ys):
     return all(np.linalg.eigvalsh(coefficients(y)[0]).min() >= -1e-9 for y in ys)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Polytope:
-    """The follower feasible set C = {x : Ax = b, x >= 0}.
+    """The follower feasible set C = {x : Ax = b, x >= 0}, read-only.
 
-    Construction rejects a non-finite A or b, then verifies C is nonempty
-    and bounded with one LP, max 1'x over C: since x >= 0, C is bounded iff
-    that maximum is finite.
-    cached_vertices and cached_grids (grid step -> points) are caches only,
+    A and b are read-only copies that C owns. Construction rejects a
+    non-finite A or b, then verifies C is nonempty and bounded with one LP,
+    max 1'x over C: since x >= 0, C is bounded iff that maximum is finite.
+    cached_vertices and cached_grids (grid step -> points) are read-only caches,
     filled by enumerate_vertices and the grid oracle; the constructor does not
     take them, since an incomplete list would make the vertex oracle inexact.
     """
 
     A: np.ndarray
     b: np.ndarray
-    cached_vertices: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                                  compare=False)
-    cached_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    cached_vertices: Optional[np.ndarray] = _cache(default=None)
+    cached_grids: dict = _cache(default_factory=dict)
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.b = np.asarray(self.b, dtype=float).reshape(-1)
+        object.__setattr__(self, "A", _read_only(np.array(self.A, dtype=float, ndmin=2)))
+        object.__setattr__(self, "b", _read_only(np.asarray(self.b, dtype=float).flatten()))
         if self.A.shape[0] != self.b.shape[0]:
             raise ProblemError("A and b row counts differ")
         if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
@@ -279,14 +285,14 @@ class Polytope:
 
 @dataclass(frozen=True)
 class BoxSet:
-    """An axis-aligned box for the leader variable."""
+    """An axis-aligned box for the leader variable, with read-only bounds."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).reshape(-1)
-        hi = np.asarray(self.upper, dtype=float).reshape(-1)
+        lo = _read_only(np.asarray(self.lower, dtype=float).flatten())
+        hi = _read_only(np.asarray(self.upper, dtype=float).flatten())
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape:
@@ -314,19 +320,17 @@ class BoxSet:
         return rng.uniform(self.lower, self.upper, size=(size, self.dim))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BilevelProblem:
-    """A validated bundle (leader objective, follower objective, K, C)."""
+    """A validated, read-only bundle (f, h, K, C); dataclasses.replace varies it."""
 
     name: str
     leader_objective: ScalarField
     follower_objective: ScalarField
     leader_set: BoxSet
     follower_set: Polytope
-    # a cache only: the set-up of the last (epsilon, sign) selected, see
-    # selection._setup; a replace() starts without it
-    cached_selection: Optional[tuple] = field(default=None, init=False, repr=False,
-                                              compare=False)
+    # the set-up of the last (epsilon, sign) selected, see selection._setup
+    cached_selection: Optional[tuple] = _cache(default=None)
 
     def __post_init__(self):
         f, h = self.leader_objective, self.follower_objective
@@ -455,9 +459,11 @@ def registry_get(name):
 def problem_from_dict(doc):
     """Build a problem from the JSON document schema.
 
-    Expected keys: name, dim_y, dim_x (integers), A (row-major nested
-    lists), b, K_lower, K_upper, f, h (expression strings). A key of another
-    type is a ProblemError, never a truncation.
+    Expected keys: name (a file name, as reports are named after it: no / or
+    \\, not . or ..), dim_y, dim_x (integers of at least 1), A (row-major
+    nested lists), b, K_lower, K_upper, f, h (expression strings). A key of
+    another type or value is a ProblemError, never a truncation, and these
+    five are checked before any field is built.
     """
     if not isinstance(doc, dict):
         raise ProblemError(f"a problem document is a JSON object, got {type(doc).__name__}")
@@ -465,11 +471,15 @@ def problem_from_dict(doc):
     missing = [k for k in required if k not in doc]
     if missing:
         raise ProblemError(f"problem document missing keys: {missing}")
-    integer, text = (numbers.Integral, "an integer"), (str, "an expression string")
-    for key, (kind, noun) in (("dim_y", integer), ("dim_x", integer), ("f", text), ("h", text)):
-        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
-            got = json.dumps(doc[key], default=repr)
-            raise ProblemError(f"{key} must be {noun}, got {got}")
+    stem = (lambda v: isinstance(v, str) and v not in ("", ".", "..") and "/" not in v
+            and "\\" not in v, "a non-empty string with no / or \\ that is not . or ..")
+    count = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
+             "an integer of at least 1")
+    text = (lambda v: isinstance(v, str), "an expression string")
+    for key, (ok, noun) in (("name", stem), ("dim_y", count), ("dim_x", count),
+                            ("f", text), ("h", text)):
+        if not ok(doc[key]):
+            raise ProblemError(f"{key} must be {noun}, got {json.dumps(doc[key], default=repr)}")
     dim_y, dim_x = int(doc["dim_y"]), int(doc["dim_x"])
     f = field_from_expression(doc["f"], dim_y=dim_y, dim_x=dim_x)
     h = field_from_expression(doc["h"], dim_y=dim_y, dim_x=dim_x)
@@ -480,7 +490,7 @@ def problem_from_dict(doc):
     if K.dim != dim_y:
         raise ProblemError("box bounds do not match dim_y")
     return BilevelProblem(
-        name=str(doc["name"]),
+        name=doc["name"],
         leader_objective=_convex_on(f, K),
         follower_objective=_convex_on(h, K),
         leader_set=K,

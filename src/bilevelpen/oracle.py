@@ -19,7 +19,7 @@ from scipy.linalg import qr as scipy_qr
 
 from . import expressions as ex
 from .model import (LINEAR, BilevelProblem, DimensionGuardError, FEAS_TOL, ProblemError,
-                    require_finite)
+                    _read_only, require_finite)
 from .lower_solver import (_fw_best, enumerate_vertices, independent_rows,
                            lp_minimize, vertex_lmo)
 from .selection import penalized_field
@@ -127,7 +127,7 @@ def _intrinsic_grid(C, step):
 
 def _grid_for(C, step):
     if step not in C.cached_grids:
-        C.cached_grids[step] = _intrinsic_grid(C, step)
+        C.cached_grids[step] = _read_only(_intrinsic_grid(C, step))
     return C.cached_grids[step]
 
 

@@ -76,9 +76,6 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
         return (np.asarray(h.gradient_x(y, x), dtype=float)
                 + 2.0 * s_eps * fv * np.asarray(f.gradient_x(y, x), dtype=float))
 
-    def evaluate_batch(y, X):
-        return h.batch(y, X) + s_eps * f.batch(y, X) ** 2
-
     coefficients = None
     if f.structure == LINEAR and h.structure in (LINEAR, QUADRATIC):
         structure = QUADRATIC
@@ -96,26 +93,21 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
         dim_y=f.dim_y, dim_x=f.dim_x,
         evaluate=evaluate, gradient_x=gradient_x,
         structure=structure, convex_in_x=convex,
-        evaluate_batch=evaluate_batch, expression=None, coefficients=coefficients,
+        expression=None, coefficients=coefficients,
     )
 
 
 def _setup(problem, epsilon, sign):
     """(penalized field, vertices V of C, vertex LMO, V[:MAX_STARTS]) of a
-    selection. Built once per (problem, epsilon, sign) and kept in
-    problem.cached_selection, keyed by the identity of f, h, K and C and by
-    epsilon and sign (==), so a replace() of the problem or another epsilon
-    never reuses a stale set-up."""
-    parts = (problem.leader_objective, problem.follower_objective,
-             problem.leader_set, problem.follower_set)
+    selection, built once per (epsilon, sign) in problem.cached_selection; a
+    problem is read-only, so nothing else can make that set-up stale."""
     cached = problem.cached_selection
-    if (cached is not None and cached[1] == (epsilon, sign)
-            and all(a is b for a, b in zip(cached[0], parts))):
-        return cached[2]
+    if cached is not None and cached[0] == (epsilon, sign):
+        return cached[1]
     penalized = penalized_field(problem, epsilon, sign)
     V = enumerate_vertices(problem.follower_set)
     setup = (penalized, V, vertex_lmo(V), V[:MAX_STARTS])
-    problem.cached_selection = (parts, (epsilon, sign), setup)
+    object.__setattr__(problem, "cached_selection", ((epsilon, sign), setup))
     return setup
 
 

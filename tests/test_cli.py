@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -101,6 +102,34 @@ class TestContinuation:
                        "--limit", tmp_path=tmp_path)
         assert code == 1
         assert "need k >= 3" in capsys.readouterr().err
+
+    def _run_with_rows(self, monkeypatch, tmp_path, change):
+        """Run `continuation` on QB with row 2 of each trace changed by change."""
+        run = cli.run_continuation
+
+        def changed(*args, **kwargs):
+            trace = run(*args, **kwargs)
+            rows = list(trace.rows)
+            rows[2] = dataclasses.replace(rows[2], **change)
+            return dataclasses.replace(trace, rows=tuple(rows))
+        monkeypatch.setattr(cli, "run_continuation", changed)
+        return run_cli("continuation", "--problem", "QB", "--k", "4", tmp_path=tmp_path)
+
+    def test_monotonicity_drop_exits_2_with_its_report(self, tmp_path, capsys, monkeypatch):
+        code = self._run_with_rows(monkeypatch, tmp_path, {"v": 0.0})
+        assert code == 2
+        assert capsys.readouterr().err == "monotonicity violated at rows [2]\n"
+        doc = json.loads((tmp_path / "QB_trace.json").read_text())
+        assert doc["monotone_ok"] is False and doc["monotone_violations"] == [2]
+        assert (tmp_path / "QB_trace.csv").exists()
+
+    def test_unconverged_row_exits_2(self, tmp_path, capsys, monkeypatch):
+        code = self._run_with_rows(monkeypatch, tmp_path, {"converged": False})
+        assert code == 2
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "QB_trace.json").read_text())
+        assert doc["monotone_ok"] is True
+        assert [r["converged"] for r in doc["rows"]] == [True, True, False, True]
 
     def test_limit_report(self, tmp_path):
         code = run_cli("continuation", "--problem", "QB", "--k", "12",
@@ -301,6 +330,23 @@ class TestNonFiniteInputs:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("change", [
+        {"name": "../escaped"}, {"name": None}, {"dim_y": 0, "K_lower": [], "K_upper": []},
+        {"dim_x": -1}],
+        ids=["name_escapes", "name_null", "dim_y_0", "dim_x_negative"])
+    @pytest.mark.parametrize("command", [["solve", "--epsilon", "0.1"], ["oracle"]])
+    def test_bad_name_or_dimension_is_input_error(self, tmp_path, fs, capsys, change, command):
+        # "../escaped" wrote its reports outside --output, null wrote
+        # None_solve.json, and dim_y 0 ended in a numpy reduction error
+        (tmp_path / "doc.json").write_text(json.dumps({**bp.problem_to_dict(fs), **change}))
+        code = run_cli(command[0], "--problem", str(tmp_path / "doc.json"), *command[1:],
+                       tmp_path=tmp_path / "out" / "sub")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"error: {next(iter(change))} must be")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["doc.json"]
 
     def test_directory_as_problem_is_input_error(self, tmp_path, capsys):
         # open() of a directory ended in an IsADirectoryError traceback

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
-from bilevelpen.lower_solver import _feasible_points
+from bilevelpen.lower_solver import _feasible_points, _fw_run, vertex_lmo
 from bilevelpen.model import DimensionGuardError, FieldSection, Polytope
 
 
@@ -133,6 +133,22 @@ class TestFrankWolfe:
         sol = bp.frank_wolfe_minimize(field.fix([0.5]), qb.follower_set, tol=1e-8)
         assert sol.fw_gap <= 1e-8
         assert sol.value == pytest.approx(8.0 / 7.0, abs=1e-9)
+
+    def test_gap_is_recomputed_at_a_lower_oracle_vertex(self):
+        # ||x - t||^2 on the 3-simplex from e3: the first oracle vertex e1 is
+        # lower than e3, and one iteration ends the run there
+        t = np.array([0.7, 0.3, 0.0])
+        section = quadratic_section(2.0 * np.eye(3), -2.0 * t)
+        V = bp.enumerate_vertices(Polytope(A=[[1.0, 1.0, 1.0]], b=[1.0]))
+        lmo = vertex_lmo(V)
+        x0 = np.array([0.0, 0.0, 1.0])
+        first_gap = float(section.grad(x0) @ (x0 - lmo(section.grad(x0))))
+        x, value, gap, iters = _fw_run(section, lmo, x0, 1e-8, 1)
+        assert x.tolist() == [1.0, 0.0, 0.0] and iters == 1
+        assert value == section.value(x) < section.value(x0)
+        g = section.grad(x)
+        assert gap == float(g @ (x - lmo(g))) == pytest.approx(1.2, abs=1e-12)
+        assert gap != first_gap
 
     def test_linear_objective_matches_lp_exactly(self, qb):
         c = np.array([0.3, -1.2, 0.456, 2.0])

@@ -14,6 +14,7 @@ from bilevelpen.model import (LINEAR, QUADRATIC, BilevelProblem, DimensionGuardE
 from bilevelpen.model import (VALIDATION_SAMPLES, VALIDATION_SEED, _gradient_relative_error,
                               _worst_sample)
 from bilevelpen.lower_solver import _feasible_points, enumerate_vertices
+from bilevelpen.oracle import _grid_for
 
 
 class TestRegistry:
@@ -185,6 +186,65 @@ class TestBoxSet:
         box = bp.BoxSet(lower=[0.0, -1.0], upper=[1.0, 1.0])
         np.testing.assert_allclose(box.clip([2.0, -3.0]), [1.0, -1.0])
         np.testing.assert_allclose(box.midpoint(), [0.5, 0.0])
+
+
+class TestReadOnly:
+    """Problems, their sets and every array cached on them are read-only, so
+    no cache can go stale; dataclasses.replace varies a problem."""
+
+    def test_fields_cannot_be_assigned(self):
+        p = bp.registry_get("FS")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.follower_set = bp.Polytope(A=[[1.0, 1.0]], b=[2.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.follower_set.A = np.array([[2.0, 1.0]])
+
+    def test_arrays_cannot_be_written(self):
+        p = bp.registry_get("QB")
+        C, K = p.follower_set, p.leader_set
+        grid = _grid_for(C, 0.05)
+        for array in (C.A, C.b, K.lower, K.upper, enumerate_vertices(C), grid):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 9.0
+        np.testing.assert_array_equal(C.b, [1.0, 1.0])
+
+    def test_callers_arrays_are_copied_and_stay_writable(self):
+        A, b = np.array([[1.0, 1.0]]), np.array([1.0])
+        lo, hi = np.array([0.0]), np.array([1.0])
+        C, K = bp.Polytope(A=A, b=b), bp.BoxSet(lower=lo, upper=hi)
+        for mine, owned in ((A, C.A), (b, C.b), (lo, K.lower), (hi, K.upper)):
+            assert not np.shares_memory(mine, owned)
+            assert mine.flags.writeable
+        A[0, 0], b[0], lo[0], hi[0] = 5.0, 7.0, -1.0, 2.0
+        np.testing.assert_array_equal(C.A, [[1.0, 1.0]])
+        np.testing.assert_array_equal(C.b, [1.0])
+        np.testing.assert_array_equal(K.lower, [0.0])
+        np.testing.assert_array_equal(K.upper, [1.0])
+
+    def test_stale_set_reproduction_raises(self):
+        # a selection once kept the vertices of the old set, x = [0, 1], after
+        # an in-place b = [2]
+        p = bp.registry_get("FS")
+        bp.select_response(p, [0.5], 0.01)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.follower_set.b = np.array([2.0])
+        np.testing.assert_array_equal(bp.select_response(p, [0.5], 0.01).x, [0.0, 1.0])
+
+    def test_written_vertex_reproduction_raises(self):
+        # a written vertex once made the selection return x = [1, 0] with
+        # leader value 3, and the three-level oracle report 3 for a worst case of 2
+        p = bp.registry_get("FS")
+        with pytest.raises(ValueError, match="read-only"):
+            enumerate_vertices(p.follower_set)[0, 0] = 9.0
+        assert bp.select_response(p, [0.5], 0.01).leader_value == pytest.approx(2.0, abs=1e-9)
+        assert bp.solve_three_level(p).leader_value == pytest.approx(2.0, abs=1e-9)
+
+    def test_replaced_problem_starts_with_empty_caches(self):
+        p = bp.registry_get("FS")
+        bp.select_response(p, [0.5], 0.01)
+        assert p.cached_selection is not None
+        assert dataclasses.replace(p, name="FS2").cached_selection is None
+        assert dataclasses.replace(p.follower_set).cached_vertices is None
 
 
 class TestRequireFinite:
@@ -429,6 +489,31 @@ class TestJsonDocuments:
         # None reached the tokenizer as a TypeError, and 2.7 was truncated to 2
         with pytest.raises(ProblemError, match=f"^{key} must be an"):
             bp.problem_from_dict({**bp.problem_to_dict(fs), key: value})
+
+    @pytest.mark.parametrize("name", [
+        "../escaped", None, "", ".", "..", "a/b", "a\\b", "/abs", 5])
+    def test_name_is_a_file_name(self, fs, name):
+        # reports are named after it: "../escaped" wrote outside --output and
+        # null wrote None_solve.json
+        with pytest.raises(ProblemError, match=r"^name must be a non-empty string with no /"):
+            bp.problem_from_dict({**bp.problem_to_dict(fs), "name": name})
+
+    @pytest.mark.parametrize("name", ["family3-2x3-quad", "tilted-segment", "dense_basis",
+                                      "K45", "qb0", "a.b", "...", "x y"])
+    def test_file_names_load(self, fs, name):
+        assert bp.problem_from_dict({**bp.problem_to_dict(fs), "name": name}).name == name
+
+    @pytest.mark.parametrize("change", [
+        {"dim_y": 0, "K_lower": [], "K_upper": []}, {"dim_y": -1}, {"dim_x": 0},
+        {"dim_x": -1}])
+    def test_dimensions_are_at_least_one(self, fs, monkeypatch, change):
+        # dim_y 0 ended in numpy's zero-size reduction error, and a negative
+        # dim_x was caught only as an index out of range
+        monkeypatch.setattr(model, "field_from_expression",
+                            lambda *a, **k: pytest.fail("a field was built"))
+        key = next(iter(change))
+        with pytest.raises(ProblemError, match=f"^{key} must be an integer of at least 1"):
+            bp.problem_from_dict({**bp.problem_to_dict(fs), **change})
 
     def test_numpy_integer_dimensions_load(self, fs):
         doc = {**bp.problem_to_dict(fs), "dim_y": np.int64(1), "dim_x": np.int32(2)}

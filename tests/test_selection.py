@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -126,8 +126,19 @@ class TestSetupCache:
         assert fresh.leader_value != before.leader_value
         replaced = replace(p, leader_objective=flat.leader_objective)
         assert pickle.dumps(bp.select_response(replaced, [0.3], 0.01)) == pickle.dumps(fresh)
-        p.leader_objective = flat.leader_objective  # the same object, changed in place
-        assert pickle.dumps(bp.select_response(p, [0.3], 0.01)) == pickle.dumps(fresh)
+        with pytest.raises(FrozenInstanceError):  # replace() is the one way to vary a problem
+            p.leader_objective = flat.leader_objective
+        assert pickle.dumps(bp.select_response(p, [0.3], 0.01)) == pickle.dumps(before)
+
+    def test_replaced_follower_set_is_selected_from(self):
+        # the cache once kept the old set's vertices after an in-place change of C
+        p = bp.registry_get("FS")
+        assert bp.select_response(p, [0.5], 0.01).x.tolist() == [0.0, 1.0]
+        wide = replace(p, follower_set=bp.Polytope([[1, 1]], [2.0]))
+        sel = bp.select_response(wide, [0.5], 0.01)
+        assert wide.follower_set.contains(sel.x)
+        assert sel.x.tolist() == [0.0, 2.0]
+        assert bp.select_response(p, [0.5], 0.01).x.tolist() == [0.0, 1.0]  # p keeps its set
 
     def test_each_epsilon_and_sign_match_a_fresh_problem(self):
         p = bp.registry_get("QB")
