@@ -13,8 +13,8 @@ from .model import (BilevelProblem, BoxSet, CheckResult, DimensionGuardError,
                     ScalarField, UnboundedFeasibleSetError, UnknownProblemError,
                     ValidationReport, field_from_expression, load_problem,
                     problem_from_dict, problem_to_dict, registry_get,
-                    registry_names, registry_register, resolve_problem,
-                    save_problem, validate_problem)
+                    registry_names, resolve_problem, save_problem,
+                    validate_problem)
 from .lower_solver import (FwSolution, LpSolution, enumerate_vertices,
                            frank_wolfe_minimize, lp_minimize)
 from .selection import (OPTIMISTIC, PESSIMISTIC, ConstancyReport,
@@ -41,7 +41,7 @@ __all__ = [
     "ScalarField", "UnboundedFeasibleSetError", "UnknownProblemError",
     "ValidationReport", "field_from_expression", "load_problem",
     "problem_from_dict", "problem_to_dict", "registry_get", "registry_names",
-    "registry_register", "resolve_problem", "save_problem", "validate_problem",
+    "resolve_problem", "save_problem", "validate_problem",
     "FwSolution", "LpSolution", "enumerate_vertices", "frank_wolfe_minimize",
     "lp_minimize",
     "OPTIMISTIC", "PESSIMISTIC", "ConstancyReport", "SelectionResult",

@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: solve | continuation | oracle | rates | list. Exit codes
-distinguish misconfiguration from solver difficulty: 0 success, 2 the
-run completed but something is flagged (unconverged rows, monotonicity
-violations, invalid certificate), 1 configuration or input errors.
+Subcommands: solve | continuation | oracle | rates | list. main is the one
+path from argv to a report: it checks every float flag (finite and
+nonnegative; positive for a penalty level or grid step) and --output
+(without creating it), loads the problem once, then runs the command.
+--output is created, parents included, only when the first report is
+written. Exit codes: 0 success, 2 the run completed but something is
+flagged (unconverged rows, monotonicity violations, invalid certificate),
+1 configuration or input errors.
 """
 
 import argparse
@@ -20,9 +24,12 @@ from .diagnostics import (build_certificate, certificate_to_json, fit_rate,
 from .model import (UnknownProblemError, _csv_table, registry_names, require_finite,
                     resolve_problem)
 from .oracle import gap_table, oracle_to_json, solve_three_level
+from .selection import OPTIMISTIC, PESSIMISTIC
 from .upper_solver import UpperConfig, solve_penalized
 
 SOLVE_SCHEMA = "solve-v1"
+SIGNS = {"pessimistic": PESSIMISTIC, "optimistic": OPTIMISTIC}
+POSITIVE_FLAGS = ("epsilon", "eps0", "ygrid", "xgrid")  # the rest may be 0
 
 
 class CliError(Exception):
@@ -34,43 +41,36 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _sign_code(name):
-    return +1 if name == "pessimistic" else -1
-
-
-def _ensure_outdir(path):
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create output directory {path!r}: {exc.strerror or exc}") from None
-    if not os.access(path, os.W_OK):
-        raise CliError(f"output directory {path!r} is not writable")
-    return path
+def _check_output(path):
+    """Raise CliError unless reports could be written under path: its nearest
+    part that exists must be a writable directory. Creates nothing."""
+    if not path:
+        raise CliError("output directory must not be empty")
+    parent = path
+    while parent and not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    parent = parent or os.curdir  # a relative path starts in the working directory
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise CliError(f"cannot create output directory {path!r}: "
+                       f"{parent!r} is not a writable directory")
 
 
 def _write_text(text, outdir, stem, ext):
     path = os.path.join(outdir, stem + ext)
     try:
+        os.makedirs(outdir, exist_ok=True)
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
-def _write_report(args, outdir, doc, stem, csv_text, csv_stem=None):
-    """Write the JSON report and/or its CSV, as --format asks."""
+def _write_report(args, doc, stem, csv_text, csv_stem=None):
+    """Write the JSON report and/or its CSV to --output, as --format asks."""
     if args.format in ("json", "both"):
-        _write_text(json.dumps(doc, indent=2) + "\n", outdir, stem, ".json")
+        _write_text(json.dumps(doc, indent=2) + "\n", args.output, stem, ".json")
     if args.format in ("csv", "both"):
-        _write_text(csv_text, outdir, csv_stem or stem, ".csv")
-
-
-def _check_flags(args, *names):
-    """Reject a NaN, infinite or negative flag (a zero grid step too) before
-    any solve, naming the flag; the library checks it again under its own name."""
-    for name in names:
-        require_finite(name, getattr(args, name.replace("-", "_")),
-                       positive=name in ("ygrid", "xgrid"))
+        _write_text(csv_text, args.output, csv_stem or stem, ".csv")
 
 
 def _solve_report(problem, epsilon, sign, seed, sol):
@@ -91,13 +91,11 @@ def _solve_report(problem, epsilon, sign, seed, sol):
     }
 
 
-def cmd_solve(args):
-    outdir = _ensure_outdir(args.output)
-    problem = resolve_problem(args.problem)
-    cfg = UpperConfig(seed=args.seed)
-    sol = solve_penalized(problem, args.epsilon, sign=_sign_code(args.sign), cfg=cfg)
-    report = _solve_report(problem, args.epsilon, _sign_code(args.sign), args.seed, sol)
-    _write_report(args, outdir, report, f"{problem.name}_solve", _csv_table(
+def cmd_solve(problem, args):
+    sign = SIGNS[args.sign]
+    sol = solve_penalized(problem, args.epsilon, sign=sign, cfg=UpperConfig(seed=args.seed))
+    report = _solve_report(problem, args.epsilon, sign, args.seed, sol)
+    _write_report(args, report, f"{problem.name}_solve", _csv_table(
         [report], ["y", "x", "epsilon", "sign", "seed", "value", "h_value", "fw_gap",
                    "evals", "converged"]))
     print(f"{problem.name}: value {sol.value:.9g} at y {np.asarray(sol.y)} "
@@ -111,12 +109,10 @@ def _run_trace(problem, args, sign):
     return run_continuation(problem, schedule, sign=sign, cfg=cfg)
 
 
-def cmd_continuation(args):
-    outdir = _ensure_outdir(args.output)
-    problem = resolve_problem(args.problem)
+def cmd_continuation(problem, args):
     if args.limit and args.k < 3:
         raise CliError("need k >= 3 for limit estimate")
-    trace = _run_trace(problem, args, _sign_code(args.sign))
+    trace = _run_trace(problem, args, SIGNS[args.sign])
     doc = trace_to_json(trace)
     report = check_monotone(trace, slack=args.slack)
     doc["monotone_ok"] = report.ok
@@ -126,7 +122,7 @@ def cmd_continuation(args):
         doc["limit"] = {"y": list(map(float, est.y_limit)),
                         "x": list(map(float, est.x_limit)),
                         "v": est.v_limit}
-    _write_report(args, outdir, doc, f"{problem.name}_trace", trace_to_csv(trace))
+    _write_report(args, doc, f"{problem.name}_trace", trace_to_csv(trace))
     for row in trace.rows:
         print(f"epsilon {row.epsilon:.6g}  v {row.v:.9g}  converged {row.converged}")
     if not report.ok:
@@ -138,25 +134,19 @@ def cmd_continuation(args):
     return 0
 
 
-def cmd_oracle(args):
-    _check_flags(args, "ygrid", "xgrid", "tol")
-    outdir = _ensure_outdir(args.output)
-    problem = resolve_problem(args.problem)
+def cmd_oracle(problem, args):
     sol = solve_three_level(problem, y_grid_step=args.ygrid, tol=args.tol,
                             x_grid_step=args.xgrid)
     doc = oracle_to_json(sol)
-    _write_report(args, outdir, doc, f"{problem.name}_oracle", _csv_table(
+    _write_report(args, doc, f"{problem.name}_oracle", _csv_table(
         [doc], ["y_best", "x_best", "leader_value", "follower_value", "method", "resolution"]))
     print(f"{problem.name}: leader value {sol.leader_value:.9g} at y "
           f"{np.asarray(sol.y)} (method {sol.method}, resolution {sol.resolution:g})")
     return 0
 
 
-def cmd_rates(args):
-    _check_flags(args, "tau", "cert-tol", "ygrid", "xgrid")
-    outdir = _ensure_outdir(args.output)
-    problem = resolve_problem(args.problem)
-    trace = _run_trace(problem, args, +1)  # pessimistic, as the oracle
+def cmd_rates(problem, args):
+    trace = _run_trace(problem, args, PESSIMISTIC)  # as the oracle
     oracle_sol = solve_three_level(problem, y_grid_step=args.ygrid,
                                    x_grid_step=args.xgrid)
     gaps = gap_table(oracle_sol, trace)
@@ -172,7 +162,7 @@ def cmd_rates(args):
         "ratefit": ratefit_to_json(fit, problem=problem.name),
         "certificate": certificate_to_json(cert),
     }
-    _write_report(args, outdir, combined, f"{problem.name}_rates", gaps_to_csv(gaps),
+    _write_report(args, combined, f"{problem.name}_rates", gaps_to_csv(gaps),
                   f"{problem.name}_gaps")
     slope = "exact" if fit.classification == "exact_selection" else f"{fit.slope:.4f}"
     excess = cert.min_sum - cert.level_sum
@@ -184,7 +174,7 @@ def cmd_rates(args):
     return 2 if soft else 0
 
 
-def cmd_list(args):
+def cmd_list():
     for name in registry_names():
         print(name)
     return 0
@@ -197,7 +187,7 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--problem", required=True,
-                       help="registry name or path to a problem JSON file")
+                       help="built-in problem name or path to a problem JSON file")
         p.add_argument("--output", default=".")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
@@ -205,8 +195,7 @@ def build_parser():
     add_common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--sign", choices=("pessimistic", "optimistic"),
-                   default="pessimistic")
+    p.add_argument("--sign", choices=SIGNS, default="pessimistic")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("continuation", help="drive epsilon to zero and record a trace")
@@ -215,8 +204,7 @@ def build_parser():
     p.add_argument("--eps0", type=float, default=0.1)
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--k", type=int, default=12)
-    p.add_argument("--sign", choices=("pessimistic", "optimistic"),
-                   default="pessimistic")
+    p.add_argument("--sign", choices=SIGNS, default="pessimistic")
     p.add_argument("--slack", type=float, default=2e-4)
     p.add_argument("--limit", action="store_true",
                    help="extrapolate the limit value from the trace tail")
@@ -241,16 +229,20 @@ def build_parser():
     p.add_argument("--cert-tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("list", help="list registered problems")
-    p.set_defaults(func=cmd_list)
+    sub.add_parser("list", help="list the built-in problems")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        if args.command == "list":
+            return cmd_list()
+        for name, value in vars(args).items():
+            if isinstance(value, float):  # a float flag, named as the user typed it
+                require_finite(name.replace("_", "-"), value, positive=name in POSITIVE_FLAGS)
+        _check_output(args.output)
+        return args.func(resolve_problem(args.problem), args)
     # ProblemError and ExpressionError are ValueErrors; str() of a KeyError
     # (UnknownProblemError) quotes its message
     except (CliError, UnknownProblemError, ValueError) as exc:

@@ -1,4 +1,4 @@
-"""Problem data types, standing-assumption validation, and the registry.
+"""Problem data types, standing-assumption validation, and the built-in problems.
 
 A bilevel instance bundles a leader objective f(y, x) to be maximized, a
 follower objective h(y, x) minimized over a polytope C at fixed y, a box
@@ -49,7 +49,7 @@ class DimensionGuardError(ProblemError):
 
 
 class UnknownProblemError(KeyError):
-    """Requested registry name is not registered."""
+    """Requested name is neither a built-in problem nor a file."""
 
 
 def require_finite(name, value, positive=False):
@@ -433,27 +433,6 @@ def _gradient_relative_error(fld, y, x, step=1e-6):
     return float(np.linalg.norm(g - fd)) / scale
 
 
-# -- registry -------------------------------------------------------------
-
-_REGISTRY = {}
-
-
-def registry_register(name, factory):
-    _REGISTRY[name] = factory
-
-
-def registry_names():
-    return sorted(_REGISTRY)
-
-
-def registry_get(name):
-    """Return a fresh instance of a registered problem."""
-    if name not in _REGISTRY:
-        raise UnknownProblemError(f"unknown problem {name!r}; "
-                                  f"known: {', '.join(registry_names())}")
-    return _REGISTRY[name]()
-
-
 # -- JSON problem documents ------------------------------------------------
 
 def problem_from_dict(doc):
@@ -567,15 +546,27 @@ QB_DOC = {"name": "QB", "dim_y": 1, "dim_x": 4,
           "K_lower": [0.0], "K_upper": [1.0],
           "f": "(1 + 4*y[0]*(1 - y[0])) * (1 + x[0] + x[1])", "h": "(x[0] + x[1] - 1)^2"}
 
-# partial binds problem_from_dict now, so a registry_get makes one call to the
-# function defined above whatever rebinds the module name later
-registry_register("FS", partial(problem_from_dict, FS_DOC))
-registry_register("QB", partial(problem_from_dict, QB_DOC))
+_BUILT_IN = {"FS": FS_DOC, "QB": QB_DOC}
+# bound now, so a registry_get makes one call to the problem_from_dict defined
+# above whatever rebinds the module name later
+_build = problem_from_dict
+
+
+def registry_names():
+    return sorted(_BUILT_IN)
+
+
+def registry_get(name):
+    """Return a fresh instance of a built-in problem."""
+    if name not in _BUILT_IN:
+        raise UnknownProblemError(f"unknown problem {name!r}; "
+                                  f"known: {', '.join(registry_names())}")
+    return _build(_BUILT_IN[name])
 
 
 def resolve_problem(name_or_path):
-    """Registry name or path to a problem JSON document."""
-    if name_or_path in _REGISTRY:
+    """Built-in problem name or path to a problem JSON document."""
+    if name_or_path in _BUILT_IN:
         return registry_get(name_or_path)
     import os
     if os.path.exists(name_or_path):

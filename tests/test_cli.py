@@ -221,6 +221,76 @@ class TestOutput:
         assert "Traceback" not in err
 
 
+class TestFrontDoor:
+    """main checks the flags and --output, loads the problem once, and makes
+    --output only when the first report is written."""
+
+    def _fail_on_load(self, monkeypatch):
+        monkeypatch.setattr(cli, "resolve_problem",
+                            lambda name: pytest.fail("problem loaded"))
+
+    @staticmethod
+    def _one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        return err
+
+    def test_rejected_document_makes_no_output(self, tmp_path, fs, capsys):
+        (tmp_path / "doc.json").write_text(json.dumps({**bp.problem_to_dict(fs), "name": ".."}))
+        code = run_cli("solve", "--problem", str(tmp_path / "doc.json"), "--epsilon", "0.1",
+                       tmp_path=tmp_path / "new" / "deep" / "dir")
+        assert code == 1
+        assert "name must be" in self._one_error_line(capsys)
+        assert not (tmp_path / "new").exists()
+
+    def test_unknown_problem_makes_no_output(self, tmp_path, capsys):
+        code = run_cli("solve", "--problem", "nope", "--epsilon", "0.1",
+                       tmp_path=tmp_path / "other" / "dir")
+        assert code == 1
+        assert "unknown problem 'nope'" in self._one_error_line(capsys)
+        assert not (tmp_path / "other").exists()
+
+    def test_grid_guard_makes_no_output(self, tmp_path, capsys):
+        code = run_cli("oracle", "--problem", "QB", "--xgrid", "1e-10",
+                       tmp_path=tmp_path / "guard" / "dir")
+        assert code == 1
+        assert "guard" in self._one_error_line(capsys)
+        assert not (tmp_path / "guard").exists()
+
+    @pytest.mark.parametrize("command,message", [
+        (["continuation", "--slack", "nan"], "error: slack must be finite and nonnegative"),
+        (["solve", "--epsilon", "nan"], "error: epsilon must be positive and finite"),
+        (["continuation", "--rho", "nan"], "error: rho must be finite and nonnegative"),
+        (["continuation", "--eps0", "0"], "error: eps0 must be positive and finite"),
+    ], ids=["slack", "epsilon", "rho", "eps0"])
+    def test_bad_float_flag_fails_before_the_problem_loads(self, tmp_path, capsys, monkeypatch,
+                                                           command, message):
+        self._fail_on_load(monkeypatch)
+        for name in ("run_continuation", "solve_penalized"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("solver ran"))
+        out = tmp_path / "out"
+        code = run_cli(command[0], "--problem", "QB", *command[1:], tmp_path=out)
+        assert code == 1
+        assert self._one_error_line(capsys).startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("output", ["", "taken/sub", "taken/sub/deeper"])
+    def test_unusable_output_fails_before_the_problem_loads(self, tmp_path, capsys,
+                                                            monkeypatch, output):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        self._fail_on_load(monkeypatch)
+        assert main(["solve", "--problem", "QB", "--epsilon", "0.1", "--output", output]) == 1
+        self._one_error_line(capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_reports_make_their_output_with_its_parents(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--problem", "FS", "--epsilon", "0.1", "--output", "a/b/c"]) == 0
+        assert sorted(p.name for p in (tmp_path / "a" / "b" / "c").iterdir()) == [
+            "FS_solve.csv", "FS_solve.json"]
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("command", [
         ["solve", "--problem", "FS", "--epsilon", "nan"],
@@ -243,7 +313,7 @@ class TestNonFiniteInputs:
                        tmp_path=out)
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_deeply_nested_expression_is_input_error(self, tmp_path, fs, capsys):
         # the parser once ended in a RecursionError traceback
@@ -255,7 +325,7 @@ class TestNonFiniteInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nests deeper than" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("h", ["(y[0]/y[0]) * x[0]", "(y[0]/y[0]) * (x[0] - 0.5)^2"],
@@ -266,7 +336,7 @@ class TestNonFiniteInputs:
         out = tmp_path / "out"
         assert run_cli("oracle", "--problem", str(tmp_path / "doc.json"), tmp_path=out) == 1
         assert capsys.readouterr().err.startswith("error: follower objective is nan")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_leader_point_never_wins_the_oracle(self, tmp_path, qb):
@@ -310,7 +380,7 @@ class TestNonFiniteInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: leader objective is not finite")
         assert "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("change", [
         {"h": None}, {"f": 1}, {"dim_x": 2.7}, {"dim_x": "2"}, {"dim_x": True},
@@ -329,7 +399,7 @@ class TestNonFiniteInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("change", [
         {"name": "../escaped"}, {"name": None}, {"dim_y": 0, "K_lower": [], "K_upper": []},
@@ -357,7 +427,7 @@ class TestNonFiniteInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("error: cannot read problem document")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_250_term_sum_validates_and_solves(self, tmp_path, fs):
         terms = " + ".join(f"0.001*x[{k % 2}]" for k in range(250))

@@ -88,6 +88,18 @@ class TestStrongSlope:
         assert est.validity == "unavailable"
         assert est.slope_lower < 1e-4
 
+    def test_one_point_polytope_unavailable(self):
+        # the null space of A is empty, so no probe leaves the one minimizer
+        field = field_from_expression("(x[0] - 0.3)^2 + (x[1] - 0.7)^2", dim_y=1, dim_x=2)
+        est = bp.strong_slope_lower_bound(field, [0.0], Polytope(np.eye(2), [0.3, 0.7]))
+        assert (est.slope_lower, est.validity) == (0.0, "unavailable")
+
+    def test_every_candidate_minimal_unavailable(self, fs):
+        # h vanishes on all of FS's segment, so every candidate is dropped
+        field = field_from_expression("(x[0] + x[1] - 1)^2", dim_y=1, dim_x=2)
+        est = bp.strong_slope_lower_bound(field, [0.0], fs.follower_set)
+        assert (est.slope_lower, est.validity) == (0.0, "unavailable")
+
     def test_kinked_field_keeps_positive_slope(self, qb):
         # |linear| has constant gradient norm away from its kink
         field = bp.ScalarField(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,16 @@ def test_folding_changes_no_bit(case):
 ])
 def test_syntax_errors(bad):
     with pytest.raises(ex.ExpressionError):
+        ex.parse(bad)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("1.2.3 + x[0]", "bad number literal '1.2.3'"),
+    ("x[0)", "expected ']', got ')'"),
+    ("1 2", "trailing input at token"),
+])
+def test_syntax_errors_name_the_fault(bad, message):
+    with pytest.raises(ex.ExpressionError, match=re.escape(message)):
         ex.parse(bad)
 
 

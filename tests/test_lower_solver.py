@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
+from bilevelpen import simplex
 from bilevelpen.lower_solver import _feasible_points, _fw_run, vertex_lmo
 from bilevelpen.model import DimensionGuardError, FieldSection, Polytope
 
@@ -75,6 +76,10 @@ class TestLpMinimize:
             s2 = bp.lp_minimize(c, flipped)
             assert s1.value == s2.value
             np.testing.assert_array_equal(s1.x, s2.x)
+
+
+def test_feasible_point_of_an_empty_set():
+    assert simplex.feasible_point([[1.0, 1.0]], [-1.0]) == (None, "infeasible")
 
 
 class TestEnumerateVertices:

@@ -33,6 +33,14 @@ class TestRegistry:
     def test_names(self):
         assert set(bp.registry_names()) >= {"FS", "QB"}
 
+    @pytest.mark.parametrize("change,message", [
+        ({"leader_set": bp.BoxSet([0.0, 0.0], [1.0, 1.0])}, "leader dimension mismatch"),
+        ({"follower_set": bp.Polytope([[1.0, 1.0, 1.0]], [1.0])}, "follower dimension mismatch"),
+    ], ids=["leader", "follower"])
+    def test_replaced_set_of_another_dimension_raises(self, fs, change, message):
+        with pytest.raises(ProblemError, match=message):
+            dataclasses.replace(fs, **change)
+
     def test_structure_detection(self, fs, qb):
         assert fs.leader_objective.structure == LINEAR
         assert fs.follower_objective.structure == LINEAR  # constant counts as linear
@@ -44,15 +52,6 @@ class TestRegistry:
     def test_registered_document_round_trips(self, name):
         doc = {"FS": model.FS_DOC, "QB": model.QB_DOC}[name]
         assert bp.problem_to_dict(bp.registry_get(name)) == doc
-
-    def test_user_registration(self):
-        bp.registry_register("FS_alias", lambda: bp.registry_get("FS"))
-        try:
-            assert bp.registry_get("FS_alias").name == "FS"
-            assert "FS_alias" in bp.registry_names()
-        finally:
-            from bilevelpen.model import _REGISTRY
-            _REGISTRY.pop("FS_alias")
 
 
 # FS's polytope with the leader box K = [4, 5], on which 3 - y[0] < 0: the
@@ -153,6 +152,10 @@ class TestPolytope:
         with pytest.raises(ProblemError, match="A and b must be finite"):
             bp.Polytope(A=A, b=b)
 
+    def test_row_counts_differ(self):
+        with pytest.raises(ProblemError, match="A and b row counts differ"):
+            bp.Polytope([[1.0, 1.0]], [1.0, 2.0])
+
     def test_distinct_error_codes(self):
         assert issubclass(EmptyFeasibleSetError, ProblemError)
         assert issubclass(UnboundedFeasibleSetError, ProblemError)
@@ -181,6 +184,10 @@ class TestBoxSet:
             bp.BoxSet(lower=[1.0], upper=[0.0])
         with pytest.raises(ProblemError):
             bp.BoxSet(lower=[0.0], upper=[np.inf])
+
+    def test_bound_shapes_differ(self):
+        with pytest.raises(ProblemError, match="box bound shapes differ"):
+            bp.BoxSet([0.0], [1.0, 2.0])
 
     def test_clip_and_midpoint(self):
         box = bp.BoxSet(lower=[0.0, -1.0], upper=[1.0, 1.0])
@@ -268,6 +275,10 @@ class TestValidation:
             assert report.all_passed, [c for c in report.checks if not c.passed]
             assert [c.name for c in report.checks] == [
                 "positivity", "convexity_in_x", "gradient_consistency"]
+
+    def test_unknown_check_name_raises_key_error(self, fs):
+        with pytest.raises(KeyError):
+            bp.validate_problem(fs)["nope"]
 
     def test_negative_leader_objective_fails_positivity(self, qb):
         # leader objective shifted below zero everywhere on K x C (f <= 6 there)
@@ -481,6 +492,11 @@ class TestJsonDocuments:
     def test_missing_keys(self):
         with pytest.raises(ProblemError, match="missing keys"):
             bp.problem_from_dict({"name": "x"})
+
+    def test_box_bounds_of_another_dimension_raise(self, fs):
+        doc = {**bp.problem_to_dict(fs), "K_lower": [0.0, 0.0], "K_upper": [1.0, 1.0]}
+        with pytest.raises(ProblemError, match="box bounds do not match dim_y"):
+            bp.problem_from_dict(doc)
 
     @pytest.mark.parametrize("key,value", [
         ("h", None), ("f", 1), ("f", ["x[0]"]), ("dim_x", 2.7), ("dim_x", 2.0),
