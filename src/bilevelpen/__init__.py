@@ -24,14 +24,12 @@ from .upper_solver import (PatternSearchResult, PenalizedSolution, UpperConfig,
                            pattern_search_maximize, solve_penalized)
 from .continuation import (ContinuationTrace, EpsSchedule, LimitEstimate,
                            MonotoneReport, TraceRow, check_monotone,
-                           limit_estimate, run_continuation, trace_to_csv,
-                           trace_to_json)
+                           limit_estimate, run_continuation)
 from .oracle import (LowerSetDescription, OracleSolution, PessimisticResponse,
-                     exact_lower_set, gap_table, oracle_to_json,
-                     pessimistic_select, solve_three_level)
+                     exact_lower_set, gap_table, pessimistic_select,
+                     solve_three_level)
 from .diagnostics import (Certificate, RateFit, SlopeEstimate,
-                          build_certificate, certificate_to_json, fit_rate,
-                          gaps_to_csv, ratefit_to_json, strong_slope_lower_bound)
+                          build_certificate, fit_rate, strong_slope_lower_bound)
 
 __version__ = "0.1.0"
 
@@ -50,11 +48,8 @@ __all__ = [
     "pattern_search_maximize", "solve_penalized",
     "ContinuationTrace", "EpsSchedule", "LimitEstimate", "MonotoneReport",
     "TraceRow", "check_monotone", "limit_estimate", "run_continuation",
-    "trace_to_csv", "trace_to_json",
     "LowerSetDescription", "OracleSolution", "PessimisticResponse",
-    "exact_lower_set", "gap_table", "oracle_to_json", "pessimistic_select",
-    "solve_three_level",
-    "Certificate", "RateFit", "SlopeEstimate", "build_certificate",
-    "certificate_to_json", "fit_rate", "gaps_to_csv", "ratefit_to_json",
+    "exact_lower_set", "gap_table", "pessimistic_select", "solve_three_level",
+    "Certificate", "RateFit", "SlopeEstimate", "build_certificate", "fit_rate",
     "strong_slope_lower_bound",
 ]

@@ -1,33 +1,39 @@
-"""Command-line front end.
+"""Command-line front end and the report format.
 
 Subcommands: solve | continuation | oracle | rates | list. main is the one
 path from argv to a report: it checks every float flag (finite and
 nonnegative; positive for a penalty level or grid step) and --output
 (without creating it), loads the problem once, then runs the command.
---output is created, parents included, only when the first report is
-written. Exit codes: 0 success, 2 the run completed but something is
-flagged (unconverged rows, monotonicity violations, invalid certificate),
-1 configuration or input errors.
+Every report format lives here: the schemas, the *_to_json builders and
+the CSV rule. A report is written whole or not at all, and --output is
+created, parents included, only when one is. Exit codes: 0 success, 2 the
+run completed but something is flagged (unconverged rows, monotonicity
+violations, invalid certificate), 1 configuration or input errors.
 """
 
 import argparse
+import errno
+import functools
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from .continuation import (EpsSchedule, check_monotone, limit_estimate,
-                           run_continuation, trace_to_csv, trace_to_json)
-from .diagnostics import (build_certificate, certificate_to_json, fit_rate,
-                          gaps_to_csv, ratefit_to_json)
-from .model import (UnknownProblemError, _csv_table, registry_names, require_finite,
-                    resolve_problem)
-from .oracle import gap_table, oracle_to_json, solve_three_level
+from .continuation import EpsSchedule, check_monotone, limit_estimate, run_continuation
+from .diagnostics import build_certificate, fit_rate
+from .model import UnknownProblemError, registry_names, require_finite, resolve_problem
+from .oracle import gap_table, solve_three_level
 from .selection import OPTIMISTIC, PESSIMISTIC
 from .upper_solver import UpperConfig, solve_penalized
 
 SOLVE_SCHEMA = "solve-v1"
+TRACE_SCHEMA = "trace-v1"
+ORACLE_SCHEMA = "oracle-v1"
+RATEFIT_SCHEMA = "ratefit-v1"
+CERTIFICATE_SCHEMA = "certificate-v2"
+RATES_SCHEMA = "rates-v1"
 SIGNS = {"pessimistic": PESSIMISTIC, "optimistic": OPTIMISTIC}
 POSITIVE_FLAGS = ("epsilon", "eps0", "ygrid", "xgrid")  # the rest may be 0
 
@@ -55,22 +61,43 @@ def _check_output(path):
                        f"{parent!r} is not a writable directory")
 
 
-def _write_text(text, outdir, stem, ext):
-    path = os.path.join(outdir, stem + ext)
-    try:
-        os.makedirs(outdir, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path!r}: {exc.strerror or exc}") from None
-
-
 def _write_report(args, doc, stem, csv_text, csv_stem=None):
-    """Write the JSON report and/or its CSV to --output, as --format asks."""
+    """Write the JSON report and/or its CSV to --output, as --format asks.
+    Every target is checked before any file is written, so a target that
+    cannot be written creates and changes no file."""
+    files = {}
     if args.format in ("json", "both"):
-        _write_text(json.dumps(doc, indent=2) + "\n", args.output, stem, ".json")
+        files[os.path.join(args.output, stem + ".json")] = json.dumps(doc, indent=2) + "\n"
     if args.format in ("csv", "both"):
-        _write_text(csv_text, args.output, csv_stem or stem, ".csv")
+        files[os.path.join(args.output, (csv_stem or stem) + ".csv")] = csv_text
+    for path in files:
+        if os.path.isdir(path) or os.path.exists(path) and not os.access(path, os.W_OK):
+            code = errno.EISDIR if os.path.isdir(path) else errno.EACCES
+            raise CliError(f"cannot write {path!r}: {os.strerror(code)}")
+    for path, text in files.items():
+        try:
+            os.makedirs(args.output, exist_ok=True)
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
+# -- report format -----------------------------------------------------------
+
+def _csv_table(rows, keys):
+    """CSV text of report rows (dicts) over keys: a list value under key k
+    fills the columns k0, k1, ..., and every cell is str() of its JSON value."""
+    def cells(row):
+        for k in keys:
+            v = row[k]
+            if isinstance(v, list):
+                yield from ((f"{k}{i}", c) for i, c in enumerate(v))
+            else:
+                yield k, v
+    table = [dict(cells(row)) for row in rows]
+    lines = [list(table[0]) if table else keys] + [map(str, t.values()) for t in table]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _solve_report(problem, epsilon, sign, seed, sol):
@@ -89,6 +116,81 @@ def _solve_report(problem, epsilon, sign, seed, sol):
         "evals": sol.evals,
         "converged": sol.converged,
     }
+
+
+def trace_to_json(trace):
+    return {
+        "schema": TRACE_SCHEMA,
+        "problem": trace.problem,
+        "sign": trace.sign,
+        "seed": trace.seed,
+        "rows": [
+            {
+                "epsilon": r.epsilon,
+                "y": list(map(float, r.y)),
+                "x": list(map(float, r.x)),
+                "v": r.v,
+                "h_value": r.h_value,
+                "fw_gap": r.fw_gap,
+                "evals": r.evals,
+                "converged": r.converged,
+            }
+            for r in trace.rows
+        ],
+    }
+
+
+def trace_to_csv(trace):
+    """The rows of trace_to_json as CSV, without the converged column."""
+    return _csv_table(trace_to_json(trace)["rows"],
+                      ["epsilon", "y", "x", "v", "h_value", "fw_gap", "evals"])
+
+
+def oracle_to_json(oracle):
+    return {
+        "schema": ORACLE_SCHEMA,
+        "problem": oracle.problem,
+        "y_best": list(map(float, oracle.y)),
+        "x_best": list(map(float, oracle.x)),
+        "leader_value": oracle.leader_value,
+        "follower_value": oracle.follower_value,
+        "method": oracle.method,
+        "resolution": oracle.resolution,
+    }
+
+
+def ratefit_to_json(fit, problem):
+    return {
+        "schema": RATEFIT_SCHEMA,
+        "slope": None if math.isinf(fit.slope) else fit.slope,
+        "intercept": None if math.isnan(fit.intercept) else fit.intercept,
+        "r_squared": fit.r_squared,
+        "classification": fit.classification,
+        "tau": fit.tau,
+        "n_points": fit.n_points,
+        "problem": problem,
+    }
+
+
+def certificate_to_json(cert):
+    return {
+        "schema": CERTIFICATE_SCHEMA,
+        "problem": cert.problem,
+        "follower_level": cert.follower_level,
+        "leader_level": cert.leader_level,
+        "level_sum": cert.level_sum,
+        "tol": cert.tol,
+        "valid": cert.valid,
+        "n_samples": cert.n_samples,
+        "n_counterexamples": cert.n_counterexamples,
+        "min_sum": cert.min_sum,
+        "min_sum_x": list(map(float, cert.min_sum_x)),
+    }
+
+
+def gaps_to_csv(gaps):
+    return _csv_table([{"epsilon": float(e), "gap": float(g)} for e, g in gaps],
+                      ["epsilon", "gap"])
 
 
 def cmd_solve(problem, args):
@@ -153,13 +255,13 @@ def cmd_rates(problem, args):
     fit = fit_rate(gaps, tau=args.tau)
     cert = build_certificate(problem, oracle_sol, tol=args.cert_tol, seed=args.seed)
     combined = {
-        "schema": "rates-v1",
+        "schema": RATES_SCHEMA,
         "problem": problem.name,
         "seed": args.seed,
         "oracle": oracle_to_json(oracle_sol),
         "trace": trace_to_json(trace),
         "gaps": [[e, g] for e, g in gaps],
-        "ratefit": ratefit_to_json(fit, problem=problem.name),
+        "ratefit": ratefit_to_json(fit, problem.name),
         "certificate": certificate_to_json(cert),
     }
     _write_report(args, combined, f"{problem.name}_rates", gaps_to_csv(gaps),
@@ -180,6 +282,7 @@ def cmd_list():
     return 0
 
 
+@functools.cache  # built once per process, however often main runs
 def build_parser():
     parser = _Parser(prog="bilevelpen",
                      description="pessimistic bilevel solver and certification tools")

@@ -7,7 +7,8 @@ sign the leader values along the path are nondecreasing as epsilon
 shrinks and converge to the worst-case limit value from below; the
 optimistic sign mirrors this from above. check_monotone verifies the
 appropriate direction up to solver slack, and limit_estimate
-extrapolates the limit value from the tail of the trace.
+extrapolates the limit value from the tail of the trace. A trace's
+reports (trace_to_json, trace_to_csv) are built in bilevelpen.cli.
 """
 
 from dataclasses import dataclass
@@ -15,10 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BilevelProblem, _csv_table, require_finite
+from .model import BilevelProblem, require_finite
 from .upper_solver import UpperConfig, solve_penalized
-
-TRACE_SCHEMA = "trace-v1"
 
 
 @dataclass(frozen=True)
@@ -159,33 +158,3 @@ def limit_estimate(trace: ContinuationTrace) -> LimitEstimate:
     coef, *_ = np.linalg.lstsq(design, v, rcond=None)
     return LimitEstimate(y_limit=trace.rows[-1].y, x_limit=trace.rows[-1].x,
                          v_limit=float(coef[0]))
-
-
-# -- export ----------------------------------------------------------------
-
-def trace_to_csv(trace: ContinuationTrace) -> str:
-    """The rows of trace_to_json as CSV, without the converged column."""
-    return _csv_table(trace_to_json(trace)["rows"],
-                      ["epsilon", "y", "x", "v", "h_value", "fw_gap", "evals"])
-
-
-def trace_to_json(trace: ContinuationTrace) -> dict:
-    return {
-        "schema": TRACE_SCHEMA,
-        "problem": trace.problem,
-        "sign": trace.sign,
-        "seed": trace.seed,
-        "rows": [
-            {
-                "epsilon": r.epsilon,
-                "y": list(map(float, r.y)),
-                "x": list(map(float, r.x)),
-                "v": r.v,
-                "h_value": r.h_value,
-                "fw_gap": r.fw_gap,
-                "evals": r.evals,
-                "converged": r.converged,
-            }
-            for r in trace.rows
-        ],
-    }

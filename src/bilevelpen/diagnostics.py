@@ -17,18 +17,15 @@ Three diagnostics relate a solver run to the brute-force oracle:
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem, FieldSection, Polytope,
-                    _csv_table, require_finite)
+                    require_finite)
 from .lower_solver import (_feasible_points, _fw_run, enumerate_vertices,
                            frank_wolfe_minimize, independent_rows, vertex_lmo)
 from .oracle import OracleSolution
-
-RATEFIT_SCHEMA = "ratefit-v1"
-CERTIFICATE_SCHEMA = "certificate-v2"
 
 GAP_FLOOR = 1e-12
 SLOPE_UNAVAILABLE_CUT = 1e-4
@@ -257,41 +254,3 @@ def fit_rate(gaps, tau=0.15) -> RateFit:
         cls = INCONCLUSIVE
     return RateFit(slope=float(slope), intercept=float(intercept),
                    r_squared=r2, classification=cls, tau=tau, n_points=len(pts))
-
-
-# -- reports ----------------------------------------------------------------
-
-def ratefit_to_json(fit: RateFit, problem: Optional[str] = None) -> dict:
-    doc = {
-        "schema": RATEFIT_SCHEMA,
-        "slope": None if math.isinf(fit.slope) else fit.slope,
-        "intercept": None if math.isnan(fit.intercept) else fit.intercept,
-        "r_squared": fit.r_squared,
-        "classification": fit.classification,
-        "tau": fit.tau,
-        "n_points": fit.n_points,
-    }
-    if problem is not None:
-        doc["problem"] = problem
-    return doc
-
-
-def certificate_to_json(cert: Certificate) -> dict:
-    return {
-        "schema": CERTIFICATE_SCHEMA,
-        "problem": cert.problem,
-        "follower_level": cert.follower_level,
-        "leader_level": cert.leader_level,
-        "level_sum": cert.level_sum,
-        "tol": cert.tol,
-        "valid": cert.valid,
-        "n_samples": cert.n_samples,
-        "n_counterexamples": cert.n_counterexamples,
-        "min_sum": cert.min_sum,
-        "min_sum_x": list(map(float, cert.min_sum_x)),
-    }
-
-
-def gaps_to_csv(gaps) -> str:
-    return _csv_table([{"epsilon": float(e), "gap": float(g)} for e, g in gaps],
-                      ["epsilon", "gap"])

@@ -65,21 +65,6 @@ def _read_only(a):
     return a
 
 
-def _csv_table(rows, keys):
-    """CSV text of report rows (dicts) over keys: a list value under key k
-    fills the columns k0, k1, ..., and every cell is str() of its JSON value."""
-    def cells(row):
-        for k in keys:
-            v = row[k]
-            if isinstance(v, list):
-                yield from ((f"{k}{i}", c) for i, c in enumerate(v))
-            else:
-                yield k, v
-    table = [dict(cells(row)) for row in rows]
-    lines = [list(table[0]) if table else keys] + [map(str, t.values()) for t in table]
-    return "".join(",".join(line) + "\n" for line in lines)
-
-
 @dataclass(slots=True)
 class FieldSection:
     """A scalar field with the leader variable frozen; function of x only."""

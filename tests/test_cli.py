@@ -212,13 +212,16 @@ class TestOutput:
         assert "Traceback" not in err
 
     def test_unwritable_report_is_input_error(self, tmp_path, capsys):
-        (tmp_path / "FS_oracle.json").mkdir()
-        code = main(["oracle", "--problem", "FS", "--ygrid", "0.1", "--xgrid", "0.1",
-                     "--output", str(tmp_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "FS_oracle.json" in err
-        assert "Traceback" not in err
+        # a report is written whole or not at all: a failed write leaves no file
+        for blocked in ("FS_oracle.json", "FS_oracle.csv"):
+            out = tmp_path / blocked.replace(".", "_")
+            (out / blocked).mkdir(parents=True)
+            code = main(["oracle", "--problem", "FS", "--ygrid", "0.1", "--xgrid", "0.1",
+                         "--output", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write {str(out / blocked)!r}: Is a directory\n"
+            assert [p.name for p in out.iterdir()] == [blocked]
 
 
 class TestFrontDoor:
@@ -547,3 +550,4 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "QB" in proc.stdout
+    assert proc.stderr == ""

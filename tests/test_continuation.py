@@ -9,6 +9,7 @@ import pytest
 
 import bilevelpen as bp
 from bilevelpen import cli, continuation, upper_solver
+from bilevelpen.cli import trace_to_csv, trace_to_json
 from bilevelpen.continuation import ContinuationTrace, EpsSchedule, TraceRow
 from bilevelpen.upper_solver import UpperConfig
 
@@ -161,7 +162,7 @@ class TestLimitEstimate:
 
 class TestExports:
     def test_csv_header_and_rows(self, qb_trace):
-        text = bp.trace_to_csv(qb_trace)
+        text = trace_to_csv(qb_trace)
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         assert header == ["epsilon", "y0", "x0", "x1", "x2", "x3",
@@ -172,12 +173,12 @@ class TestExports:
         assert float(rows[0][0]) == qb_trace.rows[0].epsilon
         assert float(rows[0][6]) == qb_trace.rows[0].v
         # every cell is a number, and the y/x cells are the JSON report's values
-        for row, doc_row in zip(rows, bp.trace_to_json(qb_trace)["rows"]):
+        for row, doc_row in zip(rows, trace_to_json(qb_trace)["rows"]):
             cells = [float(c) for c in row]
             assert cells[1:6] == doc_row["y"] + doc_row["x"]
 
     def test_json_mirror(self, qb_trace):
-        doc = bp.trace_to_json(qb_trace)
+        doc = trace_to_json(qb_trace)
         assert doc["schema"] == "trace-v1"
         assert doc["problem"] == "QB"
         assert len(doc["rows"]) == len(qb_trace)
@@ -271,4 +272,4 @@ PINNED_TRACES = {
 def test_trace_text_is_pinned(sign):
     trace = bp.run_continuation(bp.registry_get("QB"), EpsSchedule(), sign=sign,
                                 cfg=UpperConfig(seed=7))
-    assert json.dumps(bp.trace_to_json(trace)) == PINNED_TRACES[sign]
+    assert json.dumps(trace_to_json(trace)) == PINNED_TRACES[sign]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bilevelpen as bp
+from bilevelpen.cli import certificate_to_json, gaps_to_csv, ratefit_to_json
 from bilevelpen.diagnostics import (EXACT_SELECTION, INCONCLUSIVE, LINEAR_RATE,
                                     SQRT_RATE)
 from bilevelpen.model import Polytope, field_from_expression
@@ -195,14 +196,14 @@ class TestFitRate:
 class TestReports:
     def test_ratefit_json(self):
         fit = bp.fit_rate([(0.1 * 0.5 ** k, 2 * (0.1 * 0.5 ** k)) for k in range(8)])
-        doc = bp.ratefit_to_json(fit, problem="QB")
+        doc = ratefit_to_json(fit, problem="QB")
         assert doc["schema"] == "ratefit-v1"
         assert doc["classification"] == LINEAR_RATE
         assert doc["problem"] == "QB"
 
     def test_certificate_json(self, fs, fs_oracle):
         cert = bp.build_certificate(fs, fs_oracle)
-        doc = bp.certificate_to_json(cert)
+        doc = certificate_to_json(cert)
         assert doc["schema"] == "certificate-v2"
         assert doc["valid"] is True
         assert doc["n_counterexamples"] == 0
@@ -210,7 +211,7 @@ class TestReports:
         np.testing.assert_allclose(doc["min_sum_x"], fs_oracle.x, atol=1e-9)
 
     def test_gaps_csv(self):
-        text = bp.gaps_to_csv([(0.1, 1.0), (0.05, 0.5)])
+        text = gaps_to_csv([(0.1, 1.0), (0.05, 0.5)])
         lines = text.strip().splitlines()
         assert lines[0] == "epsilon,gap"
         assert len(lines) == 3

@@ -11,6 +11,7 @@ from scipy.linalg import qr as scipy_qr
 
 import bilevelpen as bp
 from bilevelpen import cli, oracle
+from bilevelpen.cli import oracle_to_json
 from bilevelpen.continuation import EpsSchedule
 from bilevelpen.lower_solver import independent_rows, lp_minimize
 from bilevelpen.model import (BilevelProblem, BoxSet, DimensionGuardError,
@@ -480,27 +481,48 @@ PINNED_REPORTS = {
 @pytest.mark.parametrize("name", PINNED_REPORTS)
 def test_oracle_report_text_is_pinned(name):
     make, text = PINNED_REPORTS[name]
-    assert json.dumps(bp.oracle_to_json(bp.solve_three_level(make()))) == text
+    assert json.dumps(oracle_to_json(bp.solve_three_level(make()))) == text
 
 
-# SHA-256 of the --format json reports of the README's QB solve and of seed-7
-# QB continuations of both signs, pinned before FS and QB were built from
-# problem documents
+# SHA-256 of CLI reports: the --format json reports of the README's QB solve
+# and of seed-7 QB continuations of both signs, pinned before FS and QB were
+# built from problem documents; their CSVs, the QB oracle's CSV and the rates
+# reports of FS and QB (which exits 2), pinned before the report format moved
+# into bilevelpen.cli. Each entry: argv, report file, digest, exit code.
+_SOLVE = ["solve", "--problem", "QB", "--epsilon", "0.1", "--seed", "7"]
+_PESSIMISTIC = ["continuation", "--problem", "QB", "--seed", "7"]
+_OPTIMISTIC = _PESSIMISTIC + ["--sign", "optimistic"]
+_JSON, _CSV = ["--format", "json"], ["--format", "csv"]
 PINNED_CLI_REPORTS = {
-    "solve": (["solve", "--problem", "QB", "--epsilon", "0.1", "--seed", "7"], "QB_solve.json",
-              "74de982f6fb3bf030f85dc197612ea2164a5612c04db6619ae0461361912340e"),
-    "pessimistic": (["continuation", "--problem", "QB", "--seed", "7"], "QB_trace.json",
-                    "080aecedcfba854258a1830230a97a2cef970e0b935bbc6e3087998ef52e1350"),
-    "optimistic": (["continuation", "--problem", "QB", "--seed", "7", "--sign", "optimistic"],
-                   "QB_trace.json",
-                   "664984173532ea7e656dbd35ecdac17afb36de480b9b5c74c5410a5be76dd3eb"),
+    "solve": (_SOLVE + _JSON, "QB_solve.json",
+              "74de982f6fb3bf030f85dc197612ea2164a5612c04db6619ae0461361912340e", 0),
+    "pessimistic": (_PESSIMISTIC + _JSON, "QB_trace.json",
+                    "080aecedcfba854258a1830230a97a2cef970e0b935bbc6e3087998ef52e1350", 0),
+    "optimistic": (_OPTIMISTIC + _JSON, "QB_trace.json",
+                   "664984173532ea7e656dbd35ecdac17afb36de480b9b5c74c5410a5be76dd3eb", 0),
+    "solve_csv": (_SOLVE + _CSV, "QB_solve.csv",
+                  "6959363adb1c03569662b78f700a99845a09832b6491624d152be2cf9249f7cc", 0),
+    "pessimistic_csv": (_PESSIMISTIC + _CSV, "QB_trace.csv",
+                        "ab98d5d46aa8a02c447544b733eef9621adf28f66738da77dec56776d5e7b5ac", 0),
+    "optimistic_csv": (_OPTIMISTIC + _CSV, "QB_trace.csv",
+                       "43102e3ec25598024ba018ca7b944cb4341e6fc20667c1857677c37f8c99e975", 0),
+    "oracle_csv": (["oracle", "--problem", "QB"] + _CSV, "QB_oracle.csv",
+                   "753440f151a87105cb721ef987374bf189532e5fff3748c5fc1b61b3dd11a7f1", 0),
+    "rates_fs": (["rates", "--problem", "FS"] + _JSON, "FS_rates.json",
+                 "b531a952b18e5ed0cd0619e078923fa0b26e8ee14df36fd91e97c2d7bec8a5eb", 0),
+    "rates_fs_csv": (["rates", "--problem", "FS"] + _CSV, "FS_gaps.csv",
+                     "a1f59c1bc51e2cafb4c43aec46533b5f24ba8270287a11036fa8fe56c1d6df94", 0),
+    "rates_qb": (["rates", "--problem", "QB"] + _JSON, "QB_rates.json",
+                 "0323e9abb84ed399b036865b08697ba97d6b5e8dddde33170e547435659912b2", 2),
+    "rates_qb_csv": (["rates", "--problem", "QB"] + _CSV, "QB_gaps.csv",
+                     "6e1ee81e60d8edca5bacea7b1d5e2aaff3b05d0945a014f8989895046f4419ca", 2),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_CLI_REPORTS)
 def test_cli_report_bytes_are_pinned(tmp_path, capsys, name):
-    argv, report, digest = PINNED_CLI_REPORTS[name]
-    assert cli.main(argv + ["--format", "json", "--output", str(tmp_path)]) == 0
+    argv, report, digest, code = PINNED_CLI_REPORTS[name]
+    assert cli.main(argv + ["--output", str(tmp_path)]) == code
     assert [p.name for p in tmp_path.iterdir()] == [report]
     assert hashlib.sha256((tmp_path / report).read_bytes()).hexdigest() == digest
 
@@ -549,7 +571,7 @@ class TestLimitCertification:
 class TestExport:
     def test_oracle_json_schema(self, fs):
         sol = bp.solve_three_level(fs)
-        doc = bp.oracle_to_json(sol)
+        doc = oracle_to_json(sol)
         assert doc["schema"] == "oracle-v1"
         assert doc["problem"] == "FS"
         assert doc["leader_value"] == pytest.approx(2.0, abs=1e-3)
