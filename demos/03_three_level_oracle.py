@@ -1,7 +1,8 @@
 """Brute-force the nested problem for ground truth.
 
 The oracle never touches the penalty machinery: it describes the exact
-follower argmin set (optimal face or dense grid cloud), minimizes the
+follower argmin set (the vertices of an optimal face, or a dense grid
+cloud when no exact face is at hand), minimizes the
 squared leader objective over that description, and sweeps the leader
 box. Its certified values are what the solver traces are judged against.
 """
@@ -16,8 +17,8 @@ d = bp.exact_lower_set(fs, [0.5])
 print(f"  FS: kind {d.kind}, value {d.value}, points {d.points.tolist()}")
 d = bp.exact_lower_set(qb, [0.5])
 sigma = d.points[:, 0] + d.points[:, 1]
-print(f"  QB: kind {d.kind}, value {d.value:.2e}, {len(d.points)} grid points, "
-      f"all on the band z1 + z2 = 1 ({sigma.min():.4f}..{sigma.max():.4f})")
+print(f"  QB: kind {d.kind}, value {d.value}, the {len(d.points)} vertices "
+      f"{d.points.tolist()} of the band z1 + z2 = 1 (sums {sigma.tolist()})")
 
 print()
 print("worst-case responses at y = 1/2")

@@ -102,9 +102,11 @@ def build_certificate(problem: BilevelProblem, oracle: OracleSolution,
     h = problem.follower_objective
     C = problem.follower_set
 
+    # the test keeps these three functions, not the fields and their gradients
+    contains, h_at, f_at = C.contains, h.evaluate, f.evaluate
+
     def membership(x):
-        return bool(C.contains(x)
-                    and h.evaluate(y, x) + f.evaluate(y, x) <= sigma + 2 * tol)
+        return bool(contains(x) and h_at(y, x) + f_at(y, x) <= sigma + 2 * tol)
 
     rng = np.random.default_rng(seed)
     X = _feasible_points(enumerate_vertices(C), CERT_SAMPLES, rng)
@@ -115,7 +117,7 @@ def build_certificate(problem: BilevelProblem, oracle: OracleSolution,
     in_eq = (np.abs(hv - alpha) <= tol) & (np.abs(fv - beta) <= tol)
     bad = (in_bounds != in_sum) | (in_sum != in_eq)
     counterexamples = tuple(
-        (X[i], float(hv[i]), float(fv[i]),
+        (X[i].copy(), float(hv[i]), float(fv[i]),  # a view would keep all of X
          bool(in_bounds[i]), bool(in_sum[i]), bool(in_eq[i]))
         for i in np.nonzero(bad)[0][:32]
     )

@@ -196,7 +196,7 @@ def _quadratic_coefficients(node, grad_nodes):
     x = 0: one that folds to a value (reads no y) is stored once here, the
     others are evaluated per call, each with the bits of
     ex.compile_evaluator(entry)(y, 0). coefficients.hessian_reads_y tells if
-    Q reads y.
+    Q reads y, and coefficients.reads_y if any entry does.
     """
     n = len(grad_nodes)
     terms = [([n * n + n], node)] + [([n * n + j], g) for j, g in enumerate(grad_nodes)]
@@ -220,6 +220,7 @@ def _quadratic_coefficients(node, grad_nodes):
                 theta[k] = value
         return theta[:n * n].reshape(n, n), theta[n * n:-1], float(theta[-1])
     coefficients.hessian_reads_y = any(idx[0] < n * n for idx, _ in varying)
+    coefficients.reads_y = bool(varying)
     return coefficients
 
 
@@ -316,6 +317,8 @@ class BilevelProblem:
     follower_set: Polytope
     # the set-up of the last (epsilon, sign) selected, see selection._setup
     cached_selection: Optional[tuple] = _cache(default=None)
+    # the follower's exact argmin face, see oracle._argmin_face
+    cached_face: Optional[tuple] = _cache(default=None)
 
     def __post_init__(self):
         f, h = self.leader_objective, self.follower_objective

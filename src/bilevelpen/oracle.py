@@ -1,14 +1,20 @@
 """Brute-force ground truth for the nested problem, independent of the solver.
 
-The exact follower argmin set is described either by the optimal face's
-vertices (follower objective linear or constant in x) or by a dense grid
-cloud on the intrinsic coordinates of C (slack variables eliminated).
-The worst-case response minimizes the squared leader objective over that
-description (on a vertex face by the package's one best-of-runs Frank-Wolfe
-loop, lower_solver._fw_best), and the three-level oracle maximizes
-the resulting value over a leader grid, polished by the one compass
-search, upper_solver._compass_climb. Oracle values certify the penalty
-solver's convergence and error rates.
+The exact follower argmin set is described by the vertices of a face:
+of C's optimal face when the follower objective is linear or constant in
+x, of the argmin face S = {x in C : Qx = Qx*, c'x = c'x*} (Mangasarian,
+Oper. Res. Lett. 7 (1988) 21-26) when it is a convex quadratic that reads
+no y. Any other follower's argmin set is a dense grid cloud on the
+intrinsic coordinates of C (slack variables eliminated). The worst-case
+response minimizes the squared leader objective over that description (on
+a vertex face by the package's one best-of-runs Frank-Wolfe loop,
+lower_solver._fw_best), and the three-level oracle maximizes the
+resulting value over a leader grid, polished by the one compass search,
+upper_solver._compass_climb. On a face that reads no y, a leader
+objective linear in x and positive at every face vertex is worst at its
+vertex of least value, so the oracle scores whole chunks of the leader
+grid with one batch. Oracle values certify the penalty solver's
+convergence and error rates.
 """
 
 from dataclasses import dataclass
@@ -18,15 +24,17 @@ import numpy as np
 from scipy.linalg import qr as scipy_qr
 
 from . import expressions as ex
-from .model import (LINEAR, BilevelProblem, DimensionGuardError, FEAS_TOL, ProblemError,
-                    _read_only, require_finite)
-from .lower_solver import (_fw_best, enumerate_vertices, independent_rows,
-                           lp_minimize, vertex_lmo)
+from .model import (LINEAR, QUADRATIC, BilevelProblem, DimensionGuardError, FEAS_TOL,
+                    Polytope, ProblemError, _read_only, require_finite)
+from .lower_solver import (VERTEX_DIM_GUARD, _fw_best, enumerate_vertices,
+                           frank_wolfe_minimize, independent_rows, lp_minimize, vertex_lmo)
 from .selection import penalized_field
 from .upper_solver import _compass_climb, _improves, _require_finite_best
 
 GRID_DIM_GUARD = 4
 GRID_EVAL_GUARD = 10 ** 7
+FACE_GAP = 1e-12     # the Frank-Wolfe gap at which x* defines the argmin face
+SCAN_ROWS = 2 ** 16  # (leader point, face vertex) rows per f.batch of the leader scan
 
 
 @dataclass(frozen=True)
@@ -129,21 +137,67 @@ def _grid_for(C, step):
     return C.cached_grids[step]
 
 
-def _follower_points(problem, grid_step):
+def _argmin_face(problem):
+    """(V, m): the vertices V of the argmin set S of a convex quadratic
+    follower h = x'Qx/2 + c'x + d that reads no y (its coefficients say so
+    by reads_y, as those of field_from_expression do), and m, a lower bound
+    on its minimum over C; (None, None) where S is not taken. Cached on
+    problem.
+
+    S = {x in C : Qx = Qx*, c'x = c'x*} for any minimizer x* of h over C
+    (Mangasarian, Oper. Res. Lett. 7 (1988) 21-26): a polytope on which h
+    is constant. x* comes from Frank-Wolfe, and S is taken only if x*
+    certifies at a gap of FACE_GAP and S is non-empty; m is h(x*) minus
+    that gap. S's vertices are those of the rows of [A; Q; c'] that
+    independent_rows keeps, so dim_x is guarded like C's own vertices.
+    """
+    if problem.cached_face is None:
+        object.__setattr__(problem, "cached_face", _face_of(problem))
+    return problem.cached_face
+
+
+def _face_of(problem):
+    h, C = problem.follower_objective, problem.follower_set
+    if not (h.structure == QUADRATIC and h.convex_in_x and C.dim <= VERTEX_DIM_GUARD
+            and h.coefficients is not None and not getattr(h.coefficients, "reads_y", True)):
+        return None, None
+    y = np.zeros(problem.dim_y)  # any y: h reads none
+    sol = frank_wolfe_minimize(h.fix(y), C, tol=FACE_GAP)
+    if not sol.fw_gap <= FACE_GAP:
+        return None, None
+    Q, c, _ = h.coefficients(y)
+    M = np.vstack([C.A, Q, c])
+    rows = independent_rows(M)
+    rhs = np.concatenate([C.b, Q @ sol.x, [c @ sol.x]])
+    try:
+        V = enumerate_vertices(Polytope(A=M[rows], b=rhs[rows]))
+    except ProblemError:  # S is empty, or its data is not finite
+        return None, None
+    return (V, sol.value - sol.fw_gap) if len(V) else (None, None)
+
+
+def _follower_points(problem, grid_step, tol):
     """(points, kind) the argmin set is read from: the vertices of C when h is
-    linear in x ("vertex_face"), else the x grid of C ("grid_cloud")."""
-    C = problem.follower_set
-    if problem.follower_objective.structure == LINEAR:
+    linear in x, those of _argmin_face when every one of them lies in
+    exact_lower_set's band of tol about the face's minimum ("vertex_face"),
+    else the x grid of C ("grid_cloud")."""
+    C, h = problem.follower_set, problem.follower_objective
+    if h.structure == LINEAR:
         return enumerate_vertices(C), "vertex_face"
+    V, m = _argmin_face(problem)
+    if V is not None and (h.batch(np.zeros(problem.dim_y), V) <= m + tol * (1.0 + abs(m))).all():
+        return V, "vertex_face"
     return _grid_for(C, grid_step), "grid_cloud"
 
 
+@np.errstate(all="ignore")  # a non-finite minimum raises below
 def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
                     grid_step=1e-3) -> LowerSetDescription:
     """The follower argmin set at fixed y, described exactly or on a grid.
 
-    A follower objective that is linear (or constant) in x attains its
-    minimum on a face; the description is that face's vertex set. Other
+    A follower objective that is linear (or constant) in x, or a convex
+    quadratic that reads no y, attains its minimum on a face; the
+    description is that face's vertex set (see _follower_points). Other
     objectives fall back to a dense grid cloud of near-minimal points.
     Membership uses the hybrid cutoff tol * (1 + |min|), so tol must be
     finite and nonnegative (a NaN would keep no point); grid_step must be
@@ -153,7 +207,7 @@ def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
     require_finite("grid_step", grid_step, positive=True)
     require_finite("tol", tol)
     y = np.asarray(y, dtype=float)
-    X, many = _follower_points(problem, grid_step)
+    X, many = _follower_points(problem, grid_step, tol)
     vals = problem.follower_objective.batch(y, X)
     m = float(vals.min())
     if not math.isfinite(m):
@@ -163,6 +217,7 @@ def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
     return LowerSetDescription(kind=kind, points=pts, value=m)
 
 
+@np.errstate(all="ignore")
 def pessimistic_select(problem: BilevelProblem, y, tol=1e-8,
                        grid_step=1e-3) -> PessimisticResponse:
     """Worst-case follower response: minimize the squared leader objective
@@ -192,6 +247,49 @@ def _worst_response(problem, penalized, y, desc) -> PessimisticResponse:
     return PessimisticResponse(x=desc.points[i], value=float(fvals[i]))
 
 
+def _face_rows(problem, penalized, Y, desc):
+    """(values, response): the worst leader values at the leader points Y
+    (m, dim_y) over the vertex face desc, and response(i), the
+    PessimisticResponse at Y[i] (x and value through f.evaluate).
+
+    f must be linear in x. Where it is finite and positive at every vertex,
+    f^2 grows with f on the face's hull, so the worst response is the
+    first vertex of least f, as Frank-Wolfe from desc.points[0] breaks
+    ties: one f.batch over the (leader point, vertex) rows scores them
+    all. Elsewhere the point takes _worst_response.
+    """
+    f, V = problem.leader_objective, desc.points
+    F = f.batch(np.repeat(Y, len(V), axis=0), np.tile(V, (len(Y), 1))).reshape(len(Y), len(V))
+    pick = F.argmin(axis=1)
+    values = F[np.arange(len(Y)), pick]
+    exact = ((F > 0.0) & (F < math.inf)).all(axis=1)  # a NaN fails F > 0
+    slow = {int(i): _worst_response(problem, penalized, Y[i], desc)
+            for i in np.flatnonzero(~exact)}
+    for i, response in slow.items():
+        values[i] = response.value
+
+    def response(i):
+        if i in slow:
+            return slow[i]
+        x = V[pick[i]]
+        return PessimisticResponse(x=x, value=float(f.evaluate(Y[i], x)))
+    return values, response
+
+
+def _each(respond, Y):
+    """(values, response) of the PessimisticResponse respond(y) at each
+    leader point y of Y, one at a time, as _face_rows returns them."""
+    responses = [respond(y) for y in Y]
+    return np.array([r.value for r in responses]), responses.__getitem__
+
+
+def _first_best(values):
+    """Index of the first highest finite value, 0 if none is finite: the
+    point a scan in order keeps by upper_solver._improves."""
+    finite = np.isfinite(values)
+    return int(np.argmax(np.where(finite, values, -np.inf))) if finite.any() else 0
+
+
 def _leader_grid(K, step, budget_points):
     """The leader grid as the (N, K.dim) transpose of one array with a row
     per axis, and the realized per-axis spacing. The per-axis counts are
@@ -212,19 +310,23 @@ def _leader_grid(K, step, budget_points):
     return grid.T, float(spacing)
 
 
+@np.errstate(all="ignore")  # non-finite values are handled where they arise
 def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
                       x_grid_step=1e-3) -> OracleSolution:
     """Maximize the worst-case leader value over a leader grid.
 
-    The leader grid gets GRID_EVAL_GUARD // len(X) points, at least 3,
-    charging each leader point a full scan of X (the follower's grid or
-    vertices) though the y-free path below scans X once: QB at default
-    steps gets 9 points, 0.125 apart. A compass polish at y_grid_step/10
-    recovers the stated accuracy; ProblemError if no leader value is finite.
-    Guarded to two leader dimensions. Steps positive and finite, tol finite
-    and nonnegative: all three are checked before any grid is built.
     A follower objective given as an expression that does not read y has
-    one argmin set for every leader point: it is computed once.
+    one argmin set for every leader point: it is computed once, and each
+    leader point scans that set; any other computes the argmin set (a scan
+    of the x grid or of the vertices) at every leader point. The leader
+    grid gets GRID_EVAL_GUARD points over the size of that per-point scan,
+    at least 3: QB, whose argmin face has two vertices, gets 1,001 points
+    at the default step. On a vertex face the grid is scored in chunks of
+    SCAN_ROWS (leader point, vertex) rows (see _face_rows). A compass
+    polish at y_grid_step/10 recovers the stated accuracy, scored by the
+    same rule; ProblemError if no leader value is finite. Guarded to two
+    leader dimensions. Steps positive and finite, tol finite and
+    nonnegative: all three are checked before any grid is built.
     """
     require_finite("y_grid_step", y_grid_step, positive=True)
     require_finite("x_grid_step", x_grid_step, positive=True)
@@ -233,31 +335,43 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     if K.dim > 2:
         raise DimensionGuardError("three-level oracle guarded to <= 2 leader dims")
     h = problem.follower_objective
-    X, kind = _follower_points(problem, x_grid_step)
+    X, kind = _follower_points(problem, x_grid_step, tol)
     method = "face_enum" if kind == "vertex_face" else "grid"
 
-    desc = None
     if h.expression is not None and not ex.uses_y(ex.parse(h.expression)):
         desc = exact_lower_set(problem, K.lower, tol=tol, grid_step=x_grid_step)
         penalized = penalized_field(problem, 1.0)
+        scanned = len(desc.points)
+        if desc.kind == "vertex_face" and problem.leader_objective.structure == LINEAR:
+            def scan(Y):
+                return _face_rows(problem, penalized, Y, desc)
+        else:
+            def scan(Y):
+                return _each(lambda y: _worst_response(problem, penalized, y, desc), Y)
+    else:
+        scanned = len(X)
+
+        def scan(Y):
+            return _each(lambda y: pessimistic_select(problem, y, tol=tol,
+                                                      grid_step=x_grid_step), Y)
 
     def evaluate(y):
-        response = (pessimistic_select(problem, y, tol=tol, grid_step=x_grid_step)
-                    if desc is None else
-                    _worst_response(problem, penalized, np.asarray(y, dtype=float), desc))
-        return response.value, response
+        values, response = scan(y[None])
+        return float(values[0]), response(0)
 
-    budget_points = max(3, GRID_EVAL_GUARD // max(1, len(X)))
-    grid, spacing = _leader_grid(K, y_grid_step, budget_points)
-    best = (grid[0], *evaluate(grid[0]))
-    for y in grid[1:]:
-        value, response = evaluate(y)
-        if _improves(value, best[1]):
-            best = (y, value, response)
+    grid, spacing = _leader_grid(K, y_grid_step, max(3, GRID_EVAL_GUARD // max(1, scanned)))
+    chunk = max(1, SCAN_ROWS // max(1, scanned))
+    best = None
+    for start in range(0, len(grid), chunk):
+        Y = grid[start:start + chunk]
+        values, response = scan(Y)
+        i = _first_best(values)
+        if best is None or _improves(values[i], best[1]):
+            best = (Y[i].copy(), float(values[i]), response(i))
     resolution = y_grid_step / 10.0
     steps = np.full(K.dim, max(spacing, 10 * resolution))
-    best, evals, _ = _compass_climb(evaluate, K, (best[0].copy(), *best[1:]), steps,
-                                    min_step=resolution, max_evals=500)
+    best, evals, _ = _compass_climb(evaluate, K, best, steps, min_step=resolution,
+                                    max_evals=500)
     y_best, _, response = _require_finite_best(best, len(grid) + evals)
     return OracleSolution(
         problem=problem.name, y=y_best, x=response.x, method=method, resolution=resolution,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -17,6 +18,15 @@ def run_cli(*args, tmp_path=None):
     if tmp_path is not None:
         argv += ["--output", str(tmp_path)]
     return main(argv)
+
+
+def _gridded_qb(tmp_path):
+    """A QB document whose follower reads y, so its oracle grids x: QB's own
+    convex quadratic follower takes the exact argmin face and no grid."""
+    path = tmp_path / "qb_y.json"
+    path.write_text(json.dumps({**bp.problem_to_dict(bp.registry_get("QB")),
+                                "name": "qb-y", "h": "(x[0] + x[1] - y[0])^2"}))
+    return str(path)
 
 
 def _reject_constant(name):
@@ -254,7 +264,7 @@ class TestFrontDoor:
         assert not (tmp_path / "other").exists()
 
     def test_grid_guard_makes_no_output(self, tmp_path, capsys):
-        code = run_cli("oracle", "--problem", "QB", "--xgrid", "1e-10",
+        code = run_cli("oracle", "--problem", _gridded_qb(tmp_path), "--xgrid", "1e-10",
                        tmp_path=tmp_path / "guard" / "dir")
         assert code == 1
         assert "guard" in self._one_error_line(capsys)
@@ -367,6 +377,21 @@ class TestNonFiniteInputs:
                             parse_constant=_reject_constant)
         assert report["y_best"] == [0.5] and report["leader_value"] == 2.0
 
+    @pytest.mark.parametrize("change,code,err", [
+        ({"h": "(y[0]/y[0]) * x[0]"}, 1, "error: follower objective is nan at y = [0.0] on C\n"),
+        ({"f": "1 + 4*y[0]*(1 - y[0]) + x[0] + 0*(1/(y[0] - 0.3))"}, 0, ""),
+    ], ids=["nan_follower", "nan_leader_point"])
+    def test_oracle_stderr_holds_no_runtime_warning(self, tmp_path, fs, capsys, change, code,
+                                                    err):
+        # numpy's RuntimeWarnings, with the library line that raised them,
+        # once came before the one error line, or printed on a run that exits 0
+        (tmp_path / "doc.json").write_text(json.dumps({**bp.problem_to_dict(fs), **change}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("oracle", "--problem", str(tmp_path / "doc.json"),
+                           tmp_path=tmp_path / "out") == code
+        assert capsys.readouterr().err == err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("f", ["1 + x[0] + 0*(1/(y[0] - y[0]))",
                                    "2 + x[0] + (1 - 1)/(1 - 1)", "2 + x[0] + 10^400"],
@@ -442,22 +467,26 @@ class TestNonFiniteInputs:
                        tmp_path=tmp_path / "out") == 0
 
     def test_oversized_x_grid_is_input_error(self, tmp_path, capsys):
-        assert run_cli("oracle", "--problem", "QB", "--xgrid", "1e-10", tmp_path=tmp_path) == 1
+        out = tmp_path / "out"
+        assert run_cli("oracle", "--problem", _gridded_qb(tmp_path), "--xgrid", "1e-10",
+                       tmp_path=out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "guard" in err
-        assert list(tmp_path.iterdir()) == []
+        assert not out.exists()
 
     def test_subnormal_x_grid_is_input_error(self, tmp_path, capsys):
         # its point count overflowed to inf and int() raised OverflowError
-        assert run_cli("oracle", "--problem", "QB", "--xgrid", "1e-320", tmp_path=tmp_path) == 1
+        out = tmp_path / "out"
+        assert run_cli("oracle", "--problem", _gridded_qb(tmp_path), "--xgrid", "1e-320",
+                       tmp_path=out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "guard" in err
-        assert list(tmp_path.iterdir()) == []
+        assert not out.exists()
 
 
     def test_subnormal_leader_step_coarsens_to_the_budget(self, tmp_path):
-        # the leader grid coarsens to the same 9 points as for any tiny step;
-        # only the stated resolution, ygrid / 10, differs
+        # the leader grid coarsens to the same 5,000,000 points as for any
+        # tiny step; only the stated resolution, ygrid / 10, differs
         docs = []
         for step in ("1e-9", "1e-320"):
             assert run_cli("oracle", "--problem", "QB", "--ygrid", step,

@@ -44,6 +44,8 @@ class TestCertificate:
         assert cert.n_counterexamples > 0
         x, h, f, in_bounds, in_sum, in_eq = cert.counterexamples[0]
         assert in_sum and not in_bounds and not in_eq
+        # each x owns its data: a view would keep the whole 1000-point sample
+        assert all(cx.base is None for cx, *_ in cert.counterexamples)
         # direct witness: the origin corner of the band problem
         corner = np.array([0.0, 0.0, 1.0, 1.0])
         assert cert.membership(corner)  # h + f = 3 <= 4

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import qr as scipy_qr
 
 import bilevelpen as bp
@@ -54,12 +54,13 @@ class TestExactLowerSet:
                                    [(0.0, 1.0), (1.0, 0.0)])
 
     def test_qb_band(self, qb):
+        # the argmin set x0 + x1 = 1 of C, exactly: its two vertices
         desc = bp.exact_lower_set(qb, [0.5])
-        assert desc.kind == "grid_cloud"
-        assert desc.value <= 1e-6
+        assert desc.kind == "vertex_face"
+        assert desc.value == 0.0
+        np.testing.assert_array_equal(desc.points, [[0, 1, 1, 0], [1, 0, 0, 1]])
         sigma = desc.points[:, 0] + desc.points[:, 1]
-        np.testing.assert_allclose(sigma, 1.0, atol=1e-4)
-        assert len(desc.points) > 100  # a genuine band, not a point
+        np.testing.assert_array_equal(sigma, 1.0)
 
     def test_strictly_convex_follower_gives_single_point(self):
         p = make_problem("1 + x[0]", "(x[0] - 0.3)^2 + (x[1] - 0.4)^2")
@@ -75,7 +76,8 @@ class TestExactLowerSet:
         p = BilevelProblem(
             name="wide",
             leader_objective=field_from_expression("1 + x[0]", 1, n),
-            follower_objective=field_from_expression("(x[0] + x[1] - 1)^2", 1, n),
+            # a follower that reads y keeps the grid
+            follower_objective=field_from_expression("(x[0] + x[1] - y[0])^2", 1, n),
             leader_set=BoxSet(lower=[0.0], upper=[1.0]),
             follower_set=Polytope(A=A, b=np.ones(5)),
         )
@@ -122,7 +124,7 @@ class TestSolveThreeLevel:
         sol = bp.solve_three_level(qb)
         assert abs(sol.leader_value - 4.0) <= 1e-3
         assert abs(sol.follower_value) <= 1e-6
-        assert sol.method == "grid"
+        assert sol.method == "face_enum"
 
     def test_collapsed_leader_box(self):
         p = make_problem("1 + 4*y[0]*(1 - y[0]) + x[0]", "0",
@@ -132,15 +134,17 @@ class TestSolveThreeLevel:
         assert sol.leader_value == pytest.approx(1 + 4 * 0.3 * 0.7, abs=1e-9)
 
     def test_zero_dimensional_follower_set(self):
-        # A = I leaves no free coordinate: the x grid is the one point of C
+        # A = I leaves no free coordinate: the x grid and the argmin face
+        # are the one point of C
         p = make_problem("2 + x[0]", "(x[0] - 0.3)^2 + x[1]^2", dim_x=2,
                          A=[[1.0, 0.0], [0.0, 1.0]], b=[0.3, 0.7])
+        np.testing.assert_array_equal(oracle._intrinsic_grid(p.follower_set, 1e-3), [[0.3, 0.7]])
         desc = bp.exact_lower_set(p, [0.5])
         assert desc.kind == "single_point"
         np.testing.assert_array_equal(desc.points, [[0.3, 0.7]])
         sol = bp.solve_three_level(p)
         np.testing.assert_array_equal(sol.x, [0.3, 0.7])
-        assert sol.method == "grid" and sol.leader_value == pytest.approx(2.3, abs=1e-12)
+        assert sol.method == "face_enum" and sol.leader_value == pytest.approx(2.3, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("per_y", [False, True], ids=["argmin_once", "per_y"])
@@ -220,7 +224,7 @@ class TestSolveThreeLevel:
         from bilevelpen import oracle
         asked = _spy_linspace(monkeypatch)
         K = BoxSet(lower=[0.0], upper=[1.0])
-        grid, spacing = oracle._leader_grid(K, 1e-9, 10)  # the budget of a QB solve
+        grid, spacing = oracle._leader_grid(K, 1e-9, 10)  # a small budget
         assert asked == [10] and grid.shape == (10, 1)
         assert spacing == pytest.approx(1.0 / 9)
         K2 = BoxSet(lower=[0.0, -1.0], upper=[1.0, 1.0])
@@ -264,7 +268,7 @@ class TestSolveThreeLevel:
 
     def test_subnormal_leader_step_coarsens_like_a_tiny_one(self):
         K = BoxSet(lower=[0.0], upper=[1.0])
-        grid, spacing = oracle._leader_grid(K, 1e-320, 9)  # the budget of a QB solve
+        grid, spacing = oracle._leader_grid(K, 1e-320, 9)  # a small budget
         ref, ref_spacing = oracle._leader_grid(K, 1e-9, 9)
         np.testing.assert_array_equal(grid, ref)
         assert len(grid) == 9 and spacing == ref_spacing == 0.125
@@ -451,30 +455,27 @@ def _qb_with(name, h, follower_set=None):
         follower_set=qb.follower_set if follower_set is None else follower_set)
 
 
-# oracle_to_json text of solve_three_level at its default steps, pinned
-# before the x grid was built one row per coordinate
+# oracle_to_json text of solve_three_level at its default steps: FS pinned
+# before the x grid was built one row per coordinate, the others when
+# their convex quadratic followers took the exact argmin face
 PINNED_REPORTS = {
     "QB": (lambda: bp.registry_get("QB"),
            '{"schema": "oracle-v1", "problem": "QB", "y_best": [0.5], "x_best": '
-           '[0.957, 0.04299999999999993, 0.043000000000000003, 0.9570000000000001], '
-           '"leader_value": 3.9999999999999996, "follower_value": 1.232595164407831e-32, '
-           '"method": "grid", "resolution": 0.0001}'),
+           '[0.0, 1.0, 1.0, 0.0], "leader_value": 4.0, "follower_value": 0.0, '
+           '"method": "face_enum", "resolution": 0.0001}'),
     "FS": (lambda: bp.registry_get("FS"),
            '{"schema": "oracle-v1", "problem": "FS", "y_best": [0.5], "x_best": [0.0, 1.0], '
            '"leader_value": 2.0, "follower_value": 0.0, "method": "face_enum", '
            '"resolution": 0.0001}'),
     "QB_band": (lambda: _qb_with("QB_band", "(x[0] + x[1] - 0.7)^2"),
                 '{"schema": "oracle-v1", "problem": "QB_band", "y_best": [0.5], "x_best": '
-                '[0.6579999999999999, 0.041999999999999926, 0.342, 0.9580000000000001], '
-                '"leader_value": 3.3999999999999995, "follower_value": 1.232595164407831e-32, '
-                '"method": "grid", "resolution": 0.0001}'),
+                '[0.0, 0.7, 1.0, 0.30000000000000004], "leader_value": 3.4, '
+                '"follower_value": 0.0, "method": "face_enum", "resolution": 0.0001}'),
     "dense_basis": (lambda: _qb_with("dense_basis", "(x[2] + x[3] - 0.5)^2",
                                      Polytope(A=DENSE_BASIS.A, b=DENSE_BASIS.b)),
                     '{"schema": "oracle-v1", "problem": "dense_basis", "y_best": [0.5], '
-                    '"x_best": [0.21978018018018017, 0.06034054054054055, 0.401, '
-                    '0.09909909909909911], "leader_value": 2.5602414414414416, '
-                    '"follower_value": 9.820631442255063e-09, "method": "grid", '
-                    '"resolution": 0.0001}'),
+                    '"x_best": [0.25, 0.0, 0.25, 0.25], "leader_value": 2.5, '
+                    '"follower_value": 0.0, "method": "face_enum", "resolution": 0.0001}'),
 }
 
 
@@ -488,7 +489,9 @@ def test_oracle_report_text_is_pinned(name):
 # and of seed-7 QB continuations of both signs, pinned before FS and QB were
 # built from problem documents; their CSVs, the QB oracle's CSV and the rates
 # reports of FS and QB (which exits 2), pinned before the report format moved
-# into bilevelpen.cli. Each entry: argv, report file, digest, exit code.
+# into bilevelpen.cli; the QB oracle's CSV and QB's rates reports re-pinned
+# when QB's oracle took the exact argmin face. Each entry: argv, report
+# file, digest, exit code.
 _SOLVE = ["solve", "--problem", "QB", "--epsilon", "0.1", "--seed", "7"]
 _PESSIMISTIC = ["continuation", "--problem", "QB", "--seed", "7"]
 _OPTIMISTIC = _PESSIMISTIC + ["--sign", "optimistic"]
@@ -507,15 +510,15 @@ PINNED_CLI_REPORTS = {
     "optimistic_csv": (_OPTIMISTIC + _CSV, "QB_trace.csv",
                        "43102e3ec25598024ba018ca7b944cb4341e6fc20667c1857677c37f8c99e975", 0),
     "oracle_csv": (["oracle", "--problem", "QB"] + _CSV, "QB_oracle.csv",
-                   "753440f151a87105cb721ef987374bf189532e5fff3748c5fc1b61b3dd11a7f1", 0),
+                   "ff1d19fdbb0183baf7445d5bf3375c105cad46a351b55aff3d1fa9b433e66bbc", 0),
     "rates_fs": (["rates", "--problem", "FS"] + _JSON, "FS_rates.json",
                  "b531a952b18e5ed0cd0619e078923fa0b26e8ee14df36fd91e97c2d7bec8a5eb", 0),
     "rates_fs_csv": (["rates", "--problem", "FS"] + _CSV, "FS_gaps.csv",
                      "a1f59c1bc51e2cafb4c43aec46533b5f24ba8270287a11036fa8fe56c1d6df94", 0),
     "rates_qb": (["rates", "--problem", "QB"] + _JSON, "QB_rates.json",
-                 "0323e9abb84ed399b036865b08697ba97d6b5e8dddde33170e547435659912b2", 2),
+                 "562550c209a0c088586d909f64ff1fbaa45c43301c7bde7c2f8cf2c282eab199", 2),
     "rates_qb_csv": (["rates", "--problem", "QB"] + _CSV, "QB_gaps.csv",
-                     "6e1ee81e60d8edca5bacea7b1d5e2aaff3b05d0945a014f8989895046f4419ca", 2),
+                     "c3070053d4abc11a181e7a34c29b51f71a6b99cc5f2d9ef9316b6643d85a39a0", 2),
 }
 
 
@@ -576,3 +579,194 @@ class TestExport:
         assert doc["problem"] == "FS"
         assert doc["leader_value"] == pytest.approx(2.0, abs=1e-3)
         assert "resolution" in doc
+
+
+def _block_simplex(sizes):
+    A = np.zeros((len(sizes), sum(sizes)))
+    for i, start in enumerate(np.cumsum([0, *sizes[:-1]])):
+        A[i, start:start + sizes[i]] = 1.0
+    return Polytope(A=A, b=np.ones(len(sizes)))
+
+
+def _linear_text(const, coefs):
+    return " + ".join([repr(float(const))]
+                      + [f"{float(c)!r}*x[{j}]" for j, c in enumerate(coefs) if c])
+
+
+class TestArgminFace:
+    @settings(max_examples=40, deadline=None)
+    @given(polytope=st.sampled_from(["2+2", "3+2", "2+2+2", "dense_basis"]), data=st.data())
+    def test_face_value_matches_the_lp_over_the_argmin_set(self, polytope, data):
+        # h = |G x - G x0|^2 for a point x0 of C: its argmin set is C with
+        # G x = G x0, where the worst response to a positive linear f is an LP
+        from scipy.optimize import linprog
+        C = DENSE_BASIS if polytope == "dense_basis" else _block_simplex(
+            [int(k) for k in polytope.split("+")])
+        n = C.dim
+        ints = st.integers(-3, 3)
+        G = np.array(data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                                        min_size=1, max_size=3)), dtype=float)
+        assume(G.any(axis=1).all())
+        V = oracle.enumerate_vertices(C)
+        w = np.array(data.draw(st.lists(st.integers(0, 4), min_size=len(V), max_size=len(V))))
+        assume(w.any())
+        t = G @ (w @ V / w.sum())
+        h = " + ".join(f"({_linear_text(-ti, g)})^2" for g, ti in zip(G, t))
+        c = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        p = BilevelProblem(
+            name="face", leader_objective=field_from_expression(
+                f"(1 + y[0]) * ({_linear_text(1.0, c)})", 1, n),
+            follower_objective=field_from_expression(h, 1, n),
+            leader_set=BoxSet(lower=[0.0], upper=[1.0]), follower_set=Polytope(A=C.A, b=C.b))
+        desc = bp.exact_lower_set(p, [0.5])
+        assert desc.kind in ("vertex_face", "single_point")
+        assert all(p.follower_set.contains(x) for x in desc.points)
+        ref = linprog(c, A_eq=np.vstack([C.A, G]), b_eq=np.concatenate([C.b, t]),
+                      bounds=(0, None), method="highs")
+        assert ref.status == 0
+        worst = 1.5 * (1.0 + ref.fun)
+        assert bp.pessimistic_select(p, [0.5]).value == pytest.approx(worst, rel=1e-9)
+        sol = bp.solve_three_level(p, y_grid_step=0.1)
+        assert sol.method == "face_enum" and sol.y[0] == 1.0
+        assert sol.leader_value == pytest.approx(2.0 * (1.0 + ref.fun), rel=1e-9)
+
+    def test_the_linear_part_bounds_the_face(self):
+        # c = e2 is not in the range of Q: without c'x = c'x*, the face would
+        # take in x2 > 0, where h is higher
+        p = make_problem("1 + x[2] + 2*x[3]", "(x[0] - x[1])^2 + x[2]", dim_x=5,
+                         A=[[1.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 1.0]], b=[1.0, 1.0])
+        desc = bp.exact_lower_set(p, [0.5])
+        assert desc.kind == "vertex_face"
+        np.testing.assert_allclose(desc.points, [[0.5, 0.5, 0, 0, 1], [0.5, 0.5, 0, 1, 0]],
+                                   atol=1e-12)
+        assert bp.pessimistic_select(p, [0.5]).value == pytest.approx(1.0, abs=1e-12)
+
+    def _qb_face(self, monkeypatch, fw):
+        """QB's argmin set through Frank-Wolfe replaced by fw; the x grid at step 0.1."""
+        monkeypatch.setattr(oracle, "frank_wolfe_minimize", fw)
+        return bp.exact_lower_set(_qb_with("QB", "(x[0] + x[1] - 1)^2"), [0.5], grid_step=0.1)
+
+    @pytest.mark.parametrize("lie", [
+        dict(fw_gap=1e-9),                        # x* does not certify
+        dict(x=np.array([2.0, 0.0, 0.0, 0.0])),   # S is empty: x0 = 2 is outside C
+        dict(value=-1.0),                         # the face's h lies above the band
+    ], ids=["uncertified", "empty", "band"])
+    def test_a_face_that_fails_a_check_keeps_the_grid(self, monkeypatch, lie):
+        from bilevelpen.lower_solver import FwSolution, frank_wolfe_minimize
+
+        def fw(*args, **kwargs):
+            sol = frank_wolfe_minimize(*args, **kwargs)
+            return FwSolution(**{**dataclasses.asdict(sol), **lie})
+        desc = self._qb_face(monkeypatch, fw)
+        assert desc.kind == "grid_cloud" and len(desc.points) == 11
+
+    def test_the_face_passes_its_checks(self, monkeypatch):
+        from bilevelpen.lower_solver import frank_wolfe_minimize
+        desc = self._qb_face(monkeypatch, frank_wolfe_minimize)
+        assert desc.kind == "vertex_face"
+
+    def test_more_than_twelve_variables_keep_the_grid(self):
+        # three free coordinates: the grid is small, and S's vertices would
+        # need the enumeration guarded to 12 variables
+        A = np.zeros((10, 13))
+        for i in range(3):
+            A[i, 2 * i:2 * i + 2] = 1.0
+        A[3:, 6:] = np.eye(7)
+        p = make_problem("1 + x[0]", "(x[0] + x[2] - 1)^2", dim_x=13, A=A,
+                         b=[1.0] * 3 + [0.5] * 7)
+        desc = bp.exact_lower_set(p, [0.5], grid_step=0.1)
+        assert desc.kind == "grid_cloud"
+        np.testing.assert_allclose(desc.points[:, 0] + desc.points[:, 2], 1.0)
+
+    @pytest.mark.parametrize("follower", ["reads_y", "general"])
+    def test_other_followers_keep_the_grid(self, monkeypatch, follower):
+        monkeypatch.setattr(oracle, "frank_wolfe_minimize",
+                            lambda *a, **k: pytest.fail("the face was tried"))
+        h = field_from_expression("(x[0] + x[1] - 1 + 0*y[0])^2", 1, 4)
+        if follower == "general":
+            h = dataclasses.replace(field_from_expression("(x[0] + x[1] - 1)^2", 1, 4),
+                                    structure="general", coefficients=None)
+        p = dataclasses.replace(bp.registry_get("QB"), follower_objective=h)
+        assert bp.exact_lower_set(p, [0.5], grid_step=0.1).kind == "grid_cloud"
+        assert bp.solve_three_level(p, y_grid_step=0.1, x_grid_step=0.1).method == "grid"
+
+
+def _simplex_face_problem(n, face, f_text):
+    """The simplex of dim n, with a follower whose argmin set is the face
+    spanned by the unit vectors of face (in order)."""
+    off = [j for j in range(n) if j not in face]
+    h = " + ".join(f"x[{j}]" for j in off) if off else "0"
+    return make_problem(f_text, h, dim_x=n, A=[[1.0] * n], b=[1.0])
+
+
+@st.composite
+def _simplex_faces(draw):
+    """(n, face, leader coefficients, leader points) on the simplex of dim n;
+    coefficients from a small set, so vertices often tie."""
+    n = draw(st.integers(2, 5))
+    face = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(sorted))
+    coefs = draw(st.lists(st.sampled_from([1, 2, 3, 0.5]), min_size=n, max_size=n))
+    ys = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.75, 1.0]), min_size=1, max_size=6))
+    return n, face, coefs, ys
+
+
+class TestFaceBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_simplex_faces())
+    @example(case=(3, [0, 1, 2], [3, 1, 1], [0.0, 0.25, 1.0]))  # ties at vertices 1 and 2
+    def test_matches_frank_wolfe_bit_for_bit(self, case):
+        n, face, coefs, ys = case
+        f_text = f"0.5 + y[0]*(1 - y[0]) + {_linear_text(0.0, coefs)}"
+        p = _simplex_face_problem(n, face, f_text)
+        desc = bp.exact_lower_set(p, [0.5])
+        assume(desc.kind == "vertex_face")
+        penalized = oracle.penalized_field(p, 1.0)
+        Y = np.array(ys)[:, None]
+        values, response = oracle._face_rows(p, penalized, Y, desc)
+        for i, y in enumerate(Y):
+            ref = oracle._worst_response(p, penalized, y, desc)
+            got = response(i)
+            assert got.x.tobytes() == ref.x.tobytes() and got.value == ref.value
+            assert values[i] == ref.value
+
+    def test_a_point_where_f_is_not_positive_takes_frank_wolfe(self, monkeypatch):
+        # f = x[0] + 0.5 - y[0] is 0.5 - y at the vertex (0, 1): positive at
+        # y = 0 only, so the other two points run Frank-Wolfe
+        p = make_problem("x[0] + 0.5 - y[0]", "0", dim_x=2, A=[[1.0, 1.0]], b=[1.0])
+        desc = bp.exact_lower_set(p, [0.0])
+        penalized = oracle.penalized_field(p, 1.0)
+        runs, worst = [], oracle._worst_response
+
+        def spy(problem, penalized, y, desc):
+            runs.append(y.tolist())
+            return worst(problem, penalized, y, desc)
+        monkeypatch.setattr(oracle, "_worst_response", spy)
+        Y = np.array([[0.0], [0.5], [1.0]])
+        values, response = oracle._face_rows(p, penalized, Y, desc)
+        assert runs == [[0.5], [1.0]]
+        for i, y in enumerate(Y):
+            ref = worst(p, penalized, y, desc)
+            assert response(i).x.tobytes() == ref.x.tobytes() and values[i] == ref.value
+        np.testing.assert_array_equal(response(0).x, [0.0, 1.0])
+
+    @pytest.mark.parametrize("h,scanned", [
+        ("QB", 2),        # the two vertices of the argmin face
+        ("general", 11),  # the band x0 + x1 = 1 of the 121-point x grid, once
+        ("(x[0] + x[1] - y[0])^2", 121),  # the whole x grid at every leader point
+    ], ids=["face", "band", "per_y"])
+    def test_each_leader_point_is_charged_what_it_scans(self, monkeypatch, h, scanned):
+        qb = bp.registry_get("QB")
+        if h == "general":
+            h = dataclasses.replace(field_from_expression("(x[0] + x[1] - 1)^2", 1, 4),
+                                    structure="general", coefficients=None)
+        elif h != "QB":
+            h = field_from_expression(h, 1, 4)
+        p = qb if h == "QB" else dataclasses.replace(qb, follower_objective=h)
+        budgets, leader_grid = [], oracle._leader_grid
+
+        def spy(K, step, budget):
+            budgets.append(budget)
+            return leader_grid(K, step, budget)
+        monkeypatch.setattr(oracle, "_leader_grid", spy)
+        bp.solve_three_level(p, y_grid_step=0.25, x_grid_step=0.1)
+        assert budgets == [oracle.GRID_EVAL_GUARD // scanned]
