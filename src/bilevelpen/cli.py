@@ -7,8 +7,10 @@ nonnegative; positive for a penalty level or grid step) and --output
 Every report format lives here: the schemas, the *_to_json builders and
 the CSV rule. A report is written whole or not at all, and --output is
 created, parents included, only when one is. Exit codes: 0 success, 2 the
-run completed but something is flagged (unconverged rows, monotonicity
-violations, invalid certificate), 1 configuration or input errors.
+run completed but something is flagged (unconverged rows, among them a
+solve that probed a non-finite follower value, which stderr names;
+monotonicity violations; invalid certificate), 1 configuration or input
+errors.
 """
 
 import argparse
@@ -202,7 +204,16 @@ def cmd_solve(problem, args):
                    "evals", "converged"]))
     print(f"{problem.name}: value {sol.value:.9g} at y {np.asarray(sol.y)} "
           f"(epsilon {args.epsilon:g}, converged {sol.converged})")
+    _report_nonfinite(f"epsilon {args.epsilon:g}", sol.nonfinite_y)
     return 0 if sol.converged else 2
+
+
+def _report_nonfinite(where, y):
+    """One stderr line naming y, the first leader point a solve probed where
+    the follower value is not finite; nothing if y is None."""
+    if y is not None:
+        print(f"{where}: follower objective is not finite at the probed leader point "
+              f"y = {list(map(float, y))}", file=sys.stderr)
 
 
 def _run_trace(problem, args, sign):
@@ -227,6 +238,7 @@ def cmd_continuation(problem, args):
     _write_report(args, doc, f"{problem.name}_trace", trace_to_csv(trace))
     for row in trace.rows:
         print(f"epsilon {row.epsilon:.6g}  v {row.v:.9g}  converged {row.converged}")
+        _report_nonfinite(f"epsilon {row.epsilon:.6g}", row.nonfinite_y)
     if not report.ok:
         print(f"monotonicity violated at rows {list(report.violations)}",
               file=sys.stderr)

@@ -12,7 +12,7 @@ reports (trace_to_json, trace_to_csv) are built in bilevelpen.cli.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ class TraceRow:
     fw_gap: float
     evals: int
     converged: bool = True
+    nonfinite_y: Optional[np.ndarray] = None  # see PenalizedSolution
 
 
 @dataclass
@@ -109,7 +110,8 @@ def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedul
 
     Only the leader point is carried over; the follower response is
     re-solved from scratch at every point so a wrong branch of the argmin
-    set is not inherited when it jumps. Rows that did not certify keep
+    set is not inherited when it jumps. Rows that did not certify, or that
+    probed a leader point where the follower value is not finite, keep
     their best point and are flagged, never dropped.
     """
     rows, warm = [], None
@@ -124,7 +126,7 @@ def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedul
             epsilon=float(eps), y=np.asarray(sol.y, dtype=float),
             x=np.asarray(sel.x, dtype=float), v=float(sol.value),
             h_value=float(sel.follower_value), fw_gap=float(sel.fw_gap),
-            evals=int(sol.evals), converged=bool(sol.converged),
+            evals=int(sol.evals), converged=bool(sol.converged), nonfinite_y=sol.nonfinite_y,
         ))
         warm = sol.y
     return ContinuationTrace(problem=problem.name, sign=sign, rows=tuple(rows),

@@ -196,7 +196,7 @@ def _quadratic_coefficients(node, grad_nodes):
     x = 0: one that folds to a value (reads no y) is stored once here, the
     others are evaluated per call, each with the bits of
     ex.compile_evaluator(entry)(y, 0). coefficients.hessian_reads_y tells if
-    Q reads y, and coefficients.reads_y if any entry does.
+    Q reads y.
     """
     n = len(grad_nodes)
     terms = [([n * n + n], node)] + [([n * n + j], g) for j, g in enumerate(grad_nodes)]
@@ -220,7 +220,6 @@ def _quadratic_coefficients(node, grad_nodes):
                 theta[k] = value
         return theta[:n * n].reshape(n, n), theta[n * n:-1], float(theta[-1])
     coefficients.hessian_reads_y = any(idx[0] < n * n for idx, _ in varying)
-    coefficients.reads_y = bool(varying)
     return coefficients
 
 
@@ -293,8 +292,11 @@ class BoxSet:
         return self.lower.shape[0]
 
     def contains(self, y):
+        """Whether y is a point of the box: of shape (dim,), each coordinate
+        within 1e-12 of its bounds."""
         y = np.asarray(y, dtype=float)
-        return bool((y >= self.lower - 1e-12).all() and (y <= self.upper + 1e-12).all())
+        return bool(y.shape == self.lower.shape and (y >= self.lower - 1e-12).all()
+                    and (y <= self.upper + 1e-12).all())
 
     def clip(self, y):
         return np.clip(np.asarray(y, dtype=float), self.lower, self.upper)

@@ -10,11 +10,11 @@ response minimizes the squared leader objective over that description (on
 a vertex face by the package's one best-of-runs Frank-Wolfe loop,
 lower_solver._fw_best), and the three-level oracle maximizes the
 resulting value over a leader grid, polished by the one compass search,
-upper_solver._compass_climb. On a face that reads no y, a leader
-objective linear in x and positive at every face vertex is worst at its
-vertex of least value, so the oracle scores whole chunks of the leader
-grid with one batch. Oracle values certify the penalty solver's
-convergence and error rates.
+upper_solver._compass_climb. On the face of a follower that reads no y, a
+leader objective linear in x and positive at every face vertex is worst
+at its vertex of least value, so the oracle scores whole chunks of the
+leader grid with one batch (_worst_rows). Oracle values certify the
+penalty solver's convergence and error rates.
 """
 
 from dataclasses import dataclass
@@ -28,7 +28,7 @@ from .model import (LINEAR, QUADRATIC, BilevelProblem, DimensionGuardError, FEAS
                     Polytope, ProblemError, _read_only, require_finite)
 from .lower_solver import (VERTEX_DIM_GUARD, _fw_best, enumerate_vertices,
                            frank_wolfe_minimize, independent_rows, lp_minimize, vertex_lmo)
-from .selection import penalized_field
+from .selection import _leader_point, penalized_field
 from .upper_solver import _compass_climb, _improves, _require_finite_best
 
 GRID_DIM_GUARD = 4
@@ -139,10 +139,9 @@ def _grid_for(C, step):
 
 def _argmin_face(problem):
     """(V, m): the vertices V of the argmin set S of a convex quadratic
-    follower h = x'Qx/2 + c'x + d that reads no y (its coefficients say so
-    by reads_y, as those of field_from_expression do), and m, a lower bound
-    on its minimum over C; (None, None) where S is not taken. Cached on
-    problem.
+    follower h = x'Qx/2 + c'x + d that reads no y (by _reads_y), and m, a
+    lower bound on its minimum over C; (None, None) where S is not taken.
+    Cached on problem.
 
     S = {x in C : Qx = Qx*, c'x = c'x*} for any minimizer x* of h over C
     (Mangasarian, Oper. Res. Lett. 7 (1988) 21-26): a polytope on which h
@@ -156,10 +155,16 @@ def _argmin_face(problem):
     return problem.cached_face
 
 
+def _reads_y(h):
+    """Whether the follower objective h may read y: its expression has a
+    y[i] leaf, or it has no expression to tell."""
+    return h.expression is None or ex.uses_y(ex.parse(h.expression))
+
+
 def _face_of(problem):
     h, C = problem.follower_objective, problem.follower_set
     if not (h.structure == QUADRATIC and h.convex_in_x and C.dim <= VERTEX_DIM_GUARD
-            and h.coefficients is not None and not getattr(h.coefficients, "reads_y", True)):
+            and h.coefficients is not None) or _reads_y(h):
         return None, None
     y = np.zeros(problem.dim_y)  # any y: h reads none
     sol = frank_wolfe_minimize(h.fix(y), C, tol=FACE_GAP)
@@ -201,12 +206,13 @@ def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
     objectives fall back to a dense grid cloud of near-minimal points.
     Membership uses the hybrid cutoff tol * (1 + |min|), so tol must be
     finite and nonnegative (a NaN would keep no point); grid_step must be
-    positive and finite (an infinite step grids one point). A minimum
-    that is not finite raises ProblemError.
+    positive and finite (an infinite step grids one point). ValueError
+    unless y is a point of the leader box; a minimum that is not finite
+    raises ProblemError.
     """
     require_finite("grid_step", grid_step, positive=True)
     require_finite("tol", tol)
-    y = np.asarray(y, dtype=float)
+    y = _leader_point(problem, y)
     X, many = _follower_points(problem, grid_step, tol)
     vals = problem.follower_objective.batch(y, X)
     m = float(vals.min())
@@ -221,7 +227,8 @@ def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
 def pessimistic_select(problem: BilevelProblem, y, tol=1e-8,
                        grid_step=1e-3) -> PessimisticResponse:
     """Worst-case follower response: minimize the squared leader objective
-    over the exact follower argmin set."""
+    over the exact follower argmin set; ValueError unless y is a point of
+    the leader box."""
     y = np.asarray(y, dtype=float)
     return _worst_response(problem, penalized_field(problem, 1.0), y,
                            exact_lower_set(problem, y, tol=tol, grid_step=grid_step))
@@ -241,46 +248,34 @@ def _worst_response(problem, penalized, y, desc) -> PessimisticResponse:
                      tol=1e-12, max_iter=500)[0]
         return PessimisticResponse(x=x, value=float(f.evaluate(y, x)))
     fvals = f.batch(y, desc.points)
-    i = int(np.argmin(fvals ** 2))
-    if not math.isfinite(fvals[i] ** 2):  # a NaN wins np.argmin
-        i = int(np.argmin(np.where(np.isfinite(fvals), fvals ** 2, np.inf)))
+    i = _first_best(-(fvals ** 2))
     return PessimisticResponse(x=desc.points[i], value=float(fvals[i]))
 
 
-def _face_rows(problem, penalized, Y, desc):
-    """(values, response): the worst leader values at the leader points Y
-    (m, dim_y) over the vertex face desc, and response(i), the
-    PessimisticResponse at Y[i] (x and value through f.evaluate).
+def _worst_rows(problem, Y, respond, face=None):
+    """(values, X): the worst leader value at each leader point of Y
+    (m, dim_y) and the response x there, as rows of arrays.
 
-    f must be linear in x. Where it is finite and positive at every vertex,
-    f^2 grows with f on the face's hull, so the worst response is the
-    first vertex of least f, as Frank-Wolfe from desc.points[0] breaks
-    ties: one f.batch over the (leader point, vertex) rows scores them
-    all. Elsewhere the point takes _worst_response.
+    face, if given, holds the vertices of the argmin face, and f must be
+    linear in x. Where f is finite and positive at every vertex, f^2 grows
+    with f on the face's hull, so the worst response is the first vertex
+    of least f, as Frank-Wolfe from face[0] breaks ties: one f.batch over
+    the (leader point, vertex) rows scores them all. Every other point
+    takes respond(y), a PessimisticResponse.
     """
-    f, V = problem.leader_objective, desc.points
-    F = f.batch(np.repeat(Y, len(V), axis=0), np.tile(V, (len(Y), 1))).reshape(len(Y), len(V))
-    pick = F.argmin(axis=1)
-    values = F[np.arange(len(Y)), pick]
-    exact = ((F > 0.0) & (F < math.inf)).all(axis=1)  # a NaN fails F > 0
-    slow = {int(i): _worst_response(problem, penalized, Y[i], desc)
-            for i in np.flatnonzero(~exact)}
-    for i, response in slow.items():
-        values[i] = response.value
-
-    def response(i):
-        if i in slow:
-            return slow[i]
-        x = V[pick[i]]
-        return PessimisticResponse(x=x, value=float(f.evaluate(Y[i], x)))
-    return values, response
-
-
-def _each(respond, Y):
-    """(values, response) of the PessimisticResponse respond(y) at each
-    leader point y of Y, one at a time, as _face_rows returns them."""
-    responses = [respond(y) for y in Y]
-    return np.array([r.value for r in responses]), responses.__getitem__
+    m = len(Y)
+    values, X = np.empty(m), np.empty((m, problem.dim_x))
+    rest = range(m)
+    if face is not None:
+        f = problem.leader_objective
+        F = f.batch(np.repeat(Y, len(face), axis=0), np.tile(face, (m, 1))).reshape(m, len(face))
+        pick = F.argmin(axis=1)
+        values[:], X[:] = F[np.arange(m), pick], face[pick]
+        rest = np.flatnonzero(~((F > 0.0) & (F < math.inf)).all(axis=1))  # a NaN fails F > 0
+    for i in rest:
+        response = respond(Y[i])
+        values[i], X[i] = response.value, response.x
+    return values, X
 
 
 def _first_best(values):
@@ -315,18 +310,20 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
                       x_grid_step=1e-3) -> OracleSolution:
     """Maximize the worst-case leader value over a leader grid.
 
-    A follower objective given as an expression that does not read y has
-    one argmin set for every leader point: it is computed once, and each
-    leader point scans that set; any other computes the argmin set (a scan
-    of the x grid or of the vertices) at every leader point. The leader
-    grid gets GRID_EVAL_GUARD points over the size of that per-point scan,
-    at least 3: QB, whose argmin face has two vertices, gets 1,001 points
-    at the default step. On a vertex face the grid is scored in chunks of
-    SCAN_ROWS (leader point, vertex) rows (see _face_rows). A compass
-    polish at y_grid_step/10 recovers the stated accuracy, scored by the
-    same rule; ProblemError if no leader value is finite. Guarded to two
-    leader dimensions. Steps positive and finite, tol finite and
-    nonnegative: all three are checked before any grid is built.
+    A follower objective that reads no y (by _reads_y: a field without an
+    expression may read y) has one argmin set for every leader point: it
+    is computed once, and each leader point scans that set; any other
+    computes the argmin set (a scan of the x grid or of the vertices) at
+    every leader point by pessimistic_select. The leader grid gets
+    GRID_EVAL_GUARD points over the size of that per-point scan, at least
+    3: QB, whose argmin face has two vertices, gets 1,001 points at the
+    default step. The grid is scored in chunks of SCAN_ROWS (leader point,
+    vertex) rows by _worst_rows, which batches a linear leader on a vertex
+    face. A compass polish at y_grid_step/10 recovers the stated accuracy,
+    scored by the same scan; ProblemError if no leader value is finite.
+    Guarded to two leader dimensions. Steps positive and finite, tol
+    finite and nonnegative: all three are checked before any grid is
+    built.
     """
     require_finite("y_grid_step", y_grid_step, positive=True)
     require_finite("x_grid_step", x_grid_step, positive=True)
@@ -335,48 +332,49 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     if K.dim > 2:
         raise DimensionGuardError("three-level oracle guarded to <= 2 leader dims")
     h = problem.follower_objective
-    X, kind = _follower_points(problem, x_grid_step, tol)
+    points, kind = _follower_points(problem, x_grid_step, tol)
     method = "face_enum" if kind == "vertex_face" else "grid"
 
-    if h.expression is not None and not ex.uses_y(ex.parse(h.expression)):
+    if _reads_y(h):
+        scanned, face = len(points), None
+
+        def respond(y):
+            return pessimistic_select(problem, y, tol=tol, grid_step=x_grid_step)
+    else:
         desc = exact_lower_set(problem, K.lower, tol=tol, grid_step=x_grid_step)
         penalized = penalized_field(problem, 1.0)
         scanned = len(desc.points)
-        if desc.kind == "vertex_face" and problem.leader_objective.structure == LINEAR:
-            def scan(Y):
-                return _face_rows(problem, penalized, Y, desc)
-        else:
-            def scan(Y):
-                return _each(lambda y: _worst_response(problem, penalized, y, desc), Y)
-    else:
-        scanned = len(X)
+        linear_face = desc.kind == "vertex_face" and problem.leader_objective.structure == LINEAR
+        face = desc.points if linear_face else None
 
-        def scan(Y):
-            return _each(lambda y: pessimistic_select(problem, y, tol=tol,
-                                                      grid_step=x_grid_step), Y)
+        def respond(y):
+            return _worst_response(problem, penalized, y, desc)
+
+    def scan(Y):
+        return _worst_rows(problem, Y, respond, face)
 
     def evaluate(y):
-        values, response = scan(y[None])
-        return float(values[0]), response(0)
+        values, X = scan(y[None])
+        return float(values[0]), X[0]
 
     grid, spacing = _leader_grid(K, y_grid_step, max(3, GRID_EVAL_GUARD // max(1, scanned)))
     chunk = max(1, SCAN_ROWS // max(1, scanned))
     best = None
     for start in range(0, len(grid), chunk):
         Y = grid[start:start + chunk]
-        values, response = scan(Y)
+        values, X = scan(Y)
         i = _first_best(values)
         if best is None or _improves(values[i], best[1]):
-            best = (Y[i].copy(), float(values[i]), response(i))
+            best = (Y[i].copy(), float(values[i]), X[i].copy())
     resolution = y_grid_step / 10.0
     steps = np.full(K.dim, max(spacing, 10 * resolution))
     best, evals, _ = _compass_climb(evaluate, K, best, steps, min_step=resolution,
                                     max_evals=500)
-    y_best, _, response = _require_finite_best(best, len(grid) + evals)
+    y_best, _, x = _require_finite_best(best, len(grid) + evals)
     return OracleSolution(
-        problem=problem.name, y=y_best, x=response.x, method=method, resolution=resolution,
-        leader_value=float(problem.leader_objective.evaluate(y_best, response.x)),
-        follower_value=float(h.evaluate(y_best, response.x)))
+        problem=problem.name, y=y_best, x=x, method=method, resolution=resolution,
+        leader_value=float(problem.leader_objective.evaluate(y_best, x)),
+        follower_value=float(h.evaluate(y_best, x)))
 
 
 def gap_table(oracle: OracleSolution, trace) -> list:

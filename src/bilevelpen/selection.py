@@ -111,11 +111,17 @@ def _setup(problem, epsilon, sign):
     return setup
 
 
-def _section(problem, y, epsilon, sign):
-    """y as an array, the penalized section at y and the rest of _setup."""
+def _leader_point(problem, y):
+    """y as a float array; ValueError unless it is a point of the leader box."""
     y = np.asarray(y, dtype=float)
     if not problem.leader_set.contains(y):
         raise ValueError(f"y={y} is outside the leader box")
+    return y
+
+
+def _section(problem, y, epsilon, sign):
+    """y as an array, the penalized section at y and the rest of _setup."""
+    y = _leader_point(problem, y)
     penalized, *rest = _setup(problem, epsilon, sign)
     return y, penalized.fix(y), *rest
 

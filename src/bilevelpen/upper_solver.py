@@ -15,6 +15,7 @@ evaluation of every climb, of the starts and of the oracle's grid.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 import math
 
 import numpy as np
@@ -55,6 +56,7 @@ class PenalizedSolution:
     value: float
     evals: int
     converged: bool
+    nonfinite_y: Optional[np.ndarray] = None  # the first probe with a non-finite follower value
 
 
 def _start_set(K: BoxSet, seed):
@@ -118,7 +120,8 @@ def _climb_from(evaluate, K: BoxSet, starts, fraction, max_evals):
     """Compass climbs from each start in turn, clipped to K, at first step
     fraction of the span down to MIN_STEP, within max_evals evaluations in
     all. Returns ((y, value, result), evals, exhausted) of the best climb's
-    end, by _improves; ProblemError if no evaluation was finite."""
+    end, by _improves; ProblemError if no evaluation was finite, ValueError
+    for a start whose shape is not (K.dim,)."""
     steps = (K.upper - K.lower) * fraction
     # collapsed coordinates still need a positive (if useless) step
     steps = np.where(steps > MIN_STEP, steps, 10 * MIN_STEP)
@@ -127,7 +130,10 @@ def _climb_from(evaluate, K: BoxSet, starts, fraction, max_evals):
         exhausted = evals >= max_evals
         if exhausted:
             break
-        y = K.clip(np.asarray(y0, dtype=float))
+        y = np.asarray(y0, dtype=float)
+        if y.shape != K.lower.shape:
+            raise ValueError(f"start {y.tolist()} is not a point of {K.dim} leader coordinates")
+        y = K.clip(y)
         end, used, exhausted = _compass_climb(evaluate, K, (y, *evaluate(y)), steps, MIN_STEP,
                                               max_evals - evals - 1)
         evals += used + 1
@@ -156,6 +162,7 @@ def pattern_search_maximize(value_fn, K: BoxSet,
     return PatternSearchResult(y=y, value=float(value), evals=evals, converged=not exhausted)
 
 
+@np.errstate(all="ignore")  # a non-finite probe is flagged below
 def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
                     cfg: UpperConfig = UpperConfig(),
                     warm_start=None) -> PenalizedSolution:
@@ -173,22 +180,31 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     probed again within one solve (the compass poll probes the point it
     just left, and after a shrink both neighbours again) reuses its first
     selection; evals still counts every probe. Deterministic for a fixed
-    cfg seed. converged=False flags an exhausted budget or a final
-    selection with fw_gap > FW_TOL; ProblemError if no value is finite.
+    cfg seed. converged=False flags an exhausted budget, a final selection
+    with fw_gap > FW_TOL, or a probe whose follower value is not finite:
+    the first such leader point is nonfinite_y. numpy's floating-point
+    warnings are silenced, as that flag reports them. A leader value that
+    is not finite only never wins; ProblemError if none is finite, and
+    ValueError for a warm_start whose shape is not (dim_y,).
     """
     require_finite("epsilon", epsilon, positive=True)
     memo = {}  # y.tobytes() -> (value, selection), for this solve
+    nonfinite = []  # the leader points probed where the follower value is not finite
 
     def evaluate(y):
         key = y.tobytes()
         if key not in memo:
             selection = select_response(problem, y, epsilon, sign)
             memo[key] = selection.leader_value, selection
+            if not math.isfinite(selection.follower_value):
+                nonfinite.append(y)
         return memo[key]
 
     K = problem.leader_set
     starts, fraction = ((_start_set(K, cfg.seed), COLD_STEP) if warm_start is None
                         else ([warm_start], WARM_STEP))
     (_, _, best), evals, exhausted = _climb_from(evaluate, K, starts, fraction, cfg.max_evals)
-    return PenalizedSolution(y=best.y, selection=best, value=best.leader_value, evals=evals,
-                             converged=not exhausted and best.fw_gap <= FW_TOL)
+    return PenalizedSolution(
+        y=best.y, selection=best, value=best.leader_value, evals=evals,
+        converged=not (exhausted or nonfinite) and best.fw_gap <= FW_TOL,
+        nonfinite_y=nonfinite[0] if nonfinite else None)

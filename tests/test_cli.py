@@ -392,6 +392,25 @@ class TestNonFiniteInputs:
                            tmp_path=tmp_path / "out") == code
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize("command", [["solve", "--epsilon", "0.1"],
+                                         ["continuation", "--k", "3"]])
+    def test_nan_follower_solve_names_its_probe(self, tmp_path, fs, capsys, command):
+        # the solve once printed numpy's RuntimeWarnings and exited 0 with
+        # converged True, although it probed y = 0, where h is NaN
+        (tmp_path / "doc.json").write_text(
+            json.dumps({**bp.problem_to_dict(fs), "h": "(y[0]/y[0]) * x[0]"}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*command, "--problem", str(tmp_path / "doc.json"),
+                           tmp_path=tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("epsilon 0.1: follower objective is not finite at the probed "
+                              "leader point y = [0.0]\n")
+        if command[0] == "solve":
+            assert err.count("\n") == 1
+            report = json.loads((tmp_path / "out" / "FS_solve.json").read_text())
+            assert report["converged"] is False
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("f", ["1 + x[0] + 0*(1/(y[0] - y[0]))",
                                    "2 + x[0] + (1 - 1)/(1 - 1)", "2 + x[0] + 10^400"],

@@ -189,6 +189,13 @@ class TestBoxSet:
         with pytest.raises(ProblemError, match="box bound shapes differ"):
             bp.BoxSet([0.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("y", [[], [0.5, 0.5], 0.5, [[0.5]]], ids=["empty", "long", "scalar",
+                                                                       "nested"])
+    def test_contains_only_points_of_its_shape(self, y):
+        # comparisons broadcast, so [] and [0.5, 0.5] once passed as points of [0, 1]
+        assert not bp.BoxSet([0.0], [1.0]).contains(y)
+        assert bp.BoxSet([0.0], [1.0]).contains([0.5])
+
     def test_clip_and_midpoint(self):
         box = bp.BoxSet(lower=[0.0, -1.0], upper=[1.0, 1.0])
         np.testing.assert_allclose(box.clip([2.0, -3.0]), [1.0, -1.0])

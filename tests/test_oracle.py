@@ -164,6 +164,14 @@ class TestSolveThreeLevel:
         with pytest.raises(ProblemError, match="leader objective is not finite"):
             bp.solve_three_level(_per_y(p) if per_y else p, y_grid_step=0.05)
 
+    @pytest.mark.parametrize("call", [bp.pessimistic_select, bp.exact_lower_set])
+    @pytest.mark.parametrize("y", [[5.0], [0.5, 0.9]], ids=["outside", "long"])
+    def test_leader_point_outside_the_box_raises(self, qb, call, y):
+        # pessimistic_select(QB, [5.0]) once returned -158.0 and [0.5, 0.9]
+        # the response at y = 0.5, where select_response raises
+        with pytest.raises(ValueError, match="outside the leader box"):
+            call(qb, y)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("h", ["(y[0]/y[0]) * x[0]", "(y[0]/y[0]) * (x[0] - 0.5)^2"],
                              ids=["vertex_face", "grid"])
@@ -294,8 +302,9 @@ class TestSolveThreeLevel:
 
 
 def _per_y(problem):
-    """The same problem with a follower that hides its expression, which
-    forces the three-level oracle to compute the argmin set at every y."""
+    """The same problem with a follower that hides its expression: such a
+    field may read y, so the three-level oracle computes the argmin set at
+    every y, and a quadratic one takes the x grid, not its argmin face."""
     h = dataclasses.replace(problem.follower_objective, expression=None)
     return dataclasses.replace(problem, follower_objective=h)
 
@@ -321,11 +330,15 @@ class TestArgminSetOnce:
         make_problem("1 + (y[0] - 0.3)^2 + x[1]*y[0] + x[2]", "x[0]",
                      name="linear", **SIMPLEX_3),
     ], ids=["QB", "FS", "quadratic_simplex", "linear_simplex"])
-    def test_matches_the_per_y_scan_bit_for_bit(self, problem):
+    def test_matches_the_per_y_scan_bit_for_bit(self, monkeypatch, problem):
         if isinstance(problem, str):
             problem = bp.registry_get(problem)
-        once = bp.solve_three_level(problem)
-        scan = bp.solve_three_level(_per_y(problem))
+        once = bp.solve_three_level(problem)  # caches the argmin face, if any
+        # the same problem and face, scanned as if the follower read y
+        monkeypatch.setattr(oracle, "_reads_y", lambda h: True)
+        selects = _count_calls(monkeypatch, "pessimistic_select")
+        scan = bp.solve_three_level(problem)
+        assert len(selects) > 100
         for fld in dataclasses.fields(once):
             a, b = getattr(once, fld.name), getattr(scan, fld.name)
             if isinstance(a, np.ndarray):
@@ -338,6 +351,20 @@ class TestArgminSetOnce:
         selects = _count_calls(monkeypatch, "pessimistic_select")
         bp.solve_three_level(qb)
         assert len(lower_sets) == 1 and selects == []
+
+    def test_follower_without_expression_takes_neither_face_nor_one_scan(self, monkeypatch,
+                                                                          qb):
+        # QB's follower with its expression hidden: nothing tells that it
+        # reads no y, so it is gridded and its argmin set is found at every y
+        monkeypatch.setattr(oracle, "frank_wolfe_minimize",
+                            lambda *a, **k: pytest.fail("the face was tried"))
+        p = _per_y(qb)
+        assert oracle._reads_y(p.follower_objective)
+        lower_sets = _count_calls(monkeypatch, "exact_lower_set")
+        selects = _count_calls(monkeypatch, "pessimistic_select")
+        sol = bp.solve_three_level(p, y_grid_step=0.1, x_grid_step=0.1)
+        assert sol.method == "grid" and oracle._argmin_face(p) == (None, None)
+        assert len(selects) > 10 and len(lower_sets) == len(selects)
 
     def test_follower_reading_y_keeps_the_per_y_scan(self, monkeypatch, qb):
         # argmin set x0 + x1 = y, where the leader is (1 + 4y(1 - y))(1 + y)
@@ -722,14 +749,13 @@ class TestFaceBatch:
         assume(desc.kind == "vertex_face")
         penalized = oracle.penalized_field(p, 1.0)
         Y = np.array(ys)[:, None]
-        values, response = oracle._face_rows(p, penalized, Y, desc)
+        values, X = oracle._worst_rows(
+            p, Y, lambda y: pytest.fail(f"Frank-Wolfe at y = {y}"), desc.points)
         for i, y in enumerate(Y):
             ref = oracle._worst_response(p, penalized, y, desc)
-            got = response(i)
-            assert got.x.tobytes() == ref.x.tobytes() and got.value == ref.value
-            assert values[i] == ref.value
+            assert X[i].tobytes() == ref.x.tobytes() and values[i] == ref.value
 
-    def test_a_point_where_f_is_not_positive_takes_frank_wolfe(self, monkeypatch):
+    def test_a_point_where_f_is_not_positive_takes_frank_wolfe(self):
         # f = x[0] + 0.5 - y[0] is 0.5 - y at the vertex (0, 1): positive at
         # y = 0 only, so the other two points run Frank-Wolfe
         p = make_problem("x[0] + 0.5 - y[0]", "0", dim_x=2, A=[[1.0, 1.0]], b=[1.0])
@@ -737,17 +763,16 @@ class TestFaceBatch:
         penalized = oracle.penalized_field(p, 1.0)
         runs, worst = [], oracle._worst_response
 
-        def spy(problem, penalized, y, desc):
+        def respond(y):
             runs.append(y.tolist())
-            return worst(problem, penalized, y, desc)
-        monkeypatch.setattr(oracle, "_worst_response", spy)
+            return worst(p, penalized, y, desc)
         Y = np.array([[0.0], [0.5], [1.0]])
-        values, response = oracle._face_rows(p, penalized, Y, desc)
+        values, X = oracle._worst_rows(p, Y, respond, desc.points)
         assert runs == [[0.5], [1.0]]
         for i, y in enumerate(Y):
             ref = worst(p, penalized, y, desc)
-            assert response(i).x.tobytes() == ref.x.tobytes() and values[i] == ref.value
-        np.testing.assert_array_equal(response(0).x, [0.0, 1.0])
+            assert X[i].tobytes() == ref.x.tobytes() and values[i] == ref.value
+        np.testing.assert_array_equal(X[0], [0.0, 1.0])
 
     @pytest.mark.parametrize("h,scanned", [
         ("QB", 2),        # the two vertices of the argmin face

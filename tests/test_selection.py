@@ -96,6 +96,8 @@ class TestSelectResponse:
     def test_preconditions(self, qb):
         with pytest.raises(ValueError):
             bp.select_response(qb, [1.5], 0.1)  # outside the leader box
+        with pytest.raises(ValueError, match="outside the leader box"):
+            bp.select_response(qb, [0.5, 0.9], 0.1)  # once the value at y = 0.5
         with pytest.raises(ValueError):
             bp.select_response(qb, [0.5], 0.0)
         with pytest.raises(ValueError):

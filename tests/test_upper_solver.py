@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -132,6 +133,12 @@ class TestWarmClimb:
         assert abs(sol.y[0] - 0.5) <= 1e-5
         assert sol.value == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("warm_start", [[0.5, 0.7], [], 0.5], ids=["long", "empty", "scalar"])
+    def test_warm_start_of_another_shape_is_rejected(self, qb, warm_start):
+        # [0.5, 0.7] once broadcast through the clip and returned y = [0.5, 0.7]
+        with pytest.raises(ValueError, match="not a point of 1 leader coordinates"):
+            bp.solve_penalized(qb, 0.1, warm_start=warm_start)
+
     def test_budget_exhaustion_flagged(self, fs):
         sol = bp.solve_penalized(fs, 0.05, cfg=UpperConfig(max_evals=3), warm_start=[0.3])
         assert not sol.converged
@@ -257,3 +264,21 @@ class TestNonFiniteLeader:
         p = bp.problem_from_dict({**bp.problem_to_dict(fs), "f": NAN_EVERYWHERE})
         with pytest.raises(bp.ProblemError, match="leader objective is not finite"):
             bp.solve_penalized(p, 0.1, warm_start=warm_start)
+
+
+class TestNonFiniteFollower:
+    @pytest.mark.parametrize("warm_start", [None, [0.005]])
+    def test_nan_follower_probe_is_flagged(self, fs, warm_start):
+        # h = (y/y) x[0] is NaN at y = 0 only: the solve once reported
+        # converged True there and printed numpy's RuntimeWarnings
+        p = bp.problem_from_dict({**bp.problem_to_dict(fs), "h": "(y[0]/y[0]) * x[0]"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = bp.solve_penalized(p, 0.1, warm_start=warm_start)
+        assert sol.converged is False
+        np.testing.assert_array_equal(sol.nonfinite_y, [0.0])
+        assert math.isfinite(sol.value) and sol.selection.fw_gap <= 1e-8
+
+    def test_finite_solve_has_no_nonfinite_probe(self, fs):
+        sol = bp.solve_penalized(fs, 0.1)
+        assert sol.converged and sol.nonfinite_y is None
