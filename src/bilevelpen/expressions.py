@@ -212,10 +212,13 @@ def compile_evaluator(node, x=None):
 
     Each subtree that reads no variable left to vary (no y, and no x once x
     is fixed) is evaluated once, here, from np.float64 constants with the
-    operator a call would apply, so folding changes no bit. fn.value holds
-    the value of a tree that folds whole, and is None otherwise.
+    operator a call would apply, so folding changes no bit. Folding is
+    quiet: a subtree such as (1 - 1)/(1 - 1) folds to NaN with no numpy
+    warning, and the caller judges the value. fn.value holds the value of
+    a tree that folds whole, and is None otherwise.
     """
-    value = _compile(node, x)
+    with np.errstate(all="ignore"):
+        value = _compile(node, x)
     fn = value if callable(value) else lambda y, x: value
     fn.value = None if callable(value) else value
     return fn

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import qr as scipy_qr
 
 from . import simplex
 from .model import (LINEAR, QUADRATIC, DimensionGuardError, FEAS_TOL, FieldSection, Polytope,
@@ -62,8 +61,16 @@ def independent_rows(A):
     rank = np.linalg.matrix_rank(A, tol=RANK_TOL)
     if rank == A.shape[0]:
         return list(range(A.shape[0]))
-    _, _, piv = scipy_qr(A.T, pivoting=True)
-    return sorted(piv[:rank])
+    return pivot_columns(A.T, rank)
+
+
+def pivot_columns(M, k):
+    """The first k columns that scipy's QR with column pivoting picks from M,
+    sorted. scipy.linalg is imported here, on a rank-deficient A or an x
+    grid, and not with the package: numpy has no pivoted QR, and a port
+    would pick other columns on near ties."""
+    from scipy.linalg import qr
+    return sorted(qr(M, pivoting=True)[2][:k])
 
 
 def enumerate_vertices(C: Polytope) -> np.ndarray:

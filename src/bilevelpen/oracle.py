@@ -21,13 +21,13 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import qr as scipy_qr
 
 from . import expressions as ex
 from .model import (LINEAR, QUADRATIC, BilevelProblem, DimensionGuardError, FEAS_TOL,
                     Polytope, ProblemError, _read_only, require_finite)
 from .lower_solver import (VERTEX_DIM_GUARD, _fw_best, enumerate_vertices,
-                           frank_wolfe_minimize, independent_rows, lp_minimize, vertex_lmo)
+                           frank_wolfe_minimize, independent_rows, lp_minimize,
+                           pivot_columns, vertex_lmo)
 from .selection import _leader_point, penalized_field
 from .upper_solver import _compass_climb, _improves, _require_finite_best
 
@@ -95,8 +95,7 @@ def _intrinsic_grid(C, step):
     if free_dim > GRID_DIM_GUARD:
         raise DimensionGuardError(
             f"grid oracle guarded to {GRID_DIM_GUARD} intrinsic dims, got {free_dim}")
-    _, _, piv = scipy_qr(A, pivoting=True)
-    basic = sorted(piv[:r])
+    basic = pivot_columns(A, r)
     free = [j for j in range(n) if j not in basic]
     B = A[:, basic]
     N = A[:, free]
@@ -286,11 +285,12 @@ def _first_best(values):
 
 
 def _leader_grid(K, step, budget_points):
-    """The leader grid as the (N, K.dim) transpose of one array with a row
-    per axis, and the realized per-axis spacing. The per-axis counts are
-    coarsened to the budget before any axis is built, so a subnormal step
-    coarsens like any tiny one. Axes of 3 points or fewer are kept, so the
-    others shrink by the root of the overrun over their own number."""
+    """The axes of the leader grid and the realized per-axis spacing; the
+    grid is their product, which _grid_rows builds a run of points at a
+    time. The per-axis counts are coarsened to the budget before any axis
+    is built, so a subnormal step coarsens like any tiny one. Axes of 3
+    points or fewer are kept, so the others shrink by the root of the
+    overrun over their own number."""
     spans = (K.upper - K.lower).tolist()  # float division overflows to inf quietly
     counts = [_axis_count(span, step) for span in spans]
     total = math.prod(counts)
@@ -300,9 +300,19 @@ def _leader_grid(K, step, budget_points):
         counts = [k if k <= 3 else max(3, int(k * scale)) for k in counts]
     axes = [np.linspace(lo, hi, int(k)) for lo, hi, k in zip(K.lower, K.upper, counts)]
     spacing = max((a[1] - a[0] for a in axes if len(a) > 1), default=step)
-    grid = np.empty((K.dim, math.prod(map(len, axes))))
-    _write_mesh(grid, range(K.dim), axes)
-    return grid.T, float(spacing)
+    return axes, float(spacing)
+
+
+def _grid_rows(axes, start, stop):
+    """Points start .. stop - 1 of the "ij" product of axes (the last axis
+    fastest), as the (stop - start, len(axes)) transpose of one array with
+    a row per axis. Each coordinate is an entry of its axis, so the points
+    are those of the whole grid, bit for bit."""
+    index = np.unravel_index(np.arange(start, stop), [len(values) for values in axes])
+    out = np.empty((len(axes), stop - start))
+    for row, values, i in zip(out, axes, index):
+        np.take(values, i, out=row, mode="clip")  # i is in range; "raise" would buffer out
+    return out.T
 
 
 @np.errstate(all="ignore")  # non-finite values are handled where they arise
@@ -317,9 +327,10 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     every leader point by pessimistic_select. The leader grid gets
     GRID_EVAL_GUARD points over the size of that per-point scan, at least
     3: QB, whose argmin face has two vertices, gets 1,001 points at the
-    default step. The grid is scored in chunks of SCAN_ROWS (leader point,
-    vertex) rows by _worst_rows, which batches a linear leader on a vertex
-    face. A compass polish at y_grid_step/10 recovers the stated accuracy,
+    default step. The grid is built and scored in chunks of SCAN_ROWS
+    (leader point, vertex) rows by _grid_rows and _worst_rows, which
+    batches a linear leader on a vertex face, so no more of it is held at
+    once. A compass polish at y_grid_step/10 recovers the stated accuracy,
     scored by the same scan; ProblemError if no leader value is finite.
     Guarded to two leader dimensions. Steps positive and finite, tol
     finite and nonnegative: all three are checked before any grid is
@@ -357,11 +368,12 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
         values, X = scan(y[None])
         return float(values[0]), X[0]
 
-    grid, spacing = _leader_grid(K, y_grid_step, max(3, GRID_EVAL_GUARD // max(1, scanned)))
+    axes, spacing = _leader_grid(K, y_grid_step, max(3, GRID_EVAL_GUARD // max(1, scanned)))
+    size = math.prod(map(len, axes))
     chunk = max(1, SCAN_ROWS // max(1, scanned))
     best = None
-    for start in range(0, len(grid), chunk):
-        Y = grid[start:start + chunk]
+    for start in range(0, size, chunk):
+        Y = _grid_rows(axes, start, min(start + chunk, size))
         values, X = scan(Y)
         i = _first_best(values)
         if best is None or _improves(values[i], best[1]):
@@ -370,7 +382,7 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     steps = np.full(K.dim, max(spacing, 10 * resolution))
     best, evals, _ = _compass_climb(evaluate, K, best, steps, min_step=resolution,
                                     max_evals=500)
-    y_best, _, x = _require_finite_best(best, len(grid) + evals)
+    y_best, _, x = _require_finite_best(best, size + evals)
     return OracleSolution(
         problem=problem.name, y=y_best, x=x, method=method, resolution=resolution,
         leader_value=float(problem.leader_objective.evaluate(y_best, x)),

@@ -12,6 +12,12 @@ Sobol seed are settable, in UpperConfig. _compass_climb is the one
 compass search: each climb here and the three-level oracle's polish.
 _climb_from runs the starts of both solves, and _improves picks the best
 evaluation of every climb, of the starts and of the oracle's grid.
+
+The Sobol starts are scipy.stats.qmc.Sobol's points, bit for bit, drawn by
+_sobol_points: a numpy port over a vendored table of Joe-Kuo direction
+numbers (Joe & Kuo, SIAM J. Sci. Comput. 30 (2008) 2635-2654), scrambled
+as scipy scrambles them. So the solve path loads no scipy; only a leader
+box of more than len(_SOBOL_TABLE) dimensions imports scipy.stats.qmc.
 """
 
 from dataclasses import dataclass
@@ -19,7 +25,6 @@ from typing import Optional
 import math
 
 import numpy as np
-from scipy.stats import qmc
 
 from .model import BilevelProblem, BoxSet, ProblemError, require_finite
 from .selection import FW_TOL, SelectionResult, select_response
@@ -59,10 +64,80 @@ class PenalizedSolution:
     nonfinite_y: Optional[np.ndarray] = None  # the first probe with a non-finite follower value
 
 
+# The Joe-Kuo direction numbers of the first 32 Sobol dimensions, copied from
+# scipy/stats/_sobol_direction_numbers.npz (scipy 1.17.1; its rows "poly" and
+# "vinit"): per dimension, the primitive polynomial and the initial direction
+# numbers m_1 .. m_s, s its degree. Dimension 0 (polynomial 1) is all ones.
+_SOBOL_TABLE = (
+    (1, (1,)), (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)), (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)), (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)), (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+)
+_SOBOL_BITS = 30  # scipy's default: every coordinate is a multiple of 2**-30
+
+
+def _sobol_directions(d):
+    """(d, _SOBOL_BITS) uint32 direction numbers of the first d dimensions,
+    by the recurrence of Bratley & Fox (ACM TOMS 14 (1988) 88-100), the
+    j-th shifted to bit _SOBOL_BITS - 1 - j."""
+    V = np.empty((d, _SOBOL_BITS), dtype=np.uint32)
+    for row, (poly, vinit) in zip(V, _SOBOL_TABLE):
+        s = poly.bit_length() - 1
+        v = list(vinit) if s else [1] * _SOBOL_BITS
+        for j in range(len(v), _SOBOL_BITS):
+            new = v[j - s]
+            for k in range(1, s + 1):
+                if (poly >> (s - k)) & 1:
+                    new ^= v[j - k] << k
+            v.append(new)
+        row[:] = [vj << (_SOBOL_BITS - 1 - j) for j, vj in enumerate(v)]
+    return V
+
+
+def _parity(a):
+    """Each entry's bit parity (0 or 1), for unsigned entries of up to 32
+    bits, by an xor-fold of a, in place."""
+    for shift in (16, 8, 4, 2, 1):
+        a ^= a >> shift
+    return a & 1
+
+
+def _sobol_points(d, n, seed):
+    """The first n points of scipy.stats.qmc.Sobol(d, scramble=True,
+    seed=seed), bit for bit, for an int seed: LMS plus digital-shift
+    scrambling (Matousek 1998) from the same default_rng(seed) draws, a
+    (d, 30) shift and then (d, 30, 30) lower triangles, and the points in
+    Gray-code order. Above len(_SOBOL_TABLE) dimensions, scipy's own."""
+    if d > len(_SOBOL_TABLE):
+        from scipy.stats import qmc  # loaded only for a box beyond the table
+        return qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
+    rng = np.random.default_rng(seed)
+    bits = np.arange(_SOBOL_BITS, dtype=np.uint32)
+    shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ (2 ** bits)
+    ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, bits, bits] = 1
+    rows = ltm @ (2 ** bits[::-1])  # row p of each triangle, its column 0 the top bit
+    # bit 29 - p of a scrambled direction number is the parity of row p & it
+    V = np.bitwise_or.reduce(
+        _parity(rows[:, :, None] & _sobol_directions(d)[:, None, :]) << bits[::-1, None],
+        axis=1)
+    # point i flips the direction number of the lowest set bit of i
+    flips = V[:, [(i & -i).bit_length() - 1 for i in range(1, n)]].T
+    return np.bitwise_xor.accumulate(np.vstack([shift, flips]), axis=0) * 2.0 ** -_SOBOL_BITS
+
+
 def _start_set(K: BoxSet, seed):
-    sampler = qmc.Sobol(d=K.dim, scramble=True, seed=seed)
     # N_MULTISTARTS is a power of 2, the draw size that keeps Sobol balanced
-    U = sampler.random(N_MULTISTARTS)[:N_MULTISTARTS - 1]
+    U = _sobol_points(K.dim, N_MULTISTARTS, seed)[:N_MULTISTARTS - 1]
     return [K.midpoint(), *(K.lower + U * (K.upper - K.lower))]
 
 

@@ -429,6 +429,20 @@ class TestNonFiniteInputs:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["solve", "--epsilon", "0.1"], ["oracle"],
+                                         ["continuation", "--k", "3"], ["rates"]])
+    def test_constant_folding_prints_only_the_error_line(self, tmp_path, fs, capsys, command):
+        # folding (1 - 1)/(1 - 1) at build time once printed numpy's
+        # RuntimeWarning, with the library line that raised it, first
+        (tmp_path / "doc.json").write_text(
+            json.dumps({**bp.problem_to_dict(fs), "f": "2 + x[0] + (1 - 1)/(1 - 1)"}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command[0], "--problem", str(tmp_path / "doc.json"), *command[1:],
+                           tmp_path=tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: leader objective is not finite") and err.count("\n") == 1
+
     @pytest.mark.parametrize("change", [
         {"h": None}, {"f": 1}, {"dim_x": 2.7}, {"dim_x": "2"}, {"dim_x": True},
         {"dim_x": None}, {"b": [float("nan")]}, {"A": [[float("nan"), 1.0]]},

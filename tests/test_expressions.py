@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,15 @@ def test_constants_follow_numpy_arithmetic():
     assert ev("-(2^2000)", [], [0.0]) == -np.inf
     np.testing.assert_array_equal(ev("x[0] + 1/0", [], [[0.0], [1.0]]), [np.inf, np.inf])
 
+
+
+def test_constant_folding_is_quiet():
+    # folding printed numpy's RuntimeWarning, which -W error raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = ex.compile_evaluator(ex.parse("(1 - 1)/(1 - 1) + 10^400"))
+        part = ex.compile_evaluator(ex.parse("2 + x[0] + (1 - 1)/(1 - 1)"))
+    assert np.isnan(whole.value) and part.value is None
 
 def plain_value(node, y, x):
     """node's value by plain recursion over the AST, from np.float64 constants."""

@@ -232,19 +232,19 @@ class TestSolveThreeLevel:
         from bilevelpen import oracle
         asked = _spy_linspace(monkeypatch)
         K = BoxSet(lower=[0.0], upper=[1.0])
-        grid, spacing = oracle._leader_grid(K, 1e-9, 10)  # a small budget
-        assert asked == [10] and grid.shape == (10, 1)
+        axes, spacing = oracle._leader_grid(K, 1e-9, 10)  # a small budget
+        assert asked == [10] and [len(a) for a in axes] == [10]
         assert spacing == pytest.approx(1.0 / 9)
         K2 = BoxSet(lower=[0.0, -1.0], upper=[1.0, 1.0])
         asked.clear()
-        grid, _ = oracle._leader_grid(K2, 1e-9, 100)
-        assert len(asked) == 2 and max(asked) <= 100 and len(grid) <= 100
-        assert grid.shape == (math.prod(asked), 2)
+        axes, _ = oracle._leader_grid(K2, 1e-9, 100)
+        assert len(asked) == 2 and max(asked) <= 100
+        assert [len(a) for a in axes] == asked and math.prod(asked) <= 100
         # a collapsed or thin axis keeps its 1-3 points; the other axis alone
         # shrinks to the budget (these boxes once got 94, 134 and 162 points)
         for upper in ([1.0, 0.0], [1.0, 1e-3], [1.0, 2e-3]):
-            grid, _ = oracle._leader_grid(BoxSet(lower=[0.0, 0.0], upper=upper), 1e-3, 9)
-            assert len(grid) <= 9, upper
+            axes, _ = oracle._leader_grid(BoxSet(lower=[0.0, 0.0], upper=upper), 1e-3, 9)
+            assert math.prod(map(len, axes)) <= 9, upper
 
     @pytest.mark.parametrize("lower,upper,step", [
         ([0.0], [1.0], 0.1),
@@ -252,23 +252,28 @@ class TestSolveThreeLevel:
         ([0.0, 0.3], [1.0, 0.3], 0.2),  # the second axis is collapsed
     ], ids=["1d", "2d", "collapsed_axis"])
     def test_leader_grid_is_one_array_in_product_order(self, lower, upper, step):
-        grid, _ = oracle._leader_grid(BoxSet(lower=lower, upper=upper), step, 10 ** 7)
+        built, _ = oracle._leader_grid(BoxSet(lower=lower, upper=upper), step, 10 ** 7)
         axes = [np.linspace(lo, hi, round((hi - lo) / step) + 1)
                 for lo, hi in zip(lower, upper)]
         ref = np.array(list(itertools.product(*axes)))
+        size = math.prod(map(len, axes))
+        grid = oracle._grid_rows(built, 0, size)
         assert isinstance(grid, np.ndarray) and grid.dtype == np.float64
-        assert grid.shape == (math.prod(map(len, axes)), len(lower))
+        assert grid.shape == (size, len(lower))
         assert grid.tobytes() == ref.tobytes()
+        # built in runs of 4 points, as the oracle scans it in chunks
+        runs = [oracle._grid_rows(built, start, min(start + 4, size))
+                for start in range(0, size, 4)]
+        assert np.concatenate(runs).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("name", ["FS", "QB"])
     def test_solution_is_not_a_view_of_the_leader_grid(self, monkeypatch, name):
-        grids, leader_grid = [], oracle._leader_grid
+        grids, grid_rows = [], oracle._grid_rows
 
         def spy(*args):
-            grid, spacing = leader_grid(*args)
-            grids.append(grid)
-            return grid, spacing
-        monkeypatch.setattr(oracle, "_leader_grid", spy)
+            grids.append(grid_rows(*args))
+            return grids[-1]
+        monkeypatch.setattr(oracle, "_grid_rows", spy)
         # at this step the best grid point is the optimum, so the polish keeps it
         sol = bp.solve_three_level(bp.registry_get(name), y_grid_step=0.1)
         assert sol.y[0] == 0.5 and len(grids) == 1
@@ -276,10 +281,10 @@ class TestSolveThreeLevel:
 
     def test_subnormal_leader_step_coarsens_like_a_tiny_one(self):
         K = BoxSet(lower=[0.0], upper=[1.0])
-        grid, spacing = oracle._leader_grid(K, 1e-320, 9)  # a small budget
-        ref, ref_spacing = oracle._leader_grid(K, 1e-9, 9)
-        np.testing.assert_array_equal(grid, ref)
-        assert len(grid) == 9 and spacing == ref_spacing == 0.125
+        (axis,), spacing = oracle._leader_grid(K, 1e-320, 9)  # a small budget
+        (ref,), ref_spacing = oracle._leader_grid(K, 1e-9, 9)
+        np.testing.assert_array_equal(axis, ref)
+        assert len(axis) == 9 and spacing == ref_spacing == 0.125
 
     @pytest.mark.parametrize("step", [1e-10, 1e-4, 1e-320])
     def test_x_grid_guard_raises_before_allocating(self, monkeypatch, qb, step):

@@ -282,3 +282,46 @@ class TestNonFiniteFollower:
     def test_finite_solve_has_no_nonfinite_probe(self, fs):
         sol = bp.solve_penalized(fs, 0.1)
         assert sol.converged and sol.nonfinite_y is None
+
+
+# The cfg seeds of the benchmark's qb-trace ops at seeds 3 and 7: four draws
+# of default_rng(seed).integers(2**31 - 1), one per op.
+QB_TRACE_SEEDS = (1742692731, 183930185, 385346042, 508546690,
+                  2029167940, 1342382291, 1469265225, 1926751965)
+
+
+class TestSobolStarts:
+    """_start_set draws scipy.stats.qmc.Sobol's scrambled points without scipy."""
+
+    @staticmethod
+    def _scipy_start_set(K, seed):
+        from scipy.stats import qmc
+        U = qmc.Sobol(d=K.dim, scramble=True, seed=seed).random(upper_solver.N_MULTISTARTS)
+        return [K.midpoint(), *(K.lower + U[:-1] * (K.upper - K.lower))]
+
+    @pytest.mark.parametrize("d", range(1, len(upper_solver._SOBOL_TABLE) + 1))
+    def test_start_set_is_scipy_sobol_bit_for_bit(self, d):
+        K = bp.BoxSet(np.linspace(-1.0, 0.5, d), np.linspace(0.25, 3.0, d))
+        for seed in (0, 1, 2, 42, 2 ** 31 - 2, *QB_TRACE_SEEDS):
+            ours, ref = upper_solver._start_set(K, seed), self._scipy_start_set(K, seed)
+            assert len(ours) == len(ref) == upper_solver.N_MULTISTARTS
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, ref)), seed
+
+    def test_vendored_table_is_scipys(self):
+        import os
+        import scipy.stats
+        table = np.load(os.path.join(os.path.dirname(scipy.stats.__file__),
+                                     "_sobol_direction_numbers.npz"))
+        for d, (poly, vinit) in enumerate(upper_solver._SOBOL_TABLE):
+            assert poly == table["poly"][d]
+            row = np.zeros(table["vinit"].shape[1], dtype=table["vinit"].dtype)
+            row[:len(vinit)] = vinit
+            assert row.tolist() == table["vinit"][d].tolist(), d
+
+    def test_dimension_above_the_table_draws_from_scipy(self, monkeypatch):
+        d = len(upper_solver._SOBOL_TABLE) + 1
+        monkeypatch.setattr(upper_solver, "_sobol_directions",
+                            lambda d: pytest.fail("the vendored table was read"))
+        K = bp.BoxSet([0.0] * d, [1.0] * d)
+        ours, ref = upper_solver._start_set(K, 7), self._scipy_start_set(K, 7)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, ref))
