@@ -26,6 +26,7 @@ QUADRATIC = "quadratic_in_x"
 GENERAL = "general"
 
 FEAS_TOL = 1e-9
+PSD_TOL = 1e-9  # is_psd's eigenvalue tolerance, relative to max(1, ||Q||)
 VALIDATION_SAMPLES = 500  # sampled (y, x) pairs per validate_problem check
 VALIDATION_SEED = 0
 CORNER_DIM_GUARD = 12  # leader dimensions whose 2**dim_y box corners _convex_on tests
@@ -116,15 +117,7 @@ class ScalarField:
         """Freeze the leader variable, yielding a function of x alone."""
         y = np.asarray(y, dtype=float)
         if self.coefficients is not None:
-            Q, c, d = self.coefficients(y)
-            half_Q = 0.5 * Q  # scaling by 2 is exact: same bits as 0.5 * (Q @ x)
-            return FieldSection(
-                value=lambda x: float(x @ (half_Q @ x + c) + d),
-                grad=lambda x: Q @ x + c,
-                value_batch=lambda X: np.einsum("ij,ij->i", X, X @ half_Q + c) + d,
-                structure=self.structure,
-                convex_in_x=self.convex_in_x,
-            )
+            return dense_section(*self.coefficients(y), self.structure, self.convex_in_x)
         return FieldSection(
             value=lambda x: float(self.evaluate(y, x)),
             grad=lambda x: np.asarray(self.gradient_x(y, x), dtype=float),
@@ -132,6 +125,27 @@ class ScalarField:
             structure=self.structure,
             convex_in_x=self.convex_in_x,
         )
+
+
+def dense_section(Q, c, d, structure, convex_in_x):
+    """The section x -> x'(Qx/2 + c) + d, evaluated by dense linear algebra."""
+    half_Q = 0.5 * Q  # scaling by 2 is exact: same bits as 0.5 * (Q @ x)
+    return FieldSection(
+        value=lambda x: float(x @ (half_Q @ x + c) + d),
+        grad=lambda x: Q @ x + c,
+        value_batch=lambda X: np.einsum("ij,ij->i", X, X @ half_Q + c) + d,
+        structure=structure,
+        convex_in_x=convex_in_x,
+    )
+
+
+def is_psd(Q):
+    """Whether the symmetric matrix Q is finite and positive semidefinite: its
+    least eigenvalue is >= -PSD_TOL * max(1, ||Q||), ||Q|| the spectral norm."""
+    if not np.isfinite(Q).all():
+        return False
+    w = np.linalg.eigvalsh(Q)
+    return bool(w[0] >= -PSD_TOL * max(1.0, -w[0], w[-1]))
 
 
 def field_from_expression(text, dim_y, dim_x):
@@ -224,8 +238,8 @@ def _quadratic_coefficients(node, grad_nodes):
 
 
 def _psd_at(coefficients, ys):
-    """Whether the Hessian of coefficients is PSD (to -1e-9) at every row of ys."""
-    return all(np.linalg.eigvalsh(coefficients(y)[0]).min() >= -1e-9 for y in ys)
+    """Whether the Hessian of coefficients is PSD (see is_psd) at every row of ys."""
+    return all(is_psd(coefficients(y)[0]) for y in ys)
 
 
 @dataclass(frozen=True)

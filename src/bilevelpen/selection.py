@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GENERAL, LINEAR, QUADRATIC, BilevelProblem, ScalarField, require_finite
+from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem, ScalarField, dense_section,
+                    is_psd, require_finite)
 from .lower_solver import _feasible_points, _fw_best, _fw_run, enumerate_vertices, vertex_lmo
 
 PESSIMISTIC = +1
@@ -34,7 +35,7 @@ class SelectionResult:
     follower_value: float
     penalized_value: float
     fw_gap: float
-    n_starts: int  # runs made: a convex section stops at its first certified run
+    n_starts: int  # runs made: a section convex at y stops at its first certified run
 
     @property
     def reliable(self):
@@ -50,20 +51,29 @@ class ConstancyReport:
     witnesses: tuple  # (x, leader_value) pairs within tolerance of the best
 
 
+def _require_sign(sign):
+    """ValueError unless sign is the int +1 or -1 (True and 1.0 are not)."""
+    if type(sign) is not int or sign not in (PESSIMISTIC, OPTIMISTIC):
+        raise ValueError(f"sign must be the int +1 (pessimistic) or -1 (optimistic), "
+                         f"got {sign!r}")
+
+
 def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMISTIC) -> ScalarField:
     """The follower objective with the squared leader-objective penalty.
 
     Returns (y, x) -> h(y, x) + sign * eps * f(y, x)^2 with the exact
-    composite gradient. The field is declared convex in x only for the
-    pessimistic sign when the leader objective's structure guarantees
-    convexity of its square (linear, or convex with positive values).
-    For f linear and h of degree <= 2 with coefficients, so is the
-    result: with f = a'x + f0, it has Q_h + 2s*eps*aa', c_h + 2s*eps*f0*a
-    and d_h + s*eps*f0^2.
+    composite gradient. The field is declared convex in x for every y
+    only for the pessimistic sign when the leader objective's structure
+    guarantees convexity of its square (linear, or convex with positive
+    values). For f linear and h of degree <= 2 with coefficients, so is
+    the result: with f = a'x + f0, it has Q_h + 2s*eps*aa', c_h +
+    2s*eps*f0*a and d_h + s*eps*f0^2. A selection decides the convexity
+    at its y of such a field not declared convex from that Hessian (see
+    _section).
+    ValueError unless sign is the int +1 or -1.
     """
     require_finite("epsilon", epsilon, positive=True)
-    if sign not in (PESSIMISTIC, OPTIMISTIC):
-        raise ValueError("sign must be +1 (pessimistic) or -1 (optimistic)")
+    _require_sign(sign)
     f = problem.leader_objective
     h = problem.follower_objective
     s_eps = float(sign) * float(epsilon)
@@ -100,7 +110,9 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
 def _setup(problem, epsilon, sign):
     """(penalized field, vertices V of C, vertex LMO, V[:MAX_STARTS]) of a
     selection, built once per (epsilon, sign) in problem.cached_selection; a
-    problem is read-only, so nothing else can make that set-up stale."""
+    problem is read-only, so nothing else can make that set-up stale. The
+    sign is checked first, as the cache key (epsilon, 1) equals (epsilon, True)."""
+    _require_sign(sign)
     cached = problem.cached_selection
     if cached is not None and cached[0] == (epsilon, sign):
         return cached[1]
@@ -120,10 +132,21 @@ def _leader_point(problem, y):
 
 
 def _section(problem, y, epsilon, sign):
-    """y as an array, the penalized section at y and the rest of _setup."""
+    """y as an array, the penalized section at y and the rest of _setup.
+
+    A field declared convex, or one without coefficients, is fixed as it
+    is. Otherwise Q(y) is built once and the section is convex at y when
+    Q(y) is PSD (is_psd). Such a field is optimistic: one with coefficients
+    has a linear leader and a problem's follower is declared convex, so its
+    pessimistic sign is declared convex. QB's optimistic Q_h - 2*eps*aa' is
+    PSD at every y for eps <= 1/4; FS's -2*eps*aa' is not.
+    """
     y = _leader_point(problem, y)
     penalized, *rest = _setup(problem, epsilon, sign)
-    return y, penalized.fix(y), *rest
+    if penalized.convex_in_x or penalized.coefficients is None:
+        return y, penalized.fix(y), *rest
+    Q, c, d = penalized.coefficients(y)
+    return y, dense_section(Q, c, d, penalized.structure, is_psd(Q)), *rest
 
 
 def select_response(problem: BilevelProblem, y, epsilon: float,
@@ -132,13 +155,13 @@ def select_response(problem: BilevelProblem, y, epsilon: float,
 
     Pairwise Frank-Wolfe from the first min(#vertices, MAX_STARTS)
     polytope vertices in turn; the lowest penalized value wins, ties
-    broken by start order. A convex (pessimistic) section stops at its
-    first run with gap <= FW_TOL, a certified minimum; the nonconvex
-    optimistic sign runs every start. n_starts in the result counts the
-    runs made. An uncertified result is not an error: its fw_gap > FW_TOL
-    marks it unreliable. The penalized field, the vertices, the LMO and the
-    starts are built once per (problem, epsilon, sign) (see _setup); each
-    call fixes the field at y and runs Frank-Wolfe.
+    broken by start order. A section convex at y (see _section) stops at
+    its first run with gap <= FW_TOL, a certified minimum; one that is not
+    runs every start. n_starts in the result counts the runs made. An
+    uncertified result is not an error: its fw_gap > FW_TOL marks it
+    unreliable. The penalized field, the vertices, the LMO and the starts
+    are built once per (problem, epsilon, sign) (see _setup); each call
+    fixes the field at y and runs Frank-Wolfe.
     """
     y, section, _, lmo, starts = _section(problem, y, epsilon, sign)
     x, _, gap, runs, _ = _fw_best(section, lmo, starts, FW_TOL, FW_MAX_ITER)

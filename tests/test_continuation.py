@@ -188,7 +188,10 @@ class TestExports:
 
 
 # trace_to_json text of 12-row QB traces at UpperConfig(seed=7), pinned before
-# solve_penalized selected each leader point once and selections kept their set-up
+# solve_penalized selected each leader point once and selections kept their set-up;
+# the optimistic trace re-pinned when a section convex at y stopped at its first
+# certified run: rows 1 and 7 moved x within the argmin face, row 1's h_value by
+# one rounding (0.25 to 0.24999999999999978)
 PINNED_TRACES = {
     +1: (
         '{"schema": "trace-v1", "problem": "QB", "sign": 1, "seed": 7, '
@@ -233,8 +236,9 @@ PINNED_TRACES = {
         '{"schema": "trace-v1", "problem": "QB", "sign": -1, "seed": 7, '
         '"rows": [{"epsilon": 0.1, "y": [0.5], "x": [1.0, 1.0, 0.0, 0.0], "v": 6.0, '
         '"h_value": 1.0, "fw_gap": 0.0, "evals": 436, "converged": true},'
-        ' {"epsilon": 0.05, "y": [0.5], "x": [0.4999999999999999, 1.0, 0.5000000000000001, '
-        '0.0], "v": 5.0, "h_value": 0.25, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.05, "y": [0.5], "x": [0.7499999999999999, 0.7499999999999999, '
+        '0.2500000000000001, 0.2500000000000001], "v": 5.0, "h_value": 0.24999999999999978, '
+        '"fw_gap": 0.0, "evals": 29, "converged": true},'
         ' {"epsilon": 0.025, "y": [0.5], "x": [0.6111111111111112, 0.6111111111111112, '
         '0.38888888888888884, 0.38888888888888884], "v": 4.444444444444445, '
         '"h_value": 0.04938271604938276, "fw_gap": 0.0, "evals": 29, "converged": true},'
@@ -250,9 +254,9 @@ PINNED_TRACES = {
         ' {"epsilon": 0.0015625, "y": [0.5], "x": [0.5062893081761006, 0.5062893081761006, '
         '0.4937106918238994, 0.4937106918238994], "v": 4.0251572327044025, '
         '"h_value": 0.0001582215893358648, "fw_gap": 0.0, "evals": 29, "converged": true},'
-        ' {"epsilon": 0.00078125, "y": [0.5], "x": [0.006269592476489117, 1.0, '
-        '0.9937304075235108, 0.0], "v": 4.012539184952978, "h_value": 3.9307789821248234e-05, '
-        '"fw_gap": 0.0, "evals": 29, "converged": true},'
+        ' {"epsilon": 0.00078125, "y": [0.5], "x": [0.5031347962382445, 0.5031347962382445, '
+        '0.49686520376175547, 0.49686520376175547], "v": 4.012539184952978, '
+        '"h_value": 3.9307789821248234e-05, "fw_gap": 0.0, "evals": 29, "converged": true},'
         ' {"epsilon": 0.000390625, "y": [0.5], "x": [0.501564945226917, 0.501564945226917, '
         '0.49843505477308303, 0.49843505477308303], "v": 4.006259780907667, '
         '"h_value": 9.796214253000821e-06, "fw_gap": 0.0, "evals": 29, "converged": true},'

@@ -18,8 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen import expressions as ex
-from bilevelpen.model import GENERAL, QB_DOC, _quadratic_coefficients, field_from_expression
-from bilevelpen.selection import FW_MAX_ITER, FW_TOL, OPTIMISTIC, PESSIMISTIC
+from bilevelpen.lower_solver import _fw_run, vertex_lmo
+from bilevelpen.model import (GENERAL, QB_DOC, _quadratic_coefficients, field_from_expression,
+                              is_psd)
+from bilevelpen.selection import FW_MAX_ITER, FW_TOL, MAX_STARTS, OPTIMISTIC, PESSIMISTIC
 
 REL = 1e-12
 
@@ -209,10 +211,17 @@ def assert_same_selection(dense, reference):
     assert dense.reliable == reference.reliable
 
 
+EPSILONS = [1e-1, 1e-2, 1e-3]
+
+
 @st.composite
-def block_simplex_selections(draw):
+def block_simplex_selections(draw, psd_optimistic=False):
     """(problem, y, eps): a product of scaled simplices, a follower
-    (g'x - c - 0.2*y0)^2 minimized on a whole face and a linear leader."""
+    (g'x - c - 0.2*y0)^2 minimized on a whole face and a linear leader
+    1 + y0 + a'x. The optimistic Hessian 2gg' - 2eps*aa' is then mostly
+    indefinite. With psd_optimistic it is PSD at every y: either a = t*g
+    with eps*t^2 <= 1, or the follower adds mu*||x||^2 with
+    mu >= eps*||a||^2."""
     sizes = draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]))
     n = sum(sizes)
     A = np.zeros((len(sizes), n))
@@ -223,16 +232,47 @@ def block_simplex_selections(draw):
     weights = st.floats(0.1, 2.0).map(lambda v: round(v, 3))
     g = [draw(weights) for _ in range(n)]
     a = [draw(weights) for _ in range(n)]
+    ridge = ""
+    if psd_optimistic:
+        eps = draw(st.sampled_from(EPSILONS))
+        if draw(st.booleans()):
+            t = draw(weights)  # eps * t^2 <= 0.4
+            a = [t * gj for gj in g]
+        else:
+            mu = math.ceil(1e3 * eps * sum(aj * aj for aj in a)) / 1e3
+            ridge = f" + {mu!r}*(" + " + ".join(f"x[{j}]^2" for j in range(n)) + ")"
     doc = {
         "name": "blocks", "dim_y": 1, "dim_x": n, "A": A.tolist(),
         "b": [draw(st.floats(0.5, 1.5)) for _ in sizes],
         "K_lower": [0.0], "K_upper": [1.0],
         "f": "1 + y[0] + " + " + ".join(f"{a[j]!r}*x[{j}]" for j in range(n)),
         "h": "(" + " + ".join(f"{g[j]!r}*x[{j}]" for j in range(n))
-             + f" - {draw(st.floats(0.5, 2.0))!r} - 0.2*y[0])^2",
+             + f" - {draw(st.floats(0.5, 2.0))!r} - 0.2*y[0])^2" + ridge,
     }
-    return (bp.problem_from_dict(doc), draw(st.floats(0.0, 1.0)),
-            draw(st.sampled_from([1e-1, 1e-2, 1e-3])))
+    y = draw(st.floats(0.0, 1.0))
+    return bp.problem_from_dict(doc), y, eps if psd_optimistic else draw(st.sampled_from(EPSILONS))
+
+
+QB = bp.registry_get("QB")
+# QB's optimistic Hessian 2(1 - eps*k(y)^2)ee', k(y) = 1 + 4y(1 - y) <= 2, is PSD for eps <= 1/4
+qb_selections = st.tuples(st.just(QB), st.floats(0.0, 1.0), st.floats(1e-4, 0.2))
+
+
+def psd_at(problem, y, eps, sign):
+    """Whether the penalized Hessian Q(y) is PSD, so the section is convex at y."""
+    return is_psd(bp.penalized_field(problem, eps, sign).coefficients(np.array([y]))[0])
+
+
+def all_start_runs(problem, y, eps, sign):
+    """_fw_run from each of V[:MAX_STARTS] on the penalized section at y."""
+    V = bp.enumerate_vertices(problem.follower_set)
+    section, lmo = bp.penalized_field(problem, eps, sign).fix([y]), vertex_lmo(V)
+    return [_fw_run(section, lmo, x0, FW_TOL, FW_MAX_ITER) for x0 in V[:MAX_STARTS]]
+
+
+def first_certified(runs):
+    """The runs a section convex at y makes: up to its first with gap <= FW_TOL."""
+    return next((k for k, (_, _, gap, _) in enumerate(runs, 1) if gap <= FW_TOL), len(runs))
 
 
 class TestSelectionPaths:
@@ -272,10 +312,51 @@ class TestSelectionPaths:
         assert C.contains(sel.x)
         V = bp.enumerate_vertices(C)
         if sign == OPTIMISTIC:
-            assert sel.n_starts == len(V)
+            if psd_at(problem, y, eps, sign):
+                assert sel.n_starts == first_certified(all_start_runs(problem, y, eps, sign))
+            else:
+                assert sel.n_starts == len(V)
             return
         # the first start is the first vertex; a convex section whose first
         # run certifies is at its minimum and runs no other start
         first = bp.frank_wolfe_minimize(bp.penalized_field(problem, eps).fix([y]), C,
                                         tol=FW_TOL, max_iter=FW_MAX_ITER, start=V[0])
         assert (sel.n_starts == 1) == (first.fw_gap <= FW_TOL)
+
+    def test_optimistic_selection_stops_early_where_convex_at_y(self):
+        stopped = []
+
+        @settings(max_examples=25, deadline=None)
+        @given(st.one_of(block_simplex_selections(psd_optimistic=True), qb_selections))
+        def check(case):
+            problem, y, eps = case
+            assert psd_at(problem, y, eps, OPTIMISTIC)
+            sel = bp.select_response(problem, [y], eps, OPTIMISTIC)
+            assert problem.follower_set.contains(sel.x)
+            runs = all_start_runs(problem, y, eps, OPTIMISTIC)
+            assert abs(sel.penalized_value - min(r[1] for r in runs)) <= FW_TOL
+            assert sel.n_starts == first_certified(runs)
+            stopped.append(sel.n_starts < len(runs))
+
+        check()
+        assert any(stopped)
+
+    def test_pessimistic_selection_makes_no_psd_test(self, monkeypatch):
+        # a penalized field with coefficients has a linear leader and a problem's
+        # follower is declared convex, so the pessimistic sign is declared convex
+        # and _section fixes it as it is: only an optimistic field reaches is_psd
+        def no_psd_test(Q):
+            raise AssertionError("a pessimistic selection ran is_psd")
+
+        monkeypatch.setattr("bilevelpen.selection.is_psd", no_psd_test)
+
+        @settings(max_examples=15, deadline=None)
+        @given(st.one_of(block_simplex_selections(), qb_selections,
+                         st.tuples(st.just(bp.registry_get("FS")), st.floats(0.0, 1.0),
+                                   st.floats(1e-4, 0.2))))
+        def check(case):
+            problem, y, eps = case
+            assert bp.penalized_field(problem, eps, PESSIMISTIC).convex_in_x
+            bp.select_response(problem, [y], eps, PESSIMISTIC)
+
+        check()

@@ -133,6 +133,18 @@ class TestConvexityOnLeaderBox:
         assert bp.problem_from_dict(doc).follower_objective.convex_in_x
         assert made == calls
 
+    @pytest.mark.parametrize("Q,psd", [
+        (np.diag([1.0, -0.5e-9]), True),     # ||Q|| <= 1: the absolute -1e-9 rule
+        (np.diag([1.0, -2e-9]), False),
+        (np.diag([100.0, -5e-8]), True),     # the tolerance scales with ||Q|| = 100
+        (np.diag([100.0, -2e-7]), False),
+        (-0.02 * np.outer([1.0, 1.0], [1.0, 1.0]), False),  # FS's optimistic -2*eps*aa'
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), False),        # eigenvalues 3 and -1
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), False),     # eigvalsh reads NaN as 0
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), False)])
+    def test_is_psd_tolerance_is_relative_to_the_norm(self, Q, psd):
+        assert model.is_psd(Q) == psd
+
 
 class TestPolytope:
     def test_empty_raises(self):

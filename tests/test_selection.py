@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen.model import LINEAR, QB_DOC, BilevelProblem, ScalarField, field_from_expression
-from bilevelpen.selection import OPTIMISTIC
+from bilevelpen.selection import OPTIMISTIC, PESSIMISTIC
 
 
 def upper_value(problem, y, epsilon, sign=+1):
@@ -102,6 +102,15 @@ class TestSelectResponse:
             bp.select_response(qb, [0.5], 0.0)
         with pytest.raises(ValueError):
             bp.select_response(qb, [0.5], 0.1, sign=0)
+
+    @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, np.int64(1), 0, 2])
+    def test_sign_is_the_int_plus_or_minus_one(self, qb, sign):
+        # a set-up cached for sign 1 must not answer for True: (0.01, 1) == (0.01, True)
+        bp.select_response(qb, [0.3], 0.01, PESSIMISTIC)
+        with pytest.raises(ValueError, match="sign must be the int"):
+            bp.select_response(qb, [0.3], 0.01, sign)
+        with pytest.raises(ValueError, match="sign must be the int"):
+            bp.penalized_field(qb, 0.01, sign)
 
     def test_deterministic_given_seed(self, qb):
         a = bp.select_response(qb, [0.37], 0.05)
