@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem, FieldSection, Polytope,
                     require_finite)
-from .lower_solver import (_feasible_points, _fw_run, enumerate_vertices,
+from .lower_solver import (RANK_TOL, _feasible_points, _fw_run, enumerate_vertices,
                            frank_wolfe_minimize, independent_rows, vertex_lmo)
 from .oracle import OracleSolution
 
@@ -145,7 +145,7 @@ def _null_space_directions(C, rng, count):
     n = C.dim
     # orthonormal basis of the null space of the equality rows
     _, s, Vt = np.linalg.svd(A)
-    rank = int((s > 1e-10).sum())
+    rank = int((s > RANK_TOL).sum())
     basis = Vt[rank:]
     if basis.shape[0] == 0:
         return np.empty((0, n))

@@ -8,8 +8,9 @@ brute-force oracles, and fast linear minimization on small polytopes (the
 minimum of a linear function over a bounded polytope is attained at a
 vertex, so the cached vertex list is an exact oracle). The package's one
 sampler of C (_feasible_points: vertices, then seeded Dirichlet
-mixtures), one Frank-Wolfe run (_fw_run) and one best-of-runs loop
-(_fw_best) live here.
+mixtures), one Frank-Wolfe run (_fw_run), one best-of-runs loop
+(_fw_best) and one rank rule (independent_rows, a numpy QR with column
+pivoting) live here.
 """
 
 import math
@@ -61,16 +62,24 @@ def independent_rows(A):
     rank = np.linalg.matrix_rank(A, tol=RANK_TOL)
     if rank == A.shape[0]:
         return list(range(A.shape[0]))
-    return pivot_columns(A.T, rank)
+    return _pivot_columns(A.T, rank)
 
 
-def pivot_columns(M, k):
-    """The first k columns that scipy's QR with column pivoting picks from M,
-    sorted. scipy.linalg is imported here, on a rank-deficient A or an x
-    grid, and not with the package: numpy has no pivoted QR, and a port
-    would pick other columns on near ties."""
-    from scipy.linalg import qr
-    return sorted(qr(M, pivoting=True)[2][:k])
+def _pivot_columns(M, k):
+    """The first k columns that a Householder QR with column pivoting
+    (Businger & Golub, Numer. Math. 7 (1965) 269-276) picks from M, sorted.
+    Each step takes the column of largest remaining norm, the first on ties,
+    with the norms recomputed at every step, not downdated."""
+    R = np.array(M, dtype=float)
+    order = list(range(R.shape[1]))
+    for j in range(k):
+        p = j + int(np.argmax(np.linalg.norm(R[j:, j:], axis=0)))
+        R[:, [j, p]] = R[:, [p, j]]
+        order[j], order[p] = order[p], order[j]
+        v = R[j:, j].copy()
+        v[0] += math.copysign(np.linalg.norm(v), v[0])
+        R[j:, j:] -= np.outer(v, (2.0 / (v @ v)) * (v @ R[j:, j:]))
+    return sorted(order[:k])
 
 
 def enumerate_vertices(C: Polytope) -> np.ndarray:

@@ -27,7 +27,7 @@ from .model import (LINEAR, QUADRATIC, BilevelProblem, DimensionGuardError, FEAS
                     Polytope, ProblemError, _read_only, require_finite)
 from .lower_solver import (VERTEX_DIM_GUARD, _fw_best, enumerate_vertices,
                            frank_wolfe_minimize, independent_rows, lp_minimize,
-                           pivot_columns, vertex_lmo)
+                           vertex_lmo)
 from .selection import _leader_point, penalized_field
 from .upper_solver import _compass_climb, _improves, _require_finite_best
 
@@ -82,7 +82,8 @@ def _write_mesh(out, rows, axes):
 def _intrinsic_grid(C, step):
     """Grid the polytope over its free coordinates after slack elimination.
 
-    Picks a well-conditioned basic column set by QR pivoting, bounds each
+    Picks a well-conditioned basic column set, the columns of A that
+    independent_rows keeps (a QR with column pivoting), bounds each
     free coordinate by LPs, and assembles full feasible points as the
     (N, n) transpose of one array with a contiguous row per coordinate.
     Guarded to 4 intrinsic dimensions and 1e7 grid points.
@@ -95,7 +96,7 @@ def _intrinsic_grid(C, step):
     if free_dim > GRID_DIM_GUARD:
         raise DimensionGuardError(
             f"grid oracle guarded to {GRID_DIM_GUARD} intrinsic dims, got {free_dim}")
-    basic = pivot_columns(A, r)
+    basic = independent_rows(A.T)
     free = [j for j in range(n) if j not in basic]
     B = A[:, basic]
     N = A[:, free]

@@ -16,8 +16,9 @@ evaluation of every climb, of the starts and of the oracle's grid.
 The Sobol starts are scipy.stats.qmc.Sobol's points, bit for bit, drawn by
 _sobol_points: a numpy port over a vendored table of Joe-Kuo direction
 numbers (Joe & Kuo, SIAM J. Sci. Comput. 30 (2008) 2635-2654), scrambled
-as scipy scrambles them. So the solve path loads no scipy; only a leader
-box of more than len(_SOBOL_TABLE) dimensions imports scipy.stats.qmc.
+as scipy scrambles them. A cold solve on a leader box of more than
+len(_SOBOL_TABLE) dimensions raises DimensionGuardError; a warm solve
+draws no Sobol point and runs at any dimension.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from .model import BilevelProblem, BoxSet, ProblemError, require_finite
+from .model import BilevelProblem, BoxSet, DimensionGuardError, ProblemError, require_finite
 from .selection import FW_TOL, SelectionResult, select_response
 
 N_MULTISTARTS = 8  # a cold solve climbs from the box midpoint and 7 Sobol points
@@ -116,10 +117,11 @@ def _sobol_points(d, n, seed):
     seed=seed), bit for bit, for an int seed: LMS plus digital-shift
     scrambling (Matousek 1998) from the same default_rng(seed) draws, a
     (d, 30) shift and then (d, 30, 30) lower triangles, and the points in
-    Gray-code order. Above len(_SOBOL_TABLE) dimensions, scipy's own."""
+    Gray-code order. DimensionGuardError above len(_SOBOL_TABLE) dimensions,
+    where the vendored table has no direction numbers."""
     if d > len(_SOBOL_TABLE):
-        from scipy.stats import qmc  # loaded only for a box beyond the table
-        return qmc.Sobol(d=d, scramble=True, seed=seed).random(n)
+        raise DimensionGuardError(
+            f"Sobol starts guarded to {len(_SOBOL_TABLE)} leader dims, got {d}")
     rng = np.random.default_rng(seed)
     bits = np.arange(_SOBOL_BITS, dtype=np.uint32)
     shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ (2 ** bits)
@@ -230,7 +232,8 @@ def pattern_search_maximize(value_fn, K: BoxSet,
     which case the best point so far is returned with converged=False.
     The returned point is a mesh-local maximizer at resolution MIN_STEP,
     clipped to K: the earliest evaluation with the highest finite value.
-    ProblemError if no evaluation is finite.
+    ProblemError if no evaluation is finite, DimensionGuardError if K has
+    more than len(_SOBOL_TABLE) dimensions.
     """
     (y, value, _), evals, exhausted = _climb_from(
         lambda y: (value_fn(y), None), K, _start_set(K, cfg.seed), COLD_STEP, cfg.max_evals)
@@ -259,8 +262,10 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     with fw_gap > FW_TOL, or a probe whose follower value is not finite:
     the first such leader point is nonfinite_y. numpy's floating-point
     warnings are silenced, as that flag reports them. A leader value that
-    is not finite only never wins; ProblemError if none is finite, and
-    ValueError for a warm_start whose shape is not (dim_y,).
+    is not finite only never wins; ProblemError if none is finite,
+    ValueError for a warm_start whose shape is not (dim_y,), and without
+    warm_start DimensionGuardError on a box of more than len(_SOBOL_TABLE)
+    dimensions.
     """
     require_finite("epsilon", epsilon, positive=True)
     memo = {}  # y.tobytes() -> (value, selection), for this solve

@@ -1,5 +1,5 @@
-"""The solve path loads numpy and not scipy: the Sobol starts are drawn by
-numpy, and scipy.linalg's pivoted QR is imported only where it runs."""
+"""bilevelpen runs on numpy alone: with every scipy import made to fail, the
+README's commands still run and exit with their documented codes."""
 
 import json
 import os
@@ -10,41 +10,50 @@ import bilevelpen
 
 SRC = os.path.dirname(os.path.dirname(bilevelpen.__file__))
 
-_SOLVE_PATH = """
+_NO_SCIPY = """
+import contextlib
+import io
 import json
 import sys
 
-import bilevelpen as bp
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
 
-loaded = {"import": scipy_modules()}
-qb = bp.registry_get("QB")
-bp.run_continuation(qb, bp.EpsSchedule(eps0=0.1, rho=0.5, k_max=4))
-loaded["continuation"] = scipy_modules()
-# a custom-select-style document: C is a product of two simplices
-doc = {"name": "blocks", "dim_y": 1, "dim_x": 4,
-       "A": [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]], "b": [1.0, 2.0],
-       "K_lower": [0.0], "K_upper": [1.0],
-       "f": "1 + y[0] + x[0] + 2*x[2]", "h": "(x[0] + x[2] - 1 - 0.2*y[0])^2"}
-problem = bp.problem_from_dict(doc)
-bp.validate_problem(problem)
-bp.select_response(problem, [0.5], 0.01)
-loaded["select"] = scipy_modules()
-# QB's argmin face stacks rank-deficient rows: their pivoted QR is scipy's
-bp.solve_three_level(qb, y_grid_step=1e-2)
-loaded["oracle"] = scipy_modules()
-print(json.dumps(loaded))
+
+sys.meta_path.insert(0, NoScipy())
+
+from bilevelpen import cli
+
+out = sys.argv[2]
+codes = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[" ".join(argv)] = cli.main([*argv, "--output", out] if argv != ["list"] else argv)
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
+# the README's command-line examples, and rates on FS, with their exit codes:
+# QB's rates report an invalid certificate (the min of h + f is 3 < 4)
+README_COMMANDS = {
+    "list": 0,
+    "solve --problem QB --epsilon 0.1 --seed 7": 0,
+    "solve --problem FS --epsilon 0.01 --sign optimistic": 0,
+    "continuation --problem QB --eps0 0.1 --rho 0.5 --k 12 --limit": 0,
+    "oracle --problem QB --ygrid 1e-3": 0,
+    "rates --problem QB": 2,
+    "rates --problem FS": 0,
+}
 
-def test_solve_path_imports_no_scipy():
+
+def test_readme_commands_run_with_scipy_blocked(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", _SOLVE_PATH],
-                          capture_output=True, text=True, env=env, timeout=120, check=True)
-    loaded = json.loads(proc.stdout)
-    assert loaded["import"] == loaded["continuation"] == loaded["select"] == []
-    assert "scipy.linalg" in loaded["oracle"]
-    assert "scipy.stats" not in loaded["oracle"]
+    argvs = json.dumps([command.split() for command in README_COMMANDS])
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, argvs, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    result = json.loads(proc.stdout)
+    assert result == {"codes": README_COMMANDS, "scipy": []}

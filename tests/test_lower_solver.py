@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen import simplex
-from bilevelpen.lower_solver import _feasible_points, _fw_run, vertex_lmo
-from bilevelpen.model import DimensionGuardError, FieldSection, Polytope
+from bilevelpen.lower_solver import (RANK_TOL, _feasible_points, _fw_run, _pivot_columns,
+                                     independent_rows, vertex_lmo)
+from bilevelpen.model import DimensionGuardError, FieldSection, Polytope, field_from_expression
 
 
 def quadratic_section(Q, c, convex=True):
@@ -106,16 +107,21 @@ class TestEnumerateVertices:
         np.testing.assert_allclose(V, [[0.0, 1.0], [1.0, 0.0]])
 
 
+def block_rows(sizes):
+    """The rows "sum of each block of x": block k holds sizes[k] coordinates."""
+    edges = np.cumsum([0, *sizes])
+    A = np.zeros((len(sizes), edges[-1]))
+    for k in range(len(sizes)):
+        A[k, edges[k]:edges[k + 1]] = 1.0
+    return A
+
+
 @st.composite
 def block_simplices(draw):
     """{x >= 0: sum of each block of x = b_k}: products of scaled simplices."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    edges = np.cumsum([0] + sizes)
-    A = np.zeros((len(sizes), edges[-1]))
-    for k in range(len(sizes)):
-        A[k, edges[k]:edges[k + 1]] = 1.0
     b = [draw(st.floats(0.5, 2.0)) for _ in sizes]
-    return Polytope(A=A, b=b)
+    return Polytope(A=block_rows(sizes), b=b)
 
 
 class TestFeasiblePoints:
@@ -130,6 +136,83 @@ class TestFeasiblePoints:
         np.testing.assert_array_equal(P[:k], V[:k])
         np.testing.assert_array_equal(P, _feasible_points(V, n, seed))
         np.testing.assert_array_equal(P, _feasible_points(V, n, np.random.default_rng(seed)))
+
+
+def scipy_pivot_columns(M, k):
+    from scipy.linalg import qr
+    return sorted(qr(M, pivoting=True)[2][:k])
+
+
+@st.composite
+def argmin_face_matrices(draw):
+    """[A; Q; c'] of a convex quadratic follower on a block simplex of up to
+    12 variables: half the A with a dense basis (no unit column), Q of rank
+    1 to 3. The entries are seeded normals, so no two norms tie exactly."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)
+                 .filter(lambda sizes: sum(sizes) <= 12))
+    rank_q = draw(st.integers(1, 3))
+    dense = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = block_rows(sizes)
+    if dense:
+        A[A == 0.0] = rng.uniform(0.1, 2.0, size=int((A == 0.0).sum()))
+    G = rng.standard_normal((rank_q, A.shape[1]))
+    return np.vstack([A, G.T @ G, rng.standard_normal(A.shape[1])])
+
+
+def _pinned_faces():
+    """(A, [A; Q; c']) of QB, FS, QB_band, the dense-basis problem and the
+    benchmark's custom-select families (h = (g'x - t)^2 on block simplices,
+    g drawn as the families draw it)."""
+    qb_rows = bp.registry_get("QB").follower_set.A
+    faces = [("QB", qb_rows, "(x[0] + x[1] - 1)^2"), ("FS", np.array([[1.0, 1.0]]), "0"),
+             ("QB_band", qb_rows, "(x[0] + x[1] - 0.7)^2"),
+             ("dense_basis", np.array([[2.0, 1.0, 1.0, 1.0], [1.0, 3.0, 1.0, 2.0]]),
+              "(x[2] + x[3] - 0.5)^2")]
+    for seed, sizes in ((1000, (2, 2, 2)), (1001, (2, 2, 2)), (1003, (3, 3)),
+                        (1000, (3, 3)), (1001, (2, 2)), (1002, (2, 2)), (1006, (2, 2))):
+        family = np.random.default_rng(seed)
+        family.uniform(size=len(sizes))  # the family's b, drawn before g
+        g = np.round(family.uniform(0.5, 2.0, size=sum(sizes)), 3)
+        gx = " + ".join(f"{float(gj)!r}*x[{j}]" for j, gj in enumerate(g))
+        faces.append((f"family{seed}-{'x'.join(map(str, sizes))}", block_rows(sizes),
+                      f"({gx} - 1.0)^2"))
+    pairs = []
+    for name, A, h in faces:
+        Q, c, _ = field_from_expression(h, 1, A.shape[1]).coefficients(np.zeros(1))
+        pairs.append(pytest.param(A, np.vstack([A, Q, c]), id=name))
+    return pairs
+
+
+class TestIndependentRows:
+    @settings(max_examples=200, deadline=None)
+    @given(M=argmin_face_matrices())
+    def test_pivoting_picks_scipys_rows_on_argmin_faces(self, M):
+        k = np.linalg.matrix_rank(M, tol=RANK_TOL)
+        assert _pivot_columns(M.T, k) == scipy_pivot_columns(M.T, k)
+
+    @pytest.mark.parametrize("A, M", _pinned_faces())
+    def test_pivoting_picks_scipys_rows_and_grid_columns_on_pinned_problems(self, A, M):
+        # the rows of A and of its argmin face matrix M, and the basic
+        # columns of the x grid, those of A's independent rows
+        for rows in (A, M):
+            k = np.linalg.matrix_rank(rows, tol=RANK_TOL)
+            assert _pivot_columns(rows.T, k) == scipy_pivot_columns(rows.T, k)
+        A = A[independent_rows(A)]
+        assert _pivot_columns(A, len(A)) == scipy_pivot_columns(A, len(A))
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=st.one_of(
+        argmin_face_matrices(),
+        st.integers(1, 5).flatmap(lambda cols: st.lists(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=cols, max_size=cols),
+            min_size=1, max_size=6)).map(np.array)))
+    def test_rows_are_independent_with_the_whole_rank(self, M):
+        rows = independent_rows(M)
+        assert rows == sorted(set(rows))
+        rank = np.linalg.matrix_rank(M, tol=RANK_TOL)
+        assert len(rows) == rank
+        assert rank == 0 or np.linalg.matrix_rank(M[rows], tol=RANK_TOL) == rank
 
 
 class TestFrankWolfe:

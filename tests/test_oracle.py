@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.linalg import qr as scipy_qr
 
 import bilevelpen as bp
 from bilevelpen import cli, oracle
@@ -395,8 +394,7 @@ def _meshgrid_reference(C, step):
     A = C.A[rows]
     b = C.b[rows]
     r, n = A.shape[0], C.dim
-    _, _, piv = scipy_qr(A, pivoting=True)
-    basic = sorted(piv[:r])
+    basic = independent_rows(A.T)
     free = [j for j in range(n) if j not in basic]
     B = A[:, basic]
     N = A[:, free]

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import warnings
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
-from bilevelpen import upper_solver
+from bilevelpen import cli, upper_solver
+from bilevelpen.model import DimensionGuardError
 from bilevelpen.upper_solver import UpperConfig
 
 
@@ -318,10 +320,26 @@ class TestSobolStarts:
             row[:len(vinit)] = vinit
             assert row.tolist() == table["vinit"][d].tolist(), d
 
-    def test_dimension_above_the_table_draws_from_scipy(self, monkeypatch):
-        d = len(upper_solver._SOBOL_TABLE) + 1
-        monkeypatch.setattr(upper_solver, "_sobol_directions",
-                            lambda d: pytest.fail("the vendored table was read"))
-        K = bp.BoxSet([0.0] * d, [1.0] * d)
-        ours, ref = upper_solver._start_set(K, 7), self._scipy_start_set(K, 7)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, ref))
+    # a leader box one dimension past the vendored table, on FS's segment
+    WIDE = {"name": "wide", "dim_y": len(upper_solver._SOBOL_TABLE) + 1, "dim_x": 2,
+            "A": [[1.0, 1.0]], "b": [1.0],
+            "K_lower": [0.0] * (len(upper_solver._SOBOL_TABLE) + 1),
+            "K_upper": [1.0] * (len(upper_solver._SOBOL_TABLE) + 1),
+            "f": "1 + y[0] + x[0]", "h": "0"}
+
+    def test_cold_solve_above_the_table_is_guarded(self, tmp_path, capsys):
+        with pytest.raises(DimensionGuardError, match="Sobol starts guarded to 32"):
+            bp.solve_penalized(bp.problem_from_dict(self.WIDE), 0.1)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(self.WIDE))
+        capsys.readouterr()
+        assert cli.main(["solve", "--problem", str(path), "--epsilon", "0.1",
+                         "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Sobol starts guarded")
+
+    def test_warm_solve_above_the_table_runs(self):
+        d = self.WIDE["dim_y"]
+        sol = bp.solve_penalized(bp.problem_from_dict(self.WIDE), 0.1,
+                                 warm_start=np.full(d, 0.5))
+        assert sol.converged and sol.y.shape == (d,) and sol.y[0] == 1.0
