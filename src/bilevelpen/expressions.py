@@ -13,6 +13,7 @@ one compiler; it folds each subtree that reads no variable left to vary.
 """
 
 import operator
+import pickle
 
 import numpy as np
 
@@ -196,6 +197,16 @@ def check_indices(node, dim_y, dim_x):
 def uses_y(node):
     """Whether the expression reads any leader variable y[i]."""
     return any(n[0] == "y" for n, _ in _walk(node))
+
+
+def tree_key(node):
+    """A hashable key that two ASTs share only when they are the same tree
+    with constants of the same bits, so that their compiled evaluators give
+    the same bits: the AST's pickle, which writes each float's eight bytes.
+    Unlike ==, it tells 0.0 from -0.0. An AST that holds one subtree object
+    twice pickles it once, so it may get another key than an equal AST
+    built of copies; such a pair is only not shared."""
+    return pickle.dumps(node)
 
 
 # The arithmetic of every compiled expression, at build time and per call alike

@@ -174,7 +174,7 @@ def field_from_expression(text, dim_y, dim_x):
                     else _quadratic_coefficients(node, grad_nodes))
 
     if structure == QUADRATIC:
-        draws = 5 if coefficients.hessian_reads_y else 1
+        draws = 5 if "Q" in coefficients.reads_y else 1
         convex = _psd_at(coefficients, np.random.default_rng(0).uniform(-1.0, 2.0, (draws, dim_y)))
     else:
         convex = structure == LINEAR
@@ -201,16 +201,22 @@ def field_from_expression(text, dim_y, dim_x):
     )
 
 
+COEFFICIENT_PARTS = frozenset("Qcd")
+
+
 def _quadratic_coefficients(node, grad_nodes):
     """y -> (Q, c, d) of a field of degree <= 2 in x, given its gradient nodes.
 
     Q is the Hessian from the symbolic second derivatives, c the gradient
     and d the value at x = 0, so f(y, x) = x'(Qx/2 + c) + d exactly. They
     are packed in one vector [Q.ravel(), c, d]. Each entry is compiled at
-    x = 0: one that folds to a value (reads no y) is stored once here, the
-    others are evaluated per call, each with the bits of
-    ex.compile_evaluator(entry)(y, 0). coefficients.hessian_reads_y tells if
-    Q reads y.
+    x = 0: one that folds to a value (reads no y) is stored once here. The
+    others are grouped by ex.tree_key, and a call evaluates each group
+    once: QB's leader has three entries that read y, c_0 and c_1 the same
+    tree w(y) = 1 + 4y(1 - y) and d = w(y)(1 + 0 + 0), so a call makes two
+    evaluations. Equal trees give equal bits, so every entry keeps the bits
+    of ex.compile_evaluator(entry)(y, 0). coefficients.reads_y records the
+    parts, a subset of COEFFICIENT_PARTS, with an entry that reads y.
     """
     n = len(grad_nodes)
     terms = [([n * n + n], node)] + [([n * n + j], g) for j, g in enumerate(grad_nodes)]
@@ -218,13 +224,14 @@ def _quadratic_coefficients(node, grad_nodes):
               for i in range(n) for j in range(i, n)]
     x0 = np.zeros(n)
     base = np.zeros(n * n + n + 1)
-    varying = []
+    varying = {}  # tree key -> (indices, evaluator)
     for idx, term in terms:
         fn = ex.compile_evaluator(term, x0)
         if fn.value is None:
-            varying.append((idx, fn))
+            varying.setdefault(ex.tree_key(term), ([], fn))[0].extend(idx)
         else:
             base[idx] = fn.value
+    varying = list(varying.values())
 
     def coefficients(y):
         theta = base.copy()
@@ -233,8 +240,15 @@ def _quadratic_coefficients(node, grad_nodes):
             for k in idx:
                 theta[k] = value
         return theta[:n * n].reshape(n, n), theta[n * n:-1], float(theta[-1])
-    coefficients.hessian_reads_y = any(idx[0] < n * n for idx, _ in varying)
+    coefficients.reads_y = frozenset("Q" if k < n * n else "c" if k < n * n + n else "d"
+                                     for idx, _ in varying for k in idx)
     return coefficients
+
+
+def coefficient_reads(coefficients):
+    """The parts of coefficients' (Q, c, d) that read y: its reads_y record,
+    or all of COEFFICIENT_PARTS for a hand-built callable without one."""
+    return getattr(coefficients, "reads_y", COEFFICIENT_PARTS)
 
 
 def _psd_at(coefficients, ys):
@@ -284,10 +298,17 @@ class Polytope:
 
 @dataclass(frozen=True)
 class BoxSet:
-    """An axis-aligned box for the leader variable, with read-only bounds."""
+    """An axis-aligned box for the leader variable, with read-only bounds.
+
+    cached_slack_lower and cached_slack_upper are read-only copies of lower -
+    1e-12 and upper + 1e-12, the bounds contains tests against, computed
+    once here since a search tests every point it probes.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
+    cached_slack_lower: np.ndarray = _cache(default=None)
+    cached_slack_upper: np.ndarray = _cache(default=None)
 
     def __post_init__(self):
         lo = _read_only(np.asarray(self.lower, dtype=float).flatten())
@@ -300,6 +321,8 @@ class BoxSet:
             raise ProblemError("box bounds must be finite")
         if np.any(lo > hi):
             raise ProblemError("box lower bound exceeds upper bound")
+        object.__setattr__(self, "cached_slack_lower", _read_only(lo - 1e-12))
+        object.__setattr__(self, "cached_slack_upper", _read_only(hi + 1e-12))
 
     @property
     def dim(self):
@@ -307,13 +330,14 @@ class BoxSet:
 
     def contains(self, y):
         """Whether y is a point of the box: of shape (dim,), each coordinate
-        within 1e-12 of its bounds."""
+        within 1e-12 of its bounds (NaN is not)."""
         y = np.asarray(y, dtype=float)
-        return bool(y.shape == self.lower.shape and (y >= self.lower - 1e-12).all()
-                    and (y <= self.upper + 1e-12).all())
+        return bool(y.shape == self.lower.shape
+                    and ((y >= self.cached_slack_lower) & (y <= self.cached_slack_upper)).all())
 
     def clip(self, y):
-        return np.clip(np.asarray(y, dtype=float), self.lower, self.upper)
+        """y clipped to the box, with the bits of np.clip (NaN stays NaN)."""
+        return np.minimum(np.maximum(np.asarray(y, dtype=float), self.lower), self.upper)
 
     def midpoint(self):
         return 0.5 * (self.lower + self.upper)
@@ -488,7 +512,7 @@ def _convex_on(fld, K):
     The corners decide a Hessian affine in y exactly: its least eigenvalue
     is concave in y, so it is least at a corner. DimensionGuardError above
     CORNER_DIM_GUARD leader dimensions."""
-    if fld.structure != QUADRATIC or not fld.coefficients.hessian_reads_y:
+    if fld.structure != QUADRATIC or "Q" not in coefficient_reads(fld.coefficients):
         return fld
     if K.dim > CORNER_DIM_GUARD:
         raise DimensionGuardError(f"a Hessian that reads y is tested at the 2**dim_y corners "

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem, ScalarField, dense_section,
-                    is_psd, require_finite)
+from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem, ScalarField,
+                    coefficient_reads, dense_section, is_psd, require_finite)
 from .lower_solver import _feasible_points, _fw_best, _fw_run, enumerate_vertices, vertex_lmo
 
 PESSIMISTIC = +1
@@ -67,9 +67,9 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
     guarantees convexity of its square (linear, or convex with positive
     values). For f linear and h of degree <= 2 with coefficients, so is
     the result: with f = a'x + f0, it has Q_h + 2s*eps*aa', c_h +
-    2s*eps*f0*a and d_h + s*eps*f0^2. A selection decides the convexity
-    at its y of such a field not declared convex from that Hessian (see
-    _section).
+    2s*eps*f0*a and d_h + s*eps*f0^2 (see _penalized_coefficients). A
+    selection decides the convexity of such a field not declared convex
+    from that Hessian (see _setup and _section).
     ValueError unless sign is the int +1 or -1.
     """
     require_finite("epsilon", epsilon, positive=True)
@@ -90,11 +90,7 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
     if f.structure == LINEAR and h.structure in (LINEAR, QUADRATIC):
         structure = QUADRATIC
         if f.coefficients is not None and h.coefficients is not None:
-            def coefficients(y):
-                Qh, ch, dh = h.coefficients(y)
-                _, a, f0 = f.coefficients(y)
-                return (Qh + 2.0 * s_eps * np.outer(a, a), ch + 2.0 * s_eps * f0 * a,
-                        dh + s_eps * f0 * f0)
+            coefficients = _penalized_coefficients(f, h, s_eps)
     else:
         structure = GENERAL
     convex = (sign == PESSIMISTIC and h.convex_in_x
@@ -107,18 +103,55 @@ def penalized_field(problem: BilevelProblem, epsilon: float, sign: int = PESSIMI
     )
 
 
-def _setup(problem, epsilon, sign):
-    """(penalized field, vertices V of C, vertex LMO, V[:MAX_STARTS]) of a
-    selection, built once per (epsilon, sign) in problem.cached_selection; a
-    problem is read-only, so nothing else can make that set-up stale. The
-    sign is checked first, as the cache key (epsilon, 1) equals (epsilon, True)."""
+def _penalized_coefficients(f, h, s_eps):
+    """y -> (Q_h + 2s*eps*aa', c_h + 2s*eps*f0*a, d_h + s*eps*f0^2) of a
+    linear leader f = a'x + f0 and a follower h of degree <= 2.
+
+    h's (Q_h, c_h, d_h) are built once here when they read no y (by
+    coefficient_reads: a hand-built callable without the record counts as
+    reading y), and per call otherwise. aa' is a[:, None] * a, each entry
+    the one product a_i * a_j, as np.outer computes it. The result records
+    its reads_y: Q reads y when Q_h or a does, c when c_h, a or f0 does,
+    and d when d_h or f0 does.
+    """
+    two_s_eps = 2.0 * s_eps
+    f_reads, h_reads = coefficient_reads(f.coefficients), coefficient_reads(h.coefficients)
+    fixed_h = None if h_reads else h.coefficients(np.zeros(f.dim_y))  # y is never read
+
+    def coefficients(y):
+        Qh, ch, dh = h.coefficients(y) if fixed_h is None else fixed_h
+        _, a, f0 = f.coefficients(y)
+        return Qh + two_s_eps * (a[:, None] * a), ch + two_s_eps * f0 * a, dh + s_eps * f0 * f0
+    reads = {"Q": "Q" in h_reads or "c" in f_reads,
+             "c": "c" in h_reads or not f_reads.isdisjoint("cd"),
+             "d": "d" in h_reads or "d" in f_reads}
+    coefficients.reads_y = frozenset(part for part, r in reads.items() if r)
+    return coefficients
+
+
+def _setup(problem, y, epsilon, sign):
+    """(penalized field, its convexity, vertices V of C, vertex LMO,
+    V[:MAX_STARTS]) of a selection, built once per (epsilon, sign) in
+    problem.cached_selection; a problem is read-only, so nothing else can
+    make that set-up stale. The sign is checked first, as the cache key
+    (epsilon, 1) equals (epsilon, True).
+
+    The convexity is True for a field declared convex. For one with
+    coefficients whose Q reads no y it is is_psd(Q), decided once here at
+    y, the leader point of the first selection; it is None for any other
+    field, whose section _section decides at each y.
+    """
     _require_sign(sign)
     cached = problem.cached_selection
     if cached is not None and cached[0] == (epsilon, sign):
         return cached[1]
     penalized = penalized_field(problem, epsilon, sign)
+    convex = True if penalized.convex_in_x else None
+    if (convex is None and penalized.coefficients is not None
+            and "Q" not in penalized.coefficients.reads_y):
+        convex = is_psd(penalized.coefficients(y)[0])
     V = enumerate_vertices(problem.follower_set)
-    setup = (penalized, V, vertex_lmo(V), V[:MAX_STARTS])
+    setup = (penalized, convex, V, vertex_lmo(V), V[:MAX_STARTS])
     object.__setattr__(problem, "cached_selection", ((epsilon, sign), setup))
     return setup
 
@@ -134,19 +167,23 @@ def _leader_point(problem, y):
 def _section(problem, y, epsilon, sign):
     """y as an array, the penalized section at y and the rest of _setup.
 
-    A field declared convex, or one without coefficients, is fixed as it
-    is. Otherwise Q(y) is built once and the section is convex at y when
-    Q(y) is PSD (is_psd). Such a field is optimistic: one with coefficients
-    has a linear leader and a problem's follower is declared convex, so its
-    pessimistic sign is declared convex. QB's optimistic Q_h - 2*eps*aa' is
-    PSD at every y for eps <= 1/4; FS's -2*eps*aa' is not.
+    A field without coefficients is fixed as it is. Otherwise (Q, c, d)
+    are built at y, with only the entries that read y evaluated, and the
+    section is convex at y as _setup decided, or when Q(y) is PSD
+    (is_psd) for a field whose Q reads y and is not declared convex. Such
+    a field is optimistic: one with coefficients has a linear leader and a
+    problem's follower is declared convex, so its pessimistic sign is
+    declared convex and makes no PSD test. QB's optimistic Q_h - 2*eps*aa'
+    reads y and is PSD at every y for eps <= 1/4; FS's -2*eps*aa' reads no
+    y and is not PSD, which _setup decides once per (epsilon, sign).
     """
     y = _leader_point(problem, y)
-    penalized, *rest = _setup(problem, epsilon, sign)
-    if penalized.convex_in_x or penalized.coefficients is None:
+    penalized, convex, *rest = _setup(problem, y, epsilon, sign)
+    if penalized.coefficients is None:
         return y, penalized.fix(y), *rest
     Q, c, d = penalized.coefficients(y)
-    return y, dense_section(Q, c, d, penalized.structure, is_psd(Q)), *rest
+    convex = is_psd(Q) if convex is None else convex
+    return y, dense_section(Q, c, d, penalized.structure, convex), *rest
 
 
 def select_response(problem: BilevelProblem, y, epsilon: float,
@@ -159,9 +196,10 @@ def select_response(problem: BilevelProblem, y, epsilon: float,
     its first run with gap <= FW_TOL, a certified minimum; one that is not
     runs every start. n_starts in the result counts the runs made. An
     uncertified result is not an error: its fw_gap > FW_TOL marks it
-    unreliable. The penalized field, the vertices, the LMO and the starts
-    are built once per (problem, epsilon, sign) (see _setup); each call
-    fixes the field at y and runs Frank-Wolfe.
+    unreliable. The penalized field, its y-free coefficients and convexity,
+    the vertices, the LMO and the starts are built once per (problem,
+    epsilon, sign) (see _setup); each call fixes the field at y and runs
+    Frank-Wolfe.
     """
     y, section, _, lmo, starts = _section(problem, y, epsilon, sign)
     x, _, gap, runs, _ = _fw_best(section, lmo, starts, FW_TOL, FW_MAX_ITER)

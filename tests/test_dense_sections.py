@@ -6,6 +6,7 @@ expression. These tests compare the two paths; the expression path is the
 reference, reached by replacing the coefficients with None.
 """
 
+import hashlib
 import json
 import math
 import pickle
@@ -17,11 +18,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bilevelpen as bp
-from bilevelpen import expressions as ex
+from bilevelpen import expressions as ex, selection
+from bilevelpen.cli import trace_to_json
+from bilevelpen.continuation import EpsSchedule
 from bilevelpen.lower_solver import _fw_run, vertex_lmo
-from bilevelpen.model import (GENERAL, QB_DOC, _quadratic_coefficients, field_from_expression,
-                              is_psd)
+from bilevelpen.model import (COEFFICIENT_PARTS, GENERAL, QB_DOC, _quadratic_coefficients,
+                              dense_section, field_from_expression, is_psd)
 from bilevelpen.selection import FW_MAX_ITER, FW_TOL, MAX_STARTS, OPTIMISTIC, PESSIMISTIC
+from bilevelpen.upper_solver import UpperConfig
 
 REL = 1e-12
 
@@ -136,6 +140,25 @@ def coefficient_cases(draw):
     return node, dim_y, dim_x, y
 
 
+# Parts that read y, in the style of test_model's _EXPRESSIONS; 0 and the
+# signed zero y = -0.0 make NaN, infinite and signed-zero entries
+_Y_PARTS = st.recursive(st.sampled_from(["y[0]", "y[1]", "0.5", "0", "3"]), lambda inner: st.tuples(
+    inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"), max_leaves=4)
+
+
+@st.composite
+def shared_entry_cases(draw):
+    """(text, dim_x = 2): an expression of degree <= 2 in x that reads y,
+    whose terms reuse a few parts, so that several entries are one tree."""
+    parts = draw(st.lists(_Y_PARTS, min_size=1, max_size=3))
+    terms = ["y[0]"]
+    for _ in range(draw(st.integers(1, 5))):
+        w, i, j = draw(st.sampled_from(parts)), draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        terms.append(draw(st.sampled_from([
+            f"{w}*x[{i}]", f"{w}*x[{i}]*x[{j}]", f"({w} + x[{i}])^2", f"-{w}*(x[{i}] - {w})"])))
+    return " + ".join(draw(st.permutations(terms))), 2
+
+
 class TestOnePassCoefficients:
     # with -0.0 and 0.0 merged, y*(-0.0) + y*0.0 would read -0.0 instead of 0.0
     @example((("add", ("mul", ("y", 0), ("const", -0.0)), ("mul", ("y", 0), ("const", 0.0))),
@@ -163,11 +186,63 @@ class TestOnePassCoefficients:
                 return np.float64(0.3)
         h = field_from_expression(QB_DOC["h"], 1, 4)
         h.coefficients(Leader())
-        assert reads == [] and not h.coefficients.hessian_reads_y
+        assert reads == [] and not h.coefficients.reads_y
         got = field_from_expression(QB_DOC["f"], 1, 4).coefficients(Leader())
         want = per_term_coefficients(ex.parse(QB_DOC["f"]), 4, np.array([0.3]))
         for a, b in zip(got, want):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @example(case=(QB_DOC["f"], 4), y=[0.3, 0.0])
+    @settings(max_examples=150, deadline=None)
+    @given(case=shared_entry_cases(),
+           y=st.lists(st.sampled_from([0.0, -0.0, 0.3, 1.0, -1.0, 2.0]), min_size=2, max_size=2))
+    def test_shared_entries_keep_every_bit(self, case, y):
+        # QB's leader has three entries that read y, c_0 = c_1 = w(y) the same tree
+        text, dim_x = case
+        y = np.array(y)
+        node = ex.parse(text)
+        x0 = np.zeros(dim_x)
+        grads = [ex.diff_x(node, j) for j in range(dim_x)]
+        hessian = {(i, j): ex.diff_x(grads[min(i, j)], max(i, j))
+                   for i in range(dim_x) for j in range(dim_x)}
+        with np.errstate(all="ignore"):
+            coefficients = _quadratic_coefficients(node, grads)
+            Q, c, d = coefficients(y)
+            alone = [(Q[i, j], ex.compile_evaluator(t, x0)(y, None)) for (i, j), t in hessian.items()]
+            alone += [(c[j], ex.compile_evaluator(g, x0)(y, None)) for j, g in enumerate(grads)]
+            alone += [(d, ex.compile_evaluator(node, x0)(y, None))]
+        for got, want in alone:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+        def varies(terms):
+            return any(ex.compile_evaluator(t, x0).value is None for t in terms)
+        assert coefficients.reads_y == {part for part, terms in (
+            ("Q", hessian.values()), ("c", grads), ("d", [node])) if varies(terms)}
+        assert coefficients.reads_y <= COEFFICIENT_PARTS
+
+    def test_entries_equal_but_for_a_signed_zero_are_not_shared(self):
+        # c_0 = y*(-0.0) and c_1 = y*0.0 are == as tuples; one evaluation for
+        # both would give c_1 = -0.0 at y = 0.5
+        y0 = ("y", 0)
+        node = ("add", ("mul", ("mul", y0, ("const", -0.0)), ("x", 0)),
+                ("mul", ("mul", y0, ("const", 0.0)), ("x", 1)))
+        grads = [ex.diff_x(node, j) for j in range(2)]
+        assert grads[0] == grads[1] and ex.tree_key(grads[0]) != ex.tree_key(grads[1])
+        _, c, _ = _quadratic_coefficients(node, grads)(np.array([0.5]))
+        assert c.tobytes() == np.array([-0.0, 0.0]).tobytes()
+
+    def test_equal_entries_are_evaluated_once_per_call(self):
+        # w(y) = 1 + 4y(1 - y) reads y twice: c_0 and c_1 share one evaluation,
+        # d = w(y)(1 + 0 + 0) is a tree of its own
+        reads = []
+
+        class Leader:
+            def __getitem__(self, i):
+                reads.append(i)
+                return np.float64(0.3)
+        f = field_from_expression(QB_DOC["f"], 1, 4)
+        f.coefficients(Leader())
+        assert len(reads) == 4 and f.coefficients.reads_y == {"c", "d"}
 
 
 class TestPenalizedCoefficients:
@@ -360,3 +435,42 @@ class TestSelectionPaths:
             bp.select_response(problem, [y], eps, PESSIMISTIC)
 
         check()
+
+    def test_y_free_optimistic_hessian_is_tested_once_per_setup(self, monkeypatch):
+        # FS's optimistic Hessian -2*eps*aa' reads no y, so _setup decides its
+        # PSD test once per (eps, sign); every selection keeps the bits that a
+        # PSD test at each y gives, and the trace text is the one that test made
+        tested = []
+
+        def counted_psd(Q):
+            tested.append(Q)
+            return is_psd(Q)
+
+        def per_probe_section(problem, y, epsilon, sign):
+            y = selection._leader_point(problem, y)
+            penalized, _, *rest = selection._setup(problem, y, epsilon, sign)
+            Q, c, d = penalized.coefficients(y)
+            return y, dense_section(Q, c, d, penalized.structure, counted_psd(Q)), *rest
+
+        def selections(problem):
+            return [pickle.dumps(bp.select_response(problem, [y], eps, OPTIMISTIC))
+                    for eps in EPSILONS for y in np.linspace(0.0, 1.0, 11)]
+
+        monkeypatch.setattr(selection, "is_psd", counted_psd)
+        trace = bp.run_continuation(bp.registry_get("FS"), EpsSchedule(0.1, 0.5, 6),
+                                    sign=OPTIMISTIC, cfg=UpperConfig(seed=7))
+        assert len(tested) == len(trace.rows) == 6
+        assert (hashlib.sha256(json.dumps(trace_to_json(trace)).encode()).hexdigest()
+                == FS_OPTIMISTIC_TRACE_SHA256)
+        del tested[:]
+        once = selections(bp.registry_get("FS"))
+        assert len(tested) == len(EPSILONS)
+        del tested[:]
+        monkeypatch.setattr(selection, "_section", per_probe_section)
+        assert selections(bp.registry_get("FS")) == once
+        assert len(tested) == len(EPSILONS) + len(once)
+
+
+# sha256 of the trace_to_json text of a 6-row optimistic FS trace at
+# UpperConfig(seed=7), pinned while _section still ran is_psd at every y
+FS_OPTIMISTIC_TRACE_SHA256 = "7de26de8843a708f8d6034fd0f67675ae92f3dcb265137428b87df0b821b7a72"

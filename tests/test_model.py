@@ -213,6 +213,36 @@ class TestBoxSet:
         np.testing.assert_allclose(box.clip([2.0, -3.0]), [1.0, -1.0])
         np.testing.assert_allclose(box.midpoint(), [0.5, 0.0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_contains_and_clip_keep_the_bits_of_the_plain_formulas(self, data):
+        # contains and clip use bounds kept at construction; they must answer
+        # as the formulas on lower - 1e-12, upper + 1e-12 and np.clip do: at a
+        # drawn point, and with each coordinate in turn at, within and just
+        # beyond 1e-12 of either bound, non-finite or a signed zero
+        dim = data.draw(st.integers(1, 3))
+        lo = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)))
+        hi = lo + data.draw(st.lists(st.floats(0.0, 10.0), min_size=dim, max_size=dim))
+        box = bp.BoxSet(lo, hi)
+        assert not (box.cached_slack_lower.flags.writeable or box.cached_slack_upper.flags.writeable)
+
+        def near(b):
+            edge = [b - 1e-12, b + 1e-12]
+            return edge + [b, -b] + [np.nextafter(e, s) for e in edge for s in (-np.inf, np.inf)]
+        special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
+        drawn = np.array(data.draw(st.lists(st.floats(allow_nan=True), min_size=dim,
+                                            max_size=dim)))
+        points = [drawn] + [np.where(np.arange(dim) == i, v, drawn) for i in range(dim)
+                            for v in near(lo[i]) + near(hi[i]) + special]
+        for y in points:
+            contains = bool((y >= box.lower - 1e-12).all() and (y <= box.upper + 1e-12).all())
+            assert box.contains(y) is contains
+            clipped = box.clip(y)
+            assert clipped.tobytes() == np.clip(y, box.lower, box.upper).tobytes()
+            assert np.array_equal(np.isnan(clipped), np.isnan(y))
+            for wrong in (y[:-1], np.append(y, 0.5), y[None], y[0]):
+                assert not box.contains(wrong)
+
 
 class TestReadOnly:
     """Problems, their sets and every array cached on them are read-only, so
