@@ -16,13 +16,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import BilevelProblem, require_finite
+from .model import BilevelProblem, require_finite, require_int
 from .upper_solver import UpperConfig, solve_penalized
 
 
 @dataclass(frozen=True)
 class EpsSchedule:
-    """Geometric penalty schedule eps0 * rho^k for k = 0 .. k_max - 1."""
+    """Geometric penalty schedule eps0 * rho^k for k = 0 .. k_max - 1;
+    ValueError unless k_max is an integer >= 1 (not a bool)."""
 
     eps0: float = 0.1
     rho: float = 0.5
@@ -32,8 +33,7 @@ class EpsSchedule:
         require_finite("eps0", self.eps0, positive=True)
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1) so the schedule decreases")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
+        require_int("k_max", self.k_max, 1)
         eps = self.epsilons()
         if eps[-1] <= 0.0 or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ValueError("schedule epsilons must be positive and strictly decreasing")

@@ -160,6 +160,9 @@ def _fw_run(section, lmo, x0, tol, max_iter):
     along v - a for fields at most quadratic in x, by Armijo otherwise.
     A step that keeps the active set is followed by _newton_on_atoms.
     Atoms never move, so each atom's gradient is computed once per run.
+    No array is written in place, so x, the atoms and the best point are
+    references during the run (an oracle vertex may be a read-only row of
+    the vertex cache); the returned x is the one copy, an array of its own.
 
     Returns (x, value, gap, iterations), gap = g'(x - v). A run whose gap
     reaches tol returns that point, unless it met a point lower by more
@@ -171,25 +174,26 @@ def _fw_run(section, lmo, x0, tol, max_iter):
     """
     exact_steps = section.structure in (LINEAR, QUADRATIC)
     x = np.array(x0, dtype=float)
-    atoms, weights = {x.tobytes(): x.copy()}, {x.tobytes(): 1.0}
+    key0 = x.tobytes()
+    atoms, weights = {key0: x}, {key0: 1.0}
     grads = {}  # atom key -> gradient at that atom, filled as needed
     fx = _finite_or_inf(section.value(x))
-    best_x, best_val, best_gap = x.copy(), fx, None
+    best_x, best_val, best_gap = x, fx, None
     iters = 0
     for iters in range(1, max_iter + 1):
         g = section.grad(x)
         if iters == 1:
-            grads[x.tobytes()] = g
+            grads[key0] = g
         v = lmo(g)
         gap = _finite_or_inf(float(g @ (x - v)))
         if (fx < best_val or (fx == best_val and best_gap is None)
                 or (gap <= tol and fx <= best_val + gap)):
-            best_x, best_val, best_gap = x.copy(), fx, gap
+            best_x, best_val, best_gap = x, fx, gap
         if gap <= tol or gap == math.inf:
             break
         f_v = _finite_or_inf(section.value(v))
         if f_v < best_val:
-            best_x, best_val, best_gap = v.copy(), f_v, None
+            best_x, best_val, best_gap = v, f_v, None
         if len(atoms) == 1:  # x is the only atom: a vanilla step, which ends at v
             (away,) = atoms
             cap, d, slope, x_cap, f_cap = weights[away], v - x, -gap, v, f_v
@@ -227,7 +231,7 @@ def _fw_run(section, lmo, x0, tol, max_iter):
         g = section.grad(best_x)
         v = lmo(g)
         best_gap = _finite_or_inf(float(g @ (best_x - v)))
-    return best_x, best_val, best_gap, iters
+    return np.array(best_x), best_val, best_gap, iters
 
 
 def _newton_on_atoms(section, atoms, weights, grads, x, fx):

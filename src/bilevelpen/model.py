@@ -60,6 +60,13 @@ def require_finite(name, value, positive=False):
         raise ValueError(f"{name} must be {kind}, got {value}")
 
 
+def require_int(name, value, minimum):
+    """Raise ValueError unless value is an integer >= minimum: a Python or
+    numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
 def _read_only(a):
     """a, an array that no caller holds, with writing switched off."""
     a.flags.writeable = False
@@ -127,16 +134,30 @@ class ScalarField:
         )
 
 
-def dense_section(Q, c, d, structure, convex_in_x):
-    """The section x -> x'(Qx/2 + c) + d, evaluated by dense linear algebra."""
-    half_Q = 0.5 * Q  # scaling by 2 is exact: same bits as 0.5 * (Q @ x)
-    return FieldSection(
-        value=lambda x: float(x @ (half_Q @ x + c) + d),
-        grad=lambda x: Q @ x + c,
-        value_batch=lambda X: np.einsum("ij,ij->i", X, X @ half_Q + c) + d,
-        structure=structure,
-        convex_in_x=convex_in_x,
-    )
+class DenseSection:
+    """The section x -> x'(Qx/2 + c) + d, evaluated by dense linear algebra.
+
+    It has the methods and attributes of a FieldSection; a search builds one
+    per leader point, so it is one small object rather than three closures."""
+
+    __slots__ = ("Q", "half_Q", "c", "d", "structure", "convex_in_x")
+
+    def __init__(self, Q, c, d, structure, convex_in_x):
+        self.Q, self.c, self.d = Q, c, d
+        self.half_Q = 0.5 * Q  # scaling by 2 is exact: same bits as 0.5 * (Q @ x)
+        self.structure, self.convex_in_x = structure, convex_in_x
+
+    def value(self, x):
+        return float(x @ (self.half_Q @ x + self.c) + self.d)
+
+    def grad(self, x):
+        return self.Q @ x + self.c
+
+    def value_batch(self, X):
+        return np.einsum("ij,ij->i", X, X @ self.half_Q + self.c) + self.d
+
+
+dense_section = DenseSection  # the name ScalarField.fix and the selection build it by
 
 
 def is_psd(Q):
@@ -302,13 +323,16 @@ class BoxSet:
 
     cached_slack_lower and cached_slack_upper are read-only copies of lower -
     1e-12 and upper + 1e-12, the bounds contains tests against, computed
-    once here since a search tests every point it probes.
+    once here since a search tests every point it probes;
+    cached_slack_bounds holds the same bounds as (lower, upper) pairs of
+    Python floats, one per coordinate.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     cached_slack_lower: np.ndarray = _cache(default=None)
     cached_slack_upper: np.ndarray = _cache(default=None)
+    cached_slack_bounds: tuple = _cache(default=())
 
     def __post_init__(self):
         lo = _read_only(np.asarray(self.lower, dtype=float).flatten())
@@ -323,6 +347,8 @@ class BoxSet:
             raise ProblemError("box lower bound exceeds upper bound")
         object.__setattr__(self, "cached_slack_lower", _read_only(lo - 1e-12))
         object.__setattr__(self, "cached_slack_upper", _read_only(hi + 1e-12))
+        object.__setattr__(self, "cached_slack_bounds", tuple(
+            zip(self.cached_slack_lower.tolist(), self.cached_slack_upper.tolist())))
 
     @property
     def dim(self):
@@ -330,10 +356,16 @@ class BoxSet:
 
     def contains(self, y):
         """Whether y is a point of the box: of shape (dim,), each coordinate
-        within 1e-12 of its bounds (NaN is not)."""
+        within 1e-12 of its bounds (NaN is not). The coordinates are compared
+        as Python floats, which are the same doubles as numpy's, so the
+        answer is the array comparison's at a fraction of its dispatches."""
         y = np.asarray(y, dtype=float)
-        return bool(y.shape == self.lower.shape
-                    and ((y >= self.cached_slack_lower) & (y <= self.cached_slack_upper)).all())
+        if y.shape != self.lower.shape:
+            return False
+        for v, (lo, hi) in zip(y.tolist(), self.cached_slack_bounds):
+            if not lo <= v <= hi:
+                return False
+        return True
 
     def clip(self, y):
         """y clipped to the box, with the bits of np.clip (NaN stays NaN)."""

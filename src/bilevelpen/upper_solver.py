@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-from .model import BilevelProblem, BoxSet, DimensionGuardError, ProblemError, require_finite
+from .model import (BilevelProblem, BoxSet, DimensionGuardError, ProblemError, require_finite,
+                    require_int)
 from .selection import FW_TOL, SelectionResult, select_response
 
 N_MULTISTARTS = 8  # a cold solve climbs from the box midpoint and 7 Sobol points
@@ -39,12 +40,16 @@ MIN_STEP = 1e-6    # a solve's climb ends when every step is below this
 
 @dataclass(frozen=True)
 class UpperConfig:
+    """The upper search's settings; ValueError naming the field unless
+    max_evals is an integer >= 1 and seed one >= 0 (numpy integers count,
+    bools do not)."""
+
     max_evals: int = 20000
     seed: int = 0  # scrambles the Sobol starts of a cold solve
 
     def __post_init__(self):
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be at least 1")
+        require_int("max_evals", self.max_evals, 1)
+        require_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -168,6 +173,9 @@ def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals):
     when the next evaluation would exceed max_evals, after moving to the
     best probe of the unfinished poll, so the climb ends on its best
     evaluation. Returns ((y, value, result), evals, exhausted).
+
+    best[0] must be a point of K: a probe then differs from y at most in
+    its coordinate i, so only that coordinate is compared.
     """
     evals = 0
     while np.max(steps) >= min_step:
@@ -179,7 +187,10 @@ def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals):
                 probe = y.copy()
                 probe[i] += direction * steps[i]
                 probe = K.clip(probe)
-                if (probe == y).all():
+                # y is a point of K (every caller starts from one, and each
+                # move is to a clipped probe), and clipping leaves a
+                # coordinate in K bit for bit: only probe[i] can differ from y
+                if probe[i] == y[i]:
                     continue
                 if evals >= max_evals:
                     return cand, evals, True

@@ -70,6 +70,15 @@ class TestSolve:
     def test_bad_flag_is_config_error(self, tmp_path, capsys):
         assert run_cli("solve", "--problem", "QB", tmp_path=tmp_path) == 1
 
+    @pytest.mark.parametrize("command", [["solve", "--epsilon", "0.1"], ["continuation"],
+                                         ["rates"]])
+    def test_negative_seed_names_the_seed(self, tmp_path, capsys, command):
+        # the error used to be numpy's "expected non-negative integer"
+        code = run_cli(*command, "--problem", "QB", "--seed", "-1", tmp_path=tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be an integer of at least 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_optimistic_solve(self, tmp_path):
         code = run_cli("solve", "--problem", "FS", "--epsilon", "0.01",
                        "--sign", "optimistic", tmp_path=tmp_path)

@@ -37,6 +37,13 @@ class TestEpsSchedule:
         with pytest.raises(ValueError):
             EpsSchedule(k_max=0)
 
+    @pytest.mark.parametrize("k_max", [True, 2.5, 0, "3", None])
+    def test_k_max_is_an_integer_of_at_least_one(self, k_max):
+        # True used to give a one-row trace and 2.5 a bare TypeError from range
+        with pytest.raises(ValueError, match="^k_max must be an integer of at least 1"):
+            EpsSchedule(k_max=k_max)
+        assert EpsSchedule(k_max=np.int64(3)).epsilons() == [0.1, 0.05, 0.025]
+
     @pytest.mark.parametrize("eps0, rho, k_max", [(1e-300, 0.1, 30), (0.1, 0.5, 1100)])
     def test_rejects_a_schedule_that_underflows(self, eps0, rho, k_max):
         # these reach 0.0 at rows 24 and 1072; the trace raised only after solving them

@@ -365,3 +365,40 @@ class TestFrankWolfe:
                                           max_iter=300)
             true_min = float(sec.value_batch(grid).min())
             assert sol.value - true_min <= sol.fw_gap + 1e-9
+
+
+class TestOwnArrays:
+    """A run keeps references, never copies, during its iterations, and an
+    oracle vertex is a row of the read-only vertex cache: every x it returns
+    must still be an array of its own."""
+
+    @staticmethod
+    def assert_own(x, C):
+        assert x.flags.writeable
+        assert not np.shares_memory(x, C.cached_vertices)
+
+    @pytest.mark.parametrize("name, y, eps, sign", [
+        ("FS", 0.3, 0.01, -1),  # the first run ends on the vertex (1, 0) by a full step
+        ("FS", 0.3, 0.01, +1), ("QB", 0.3, 0.01, +1), ("QB", 0.3, 0.01, -1),
+        ("QB", 0.0, 0.1, +1), ("FS", 1.0, 0.1, -1)])
+    def test_selection_x(self, name, y, eps, sign):
+        problem = bp.registry_get(name)
+        sel = bp.select_response(problem, [y], eps, sign)
+        self.assert_own(sel.x, problem.follower_set)
+
+    def test_a_run_that_ends_on_an_oracle_vertex(self, fs):
+        C = fs.follower_set
+        V = bp.enumerate_vertices(C)
+        section = bp.penalized_field(fs, 0.01, -1).fix([0.3])
+        for x0 in V:  # a start that is itself a row of the cache, too
+            x = _fw_run(section, vertex_lmo(V), x0, 1e-8, 2000)[0]
+            self.assert_own(x, C)
+        assert any((_fw_run(section, vertex_lmo(V), x0, 1e-8, 2000)[0] == v).all()
+                   for x0 in V for v in V)
+
+    def test_frank_wolfe_minimize_x(self, fs, qb):
+        for problem, sign in ((fs, -1), (qb, +1), (qb, -1)):
+            C = problem.follower_set
+            section = bp.penalized_field(problem, 0.01, sign).fix([0.3])
+            self.assert_own(bp.frank_wolfe_minimize(section, C).x, C)
+            self.assert_own(bp.frank_wolfe_minimize(section, C, start=C.cached_vertices[0]).x, C)

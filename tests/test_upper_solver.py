@@ -24,6 +24,20 @@ class TestUpperConfig:
         with pytest.raises(ValueError):
             UpperConfig(max_evals=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_evals", 2.5), ("max_evals", True), ("max_evals", 0), ("max_evals", "20"),
+        ("seed", -1), ("seed", 2.5), ("seed", True), ("seed", None)])
+    def test_rejects_a_setting_that_is_not_an_integer_in_range(self, field, value):
+        # 2.5 evaluations used to make a solve of 3, True acted as 1, and a
+        # seed of -1 or 2.5 failed only inside a cold solve, in numpy
+        with pytest.raises(ValueError, match=f"^{field} must be an integer of at least"):
+            UpperConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = UpperConfig(max_evals=np.int64(5), seed=np.uint32(7))
+        assert bp.pattern_search_maximize(lambda y: -abs(y[0] - 0.5), bp.BoxSet([0.0], [1.0]),
+                                          cfg).evals == 5
+
 
 class TestPatternSearch:
     def test_smooth_unimodal(self):
@@ -343,3 +357,74 @@ class TestSobolStarts:
         sol = bp.solve_penalized(bp.problem_from_dict(self.WIDE), 0.1,
                                  warm_start=np.full(d, 0.5))
         assert sol.converged and sol.y.shape == (d,) and sol.y[0] == 1.0
+
+
+def whole_vector_climb(evaluate, K, best, steps, min_step, max_evals):
+    """_compass_climb as it was when it skipped a probe by comparing the
+    whole clipped vector with y: the reference for the coordinate test."""
+    evals = 0
+    while np.max(steps) >= min_step:
+        if evals >= max_evals:
+            return best, evals, True
+        y, cand = best[0], best
+        for i in range(K.dim):
+            for direction in (+1.0, -1.0):
+                probe = y.copy()
+                probe[i] += direction * steps[i]
+                probe = K.clip(probe)
+                if (probe == y).all():
+                    continue
+                if evals >= max_evals:
+                    return cand, evals, True
+                value, result = evaluate(probe)
+                evals += 1
+                if upper_solver._improves(value, cand[1]):
+                    cand = (probe, value, result)
+        if cand is best:
+            steps = steps * upper_solver.SHRINK
+        best = cand
+    return best, evals, False
+
+
+@st.composite
+def climbs(draw):
+    """A box of 1-3 dimensions (a bound may be 0.0 or -0.0, a span 0), a
+    start at a corner, on a face or inside, steps up to 4 spans and a
+    rounded concave objective, so polls tie and skip probes."""
+    dim = draw(st.integers(1, 3))
+    bound = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-5.0, 5.0))
+    lo = np.array(draw(st.lists(bound, min_size=dim, max_size=dim)))
+    width = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 3.0))
+    hi = lo + np.array(draw(st.lists(width, min_size=dim, max_size=dim)))
+    hi = np.where(draw(st.lists(st.booleans(), min_size=dim, max_size=dim)) & (hi == 0.0),
+                  -0.0, hi)  # an upper bound of -0.0 where the bound is a zero
+    K = bp.BoxSet(lo, hi)
+    where = st.sampled_from(["lower", "upper", "inside"])
+    start = np.array([K.lower[j] if w == "lower" else K.upper[j] if w == "upper"
+                      else K.lower[j] + draw(st.floats(0.0, 1.0)) * (K.upper[j] - K.lower[j])
+                      for j, w in enumerate(draw(st.lists(where, min_size=dim, max_size=dim)))])
+    span = K.upper - K.lower
+    fractions = np.array(draw(st.lists(st.sampled_from([0.3, 1.0, 1.5, 4.0]),
+                                       min_size=dim, max_size=dim)))
+    steps = np.where(span > 1e-6, span * fractions, 1e-5)
+    target = K.lower + span * np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=dim,
+                                                     max_size=dim)))
+    return K, K.clip(start), steps, target, draw(st.integers(1, 60))
+
+
+class TestCoordinateSkip:
+    @settings(max_examples=200, deadline=None)
+    @given(climbs())
+    def test_skips_exactly_the_probes_of_the_whole_vector_rule(self, case):
+        K, start, steps, target, max_evals = case
+        runs = []
+        for climb in (upper_solver._compass_climb, whole_vector_climb):
+            probes = []
+
+            def evaluate(y):
+                probes.append(y.tobytes())
+                return round(-float(((y - target) ** 2).sum()), 2), None
+            end, evals, exhausted = climb(evaluate, K, (start, *evaluate(start)), steps,
+                                          1e-3, max_evals)
+            runs.append((probes, end[0].tobytes(), end[1], evals, exhausted))
+        assert runs[0] == runs[1]
