@@ -321,17 +321,14 @@ class Polytope:
 class BoxSet:
     """An axis-aligned box for the leader variable, with read-only bounds.
 
-    cached_slack_lower and cached_slack_upper are read-only copies of lower -
-    1e-12 and upper + 1e-12, the bounds contains tests against, computed
-    once here since a search tests every point it probes;
-    cached_slack_bounds holds the same bounds as (lower, upper) pairs of
-    Python floats, one per coordinate.
+    cached_slack_bounds holds lower - 1e-12 and upper + 1e-12, the bounds
+    contains tests against, as (lower, upper) pairs of Python floats, one
+    per coordinate: computed once here, since a search tests every point it
+    probes.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    cached_slack_lower: np.ndarray = _cache(default=None)
-    cached_slack_upper: np.ndarray = _cache(default=None)
     cached_slack_bounds: tuple = _cache(default=())
 
     def __post_init__(self):
@@ -345,10 +342,8 @@ class BoxSet:
             raise ProblemError("box bounds must be finite")
         if np.any(lo > hi):
             raise ProblemError("box lower bound exceeds upper bound")
-        object.__setattr__(self, "cached_slack_lower", _read_only(lo - 1e-12))
-        object.__setattr__(self, "cached_slack_upper", _read_only(hi + 1e-12))
         object.__setattr__(self, "cached_slack_bounds", tuple(
-            zip(self.cached_slack_lower.tolist(), self.cached_slack_upper.tolist())))
+            zip((lo - 1e-12).tolist(), (hi + 1e-12).tolist())))
 
     @property
     def dim(self):

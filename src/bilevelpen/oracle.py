@@ -381,8 +381,8 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
             best = (Y[i].copy(), float(values[i]), X[i].copy())
     resolution = y_grid_step / 10.0
     steps = np.full(K.dim, max(spacing, 10 * resolution))
-    best, evals, _ = _compass_climb(evaluate, K, best, steps, min_step=resolution,
-                                    max_evals=500)
+    best, _, evals, _ = _compass_climb(evaluate, K, best, steps, min_step=resolution,
+                                       max_evals=500)
     y_best, _, x = _require_finite_best(best, size + evals)
     return OracleSolution(
         problem=problem.name, y=y_best, x=x, method=method, resolution=resolution,

@@ -7,11 +7,17 @@ the step otherwise, stop at a mesh resolution. A cold solve climbs from
 the box midpoint and N_MULTISTARTS - 1 scrambled Sobol points at step
 COLD_STEP * span; a warm solve (the later rows of a continuation) climbs
 once from the given point at step WARM_STEP * span. Every climb scales
-its steps by SHRINK down to MIN_STEP. Only the evaluation budget and the
-Sobol seed are settable, in UpperConfig. _compass_climb is the one
-compass search: each climb here and the three-level oracle's polish.
-_climb_from runs the starts of both solves, and _improves picks the best
-evaluation of every climb, of the starts and of the oracle's grid.
+its steps by SHRINK. A warm climb stops below MIN_STEP. A cold solve
+stops each climb below COARSE_STEP and refines only the best end, and any
+end of another peak within COARSE_MARGIN of it, down to MIN_STEP: when
+every start reaches the same peak, seven fine polishes would change
+nothing. A warm solve has one climb and nothing to compare it with, so
+it has no coarse stage. Only the evaluation budget and the Sobol seed
+are settable, in UpperConfig. _compass_climb is the one compass search:
+each climb here and the three-level oracle's polish. _climb_from runs
+the starts of both solves and the refinement rule, and _improves picks
+the best evaluation of every climb, of the starts and of the oracle's
+grid.
 
 The Sobol starts are scipy.stats.qmc.Sobol's points, bit for bit, drawn by
 _sobol_points: a numpy port over a vendored table of Joe-Kuo direction
@@ -36,13 +42,16 @@ COLD_STEP = 0.25   # a cold climb's first step, as a fraction of the box span
 WARM_STEP = 1e-2   # a warm climb's first step, as a fraction of the box span
 SHRINK = 0.5       # a poll with no better neighbor scales the steps by this
 MIN_STEP = 1e-6    # a solve's climb ends when every step is below this
+COARSE_STEP = 1e-3  # a cold solve stops each start's climb when every step is below this
+COARSE_MARGIN = 1e-3  # and refines the ends this close to the best's value, times max(1, |best|)
 
 
 @dataclass(frozen=True)
 class UpperConfig:
     """The upper search's settings; ValueError naming the field unless
     max_evals is an integer >= 1 and seed one >= 0 (numpy integers count,
-    bools do not)."""
+    bools do not). Both are stored as Python ints, so a report that
+    carries them serializes as JSON."""
 
     max_evals: int = 20000
     seed: int = 0  # scrambles the Sobol starts of a cold solve
@@ -50,6 +59,8 @@ class UpperConfig:
     def __post_init__(self):
         require_int("max_evals", self.max_evals, 1)
         require_int("seed", self.seed, 0)
+        object.__setattr__(self, "max_evals", int(self.max_evals))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -172,7 +183,9 @@ def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals):
     SHRINK, until every step is below min_step. Stops with exhausted=True
     when the next evaluation would exceed max_evals, after moving to the
     best probe of the unfinished poll, so the climb ends on its best
-    evaluation. Returns ((y, value, result), evals, exhausted).
+    evaluation. Returns ((y, value, result), steps, evals, exhausted), steps
+    the last ones: a climb stopped at one min_step resumes from its end and
+    steps, probe for probe, as if it had run on to a smaller one.
 
     best[0] must be a point of K: a probe then differs from y at most in
     its coordinate i, so only that coordinate is compared.
@@ -180,7 +193,7 @@ def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals):
     evals = 0
     while np.max(steps) >= min_step:
         if evals >= max_evals:
-            return best, evals, True
+            return best, steps, evals, True
         y, cand = best[0], best
         for i in range(K.dim):
             for direction in (+1.0, -1.0):
@@ -193,7 +206,7 @@ def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals):
                 if probe[i] == y[i]:
                     continue
                 if evals >= max_evals:
-                    return cand, evals, True
+                    return cand, steps, evals, True
                 value, result = evaluate(probe)
                 evals += 1
                 if _improves(value, cand[1]):
@@ -201,19 +214,35 @@ def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals):
         if cand is best:
             steps = steps * SHRINK
         best = cand
-    return best, evals, False
+    return best, steps, evals, False
 
 
 def _climb_from(evaluate, K: BoxSet, starts, fraction, max_evals):
     """Compass climbs from each start in turn, clipped to K, at first step
-    fraction of the span down to MIN_STEP, within max_evals evaluations in
-    all. Returns ((y, value, result), evals, exhausted) of the best climb's
-    end, by _improves; ProblemError if no evaluation was finite, ValueError
-    for a start whose shape is not (K.dim,)."""
+    fraction of the span, within max_evals evaluations in all.
+
+    One start (a warm solve) climbs down to MIN_STEP. Several (a cold solve)
+    each climb down to COARSE_STEP only. Then the best end by _improves
+    resumes its climb, from its last steps, down to MIN_STEP, and so does,
+    in start order, every other end that is both
+    - within COARSE_MARGIN * max(1, |best|) of the best end's value, and
+    - outside the best end's last poll: farther than its steps / SHRINK
+      from it in some coordinate. An end inside that poll sits on the same
+      coarse peak, which the best end's refinement searches already.
+    So a near-tie between two peaks is refined on both, and the same peak
+    found from many starts is refined once. Each refinement is the rest
+    of the climb that refining every start would make, so the result is
+    one of that search's evaluations and never higher than its result.
+
+    Returns ((y, value, result), evals, exhausted): the earliest evaluation
+    with the highest finite value. ProblemError if no evaluation was finite,
+    ValueError for a start whose shape is not (K.dim,).
+    """
     steps = (K.upper - K.lower) * fraction
     # collapsed coordinates still need a positive (if useless) step
     steps = np.where(steps > MIN_STEP, steps, 10 * MIN_STEP)
-    best, evals, exhausted = (None, -np.inf, None), 0, False
+    min_step = COARSE_STEP if len(starts) > 1 else MIN_STEP
+    best, best_steps, ends, evals, exhausted = (None, -np.inf, None), steps, [], 0, False
     for y0 in starts:
         exhausted = evals >= max_evals
         if exhausted:
@@ -222,13 +251,29 @@ def _climb_from(evaluate, K: BoxSet, starts, fraction, max_evals):
         if y.shape != K.lower.shape:
             raise ValueError(f"start {y.tolist()} is not a point of {K.dim} leader coordinates")
         y = K.clip(y)
-        end, used, exhausted = _compass_climb(evaluate, K, (y, *evaluate(y)), steps, MIN_STEP,
-                                              max_evals - evals - 1)
+        end, end_steps, used, exhausted = _compass_climb(
+            evaluate, K, (y, *evaluate(y)), steps, min_step, max_evals - evals - 1)
         evals += used + 1
+        ends.append((end, end_steps))
         if _improves(end[1], best[1]):
-            best = end
+            best, best_steps = end, end_steps
         if exhausted:
             break
+    if not exhausted and math.isfinite(best[1]):
+        margin = COARSE_MARGIN * max(1.0, abs(best[1]))
+        reach = best_steps / SHRINK
+        refine = [(best, best_steps)] + [
+            (end, end_steps) for end, end_steps in ends
+            if math.isfinite(end[1]) and end[1] >= best[1] - margin
+            and np.any(np.abs(end[0] - best[0]) > reach)]
+        for end, end_steps in refine:
+            end, _, used, exhausted = _compass_climb(evaluate, K, end, end_steps, MIN_STEP,
+                                                     max_evals - evals)
+            evals += used
+            if _improves(end[1], best[1]):
+                best = end
+            if exhausted:
+                break
     return _require_finite_best(best, evals), evals, exhausted
 
 
@@ -237,12 +282,15 @@ def pattern_search_maximize(value_fn, K: BoxSet,
     """Compass search maximization of value_fn over the box K.
 
     Climbs from the box midpoint, then from N_MULTISTARTS - 1 Sobol
-    points seeded by cfg.seed, each at first step COLD_STEP of the span.
-    Terminates a start when every step component falls below MIN_STEP;
-    the whole search stops early when cfg.max_evals is exhausted, in
-    which case the best point so far is returned with converged=False.
-    The returned point is a mesh-local maximizer at resolution MIN_STEP,
-    clipped to K: the earliest evaluation with the highest finite value.
+    points seeded by cfg.seed, each at first step COLD_STEP of the span
+    until every step component falls below COARSE_STEP; then refines the
+    best end, and each end of another peak within COARSE_MARGIN of it,
+    down to MIN_STEP (the rule of _climb_from). evals counts every
+    evaluation. The whole search stops early when cfg.max_evals is
+    exhausted, in which case the best point so far is returned with
+    converged=False. The returned point is a mesh-local maximizer at
+    resolution MIN_STEP, clipped to K: the earliest evaluation with the
+    highest finite value.
     ProblemError if no evaluation is finite, DimensionGuardError if K has
     more than len(_SOBOL_TABLE) dimensions.
     """
@@ -259,10 +307,13 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
 
     sign picks the selection (PESSIMISTIC or OPTIMISTIC). Without
     warm_start: the multistart pattern search on y -> upper value at
-    (y, epsilon). With it: one compass climb from warm_start clipped to
-    the box, with first step WARM_STEP of the box span per coordinate,
-    down to MIN_STEP within cfg.max_evals; it finds the local maximum
-    around that point, not a global one. The reported selection is the
+    (y, epsilon), each start climbed down to COARSE_STEP and only the best
+    end, with any end of another peak within COARSE_MARGIN of it, refined
+    down to MIN_STEP (the rule of _climb_from). With it: one compass climb
+    from warm_start clipped to the box, with first step WARM_STEP of the
+    box span per coordinate, down to MIN_STEP within cfg.max_evals, with
+    no coarse stage, since one climb has nothing to compare; it finds the
+    local maximum around that point, not a global one. The reported selection is the
     one the search made at the returned y (the earliest evaluation with
     the highest finite value); selection is deterministic, so it is
     bitwise the selection a re-solve at y would give. So a leader point

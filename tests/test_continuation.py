@@ -193,18 +193,28 @@ class TestExports:
         assert set(row) == {"epsilon", "y", "x", "v", "h_value", "fw_gap",
                             "evals", "converged"}
 
+    def test_numpy_integer_settings_round_trip_through_json(self):
+        # a seed of np.int64(3) was stored as given, and json.dumps raised TypeError
+        cfg = UpperConfig(max_evals=np.uint32(20000), seed=np.int64(3))
+        trace = bp.run_continuation(bp.registry_get("FS"), EpsSchedule(k_max=2), cfg=cfg)
+        doc = json.loads(json.dumps(trace_to_json(trace)))
+        assert doc["seed"] == 3 and type(doc["seed"]) is int
+        assert doc == trace_to_json(bp.run_continuation(bp.registry_get("FS"), EpsSchedule(k_max=2),
+                                                        cfg=UpperConfig(seed=3)))
+
 
 # trace_to_json text of 12-row QB traces at UpperConfig(seed=7), pinned before
 # solve_penalized selected each leader point once and selections kept their set-up;
 # the optimistic trace re-pinned when a section convex at y stopped at its first
 # certified run: rows 1 and 7 moved x within the argmin face, row 1's h_value by
-# one rounding (0.25 to 0.24999999999999978)
+# one rounding (0.25 to 0.24999999999999978); both re-pinned when a cold solve
+# refined only its best climb (row 1's evals 436 to 220)
 PINNED_TRACES = {
     +1: (
         '{"schema": "trace-v1", "problem": "QB", "sign": 1, "seed": 7, '
         '"rows": [{"epsilon": 0.1, "y": [0.5], "x": [0.2142857142857143, 0.2142857142857143, '
         '0.7857142857142857, 0.7857142857142857], "v": 2.8571428571428577, '
-        '"h_value": 0.32653061224489793, "fw_gap": 0.0, "evals": 436, "converged": true},'
+        '"h_value": 0.32653061224489793, "fw_gap": 0.0, "evals": 220, "converged": true},'
         ' {"epsilon": 0.05, "y": [0.5], "x": [0.33333333333333337, 0.33333333333333337, '
         '0.6666666666666666, 0.6666666666666666], "v": 3.333333333333334, '
         '"h_value": 0.11111111111111106, "fw_gap": 0.0, "evals": 29, "converged": true},'
@@ -242,7 +252,7 @@ PINNED_TRACES = {
     -1: (
         '{"schema": "trace-v1", "problem": "QB", "sign": -1, "seed": 7, '
         '"rows": [{"epsilon": 0.1, "y": [0.5], "x": [1.0, 1.0, 0.0, 0.0], "v": 6.0, '
-        '"h_value": 1.0, "fw_gap": 0.0, "evals": 436, "converged": true},'
+        '"h_value": 1.0, "fw_gap": 0.0, "evals": 220, "converged": true},'
         ' {"epsilon": 0.05, "y": [0.5], "x": [0.7499999999999999, 0.7499999999999999, '
         '0.2500000000000001, 0.2500000000000001], "v": 5.0, "h_value": 0.24999999999999978, '
         '"fw_gap": 0.0, "evals": 29, "converged": true},'

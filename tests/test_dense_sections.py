@@ -472,5 +472,6 @@ class TestSelectionPaths:
 
 
 # sha256 of the trace_to_json text of a 6-row optimistic FS trace at
-# UpperConfig(seed=7), pinned while _section still ran is_psd at every y
-FS_OPTIMISTIC_TRACE_SHA256 = "7de26de8843a708f8d6034fd0f67675ae92f3dcb265137428b87df0b821b7a72"
+# UpperConfig(seed=7), pinned while _section still ran is_psd at every y;
+# re-pinned when a cold solve refined only its best climb (row 1's evals 436 to 220)
+FS_OPTIMISTIC_TRACE_SHA256 = "f6d0493f172ce1d9c94e60f2f8d103ddb0e0c5f3d812efec36245079de78aa07"

@@ -224,7 +224,8 @@ class TestBoxSet:
         lo = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)))
         hi = lo + data.draw(st.lists(st.floats(0.0, 10.0), min_size=dim, max_size=dim))
         box = bp.BoxSet(lo, hi)
-        assert not (box.cached_slack_lower.flags.writeable or box.cached_slack_upper.flags.writeable)
+        assert type(box.cached_slack_bounds) is tuple
+        assert all(type(pair) is tuple for pair in box.cached_slack_bounds)
 
         def near(b):
             edge = [b - 1e-12, b + 1e-12]

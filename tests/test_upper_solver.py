@@ -65,8 +65,8 @@ class TestPatternSearch:
         assert not res.converged
         assert res.evals <= 5
         assert res.y is not None
-        # a climb on a constant costs 37 evaluations, so this budget runs out
-        # between the first and the second start
+        # a coarse climb on a constant costs 17 evaluations, so this budget
+        # runs out in the third start
         calls = []
         res = bp.pattern_search_maximize(lambda y: calls.append(y) or 7.0,
                                          bp.BoxSet([0.0], [1.0]), UpperConfig(max_evals=37))
@@ -215,7 +215,7 @@ class TestSolvePenalized:
         b = bp.solve_penalized(bp.registry_get("QB"), 0.05, cfg=cfg)
         assert pickle.dumps(a) == pickle.dumps(b)
 
-    @pytest.mark.parametrize("warm_start,probes,points", [(None, 438, 301), ([0.3], 69, 50)])
+    @pytest.mark.parametrize("warm_start,probes,points", [(None, 226, 161), ([0.3], 69, 50)])
     def test_selects_each_leader_point_once(self, monkeypatch, warm_start, probes, points):
         # the compass poll probes the point it just left, and after a shrink both
         # neighbours again; each is selected once, and evals counts every probe
@@ -365,7 +365,7 @@ def whole_vector_climb(evaluate, K, best, steps, min_step, max_evals):
     evals = 0
     while np.max(steps) >= min_step:
         if evals >= max_evals:
-            return best, evals, True
+            return best, steps, evals, True
         y, cand = best[0], best
         for i in range(K.dim):
             for direction in (+1.0, -1.0):
@@ -375,7 +375,7 @@ def whole_vector_climb(evaluate, K, best, steps, min_step, max_evals):
                 if (probe == y).all():
                     continue
                 if evals >= max_evals:
-                    return cand, evals, True
+                    return cand, steps, evals, True
                 value, result = evaluate(probe)
                 evals += 1
                 if upper_solver._improves(value, cand[1]):
@@ -383,7 +383,7 @@ def whole_vector_climb(evaluate, K, best, steps, min_step, max_evals):
         if cand is best:
             steps = steps * upper_solver.SHRINK
         best = cand
-    return best, evals, False
+    return best, steps, evals, False
 
 
 @st.composite
@@ -424,7 +424,114 @@ class TestCoordinateSkip:
             def evaluate(y):
                 probes.append(y.tobytes())
                 return round(-float(((y - target) ** 2).sum()), 2), None
-            end, evals, exhausted = climb(evaluate, K, (start, *evaluate(start)), steps,
-                                          1e-3, max_evals)
+            end, _, evals, exhausted = climb(evaluate, K, (start, *evaluate(start)), steps,
+                                             1e-3, max_evals)
             runs.append((probes, end[0].tobytes(), end[1], evals, exhausted))
         assert runs[0] == runs[1]
+
+
+def refine_every_start(value_fn, K, seed):
+    """pattern_search_maximize as it was when every start climbed down to
+    MIN_STEP, each climb split at COARSE_STEP: the reference for the
+    coarse-then-refine rule. Returns the best value, the evaluations made
+    and per start its (coarse end, fine end), each (y, value, None)."""
+    def evaluate(y):
+        return value_fn(y), None
+    steps = (K.upper - K.lower) * upper_solver.COLD_STEP  # no box here has a collapsed side
+    ends, evals = [], 0
+    for y0 in upper_solver._start_set(K, seed):
+        y = K.clip(y0)
+        coarse, rest, used, _ = upper_solver._compass_climb(
+            evaluate, K, (y, *evaluate(y)), steps, upper_solver.COARSE_STEP, math.inf)
+        fine, _, more, _ = upper_solver._compass_climb(evaluate, K, coarse, rest,
+                                                       upper_solver.MIN_STEP, math.inf)
+        ends.append((coarse, fine))
+        evals += 1 + used + more
+    return max(fine[1] for _, fine in ends), evals, ends
+
+
+@st.composite
+def bump_leaders(draw):
+    """A sum of 2-5 Gaussian bumps on the unit box of 1-2 dimensions, with
+    heights a in [0.5, 1.5] and widths w in [0.05, 0.3], a Sobol seed, and
+    M = sum(a / w^2), which bounds the norm of the leader's Hessian."""
+    dim, n = draw(st.integers(1, 2)), draw(st.integers(2, 5))
+    centers = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim),
+                                     min_size=n, max_size=n)))
+    heights = np.array(draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
+    widths = np.array(draw(st.lists(st.floats(0.05, 0.3), min_size=n, max_size=n)))
+
+    def leader(y):
+        return float(heights @ np.exp(-((y - centers) ** 2).sum(axis=1) / (2 * widths ** 2)))
+    return (leader, bp.BoxSet(np.zeros(dim), np.ones(dim)), draw(st.integers(0, 2 ** 31 - 2)),
+            float((heights / widths ** 2).sum()))
+
+
+class TestCoarseThenRefine:
+    @settings(max_examples=40, deadline=None)
+    @given(bump_leaders())
+    def test_loses_at_most_what_the_meshes_miss(self, case):
+        leader, K, seed, M = case
+        res = bp.pattern_search_maximize(leader, K, UpperConfig(seed=seed))
+        best, evals, _ = refine_every_start(leader, K, seed)
+        # every evaluation made here is one the reference makes
+        assert res.converged and res.value <= best and res.evals <= evals
+
+        def missed(step):
+            # a climb stopped below step last polled at 2 * step and found no
+            # better neighbour: it ends within about 2 * step of its peak in
+            # each coordinate, so at most this far below it
+            return K.dim * M * (2 * step) ** 2 / 2
+        # The reference wins only with a climb not refined here. Either its
+        # coarse end lay inside the best coarse end's last poll, on the same
+        # peak, and both fine ends lie within missed(MIN_STEP) of that peak;
+        # or its coarse end lay more than COARSE_MARGIN below the best's, and
+        # it gains at most missed(COARSE_STEP) below COARSE_STEP.
+        bound = max(missed(upper_solver.COARSE_STEP) - upper_solver.COARSE_MARGIN,
+                    missed(upper_solver.MIN_STEP))
+        assert best - res.value <= bound
+
+    def test_the_margin_decides_a_near_tie(self, monkeypatch):
+        # a wide peak of height 1 at 0.2987 and a narrow one 1e-5 higher at
+        # 0.7513, neither on the coarse mesh of seed 0's starts; the narrower
+        # the second peak, the lower its best coarse end
+        def near_tie(width):
+            return lambda y: max(math.exp(-(y[0] - 0.2987) ** 2 / 0.02),
+                                 (1 + 1e-5) * math.exp(-(y[0] - 0.7513) ** 2 / (2 * width ** 2)))
+        K = bp.BoxSet([0.0], [1.0])
+        for width, inside in ((0.03, True), (0.01, False)):
+            leader = near_tie(width)
+            best, _, ends = refine_every_start(leader, K, 0)
+            assert best > 1.0  # refining every start finds the narrow peak
+            wide, narrow = (max(coarse[1] for coarse, _ in ends if (coarse[0][0] > 0.5) == side)
+                            for side in (False, True))
+            assert (wide - narrow <= upper_solver.COARSE_MARGIN) is inside
+            res = bp.pattern_search_maximize(leader, K)
+            if inside:  # refined too, the narrow peak wins as in the reference
+                assert res.value == best
+            else:  # the wide peak wins, 1e-5 lower
+                assert 0.0 < best - res.value <= 1e-5 + 1e-9
+        # refining the best end only, the narrow peak loses inside the margin too
+        monkeypatch.setattr(upper_solver, "COARSE_MARGIN", 0.0)
+        assert bp.pattern_search_maximize(near_tie(0.03), K).value < 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(climbs())
+    def test_a_climb_resumed_from_its_steps_makes_the_probes_of_one_climb(self, case):
+        K, start, steps, target, max_evals = case
+
+        def run(min_steps):
+            probes = []
+
+            def evaluate(y):
+                probes.append(y.tobytes())
+                return round(-float(((y - target) ** 2).sum()), 2), None
+            end, rest, evals = (start, *evaluate(start)), steps, 0
+            for min_step in min_steps:
+                end, rest, used, exhausted = upper_solver._compass_climb(
+                    evaluate, K, end, rest, min_step, max_evals - evals)
+                evals += used
+                if exhausted:
+                    break
+            return probes, end[0].tobytes(), end[1], rest.tolist(), evals, exhausted
+        assert run([1e-1, 1e-3]) == run([1e-3])
