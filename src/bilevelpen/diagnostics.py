@@ -167,7 +167,6 @@ def strong_slope_lower_bound(field, y, C: Polytope) -> SlopeEstimate:
     bound below 1e-4 is reported as unavailable: no useful Hoffman
     constant follows from it.
     """
-    y = np.asarray(y, dtype=float)
     section = field.fix(y)
     V = enumerate_vertices(C)
     if field.structure == LINEAR:

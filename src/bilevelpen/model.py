@@ -121,10 +121,13 @@ class ScalarField:
         return np.array([self.evaluate(yi, x) for yi, x in zip(Y, X)], dtype=float)
 
     def fix(self, y):
-        """Freeze the leader variable, yielding a function of x alone."""
+        """Freeze the leader variable, yielding a function of x alone;
+        ValueError unless y has shape (dim_y,)."""
         y = np.asarray(y, dtype=float)
+        if y.shape != (self.dim_y,):
+            raise ValueError(f"y must have shape (dim_y,) = ({self.dim_y},), got {y.shape}")
         if self.coefficients is not None:
-            return dense_section(*self.coefficients(y), self.structure, self.convex_in_x)
+            return DenseSection(*self.coefficients(y), self.structure, self.convex_in_x)
         return FieldSection(
             value=lambda x: float(self.evaluate(y, x)),
             grad=lambda x: np.asarray(self.gradient_x(y, x), dtype=float),
@@ -156,8 +159,6 @@ class DenseSection:
     def value_batch(self, X):
         return np.einsum("ij,ij->i", X, X @ self.half_Q + self.c) + self.d
 
-
-dense_section = DenseSection  # the name ScalarField.fix and the selection build it by
 
 
 def is_psd(Q):

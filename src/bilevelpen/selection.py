@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem, ScalarField,
-                    coefficient_reads, dense_section, is_psd, require_finite)
+from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem, DenseSection, ScalarField,
+                    coefficient_reads, is_psd, require_finite)
 from .lower_solver import _feasible_points, _fw_best, _fw_run, enumerate_vertices, vertex_lmo
 
 PESSIMISTIC = +1
@@ -183,7 +183,7 @@ def _section(problem, y, epsilon, sign):
         return y, penalized.fix(y), *rest
     Q, c, d = penalized.coefficients(y)
     convex = is_psd(Q) if convex is None else convex
-    return y, dense_section(Q, c, d, penalized.structure, convex), *rest
+    return y, DenseSection(Q, c, d, penalized.structure, convex), *rest
 
 
 def select_response(problem: BilevelProblem, y, epsilon: float,

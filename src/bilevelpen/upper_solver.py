@@ -20,11 +20,12 @@ the best evaluation of every climb, of the starts and of the oracle's
 grid.
 
 The Sobol starts are scipy.stats.qmc.Sobol's points, bit for bit, drawn by
-_sobol_points: a numpy port over a vendored table of Joe-Kuo direction
-numbers (Joe & Kuo, SIAM J. Sci. Comput. 30 (2008) 2635-2654), scrambled
-as scipy scrambles them. A cold solve on a leader box of more than
-len(_SOBOL_TABLE) dimensions raises DimensionGuardError; a warm solve
-draws no Sobol point and runs at any dimension.
+_start_set: a numpy port scrambled as scipy scrambles them. Its 7 points
+in Gray-code order read only the first three Joe-Kuo direction numbers of
+each dimension (Joe & Kuo, SIAM J. Sci. Comput. 30 (2008) 2635-2654):
+m_0 = 1 and the vendored (m_1, m_2) of _SOBOL_M. A cold solve on a leader
+box of more than len(_SOBOL_M) dimensions raises DimensionGuardError; a
+warm solve draws no Sobol point and runs at any dimension.
 """
 
 from dataclasses import dataclass
@@ -81,81 +82,45 @@ class PenalizedSolution:
     nonfinite_y: Optional[np.ndarray] = None  # the first probe with a non-finite follower value
 
 
-# The Joe-Kuo direction numbers of the first 32 Sobol dimensions, copied from
-# scipy/stats/_sobol_direction_numbers.npz (scipy 1.17.1; its rows "poly" and
-# "vinit"): per dimension, the primitive polynomial and the initial direction
-# numbers m_1 .. m_s, s its degree. Dimension 0 (polynomial 1) is all ones.
-_SOBOL_TABLE = (
-    (1, (1,)), (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
-    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)), (41, (1, 1, 5, 5, 5)),
-    (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)), (59, (1, 1, 1, 3, 11)),
-    (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)), (91, (1, 1, 1, 15, 21, 21)),
-    (97, (1, 3, 1, 13, 27, 49)), (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
-    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
-    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
-    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
-    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
-    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
-    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
-    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+# The Joe-Kuo direction numbers (m_1, m_2) of the first 32 Sobol dimensions,
+# as scipy/stats/_sobol_direction_numbers.npz (scipy 1.17.1) yields them by the
+# recurrence of Bratley & Fox (ACM TOMS 14 (1988) 88-100); m_0 = 1 in every
+# dimension. Point i < 8 in Gray-code order flips only m_0, m_1 and m_2.
+_SOBOL_M = (
+    (1, 1), (3, 5), (3, 3), (3, 1), (1, 1), (1, 3), (3, 5), (1, 5), (1, 5), (1, 7), (1, 5),
+    (1, 1), (3, 5), (3, 3), (1, 1), (3, 1), (1, 1), (3, 1), (1, 5), (3, 7), (3, 7), (1, 3),
+    (3, 5), (3, 1), (3, 1), (1, 5), (3, 5), (1, 7), (3, 7), (1, 3), (3, 5), (3, 7),
 )
 _SOBOL_BITS = 30  # scipy's default: every coordinate is a multiple of 2**-30
 
 
-def _sobol_directions(d):
-    """(d, _SOBOL_BITS) uint32 direction numbers of the first d dimensions,
-    by the recurrence of Bratley & Fox (ACM TOMS 14 (1988) 88-100), the
-    j-th shifted to bit _SOBOL_BITS - 1 - j."""
-    V = np.empty((d, _SOBOL_BITS), dtype=np.uint32)
-    for row, (poly, vinit) in zip(V, _SOBOL_TABLE):
-        s = poly.bit_length() - 1
-        v = list(vinit) if s else [1] * _SOBOL_BITS
-        for j in range(len(v), _SOBOL_BITS):
-            new = v[j - s]
-            for k in range(1, s + 1):
-                if (poly >> (s - k)) & 1:
-                    new ^= v[j - k] << k
-            v.append(new)
-        row[:] = [vj << (_SOBOL_BITS - 1 - j) for j, vj in enumerate(v)]
-    return V
-
-
-def _parity(a):
-    """Each entry's bit parity (0 or 1), for unsigned entries of up to 32
-    bits, by an xor-fold of a, in place."""
-    for shift in (16, 8, 4, 2, 1):
-        a ^= a >> shift
-    return a & 1
-
-
-def _sobol_points(d, n, seed):
-    """The first n points of scipy.stats.qmc.Sobol(d, scramble=True,
-    seed=seed), bit for bit, for an int seed: LMS plus digital-shift
-    scrambling (Matousek 1998) from the same default_rng(seed) draws, a
-    (d, 30) shift and then (d, 30, 30) lower triangles, and the points in
-    Gray-code order. DimensionGuardError above len(_SOBOL_TABLE) dimensions,
-    where the vendored table has no direction numbers."""
-    if d > len(_SOBOL_TABLE):
-        raise DimensionGuardError(
-            f"Sobol starts guarded to {len(_SOBOL_TABLE)} leader dims, got {d}")
+def _start_set(K: BoxSet, seed):
+    """The box midpoint, then the first N_MULTISTARTS - 1 points of
+    scipy.stats.qmc.Sobol(K.dim, scramble=True, seed=seed) scaled to K, bit
+    for bit, for an int seed; N_MULTISTARTS is a power of 2, the draw size
+    that keeps Sobol balanced. The scrambling is scipy's: LMS plus a digital
+    shift (Matousek 1998) from the same default_rng(seed) draws, a (d, 30)
+    shift and then (d, 30, 30) lower triangles, with the points in Gray-code
+    order. The LMS scramble of a direction number is a GF(2) product: its
+    binary digits, top first, times the triangle. Only m_0, m_1 and m_2
+    exist, so a larger N_MULTISTARTS raises IndexError.
+    DimensionGuardError above len(_SOBOL_M) dimensions, where the vendored
+    table has no direction numbers."""
+    d = K.dim
+    if d > len(_SOBOL_M):
+        raise DimensionGuardError(f"Sobol starts guarded to {len(_SOBOL_M)} leader dims, got {d}")
     rng = np.random.default_rng(seed)
     bits = np.arange(_SOBOL_BITS, dtype=np.uint32)
     shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ (2 ** bits)
     ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
     ltm[:, bits, bits] = 1
-    rows = ltm @ (2 ** bits[::-1])  # row p of each triangle, its column 0 the top bit
-    # bit 29 - p of a scrambled direction number is the parity of row p & it
-    V = np.bitwise_or.reduce(
-        _parity(rows[:, :, None] & _sobol_directions(d)[:, None, :]) << bits[::-1, None],
-        axis=1)
+    m = np.array([(1, *m12) for m12 in _SOBOL_M[:d]], dtype=np.uint32)
+    V = m << (_SOBOL_BITS - 1 - bits[:3])  # m_j shifted to bit 29 - j
+    digits = (V[:, None, :] >> bits[::-1, None]) & 1  # digit p of V_j is its bit 29 - p
+    V = (2 ** bits[::-1]) @ ((ltm @ digits) & 1)
     # point i flips the direction number of the lowest set bit of i
-    flips = V[:, [(i & -i).bit_length() - 1 for i in range(1, n)]].T
-    return np.bitwise_xor.accumulate(np.vstack([shift, flips]), axis=0) * 2.0 ** -_SOBOL_BITS
-
-
-def _start_set(K: BoxSet, seed):
-    # N_MULTISTARTS is a power of 2, the draw size that keeps Sobol balanced
-    U = _sobol_points(K.dim, N_MULTISTARTS, seed)[:N_MULTISTARTS - 1]
+    flips = V[:, [(i & -i).bit_length() - 1 for i in range(1, N_MULTISTARTS - 1)]].T
+    U = np.bitwise_xor.accumulate(np.vstack([shift, flips]), axis=0) * 2.0 ** -_SOBOL_BITS
     return [K.midpoint(), *(K.lower + U * (K.upper - K.lower))]
 
 
@@ -292,7 +257,7 @@ def pattern_search_maximize(value_fn, K: BoxSet,
     resolution MIN_STEP, clipped to K: the earliest evaluation with the
     highest finite value.
     ProblemError if no evaluation is finite, DimensionGuardError if K has
-    more than len(_SOBOL_TABLE) dimensions.
+    more than len(_SOBOL_M) dimensions.
     """
     (y, value, _), evals, exhausted = _climb_from(
         lambda y: (value_fn(y), None), K, _start_set(K, cfg.seed), COLD_STEP, cfg.max_evals)
@@ -326,7 +291,7 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     warnings are silenced, as that flag reports them. A leader value that
     is not finite only never wins; ProblemError if none is finite,
     ValueError for a warm_start whose shape is not (dim_y,), and without
-    warm_start DimensionGuardError on a box of more than len(_SOBOL_TABLE)
+    warm_start DimensionGuardError on a box of more than len(_SOBOL_M)
     dimensions.
     """
     require_finite("epsilon", epsilon, positive=True)

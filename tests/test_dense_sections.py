@@ -22,8 +22,8 @@ from bilevelpen import expressions as ex, selection
 from bilevelpen.cli import trace_to_json
 from bilevelpen.continuation import EpsSchedule
 from bilevelpen.lower_solver import _fw_run, vertex_lmo
-from bilevelpen.model import (COEFFICIENT_PARTS, GENERAL, QB_DOC, _quadratic_coefficients,
-                              dense_section, field_from_expression, is_psd)
+from bilevelpen.model import (COEFFICIENT_PARTS, GENERAL, QB_DOC, DenseSection,
+                              _quadratic_coefficients, field_from_expression, is_psd)
 from bilevelpen.selection import FW_MAX_ITER, FW_TOL, MAX_STARTS, OPTIMISTIC, PESSIMISTIC
 from bilevelpen.upper_solver import UpperConfig
 
@@ -450,7 +450,7 @@ class TestSelectionPaths:
             y = selection._leader_point(problem, y)
             penalized, _, *rest = selection._setup(problem, y, epsilon, sign)
             Q, c, d = penalized.coefficients(y)
-            return y, dense_section(Q, c, d, penalized.structure, counted_psd(Q)), *rest
+            return y, DenseSection(Q, c, d, penalized.structure, counted_psd(Q)), *rest
 
         def selections(problem):
             return [pickle.dumps(bp.select_response(problem, [y], eps, OPTIMISTIC))

@@ -116,6 +116,13 @@ class TestStrongSlope:
         assert est.validity == "sampled"
         assert est.slope_lower == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("y", [[0.5, 0.9], []])
+    def test_leader_point_of_the_wrong_length_rejected(self, qb, y):
+        # QB's leader reads only y[0]: [0.5, 0.9] once gave the slope at y = 0.5
+        # and [] a bare IndexError
+        with pytest.raises(ValueError, match=r"dim_y"):
+            bp.strong_slope_lower_bound(qb.leader_objective, y, qb.follower_set)
+
     def test_linear_slope_independent_of_polytope(self):
         field = field_from_expression("2*x[0] + x[1]", dim_y=1, dim_x=2)
         small = Polytope(A=[[1.0, 1.0]], b=[1.0])

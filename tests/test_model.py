@@ -504,6 +504,16 @@ class TestRowBatches:
         assert seen == [1.0, 2.0, 3.0]
         np.testing.assert_array_equal(fld.batch([1.0], X), [10.5, 10.25, 10.125])
 
+    @pytest.mark.parametrize("y", [[0.5, 0.9], [], 0.5, [[0.5]]])
+    @pytest.mark.parametrize("coefficients", [True, False], ids=["dense", "closures"])
+    def test_section_at_a_leader_point_of_the_wrong_shape_rejected(self, y, coefficients):
+        fld = field_from_expression("y[0] * x[0]", dim_y=1, dim_x=1)
+        if not coefficients:
+            fld = dataclasses.replace(fld, coefficients=None)
+        with pytest.raises(ValueError, match=r"y must have shape \(dim_y,\) = \(1,\)"):
+            fld.fix(y)
+        assert fld.fix([0.5]).value(np.ones(1)) == 0.5
+
 
 class TestClosedForms:
     def test_penalized_minimum_matches_analytic_value(self, qb):

@@ -315,7 +315,7 @@ class TestSobolStarts:
         U = qmc.Sobol(d=K.dim, scramble=True, seed=seed).random(upper_solver.N_MULTISTARTS)
         return [K.midpoint(), *(K.lower + U[:-1] * (K.upper - K.lower))]
 
-    @pytest.mark.parametrize("d", range(1, len(upper_solver._SOBOL_TABLE) + 1))
+    @pytest.mark.parametrize("d", range(1, len(upper_solver._SOBOL_M) + 1))
     def test_start_set_is_scipy_sobol_bit_for_bit(self, d):
         K = bp.BoxSet(np.linspace(-1.0, 0.5, d), np.linspace(0.25, 3.0, d))
         for seed in (0, 1, 2, 42, 2 ** 31 - 2, *QB_TRACE_SEEDS):
@@ -324,21 +324,17 @@ class TestSobolStarts:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, ref)), seed
 
     def test_vendored_table_is_scipys(self):
-        import os
-        import scipy.stats
-        table = np.load(os.path.join(os.path.dirname(scipy.stats.__file__),
-                                     "_sobol_direction_numbers.npz"))
-        for d, (poly, vinit) in enumerate(upper_solver._SOBOL_TABLE):
-            assert poly == table["poly"][d]
-            row = np.zeros(table["vinit"].shape[1], dtype=table["vinit"].dtype)
-            row[:len(vinit)] = vinit
-            assert row.tolist() == table["vinit"][d].tolist(), d
+        # unscrambled, point 2**j - 1 in Gray-code order is m_j * 2**-(j + 1)
+        from scipy.stats import qmc
+        P = qmc.Sobol(d=len(upper_solver._SOBOL_M), scramble=False).random(8)
+        assert P[1].tolist() == [0.5] * len(upper_solver._SOBOL_M)
+        assert list(zip((P[3] * 4).tolist(), (P[7] * 8).tolist())) == list(upper_solver._SOBOL_M)
 
     # a leader box one dimension past the vendored table, on FS's segment
-    WIDE = {"name": "wide", "dim_y": len(upper_solver._SOBOL_TABLE) + 1, "dim_x": 2,
+    WIDE = {"name": "wide", "dim_y": len(upper_solver._SOBOL_M) + 1, "dim_x": 2,
             "A": [[1.0, 1.0]], "b": [1.0],
-            "K_lower": [0.0] * (len(upper_solver._SOBOL_TABLE) + 1),
-            "K_upper": [1.0] * (len(upper_solver._SOBOL_TABLE) + 1),
+            "K_lower": [0.0] * (len(upper_solver._SOBOL_M) + 1),
+            "K_upper": [1.0] * (len(upper_solver._SOBOL_M) + 1),
             "f": "1 + y[0] + x[0]", "h": "0"}
 
     def test_cold_solve_above_the_table_is_guarded(self, tmp_path, capsys):
