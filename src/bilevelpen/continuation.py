@@ -2,7 +2,8 @@
 
 Each row of a trace solves the penalized problem at one epsilon: the
 first row by the multistart search, every later row by one compass
-climb from the previous row's leader point. For the pessimistic
+climb from the previous row's leader point, which from row 3 on goes
+on at a step read from how far the path last moved. For the pessimistic
 sign the leader values along the path are nondecreasing as epsilon
 shrinks and converge to the worst-case limit value from below; the
 optimistic sign mirrors this from above. check_monotone verifies the
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import BilevelProblem, require_finite, require_int
-from .upper_solver import UpperConfig, solve_penalized
+from .upper_solver import SHRINK, UpperConfig, solve_penalized
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,24 @@ def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedul
     v_eps'(y) <= v_eps(y) at every y, so no row rises above the maximum
     the previous row found, if that maximum was global.
 
+    Every warm row first polls WARM_STEP of the span away. Row 2 then
+    climbs on as a plain warm solve. A later row passes solve_penalized
+    the warm_step |y_k - y_{k-1}| / SHRINK per coordinate, from the last
+    two rows: if its first poll finds nothing better, it goes on at that
+    step, whose first poll reaches twice as far as the last move, and not
+    at half of WARM_STEP. The path settles as eps -> 0, and on QB and FS
+    it does not move at all: such a row polls at WARM_STEP, then at
+    10 * MIN_STEP (the floor of a step at or below MIN_STEP), and makes 11
+    evaluations in one dimension where halving from WARM_STEP makes 29. A
+    row whose move is longer than the step doubles it while it moves. What
+    this gives up: a row whose first poll finds nothing no longer polls
+    the scales between WARM_STEP / 2 and its warm_step, so it misses a
+    rise that only they would see. The first poll is kept because a path
+    that stands on one peak while another overtakes it sees the other
+    first from WARM_STEP away. If either of the last two rows did not
+    converge, their move is no measure, and the row halves from WARM_STEP
+    as row 2 does.
+
     Only the leader point is carried over; the follower response is
     re-solved from scratch at every point so a wrong branch of the argmin
     set is not inherited when it jumps. Rows that did not certify, or that
@@ -116,7 +135,8 @@ def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedul
     """
     rows, warm = [], None
     for eps in schedule.epsilons():
-        sol = solve_penalized(problem, eps, sign=sign, cfg=cfg, warm_start=warm)
+        sol = solve_penalized(problem, eps, sign=sign, cfg=cfg, warm_start=warm,
+                              warm_step=_warm_step(rows))
         sel = sol.selection
         if not problem.leader_set.contains(sol.y):
             raise RuntimeError("solver returned a leader point outside the box")
@@ -131,6 +151,15 @@ def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedul
         warm = sol.y
     return ContinuationTrace(problem=problem.name, sign=sign, rows=tuple(rows),
                              seed=cfg.seed)
+
+
+def _warm_step(rows: Sequence[TraceRow]):
+    """The warm_step of the row after rows: |y_k - y_{k-1}| / SHRINK over
+    the last two rows, or None (a plain warm solve) before two rows exist
+    or when either of them did not converge."""
+    if len(rows) < 2 or not (rows[-1].converged and rows[-2].converged):
+        return None
+    return np.abs(rows[-1].y - rows[-2].y) / SHRINK
 
 
 def check_monotone(trace: ContinuationTrace, slack: float = 2e-4) -> MonotoneReport:

@@ -7,7 +7,9 @@ the step otherwise, stop at a mesh resolution. A cold solve climbs from
 the box midpoint and N_MULTISTARTS - 1 scrambled Sobol points at step
 COLD_STEP * span; a warm solve (the later rows of a continuation) climbs
 once from the given point at step WARM_STEP * span. Every climb scales
-its steps by SHRINK. A warm climb stops below MIN_STEP. A cold solve
+its steps by SHRINK. A warm climb stops below MIN_STEP; given the fine
+step its caller expects, it drops to that step after a first poll that
+finds nothing, and doubles it again while it moves. A cold solve
 stops each climb below COARSE_STEP and refines only the best end, and any
 end of another peak within COARSE_MARGIN of it, down to MIN_STEP: when
 every start reaches the same peak, seven fine polishes would change
@@ -139,7 +141,7 @@ def _require_finite_best(best, evals):
     return best
 
 
-def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals):
+def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals, fine=None):
     """Climb from best = (y, value, result), an evaluation already made, to
     a compass-local maximum; evaluate(y) returns (value, result).
 
@@ -152,10 +154,18 @@ def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals):
     the last ones: a climb stopped at one min_step resumes from its end and
     steps, probe for probe, as if it had run on to a smaller one.
 
+    With fine, steps the caller expects to suffice, a first poll that finds
+    no better neighbor scales the steps to min(steps * SHRINK, fine)
+    instead, and each move up to the next such poll scales them by
+    1 / SHRINK, to at most steps * SHRINK: the climb still looks as far as
+    its first steps, goes on fine where nothing is there, and still
+    travels far in a few polls where the fine steps were too short. With
+    fine = steps * SHRINK or more it is the climb without fine.
+
     best[0] must be a point of K: a probe then differs from y at most in
     its coordinate i, so only that coordinate is compared.
     """
-    evals = 0
+    evals, grow = 0, None
     while np.max(steps) >= min_step:
         if evals >= max_evals:
             return best, steps, evals, True
@@ -177,47 +187,69 @@ def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals):
                 if _improves(value, cand[1]):
                     cand = (probe, value, result)
         if cand is best:
-            steps = steps * SHRINK
-        best = cand
+            steps, grow = ((steps * SHRINK, None) if fine is None
+                           else (np.minimum(steps * SHRINK, fine), steps * SHRINK))
+        elif grow is not None:
+            steps = np.minimum(steps / SHRINK, grow)
+        best, fine = cand, None
     return best, steps, evals, False
 
 
-def _climb_from(evaluate, K: BoxSet, starts, fraction, max_evals):
-    """Compass climbs from each start in turn, clipped to K, at first step
-    fraction of the span, within max_evals evaluations in all.
+def _require_leader_vector(name, value, K: BoxSet, nonnegative=False):
+    """value as a float array of K.dim coordinates; ValueError naming name
+    unless it has that shape and every entry is finite (and >= 0 if
+    nonnegative)."""
+    shape_error = f"is not a point of {K.dim} leader coordinates"
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} {value!r} {shape_error}") from None
+    if v.shape != K.lower.shape:
+        raise ValueError(f"{name} {v.tolist()} {shape_error}")
+    if not (np.isfinite(v).all() and (not nonnegative or (v >= 0.0).all())):
+        kind = "finite and nonnegative" if nonnegative else "finite"
+        raise ValueError(f"{name} must be {kind}, got {v.tolist()}")
+    return v
 
-    One start (a warm solve) climbs down to MIN_STEP. Several (a cold solve)
-    each climb down to COARSE_STEP only. Then the best end by _improves
+
+def _climb_from(evaluate, K: BoxSet, starts, steps, max_evals, fine=None):
+    """Compass climbs from each start in turn, clipped to K, at first
+    steps (one per coordinate), within max_evals evaluations in all. A
+    step at or below MIN_STEP, in steps or fine, is 10 * MIN_STEP instead:
+    a collapsed coordinate, or a warm path that did not move, still needs
+    a positive one.
+
+    One start (a warm solve) climbs down to MIN_STEP, with fine as
+    _compass_climb says. Several (a cold solve) each climb down to
+    COARSE_STEP only. Then the best end by _improves
     resumes its climb, from its last steps, down to MIN_STEP, and so does,
     in start order, every other end that is both
     - within COARSE_MARGIN * max(1, |best|) of the best end's value, and
-    - outside the best end's last poll: farther than its steps / SHRINK
-      from it in some coordinate. An end inside that poll sits on the same
-      coarse peak, which the best end's refinement searches already.
+    - outside the union of both ends' last polls: farther apart in some
+      coordinate than the sum of their steps / SHRINK. Two ends whose last
+      polls overlap sit on the same coarse peak, which the best end's
+      refinement searches already; in two dimensions a climb can stop
+      farther from its peak than its own last poll reaches.
     So a near-tie between two peaks is refined on both, and the same peak
     found from many starts is refined once. Each refinement is the rest
     of the climb that refining every start would make, so the result is
     one of that search's evaluations and never higher than its result.
 
     Returns ((y, value, result), evals, exhausted): the earliest evaluation
-    with the highest finite value. ProblemError if no evaluation was finite,
-    ValueError for a start whose shape is not (K.dim,).
+    with the highest finite value. ProblemError if no evaluation was finite.
     """
-    steps = (K.upper - K.lower) * fraction
-    # collapsed coordinates still need a positive (if useless) step
     steps = np.where(steps > MIN_STEP, steps, 10 * MIN_STEP)
+    if fine is not None:
+        fine = np.where(fine > MIN_STEP, fine, 10 * MIN_STEP)
     min_step = COARSE_STEP if len(starts) > 1 else MIN_STEP
     best, best_steps, ends, evals, exhausted = (None, -np.inf, None), steps, [], 0, False
     for y0 in starts:
         exhausted = evals >= max_evals
         if exhausted:
             break
-        y = np.asarray(y0, dtype=float)
-        if y.shape != K.lower.shape:
-            raise ValueError(f"start {y.tolist()} is not a point of {K.dim} leader coordinates")
-        y = K.clip(y)
+        y = K.clip(y0)
         end, end_steps, used, exhausted = _compass_climb(
-            evaluate, K, (y, *evaluate(y)), steps, min_step, max_evals - evals - 1)
+            evaluate, K, (y, *evaluate(y)), steps, min_step, max_evals - evals - 1, fine)
         evals += used + 1
         ends.append((end, end_steps))
         if _improves(end[1], best[1]):
@@ -226,11 +258,10 @@ def _climb_from(evaluate, K: BoxSet, starts, fraction, max_evals):
             break
     if not exhausted and math.isfinite(best[1]):
         margin = COARSE_MARGIN * max(1.0, abs(best[1]))
-        reach = best_steps / SHRINK
         refine = [(best, best_steps)] + [
             (end, end_steps) for end, end_steps in ends
             if math.isfinite(end[1]) and end[1] >= best[1] - margin
-            and np.any(np.abs(end[0] - best[0]) > reach)]
+            and np.any(np.abs(end[0] - best[0]) > (best_steps + end_steps) / SHRINK)]
         for end, end_steps in refine:
             end, _, used, exhausted = _compass_climb(evaluate, K, end, end_steps, MIN_STEP,
                                                      max_evals - evals)
@@ -260,14 +291,15 @@ def pattern_search_maximize(value_fn, K: BoxSet,
     more than len(_SOBOL_M) dimensions.
     """
     (y, value, _), evals, exhausted = _climb_from(
-        lambda y: (value_fn(y), None), K, _start_set(K, cfg.seed), COLD_STEP, cfg.max_evals)
+        lambda y: (value_fn(y), None), K, _start_set(K, cfg.seed),
+        (K.upper - K.lower) * COLD_STEP, cfg.max_evals)
     return PatternSearchResult(y=y, value=float(value), evals=evals, converged=not exhausted)
 
 
 @np.errstate(all="ignore")  # a non-finite probe is flagged below
 def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
                     cfg: UpperConfig = UpperConfig(),
-                    warm_start=None) -> PenalizedSolution:
+                    warm_start=None, warm_step=None) -> PenalizedSolution:
     """Maximize the single-valued penalized upper objective over the box.
 
     sign picks the selection (PESSIMISTIC or OPTIMISTIC). Without
@@ -278,7 +310,14 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     from warm_start clipped to the box, with first step WARM_STEP of the
     box span per coordinate, down to MIN_STEP within cfg.max_evals, with
     no coarse stage, since one climb has nothing to compare; it finds the
-    local maximum around that point, not a global one. The reported selection is the
+    local maximum around that point, not a global one. warm_step is the
+    step the caller expects to suffice (run_continuation reads it from how
+    far its path last moved): if the first poll finds no better neighbor,
+    the climb goes on at min(WARM_STEP * SHRINK * span, warm_step) per
+    coordinate, 10 * MIN_STEP where that is at most MIN_STEP, and not at
+    WARM_STEP * SHRINK * span; each move before its next failed poll
+    doubles the steps again, to at most WARM_STEP * SHRINK * span (the
+    fine steps of _compass_climb). The reported selection is the
     one the search made at the returned y (the earliest evaluation with
     the highest finite value); selection is deterministic, so it is
     bitwise the selection a re-solve at y would give. So a leader point
@@ -289,12 +328,25 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     with fw_gap > FW_TOL, or a probe whose follower value is not finite:
     the first such leader point is nonfinite_y. numpy's floating-point
     warnings are silenced, as that flag reports them. A leader value that
-    is not finite only never wins; ProblemError if none is finite,
-    ValueError for a warm_start whose shape is not (dim_y,), and without
-    warm_start DimensionGuardError on a box of more than len(_SOBOL_M)
-    dimensions.
+    is not finite only never wins; ProblemError if none is finite, and
+    without warm_start DimensionGuardError on a box of more than
+    len(_SOBOL_M) dimensions. Before any evaluation, ValueError naming the
+    argument for a warm_start that is not a finite point of shape
+    (dim_y,) (a finite one outside the box is clipped to it), a warm_step
+    that is not a finite, nonnegative array of that shape, or a warm_step
+    without a warm_start.
     """
     require_finite("epsilon", epsilon, positive=True)
+    K = problem.leader_set
+    span = K.upper - K.lower
+    if warm_start is None:
+        if warm_step is not None:
+            raise ValueError("warm_step is a step of a warm climb and needs a warm_start")
+        starts, steps = _start_set(K, cfg.seed), span * COLD_STEP
+    else:
+        starts, steps = [_require_leader_vector("warm_start", warm_start, K)], span * WARM_STEP
+        if warm_step is not None:
+            warm_step = _require_leader_vector("warm_step", warm_step, K, nonnegative=True)
     memo = {}  # y.tobytes() -> (value, selection), for this solve
     nonfinite = []  # the leader points probed where the follower value is not finite
 
@@ -307,10 +359,8 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
                 nonfinite.append(y)
         return memo[key]
 
-    K = problem.leader_set
-    starts, fraction = ((_start_set(K, cfg.seed), COLD_STEP) if warm_start is None
-                        else ([warm_start], WARM_STEP))
-    (_, _, best), evals, exhausted = _climb_from(evaluate, K, starts, fraction, cfg.max_evals)
+    (_, _, best), evals, exhausted = _climb_from(evaluate, K, starts, steps, cfg.max_evals,
+                                                 warm_step)
     return PenalizedSolution(
         y=best.y, selection=best, value=best.leader_value, evals=evals,
         converged=not (exhausted or nonfinite) and best.fw_gap <= FW_TOL,

@@ -473,5 +473,7 @@ class TestSelectionPaths:
 
 # sha256 of the trace_to_json text of a 6-row optimistic FS trace at
 # UpperConfig(seed=7), pinned while _section still ran is_psd at every y;
-# re-pinned when a cold solve refined only its best climb (row 1's evals 436 to 220)
-FS_OPTIMISTIC_TRACE_SHA256 = "f6d0493f172ce1d9c94e60f2f8d103ddb0e0c5f3d812efec36245079de78aa07"
+# re-pinned when a cold solve refined only its best climb (row 1's evals 436 to 220),
+# and when a warm row went on at a step read from how far the path last moved
+# (rows 3-6's evals 29 to 11)
+FS_OPTIMISTIC_TRACE_SHA256 = "3fc321f781240c1c9b95d5612af56caf18403ab8615e8540ef6d70d86ff8d8b6"

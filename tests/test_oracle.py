@@ -524,8 +524,10 @@ def test_oracle_report_text_is_pinned(name):
 # when a section convex at y stopped at its first certified run (x moved within
 # the argmin face on rows 1 and 7); the solve and continuation reports, their
 # CSVs and the rates JSON reports re-pinned when a cold solve refined only its
-# best climb (the evals of a cold solve: 436 to 220, 438 to 226 in rates). Each
-# entry: argv, report file, digest, exit code.
+# best climb (the evals of a cold solve: 436 to 220, 438 to 226 in rates); the
+# continuation reports, their CSVs and the rates JSON reports re-pinned when a
+# warm row went on at a step read from how far the path last moved (the evals
+# of rows 3 and later: 29 to 11). Each entry: argv, report file, digest, exit code.
 _SOLVE = ["solve", "--problem", "QB", "--epsilon", "0.1", "--seed", "7"]
 _PESSIMISTIC = ["continuation", "--problem", "QB", "--seed", "7"]
 _OPTIMISTIC = _PESSIMISTIC + ["--sign", "optimistic"]
@@ -534,23 +536,23 @@ PINNED_CLI_REPORTS = {
     "solve": (_SOLVE + _JSON, "QB_solve.json",
               "3d727b8a2aa8f1fdefc6eae088c06f8c11740a070009e70018788cc4546f35dc", 0),
     "pessimistic": (_PESSIMISTIC + _JSON, "QB_trace.json",
-                    "ebe7151d234984bb78e96b41658e0b7a35265c9a8c91a49cd90b040f77bf27a2", 0),
+                    "56a0bcb4ebaada2a72d1314da4dfbbdd0f37671518c55e55f6ada2d6f5963481", 0),
     "optimistic": (_OPTIMISTIC + _JSON, "QB_trace.json",
-                   "d280083a8289aa8caed9eaa4dd192110ca9076b86d9f5552399669606e269f1b", 0),
+                   "27c78553f2d530510f6bd5caf0ec140ea25557aa8c640de0bfbc8cc4b35783b5", 0),
     "solve_csv": (_SOLVE + _CSV, "QB_solve.csv",
                   "98a4d438c690d3142e415d17a2b15b5ded95a4b049db65066c2b99e28256e82c", 0),
     "pessimistic_csv": (_PESSIMISTIC + _CSV, "QB_trace.csv",
-                        "a91917a67e86e2ebf31256cbfb115d6e4968e2dd4edcba7953f09278f49d8914", 0),
+                        "78909812e951ea282b2ef05e97df3623acb7184d1bb121414678cb7d8c351855", 0),
     "optimistic_csv": (_OPTIMISTIC + _CSV, "QB_trace.csv",
-                       "61157cb6912d3df84976a86ec0f9b98e0c7b2b6db61ea58eee4e3305a768ca17", 0),
+                       "4cdf6c4edcb0d08df354fe22c582a71271cd4543ce0e3ccbd33923ad4072bda1", 0),
     "oracle_csv": (["oracle", "--problem", "QB"] + _CSV, "QB_oracle.csv",
                    "ff1d19fdbb0183baf7445d5bf3375c105cad46a351b55aff3d1fa9b433e66bbc", 0),
     "rates_fs": (["rates", "--problem", "FS"] + _JSON, "FS_rates.json",
-                 "2d3bbdae5198b97af5a5d9a090b665459c37bf810d522cf4294a221a1ea3fc77", 0),
+                 "c158dd6c232502ce5e0746e14629bf89eeac2db1a313892a017cd7c5bd3afc44", 0),
     "rates_fs_csv": (["rates", "--problem", "FS"] + _CSV, "FS_gaps.csv",
                      "a1f59c1bc51e2cafb4c43aec46533b5f24ba8270287a11036fa8fe56c1d6df94", 0),
     "rates_qb": (["rates", "--problem", "QB"] + _JSON, "QB_rates.json",
-                 "0b7d0d50272f191da526f3896d936df4b7da6fff33f4a7b6e34c72e48791f63c", 2),
+                 "6e92bc55f5b7d2da3107969d4ed12247c63181f4557e6c59b767c79b12d3ed9f", 2),
     "rates_qb_csv": (["rates", "--problem", "QB"] + _CSV, "QB_gaps.csv",
                      "c3070053d4abc11a181e7a34c29b51f71a6b99cc5f2d9ef9316b6643d85a39a0", 2),
 }

@@ -478,14 +478,39 @@ class TestCoarseThenRefine:
             # better neighbour: it ends within about 2 * step of its peak in
             # each coordinate, so at most this far below it
             return K.dim * M * (2 * step) ** 2 / 2
-        # The reference wins only with a climb not refined here. Either its
-        # coarse end lay inside the best coarse end's last poll, on the same
-        # peak, and both fine ends lie within missed(MIN_STEP) of that peak;
+        # The reference wins only with a climb not refined here. Either the
+        # last polls of its coarse end and of the best coarse end overlapped,
+        # on the same peak, and both fine ends lie within missed(MIN_STEP) of
+        # that peak;
         # or its coarse end lay more than COARSE_MARGIN below the best's, and
         # it gains at most missed(COARSE_STEP) below COARSE_STEP.
         bound = max(missed(upper_solver.COARSE_STEP) - upper_solver.COARSE_MARGIN,
                     missed(upper_solver.MIN_STEP))
         assert best - res.value <= bound
+
+    @pytest.mark.parametrize("s", [393, 609])
+    def test_ends_whose_last_polls_overlap_are_refined_once(self, monkeypatch, s):
+        # two-dimensional five-bump leaders whose climbs to one peak stop
+        # farther apart than the best end's last poll reaches, but with
+        # overlapping last polls; tested against the best end's poll alone,
+        # 393 refined two ends of that peak and 609 four
+        rng = np.random.default_rng(s)
+        dim = int(rng.integers(1, 3))
+        centers, heights = rng.uniform(size=(5, dim)), rng.uniform(0.5, 1.5, 5)
+        widths = rng.uniform(0.05, 0.3, 5)
+
+        def leader(y):
+            return float(heights @ np.exp(-((y - centers) ** 2).sum(axis=1) / (2 * widths ** 2)))
+        refined, climb = [], upper_solver._compass_climb
+
+        def recorded(evaluate, K, best, steps, min_step, *rest):
+            if min_step == upper_solver.MIN_STEP:
+                refined.append(best[0])
+            return climb(evaluate, K, best, steps, min_step, *rest)
+        monkeypatch.setattr(upper_solver, "_compass_climb", recorded)
+        res = bp.pattern_search_maximize(leader, bp.BoxSet(np.zeros(dim), np.ones(dim)),
+                                         UpperConfig(seed=s))
+        assert dim == 2 and res.converged and len(refined) == 1
 
     def test_the_margin_decides_a_near_tie(self, monkeypatch):
         # a wide peak of height 1 at 0.2987 and a narrow one 1e-5 higher at
@@ -531,3 +556,87 @@ class TestCoarseThenRefine:
                     break
             return probes, end[0].tobytes(), end[1], rest.tolist(), evals, exhausted
         assert run([1e-1, 1e-3]) == run([1e-3])
+
+
+class TestWarmStep:
+    @pytest.mark.parametrize("warm_start", [[math.inf], [-math.inf], [math.nan], [None]])
+    def test_non_finite_warm_start_is_rejected_before_any_selection(self, qb, monkeypatch,
+                                                                   warm_start):
+        # [inf] was clipped to the box edge and returned y = 0.5, and [nan]
+        # failed inside the selection as a leader point outside the box
+        ys = recorded_selections(monkeypatch)
+        with pytest.raises(ValueError, match="^warm_start must be finite"):
+            bp.solve_penalized(qb, 0.1, warm_start=warm_start)
+        assert ys == []
+
+    @pytest.mark.parametrize("warm_step, match", [
+        ([-1e-3], "must be finite and nonnegative"), ([math.nan], "must be finite and nonnegative"),
+        ([math.inf], "must be finite and nonnegative"), ([1e-3, 1e-3], "not a point of 1"),
+        (1e-3, "not a point of 1"), (["x"], "not a point of 1")])
+    def test_warm_step_is_a_finite_nonnegative_step_per_coordinate(self, qb, monkeypatch,
+                                                                   warm_step, match):
+        ys = recorded_selections(monkeypatch)
+        with pytest.raises(ValueError, match=f"^warm_step .*{match}"):
+            bp.solve_penalized(qb, 0.1, warm_start=[0.3], warm_step=warm_step)
+        assert ys == []
+
+    def test_warm_step_needs_a_warm_start(self, qb, monkeypatch):
+        ys = recorded_selections(monkeypatch)
+        with pytest.raises(ValueError, match="^warm_step is a step of a warm climb"):
+            bp.solve_penalized(qb, 0.1, warm_step=[1e-3])
+        assert ys == []
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("name, warm_start", [("QB", [0.3]), ("FS", [0.5]), ("FS", [0.9])])
+    def test_a_step_of_half_warm_step_or_more_is_the_plain_climb(self, name, warm_start, sign):
+        problem = bp.registry_get(name)
+        plain = bp.solve_penalized(problem, 0.02, sign, warm_start=warm_start)
+        for factor in (1.0, 3.0):
+            step = [factor * upper_solver.WARM_STEP * upper_solver.SHRINK]
+            sol = bp.solve_penalized(problem, 0.02, sign, warm_start=warm_start, warm_step=step)
+            assert pickle.dumps(sol) == pickle.dumps(plain)
+
+    def test_a_still_point_costs_the_first_poll_and_the_floor(self, fs, monkeypatch):
+        # FS peaks at y = 0.5: one poll at WARM_STEP, then a step of 0 is the
+        # floor 10 * MIN_STEP, halved three times to below MIN_STEP
+        ys = recorded_selections(monkeypatch)
+        sol = bp.solve_penalized(fs, 0.05, warm_start=[0.5], warm_step=[0.0])
+        np.testing.assert_array_equal(sol.y, [0.5])
+        assert sol.evals == len(ys) == 1 + 2 + 2 * 4 and sol.converged
+        assert sorted(abs(y[0] - 0.5) for y in ys)[-2:] == pytest.approx([1e-2, 1e-2])
+
+    def test_a_climb_whose_fine_step_is_too_short_doubles_it_while_it_moves(self):
+        # -|y - peak| from 0.5: the first poll at 1e-2 finds nothing better for
+        # a peak 3e-3 away, and 1e-5 steps would walk there in 300 polls; a
+        # peak 0.2 away is found by the first poll, and the climb is the plain one
+        K = bp.BoxSet([0.0], [1.0])
+
+        def climb(peak, fine):
+            def evaluate(y):
+                return -abs(y[0] - peak), None
+            start = (np.array([0.5]), *evaluate([0.5]))
+            return upper_solver._compass_climb(evaluate, K, start,
+                                               np.array([upper_solver.WARM_STEP]),
+                                               upper_solver.MIN_STEP, 10 ** 4, fine)
+        end, _, evals, exhausted = climb(0.503, np.array([1e-5]))
+        assert not exhausted and abs(end[0][0] - 0.503) < 2 * upper_solver.MIN_STEP
+        assert evals <= 60
+        far, plain = climb(0.3, np.array([1e-5])), climb(0.3, None)
+        assert far[0][0].tobytes() == plain[0][0].tobytes() and far[2] == plain[2]
+
+    @settings(max_examples=100, deadline=None)
+    @given(climbs(), st.floats(1.0, 4.0))
+    def test_a_fine_step_of_half_the_first_or_more_makes_the_probes_of_the_plain_climb(
+            self, case, factor):
+        K, start, steps, target, max_evals = case
+
+        def run(fine):
+            probes = []
+
+            def evaluate(y):
+                probes.append(y.tobytes())
+                return round(-float(((y - target) ** 2).sum()), 2), None
+            end, rest, evals, exhausted = upper_solver._compass_climb(
+                evaluate, K, (start, *evaluate(start)), steps, 1e-3, max_evals, fine)
+            return probes, end[0].tobytes(), end[1], rest.tolist(), evals, exhausted
+        assert run(steps * upper_solver.SHRINK * factor) == run(None)
