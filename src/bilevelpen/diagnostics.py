@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem, FieldSection, Polytope,
-                    require_finite)
+                    require_finite, require_int)
 from .lower_solver import (RANK_TOL, _feasible_points, _fw_run, enumerate_vertices,
                            frank_wolfe_minimize, independent_rows, vertex_lmo)
 from .oracle import OracleSolution
@@ -89,11 +89,14 @@ def build_certificate(problem: BilevelProblem, oracle: OracleSolution,
 
     min_sum = min over C of h + f (by Frank-Wolfe) is at most level_sum;
     when it is lower (QB: 3 < 4), its minimizer min_sum_x lies in the sum
-    description but not in the optimal set.
+    description but not in the optimal set. Before any work, ValueError
+    naming the argument unless tol is finite and nonnegative and seed an
+    integer >= 0 (numpy integers count, bools do not).
     """
     if oracle.problem != problem.name:
         raise ValueError("oracle does not belong to this problem")
     require_finite("tol", tol)
+    require_int("seed", seed, 0)
     alpha = oracle.follower_value
     beta = oracle.leader_value
     sigma = alpha + beta

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem, DenseSection, ScalarField,
-                    coefficient_reads, is_psd, require_finite)
+                    coefficient_reads, is_psd, require_finite, require_int)
 from .lower_solver import _feasible_points, _fw_best, _fw_run, enumerate_vertices, vertex_lmo
 
 PESSIMISTIC = +1
@@ -224,10 +224,12 @@ def constancy_check(problem: BilevelProblem, y, epsilon: float,
     penalized value lies within FW_TOL of the best, and reports the
     max-min spread of the leader objective over those runs. A spread
     near zero realizes the constant-on-argmin property even when the
-    minimizers form a nontrivial face.
+    minimizers form a nontrivial face. Before any solve, ValueError naming
+    the argument unless n_starts is an integer >= 8 and seed one >= 0
+    (numpy integers count, bools do not).
     """
-    if n_starts < 8:
-        raise ValueError("constancy check needs n_starts >= 8")
+    require_int("n_starts", n_starts, 8)
+    require_int("seed", seed, 0)
     y, section, V, lmo, _ = _section(problem, y, epsilon, PESSIMISTIC)
     runs = [_fw_run(section, lmo, x0, FW_TOL, FW_MAX_ITER)
             for x0 in _feasible_points(V, n_starts, seed)]

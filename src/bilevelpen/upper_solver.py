@@ -1,25 +1,20 @@
 """Derivative-free maximization of the penalized upper objective.
 
 The upper objective y -> f(y, x_eps(y)) is continuous but has no usable
-gradient, so the search is a compass pattern search over the leader box:
-poll the 2p axis neighbors, move to the best one that improves, shrink
-the step otherwise, stop at a mesh resolution. A cold solve climbs from
-the box midpoint and N_MULTISTARTS - 1 scrambled Sobol points at step
-COLD_STEP * span; a warm solve (the later rows of a continuation) climbs
-once from the given point at step WARM_STEP * span. Every climb scales
-its steps by SHRINK. A warm climb stops below MIN_STEP; given the fine
-step its caller expects, it drops to that step after a first poll that
-finds nothing, and doubles it again while it moves. A cold solve
-stops each climb below COARSE_STEP and refines only the best end, and any
-end of another peak within COARSE_MARGIN of it, down to MIN_STEP: when
-every start reaches the same peak, seven fine polishes would change
-nothing. A warm solve has one climb and nothing to compare it with, so
-it has no coarse stage. Only the evaluation budget and the Sobol seed
-are settable, in UpperConfig. _compass_climb is the one compass search:
-each climb here and the three-level oracle's polish. _climb_from runs
-the starts of both solves and the refinement rule, and _improves picks
-the best evaluation of every climb, of the starts and of the oracle's
-grid.
+gradient, so it is maximized by compass search over the leader box, the
+generating-set search of Kolda, Lewis & Torczon (SIAM Review 45 (2003)
+385-482): poll the 2p axis neighbors, move to the best one that
+improves, shrink the steps otherwise, stop at a mesh resolution.
+solve_penalized runs one of two searches:
+- pattern_search_maximize, the cold one, multistart from Sobol points:
+  without a warm start, as in the first row of a continuation and the
+  CLI's solve;
+- one _compass_climb, the warm one: from a warm start, as in the later
+  rows of a continuation.
+_compass_climb is the one compass search, behind both and the
+three-level oracle's polish, and _improves picks the best evaluation of
+every climb, of the starts and of the oracle's grid. Only the evaluation
+budget and the Sobol seed are settable, in UpperConfig.
 
 The Sobol starts are scipy.stats.qmc.Sobol's points, bit for bit, drawn by
 _start_set: a numpy port scrambled as scipy scrambles them. Its 7 points
@@ -212,18 +207,22 @@ def _require_leader_vector(name, value, K: BoxSet, nonnegative=False):
     return v
 
 
-def _climb_from(evaluate, K: BoxSet, starts, steps, max_evals, fine=None):
-    """Compass climbs from each start in turn, clipped to K, at first
-    steps (one per coordinate), within max_evals evaluations in all. A
-    step at or below MIN_STEP, in steps or fine, is 10 * MIN_STEP instead:
-    a collapsed coordinate, or a warm path that did not move, still needs
-    a positive one.
+def _floored(steps):
+    """steps, each one at or below MIN_STEP raised to 10 * MIN_STEP: a
+    collapsed coordinate, or a warm path that did not move, still needs a
+    positive step."""
+    return np.where(steps > MIN_STEP, steps, 10 * MIN_STEP)
 
-    One start (a warm solve) climbs down to MIN_STEP, with fine as
-    _compass_climb says. Several (a cold solve) each climb down to
-    COARSE_STEP only. Then the best end by _improves
-    resumes its climb, from its last steps, down to MIN_STEP, and so does,
-    in start order, every other end that is both
+
+def pattern_search_maximize(value_fn, K: BoxSet,
+                            cfg: UpperConfig = UpperConfig()) -> PatternSearchResult:
+    """Compass search maximization of value_fn over the box K, from many starts.
+
+    Climbs from each of _start_set(K, cfg.seed) in turn, clipped to K, at
+    first steps COLD_STEP of the span (_floored), until every step is below
+    COARSE_STEP. Then the best end by _improves resumes its climb, from its
+    last steps, down to MIN_STEP, and so does, in start order, every other
+    end that is both
     - within COARSE_MARGIN * max(1, |best|) of the best end's value, and
     - outside the union of both ends' last polls: farther apart in some
       coordinate than the sum of their steps / SHRINK. Two ends whose last
@@ -231,31 +230,32 @@ def _climb_from(evaluate, K: BoxSet, starts, steps, max_evals, fine=None):
       refinement searches already; in two dimensions a climb can stop
       farther from its peak than its own last poll reaches.
     So a near-tie between two peaks is refined on both, and the same peak
-    found from many starts is refined once. Each refinement is the rest
-    of the climb that refining every start would make, so the result is
-    one of that search's evaluations and never higher than its result.
+    found from many starts is refined once. Each refinement is the rest of
+    the climb that refining every start would make, so the result is one of
+    that search's evaluations and never higher than its result.
 
-    Returns ((y, value, result), evals, exhausted): the earliest evaluation
-    with the highest finite value. ProblemError if no evaluation was finite.
+    evals counts every evaluation, at most cfg.max_evals; a search that
+    runs out returns its best point so far with converged=False. y is the
+    earliest evaluation with the highest finite value, the very array
+    value_fn was given there. ProblemError if no evaluation is finite,
+    DimensionGuardError if K has more than len(_SOBOL_M) dimensions.
     """
-    steps = np.where(steps > MIN_STEP, steps, 10 * MIN_STEP)
-    if fine is not None:
-        fine = np.where(fine > MIN_STEP, fine, 10 * MIN_STEP)
-    min_step = COARSE_STEP if len(starts) > 1 else MIN_STEP
+    def evaluate(y):
+        return value_fn(y), None
+    steps = _floored((K.upper - K.lower) * COLD_STEP)
     best, best_steps, ends, evals, exhausted = (None, -np.inf, None), steps, [], 0, False
-    for y0 in starts:
-        exhausted = evals >= max_evals
+    for y0 in _start_set(K, cfg.seed):
+        # a climb that ran out left evals at the budget, so the search stops here
+        exhausted = evals >= cfg.max_evals
         if exhausted:
             break
         y = K.clip(y0)
         end, end_steps, used, exhausted = _compass_climb(
-            evaluate, K, (y, *evaluate(y)), steps, min_step, max_evals - evals - 1, fine)
+            evaluate, K, (y, *evaluate(y)), steps, COARSE_STEP, cfg.max_evals - evals - 1)
         evals += used + 1
         ends.append((end, end_steps))
         if _improves(end[1], best[1]):
             best, best_steps = end, end_steps
-        if exhausted:
-            break
     if not exhausted and math.isfinite(best[1]):
         margin = COARSE_MARGIN * max(1.0, abs(best[1]))
         refine = [(best, best_steps)] + [
@@ -264,35 +264,13 @@ def _climb_from(evaluate, K: BoxSet, starts, steps, max_evals, fine=None):
             and np.any(np.abs(end[0] - best[0]) > (best_steps + end_steps) / SHRINK)]
         for end, end_steps in refine:
             end, _, used, exhausted = _compass_climb(evaluate, K, end, end_steps, MIN_STEP,
-                                                     max_evals - evals)
+                                                     cfg.max_evals - evals)
             evals += used
             if _improves(end[1], best[1]):
                 best = end
             if exhausted:
                 break
-    return _require_finite_best(best, evals), evals, exhausted
-
-
-def pattern_search_maximize(value_fn, K: BoxSet,
-                            cfg: UpperConfig = UpperConfig()) -> PatternSearchResult:
-    """Compass search maximization of value_fn over the box K.
-
-    Climbs from the box midpoint, then from N_MULTISTARTS - 1 Sobol
-    points seeded by cfg.seed, each at first step COLD_STEP of the span
-    until every step component falls below COARSE_STEP; then refines the
-    best end, and each end of another peak within COARSE_MARGIN of it,
-    down to MIN_STEP (the rule of _climb_from). evals counts every
-    evaluation. The whole search stops early when cfg.max_evals is
-    exhausted, in which case the best point so far is returned with
-    converged=False. The returned point is a mesh-local maximizer at
-    resolution MIN_STEP, clipped to K: the earliest evaluation with the
-    highest finite value.
-    ProblemError if no evaluation is finite, DimensionGuardError if K has
-    more than len(_SOBOL_M) dimensions.
-    """
-    (y, value, _), evals, exhausted = _climb_from(
-        lambda y: (value_fn(y), None), K, _start_set(K, cfg.seed),
-        (K.upper - K.lower) * COLD_STEP, cfg.max_evals)
+    y, value, _ = _require_finite_best(best, evals)
     return PatternSearchResult(y=y, value=float(value), evals=evals, converged=not exhausted)
 
 
@@ -303,50 +281,31 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     """Maximize the single-valued penalized upper objective over the box.
 
     sign picks the selection (PESSIMISTIC or OPTIMISTIC). Without
-    warm_start: the multistart pattern search on y -> upper value at
-    (y, epsilon), each start climbed down to COARSE_STEP and only the best
-    end, with any end of another peak within COARSE_MARGIN of it, refined
-    down to MIN_STEP (the rule of _climb_from). With it: one compass climb
-    from warm_start clipped to the box, with first step WARM_STEP of the
-    box span per coordinate, down to MIN_STEP within cfg.max_evals, with
-    no coarse stage, since one climb has nothing to compare; it finds the
-    local maximum around that point, not a global one. warm_step is the
-    step the caller expects to suffice (run_continuation reads it from how
-    far its path last moved): if the first poll finds no better neighbor,
-    the climb goes on at min(WARM_STEP * SHRINK * span, warm_step) per
-    coordinate, 10 * MIN_STEP where that is at most MIN_STEP, and not at
-    WARM_STEP * SHRINK * span; each move before its next failed poll
-    doubles the steps again, to at most WARM_STEP * SHRINK * span (the
-    fine steps of _compass_climb). The reported selection is the
-    one the search made at the returned y (the earliest evaluation with
-    the highest finite value); selection is deterministic, so it is
-    bitwise the selection a re-solve at y would give. So a leader point
-    probed again within one solve (the compass poll probes the point it
-    just left, and after a shrink both neighbours again) reuses its first
-    selection; evals still counts every probe. Deterministic for a fixed
-    cfg seed. converged=False flags an exhausted budget, a final selection
-    with fw_gap > FW_TOL, or a probe whose follower value is not finite:
-    the first such leader point is nonfinite_y. numpy's floating-point
-    warnings are silenced, as that flag reports them. A leader value that
-    is not finite only never wins; ProblemError if none is finite, and
-    without warm_start DimensionGuardError on a box of more than
-    len(_SOBOL_M) dimensions. Before any evaluation, ValueError naming the
-    argument for a warm_start that is not a finite point of shape
-    (dim_y,) (a finite one outside the box is clipped to it), a warm_step
-    that is not a finite, nonnegative array of that shape, or a warm_step
-    without a warm_start.
+    warm_start: pattern_search_maximize of y -> upper value at (y, epsilon).
+    With it: one _compass_climb from warm_start clipped to the box, at first
+    steps WARM_STEP * span down to MIN_STEP, with fine steps warm_step, the
+    steps the caller expects to suffice (run_continuation reads them from
+    how far its path last moved), both _floored; it finds the local maximum
+    around that point, not a global one.
+
+    The reported selection is the one the search made at the returned y;
+    selection is deterministic, so it is bitwise the selection a re-solve
+    at y would give. A leader point probed again within one solve (the
+    compass poll probes the point it just left, and after a shrink both
+    neighbours again) reuses its first selection; evals still counts every
+    probe. Deterministic for a fixed cfg seed. converged=False flags an
+    exhausted budget, a final selection with fw_gap > FW_TOL, or a probe
+    whose follower value is not finite: the first such leader point is
+    nonfinite_y. numpy's floating-point warnings are silenced, as that flag
+    reports them. ProblemError if no leader value is finite, and without
+    warm_start DimensionGuardError as pattern_search_maximize raises it.
+    Before any evaluation, ValueError naming the argument for a warm_start
+    that is not a finite point of shape (dim_y,) (a finite one outside the
+    box is clipped to it), a warm_step that is not a finite, nonnegative
+    array of that shape, or a warm_step without a warm_start.
     """
     require_finite("epsilon", epsilon, positive=True)
     K = problem.leader_set
-    span = K.upper - K.lower
-    if warm_start is None:
-        if warm_step is not None:
-            raise ValueError("warm_step is a step of a warm climb and needs a warm_start")
-        starts, steps = _start_set(K, cfg.seed), span * COLD_STEP
-    else:
-        starts, steps = [_require_leader_vector("warm_start", warm_start, K)], span * WARM_STEP
-        if warm_step is not None:
-            warm_step = _require_leader_vector("warm_step", warm_step, K, nonnegative=True)
     memo = {}  # y.tobytes() -> (value, selection), for this solve
     nonfinite = []  # the leader points probed where the follower value is not finite
 
@@ -359,8 +318,21 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
                 nonfinite.append(y)
         return memo[key]
 
-    (_, _, best), evals, exhausted = _climb_from(evaluate, K, starts, steps, cfg.max_evals,
-                                                 warm_step)
+    if warm_start is None:
+        if warm_step is not None:
+            raise ValueError("warm_step is a step of a warm climb and needs a warm_start")
+        res = pattern_search_maximize(lambda y: evaluate(y)[0], K, cfg)
+        best, evals, exhausted = memo[res.y.tobytes()][1], res.evals, not res.converged
+    else:
+        y = K.clip(_require_leader_vector("warm_start", warm_start, K))
+        if warm_step is not None:
+            warm_step = _floored(_require_leader_vector("warm_step", warm_step, K,
+                                                         nonnegative=True))
+        best, _, used, exhausted = _compass_climb(
+            evaluate, K, (y, *evaluate(y)), _floored((K.upper - K.lower) * WARM_STEP),
+            MIN_STEP, cfg.max_evals - 1, warm_step)
+        evals = used + 1
+        _, _, best = _require_finite_best(best, evals)
     return PenalizedSolution(
         y=best.y, selection=best, value=best.leader_value, evals=evals,
         converged=not (exhausted or nonfinite) and best.fw_gap <= FW_TOL,

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen import cli, continuation, upper_solver
-from bilevelpen.model import problem_from_dict
+from bilevelpen.model import QB_DOC, problem_from_dict
 from bilevelpen.cli import trace_to_csv, trace_to_json
 from bilevelpen.continuation import ContinuationTrace, EpsSchedule, TraceRow
 from bilevelpen.upper_solver import UpperConfig
@@ -181,6 +181,37 @@ class TestMovingPaths:
         assert sum(row.evals for row in trace.rows[2:]) <= plain_evals
         # a pessimistic row starts at or above the row before it and only climbs
         assert sign < 0 or bp.check_monotone(trace).ok
+
+
+# Two followers (x0 + x1 - a - b y)^2 on QB's polytope and leader, as in
+# moving_paths, whose warm rows follow the peak at y = 0.5 while another,
+# near y = 0.24, overtakes it as eps shrinks. A warm row climbs only the peak
+# it follows, so it finds the other late or never. Strict: a change that
+# makes these pass must drop the marker.
+OVERTAKEN = {
+    "pessimistic": "(x[0] + x[1] - 0.8780076486562112 + 1.7506016834004976*y[0])^2",
+    "optimistic": "(x[0] + x[1] + 0.2277408631426343 - 0.32132954394740265*y[0])^2"}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="warm rows never look past the peak they follow")
+class TestOvertakenPeak:
+    def test_pessimistic_rows_read_at_least_the_cold_solve(self):
+        # rows 2-5 read v = 2.0 at y = 0.5, where cold solves read
+        # 2.2088, 2.3505, 2.4318 and 2.4755; row 6 jumps to 2.4982
+        problem = problem_from_dict({**QB_DOC, "name": "moving", "h": OVERTAKEN["pessimistic"]})
+        cfg = UpperConfig(seed=0)
+        trace = bp.run_continuation(problem, EpsSchedule(0.1, 0.5, 12), bp.PESSIMISTIC, cfg)
+        for row in trace.rows:
+            cold = bp.solve_penalized(problem, row.epsilon, bp.PESSIMISTIC, cfg)
+            assert row.v >= cold.value - 1e-6, row.epsilon
+
+    def test_optimistic_trace_is_monotone(self):
+        # the trace falls to 1.98978 at row 4 and rises to 2.0 at row 5
+        problem = problem_from_dict({**QB_DOC, "name": "moving", "h": OVERTAKEN["optimistic"]})
+        trace = bp.run_continuation(problem, EpsSchedule(0.1, 0.5, 12), bp.OPTIMISTIC,
+                                    UpperConfig(seed=0))
+        assert bp.check_monotone(trace).violations == ()
 
 
 class TestTraceInvariants:

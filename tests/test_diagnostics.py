@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bilevelpen as bp
+from bilevelpen import diagnostics
 from bilevelpen.cli import certificate_to_json, gaps_to_csv, ratefit_to_json
 from bilevelpen.diagnostics import (EXACT_SELECTION, INCONCLUSIVE, LINEAR_RATE,
                                     SQRT_RATE)
@@ -66,6 +67,22 @@ class TestCertificate:
     def test_problem_mismatch(self, fs, qb_oracle):
         with pytest.raises(ValueError):
             bp.build_certificate(fs, qb_oracle)
+
+    @pytest.mark.parametrize("seed", [2.5, True, -1])
+    def test_seed_that_is_not_an_integer_in_range_is_rejected(self, fs, fs_oracle, monkeypatch,
+                                                              seed):
+        # seed=True ran as seed 1 and seed=2.5 failed inside numpy; now the
+        # seed is checked before any sample is drawn
+        monkeypatch.setattr(diagnostics, "_feasible_points", lambda *args: pytest.fail("drawn"))
+        with pytest.raises(ValueError, match="^seed must be an integer of at least 0"):
+            bp.build_certificate(fs, fs_oracle, seed=seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self, qb, qb_oracle):
+        ours = bp.build_certificate(qb, qb_oracle, seed=np.int64(3))
+        ref = bp.build_certificate(qb, qb_oracle, seed=3)
+        assert ours.n_counterexamples == ref.n_counterexamples > 0
+        for a, b in zip(ours.counterexamples, ref.counterexamples):
+            assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
 
 
 class TestStrongSlope:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen.model import LINEAR, QB_DOC, BilevelProblem, ScalarField, field_from_expression
+from bilevelpen import selection
 from bilevelpen.selection import OPTIMISTIC, PESSIMISTIC
 
 
@@ -200,6 +201,21 @@ class TestConstancy:
     def test_requires_enough_starts(self, qb):
         with pytest.raises(ValueError):
             bp.constancy_check(qb, [0.5], 0.1, n_starts=4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_starts", 16.0), ("n_starts", True), ("n_starts", -16),
+        ("seed", 2.5), ("seed", True), ("seed", -1)])
+    def test_rejects_a_count_or_seed_that_is_not_an_integer_in_range(self, qb, monkeypatch,
+                                                                     field, value):
+        # n_starts=16.0 failed inside _feasible_points, seed=True ran as seed 1
+        # and seed=2.5 failed inside numpy; now both are checked before any solve
+        monkeypatch.setattr(selection, "_section", lambda *args: pytest.fail("solved"))
+        with pytest.raises(ValueError, match=f"^{field} must be an integer of at least"):
+            bp.constancy_check(qb, [0.5], 0.01, **{field: value})
+
+    def test_accepts_numpy_integers(self, qb):
+        ours = bp.constancy_check(qb, [0.5], 0.01, n_starts=np.int64(16), seed=np.uint32(3))
+        assert pickle.dumps(ours) == pickle.dumps(bp.constancy_check(qb, [0.5], 0.01, seed=3))
 
 
 class TestOrderProperties:

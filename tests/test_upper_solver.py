@@ -230,6 +230,20 @@ class TestSolvePenalized:
         assert sol.value > 0
 
 
+class TestColdSolve:
+    @pytest.mark.parametrize("budget", [3, 20, 20000])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("name", ["QB", "FS"])
+    def test_is_the_public_search_of_the_upper_value(self, name, sign, seed, budget):
+        problem, cfg = bp.registry_get(name), UpperConfig(max_evals=budget, seed=seed)
+        sol = bp.solve_penalized(problem, 0.01, sign, cfg)
+        res = bp.pattern_search_maximize(
+            lambda y: bp.select_response(problem, y, 0.01, sign).leader_value,
+            problem.leader_set, cfg)
+        assert (sol.y.tobytes(), sol.value, sol.evals) == (res.y.tobytes(), res.value, res.evals)
+
+
 class TestValueChain:
     def test_values_increase_as_penalty_shrinks(self, qb, fs):
         # for eps > eps', the solved value at eps is no larger (up to slack)
