@@ -54,9 +54,12 @@ class UnknownProblemError(KeyError):
 
 
 def require_finite(name, value, positive=False):
-    """Raise ValueError unless 0 <= value < inf (0 < value if positive)."""
+    """Raise ValueError naming name unless value is a real number (a Python
+    or numpy real, not a bool) with 0 <= value < inf (0 < value if positive)."""
+    kind = "positive and finite" if positive else "finite and nonnegative"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a {kind} real number, got {value!r}")
     if not (0 < value if positive else 0 <= value) or not value < math.inf:
-        kind = "positive and finite" if positive else "finite and nonnegative"
         raise ValueError(f"{name} must be {kind}, got {value}")
 
 
@@ -343,6 +346,9 @@ class BoxSet:
             raise ProblemError("box bounds must be finite")
         if np.any(lo > hi):
             raise ProblemError("box lower bound exceeds upper bound")
+        with np.errstate(over="ignore"):  # an overflowing span is reported here
+            if not np.all(np.isfinite(hi - lo)):
+                raise ProblemError("box span upper - lower must be finite")
         object.__setattr__(self, "cached_slack_bounds", tuple(
             zip((lo - 1e-12).tolist(), (hi + 1e-12).tolist())))
 

@@ -16,8 +16,10 @@ three-level oracle's polish, and _improves picks the best evaluation of
 every climb, of the starts and of the oracle's grid. Only the evaluation
 budget and the Sobol seed are settable, in UpperConfig.
 
-The Sobol starts are scipy.stats.qmc.Sobol's points, bit for bit, drawn by
-_start_set: a numpy port scrambled as scipy scrambles them. Its 7 points
+_start_set draws scipy.stats.qmc.Sobol's points, bit for bit: a numpy port
+scrambled as scipy scrambles them. _mesh_starts rounds them to the mesh of
+a coarse climb's last poll, so that all the climbs of a cold solve probe
+one lattice and climbs that meet probe the same points. _start_set's 7 points
 in Gray-code order read only the first three Joe-Kuo direction numbers of
 each dimension (Joe & Kuo, SIAM J. Sci. Comput. 30 (2008) 2635-2654):
 m_0 = 1 and the vendored (m_1, m_2) of _SOBOL_M. A cold solve on a leader
@@ -214,15 +216,41 @@ def _floored(steps):
     return np.where(steps > MIN_STEP, steps, 10 * MIN_STEP)
 
 
+def _mesh_starts(K: BoxSet, seed, steps):
+    """_start_set(K, seed) on the mesh of the last poll of a climb from first
+    steps steps to COARSE_STEP: mesh is steps times SHRINK as often as
+    leaves the largest at or above COARSE_STEP (steps themselves if it is
+    below), so every step of the climb is an integer multiple of it. Each
+    start y0 becomes lower + mesh * round((y0 - lower) / mesh), clipped to
+    K; one whose mesh index overflows, on a box wider than about 1e305,
+    keeps its bits. steps must be finite, as they are on every BoxSet,
+    whose span is: the shrinking would not end on an infinite one."""
+    mesh = steps
+    while np.max(mesh) * SHRINK >= COARSE_STEP:
+        mesh = mesh * SHRINK
+    starts = []
+    for y0 in _start_set(K, seed):
+        with np.errstate(over="ignore"):
+            y = K.lower + mesh * np.round((y0 - K.lower) / mesh)
+        starts.append(K.clip(np.where(np.isfinite(y), y, y0)))
+    return starts
+
+
 def pattern_search_maximize(value_fn, K: BoxSet,
                             cfg: UpperConfig = UpperConfig()) -> PatternSearchResult:
     """Compass search maximization of value_fn over the box K, from many starts.
 
-    Climbs from each of _start_set(K, cfg.seed) in turn, clipped to K, at
-    first steps COLD_STEP of the span (_floored), until every step is below
-    COARSE_STEP. Then the best end by _improves resumes its climb, from its
-    last steps, down to MIN_STEP, and so does, in start order, every other
-    end that is both
+    Climbs from each of _mesh_starts(K, cfg.seed, steps) in turn, at first
+    steps COLD_STEP of the span (_floored), until every step is below
+    COARSE_STEP. The starts are _start_set's, rounded coordinate by
+    coordinate to the mesh of a climb's last coarse poll, of which every
+    coarse step is an integer multiple: all coarse probes lie on one
+    lattice (Torczon, SIAM J. Optim. 7 (1997) 1-25), so a later climb that
+    reaches a point an earlier one probed probes it again, at the same bits
+    where the box's bounds and steps are dyadic, and a caller's memo
+    (solve_penalized's) answers it. Then the best end by _improves resumes
+    its climb, from its last steps, down to MIN_STEP, and so does, in start
+    order, every other end that is both
     - within COARSE_MARGIN * max(1, |best|) of the best end's value, and
     - outside the union of both ends' last polls: farther apart in some
       coordinate than the sum of their steps / SHRINK. Two ends whose last
@@ -244,12 +272,11 @@ def pattern_search_maximize(value_fn, K: BoxSet,
         return value_fn(y), None
     steps = _floored((K.upper - K.lower) * COLD_STEP)
     best, best_steps, ends, evals, exhausted = (None, -np.inf, None), steps, [], 0, False
-    for y0 in _start_set(K, cfg.seed):
+    for y in _mesh_starts(K, cfg.seed, steps):
         # a climb that ran out left evals at the budget, so the search stops here
         exhausted = evals >= cfg.max_evals
         if exhausted:
             break
-        y = K.clip(y0)
         end, end_steps, used, exhausted = _compass_climb(
             evaluate, K, (y, *evaluate(y)), steps, COARSE_STEP, cfg.max_evals - evals - 1)
         evals += used + 1

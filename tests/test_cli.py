@@ -471,6 +471,18 @@ class TestNonFiniteInputs:
         assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["solve", "--epsilon", "0.1"], ["oracle"]])
+    def test_box_whose_span_overflows_is_input_error(self, tmp_path, fs, capsys, command):
+        # a solve spent its 20000 evaluations on inf steps and exited 2
+        (tmp_path / "doc.json").write_text(json.dumps(
+            {**bp.problem_to_dict(fs), "K_lower": [-1e308], "K_upper": [1e308]}))
+        out = tmp_path / "out"
+        code = run_cli(command[0], "--problem", str(tmp_path / "doc.json"), *command[1:],
+                       tmp_path=out)
+        assert code == 1
+        assert capsys.readouterr().err == "error: box span upper - lower must be finite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("change", [
         {"name": "../escaped"}, {"name": None}, {"dim_y": 0, "K_lower": [], "K_upper": []},
         {"dim_x": -1}],

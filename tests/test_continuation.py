@@ -310,13 +310,14 @@ class TestExports:
 # one rounding (0.25 to 0.24999999999999978); both re-pinned when a cold solve
 # refined only its best climb (row 1's evals 436 to 220); both re-pinned when a
 # warm row went on at a step read from how far the path last moved (rows 3-12's
-# evals 29 to 11; y never moves on QB)
+# evals 29 to 11; y never moves on QB); both re-pinned when a cold solve's
+# starts were rounded to the mesh of its last coarse poll (row 1's evals 220 to 218)
 PINNED_TRACES = {
     +1: (
         '{"schema": "trace-v1", "problem": "QB", "sign": 1, "seed": 7, '
         '"rows": [{"epsilon": 0.1, "y": [0.5], "x": [0.2142857142857143, 0.2142857142857143, '
         '0.7857142857142857, 0.7857142857142857], "v": 2.8571428571428577, '
-        '"h_value": 0.32653061224489793, "fw_gap": 0.0, "evals": 220, "converged": true},'
+        '"h_value": 0.32653061224489793, "fw_gap": 0.0, "evals": 218, "converged": true},'
         ' {"epsilon": 0.05, "y": [0.5], "x": [0.33333333333333337, 0.33333333333333337, '
         '0.6666666666666666, 0.6666666666666666], "v": 3.333333333333334, '
         '"h_value": 0.11111111111111106, "fw_gap": 0.0, "evals": 29, "converged": true},'
@@ -354,7 +355,7 @@ PINNED_TRACES = {
     -1: (
         '{"schema": "trace-v1", "problem": "QB", "sign": -1, "seed": 7, '
         '"rows": [{"epsilon": 0.1, "y": [0.5], "x": [1.0, 1.0, 0.0, 0.0], "v": 6.0, '
-        '"h_value": 1.0, "fw_gap": 0.0, "evals": 220, "converged": true},'
+        '"h_value": 1.0, "fw_gap": 0.0, "evals": 218, "converged": true},'
         ' {"epsilon": 0.05, "y": [0.5], "x": [0.7499999999999999, 0.7499999999999999, '
         '0.2500000000000001, 0.2500000000000001], "v": 5.0, "h_value": 0.24999999999999978, '
         '"fw_gap": 0.0, "evals": 29, "converged": true},'

@@ -474,6 +474,7 @@ class TestSelectionPaths:
 # sha256 of the trace_to_json text of a 6-row optimistic FS trace at
 # UpperConfig(seed=7), pinned while _section still ran is_psd at every y;
 # re-pinned when a cold solve refined only its best climb (row 1's evals 436 to 220),
-# and when a warm row went on at a step read from how far the path last moved
-# (rows 3-6's evals 29 to 11)
-FS_OPTIMISTIC_TRACE_SHA256 = "3fc321f781240c1c9b95d5612af56caf18403ab8615e8540ef6d70d86ff8d8b6"
+# when a warm row went on at a step read from how far the path last moved
+# (rows 3-6's evals 29 to 11), and when a cold solve's starts were rounded to
+# the mesh of its last coarse poll (row 1's evals 220 to 218)
+FS_OPTIMISTIC_TRACE_SHA256 = "cbe249f91a73084a1e38be197dc1aef6d5968221dcec5f1afc67de6c10bd4850"

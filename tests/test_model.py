@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
 from bilevelpen import cli, model
+from bilevelpen.continuation import EpsSchedule
 from bilevelpen.model import (LINEAR, QUADRATIC, BilevelProblem, DimensionGuardError,
                               EmptyFeasibleSetError, ProblemError,
                               UnboundedFeasibleSetError, field_from_expression,
@@ -201,6 +204,16 @@ class TestBoxSet:
         with pytest.raises(ProblemError, match="box bound shapes differ"):
             bp.BoxSet([0.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("lower,upper", [([-1e308], [1e308]), ([0.0, -1e308], [1.0, 1e308])])
+    def test_span_that_overflows_is_rejected(self, lower, upper):
+        # finite bounds whose span upper - lower is inf made every step of a
+        # search inf; the check itself warns of no overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProblemError, match="box span upper - lower must be finite"):
+                bp.BoxSet(lower, upper)
+        assert bp.BoxSet([-8e307], [8e307]).upper[0] == 8e307  # a span of 1.6e308 is finite
+
     @pytest.mark.parametrize("y", [[], [0.5, 0.5], 0.5, [[0.5]]], ids=["empty", "long", "scalar",
                                                                        "nested"])
     def test_contains_only_points_of_its_shape(self, y):
@@ -310,6 +323,30 @@ class TestRequireFinite:
     def test_rejects(self, value, positive):
         with pytest.raises(ValueError, match=f"tol must be .*, got {value}"):
             require_finite("tol", value, positive)
+
+    @pytest.mark.parametrize("value", ["0.1", None, 0.01 + 0j, True, False, np.bool_(True),
+                                       np.array([0.1]), np.array(0.1), [0.1]])
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_rejects_what_is_not_a_real_number(self, value, positive):
+        with pytest.raises(ValueError, match=r"^tol must be .* real number, got "):
+            require_finite("tol", value, positive)
+
+    @pytest.mark.parametrize("value", [1, 0.5, np.float64(0.5), np.float32(0.5), np.int64(2),
+                                       Fraction(1, 3)])
+    def test_accepts_python_and_numpy_reals(self, value):
+        require_finite("tol", value)
+        require_finite("tol", value, positive=True)
+
+    def test_callers_reject_what_is_not_a_real_number(self):
+        # these ran as if 1.0 were given, or were kept as 1-element arrays,
+        # or raised a bare TypeError
+        qb = bp.registry_get("QB")
+        for epsilon in ("0.1", None, 0.01 + 0j, True):
+            with pytest.raises(ValueError, match="epsilon must be a positive and finite real"):
+                bp.select_response(qb, [0.3], epsilon)
+        for eps0 in (np.array([0.1]), True):
+            with pytest.raises(ValueError, match="eps0 must be a positive and finite real"):
+                EpsSchedule(eps0, 0.5, 3)
 
     def test_zero_is_nonnegative_but_not_positive(self):
         require_finite("tol", 0.0)

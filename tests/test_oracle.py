@@ -527,32 +527,35 @@ def test_oracle_report_text_is_pinned(name):
 # best climb (the evals of a cold solve: 436 to 220, 438 to 226 in rates); the
 # continuation reports, their CSVs and the rates JSON reports re-pinned when a
 # warm row went on at a step read from how far the path last moved (the evals
-# of rows 3 and later: 29 to 11). Each entry: argv, report file, digest, exit code.
+# of rows 3 and later: 29 to 11); the solve and continuation reports, their CSVs
+# and the rates JSON reports re-pinned when a cold solve's starts were rounded
+# to the mesh of its last coarse poll (the evals of a cold solve: 220 to 218,
+# 226 to 218 in rates). Each entry: argv, report file, digest, exit code.
 _SOLVE = ["solve", "--problem", "QB", "--epsilon", "0.1", "--seed", "7"]
 _PESSIMISTIC = ["continuation", "--problem", "QB", "--seed", "7"]
 _OPTIMISTIC = _PESSIMISTIC + ["--sign", "optimistic"]
 _JSON, _CSV = ["--format", "json"], ["--format", "csv"]
 PINNED_CLI_REPORTS = {
     "solve": (_SOLVE + _JSON, "QB_solve.json",
-              "3d727b8a2aa8f1fdefc6eae088c06f8c11740a070009e70018788cc4546f35dc", 0),
+              "b5038d99860c3bbb67fdb4a8366c06efc39cabd49fb111ffff9312d5bdca33b2", 0),
     "pessimistic": (_PESSIMISTIC + _JSON, "QB_trace.json",
-                    "56a0bcb4ebaada2a72d1314da4dfbbdd0f37671518c55e55f6ada2d6f5963481", 0),
+                    "48b4697878b619b9743ed25b7961c29cf55000363b79a0fbf29b05535a5e0aaf", 0),
     "optimistic": (_OPTIMISTIC + _JSON, "QB_trace.json",
-                   "27c78553f2d530510f6bd5caf0ec140ea25557aa8c640de0bfbc8cc4b35783b5", 0),
+                   "303121adb223957f5a8f186744ce9ae25da2b78666fcc2b6cd14b3525db079ad", 0),
     "solve_csv": (_SOLVE + _CSV, "QB_solve.csv",
-                  "98a4d438c690d3142e415d17a2b15b5ded95a4b049db65066c2b99e28256e82c", 0),
+                  "97e43f099c42d09d0ffb88434ac9ebc13e2ba7114c3a7ea4810f0dd9d587a837", 0),
     "pessimistic_csv": (_PESSIMISTIC + _CSV, "QB_trace.csv",
-                        "78909812e951ea282b2ef05e97df3623acb7184d1bb121414678cb7d8c351855", 0),
+                        "ee875f1e8b81e8b6a8661a3e5cde072fd3940806c8453caf29544f859d7501ed", 0),
     "optimistic_csv": (_OPTIMISTIC + _CSV, "QB_trace.csv",
-                       "4cdf6c4edcb0d08df354fe22c582a71271cd4543ce0e3ccbd33923ad4072bda1", 0),
+                       "b8a06a6a32bae4ad16d3f409a41b5a420dde17ac3d4f724b416749abd481cf38", 0),
     "oracle_csv": (["oracle", "--problem", "QB"] + _CSV, "QB_oracle.csv",
                    "ff1d19fdbb0183baf7445d5bf3375c105cad46a351b55aff3d1fa9b433e66bbc", 0),
     "rates_fs": (["rates", "--problem", "FS"] + _JSON, "FS_rates.json",
-                 "c158dd6c232502ce5e0746e14629bf89eeac2db1a313892a017cd7c5bd3afc44", 0),
+                 "2f68b29985162929ec43d3af309f43fd813649b53ed36e9794d089f7eabd55d5", 0),
     "rates_fs_csv": (["rates", "--problem", "FS"] + _CSV, "FS_gaps.csv",
                      "a1f59c1bc51e2cafb4c43aec46533b5f24ba8270287a11036fa8fe56c1d6df94", 0),
     "rates_qb": (["rates", "--problem", "QB"] + _JSON, "QB_rates.json",
-                 "6e92bc55f5b7d2da3107969d4ed12247c63181f4557e6c59b767c79b12d3ed9f", 2),
+                 "bd47271e990721bed02d3aac575819c89c46f36b2fec2fef4b3d99b294aec891", 2),
     "rates_qb_csv": (["rates", "--problem", "QB"] + _CSV, "QB_gaps.csv",
                      "c3070053d4abc11a181e7a34c29b51f71a6b99cc5f2d9ef9316b6643d85a39a0", 2),
 }

@@ -215,10 +215,12 @@ class TestSolvePenalized:
         b = bp.solve_penalized(bp.registry_get("QB"), 0.05, cfg=cfg)
         assert pickle.dumps(a) == pickle.dumps(b)
 
-    @pytest.mark.parametrize("warm_start,probes,points", [(None, 226, 161), ([0.3], 69, 50)])
+    @pytest.mark.parametrize("warm_start,probes,points", [(None, 218, 99), ([0.3], 69, 50)])
     def test_selects_each_leader_point_once(self, monkeypatch, warm_start, probes, points):
         # the compass poll probes the point it just left, and after a shrink both
-        # neighbours again; each is selected once, and evals counts every probe
+        # neighbours again; a cold solve's climbs walk one mesh, and climbs that
+        # meet probe the same points; each is selected once, and evals counts
+        # every probe
         ys = recorded_selections(monkeypatch)
         sol = bp.solve_penalized(bp.registry_get("QB"), 0.01, warm_start=warm_start)
         assert len({y.tobytes() for y in ys}) == len(ys) == points
@@ -449,8 +451,7 @@ def refine_every_start(value_fn, K, seed):
         return value_fn(y), None
     steps = (K.upper - K.lower) * upper_solver.COLD_STEP  # no box here has a collapsed side
     ends, evals = [], 0
-    for y0 in upper_solver._start_set(K, seed):
-        y = K.clip(y0)
+    for y in upper_solver._mesh_starts(K, seed, steps):
         coarse, rest, used, _ = upper_solver._compass_climb(
             evaluate, K, (y, *evaluate(y)), steps, upper_solver.COARSE_STEP, math.inf)
         fine, _, more, _ = upper_solver._compass_climb(evaluate, K, coarse, rest,
@@ -528,8 +529,8 @@ class TestCoarseThenRefine:
 
     def test_the_margin_decides_a_near_tie(self, monkeypatch):
         # a wide peak of height 1 at 0.2987 and a narrow one 1e-5 higher at
-        # 0.7513, neither on the coarse mesh of seed 0's starts; the narrower
-        # the second peak, the lower its best coarse end
+        # 0.7513, neither on the mesh of the coarse probes, the multiples of
+        # 2**-9; the narrower the second peak, the lower its best coarse end
         def near_tie(width):
             return lambda y: max(math.exp(-(y[0] - 0.2987) ** 2 / 0.02),
                                  (1 + 1e-5) * math.exp(-(y[0] - 0.7513) ** 2 / (2 * width ** 2)))
@@ -570,6 +571,74 @@ class TestCoarseThenRefine:
                     break
             return probes, end[0].tobytes(), end[1], rest.tolist(), evals, exhausted
         assert run([1e-1, 1e-3]) == run([1e-3])
+
+
+class TestMeshStarts:
+    """A cold solve's starts are _start_set's on the mesh of a climb's last
+    coarse poll, so every coarse probe of every climb lies on one lattice."""
+
+    @pytest.mark.parametrize("lower,upper,mesh", [
+        ([0.0], [1.0], [2.0 ** -9]),  # first step 0.25, 7 shrinks
+        ([0.1], [0.7], [0.6 * 2.0 ** -9]),  # not dyadic: first step 0.15, 7 shrinks
+        ([0.1, -0.3], [0.7, 1.9], [0.15 * 2.0 ** -9, 0.55 * 2.0 ** -9]),  # the larger step decides
+        ([0.3, 0.0], [0.3, 1.0], [10 * upper_solver.MIN_STEP * 2.0 ** -7, 2.0 ** -9]),  # collapsed
+        ([0.0], [1e-4], [2.5e-5]),  # the first step is below COARSE_STEP: no shrink
+        ([0.0], [2e-6], [10 * upper_solver.MIN_STEP]),  # the first step is floored
+    ], ids=["unit", "non_dyadic", "two_dims", "collapsed", "tiny", "floored"])
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 31 - 2])
+    def test_each_start_is_its_sobol_point_on_the_mesh(self, lower, upper, mesh, seed):
+        K, mesh = bp.BoxSet(lower, upper), np.array(mesh)
+        steps = upper_solver._floored((K.upper - K.lower) * upper_solver.COLD_STEP)
+        starts = upper_solver._mesh_starts(K, seed, steps)
+        sobol = upper_solver._start_set(K, seed)
+        assert len(starts) == len(sobol) == upper_solver.N_MULTISTARTS
+        for y, y0 in zip(starts, sobol):
+            assert K.contains(y)
+            index = (y - K.lower) / mesh
+            np.testing.assert_allclose(index, np.round(index), rtol=0, atol=1e-9)
+            assert np.all(np.abs(y - y0) <= mesh / 2 + 1e-15)
+            # a collapsed coordinate keeps its value
+            assert np.all((y == K.lower)[K.lower == K.upper])
+
+    def test_a_box_too_wide_for_the_mesh_index_keeps_the_sobol_points(self):
+        # the mesh index (y0 - lower) / mesh overflows above a span of about 1e305
+        K = bp.BoxSet([-8e307], [8e307])
+        steps = upper_solver._floored((K.upper - K.lower) * upper_solver.COLD_STEP)
+        for y, y0 in zip(upper_solver._mesh_starts(K, 0, steps), upper_solver._start_set(K, 0)):
+            assert y.tobytes() == y0.tobytes()
+
+    def test_a_span_that_overflows_never_reaches_the_search(self):
+        # its steps were inf and never shrank: the search spent its whole
+        # budget and warned of overflow twice
+        calls = []
+        with pytest.raises(bp.ProblemError, match="box span"):
+            bp.pattern_search_maximize(lambda y: calls.append(y) or -abs(float(y[0]) - 3.0),
+                                       bp.BoxSet([-1e308], [1e308]))
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_climbs_that_meet_share_their_selections(self, monkeypatch, seed):
+        # on QB every coarse climb ends at y = 0.5, the first start: each later
+        # climb reaches a point an earlier one probed, and the memo answers it
+        ys = recorded_selections(monkeypatch)
+        climbs, climb = [], upper_solver._compass_climb
+
+        def recorded(evaluate, K, best, steps, min_step, *rest):
+            probes = [best[0].tobytes()] if min_step == upper_solver.COARSE_STEP else []
+            climbs.append(probes)
+
+            def probe(y):
+                probes.append(y.tobytes())
+                return evaluate(y)
+            return climb(probe, K, best, steps, min_step, *rest)
+        monkeypatch.setattr(upper_solver, "_compass_climb", recorded)
+        sol = bp.solve_penalized(bp.registry_get("QB"), 0.01, cfg=UpperConfig(seed=seed))
+        coarse = climbs[:upper_solver.N_MULTISTARTS]
+        assert all(any(p in set().union(*coarse[:j]) for p in probes)
+                   for j, probes in enumerate(coarse) if j > 0)
+        probes = [p for probes in climbs for p in probes]
+        assert sol.evals == len(probes) > len(set(probes)) == len(ys)
+        assert sorted(y.tobytes() for y in ys) == sorted(set(probes))
 
 
 class TestWarmStep:
