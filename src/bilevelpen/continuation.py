@@ -2,8 +2,8 @@
 
 Each row of a trace solves the penalized problem at one epsilon: the
 first row by the multistart search, every later row by one compass
-climb from the previous row's leader point, which from row 3 on goes
-on at a step read from how far the path last moved. For the pessimistic
+climb from the previous row's leader point, which goes on at a step
+read from how far the path last moved. For the pessimistic
 sign the leader values along the path are nondecreasing as epsilon
 shrinks and converge to the worst-case limit value from below; the
 optimistic sign mirrors this from above. check_monotone verifies the
@@ -43,7 +43,7 @@ class EpsSchedule:
         return [self.eps0 * self.rho ** k for k in range(self.k_max)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     epsilon: float
     y: np.ndarray
@@ -65,6 +65,8 @@ class ContinuationTrace:
 
     def __post_init__(self):
         eps = [r.epsilon for r in self.rows]
+        for e in eps:
+            require_finite("trace epsilon", e, positive=True)
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ValueError("trace epsilons must be strictly decreasing")
 
@@ -79,7 +81,8 @@ class ContinuationTrace:
 @dataclass(frozen=True)
 class MonotoneReport:
     ok: bool
-    violations: tuple  # indices k whose pair (k-1, k) breaks the direction
+    # indices k whose v is not finite, or whose pair (k-1, k) breaks the direction
+    violations: tuple
 
 
 @dataclass(frozen=True)
@@ -109,23 +112,25 @@ def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedul
     v_eps'(y) <= v_eps(y) at every y, so no row rises above the maximum
     the previous row found, if that maximum was global.
 
-    Every warm row first polls WARM_STEP of the span away. Row 2 then
-    climbs on as a plain warm solve. A later row passes solve_penalized
-    the warm_step |y_k - y_{k-1}| / SHRINK per coordinate, from the last
-    two rows: if its first poll finds nothing better, it goes on at that
-    step, whose first poll reaches twice as far as the last move, and not
-    at half of WARM_STEP. The path settles as eps -> 0, and on QB and FS
-    it does not move at all: such a row polls at WARM_STEP, then at
-    10 * MIN_STEP (the floor of a step at or below MIN_STEP), and makes 11
+    Every warm row first polls WARM_STEP of the span away, and passes
+    solve_penalized the warm_step _warm_step reads from the rows before
+    it: |y_k - y_{k-1}| / SHRINK per coordinate over the last two rows,
+    and 0 for row 2. If its first poll finds nothing better, the row goes
+    on at that step, floored at MIN_STEP, whose first poll reaches twice
+    as far as the last move, and not at half of WARM_STEP. The path
+    settles as eps -> 0, and on QB and FS it does not move at all: such a
+    row polls at WARM_STEP, then once at MIN_STEP, and makes 5
     evaluations in one dimension where halving from WARM_STEP makes 29. A
-    row whose move is longer than the step doubles it while it moves. What
-    this gives up: a row whose first poll finds nothing no longer polls
-    the scales between WARM_STEP / 2 and its warm_step, so it misses a
-    rise that only they would see. The first poll is kept because a path
-    that stands on one peak while another overtakes it sees the other
-    first from WARM_STEP away. If either of the last two rows did not
-    converge, their move is no measure, and the row halves from WARM_STEP
-    as row 2 does.
+    pattern search need only stop on a poll that finds nothing at its
+    last step, not pass every step on the way down (Kolda, Lewis &
+    Torczon, SIAM Review 45 (2003) 385-482). A row whose move is longer
+    than the step doubles it while it moves. What this gives up: a row
+    whose first poll finds nothing no longer polls the scales between
+    WARM_STEP / 2 and its warm_step, so it misses a rise that only they
+    would see. The first poll is kept because a path that stands on one
+    peak while another overtakes it sees the other first from WARM_STEP
+    away. If either of the last two rows did not converge, their move is
+    no measure, and the row halves from WARM_STEP down to MIN_STEP.
 
     Only the leader point is carried over; the follower response is
     re-solved from scratch at every point so a wrong branch of the argmin
@@ -155,25 +160,28 @@ def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedul
 
 def _warm_step(rows: Sequence[TraceRow]):
     """The warm_step of the row after rows: |y_k - y_{k-1}| / SHRINK over
-    the last two rows, or None (a plain warm solve) before two rows exist
-    or when either of them did not converge."""
-    if len(rows) < 2 or not (rows[-1].converged and rows[-2].converged):
+    the last two rows, 0 after row 1 alone (a path of one row has not
+    moved), or None (a plain warm solve) before any row or when either of
+    the last two did not converge."""
+    last = rows[-2:]
+    if not last or not all(r.converged for r in last):
         return None
-    return np.abs(rows[-1].y - rows[-2].y) / SHRINK
+    return np.abs(last[-1].y - last[0].y) / SHRINK
 
 
 def check_monotone(trace: ContinuationTrace, slack: float = 2e-4) -> MonotoneReport:
     """Verify the monotone approach of the trace values to the limit.
 
     Pessimistic traces must be nondecreasing (within slack) as epsilon
-    shrinks; optimistic traces must be nonincreasing. Offending row
-    indices are reported.
+    shrinks; optimistic traces must be nonincreasing. A row whose v is
+    not finite is a violation too: NaN compares false either way, so no
+    pair would flag it. Offending row indices are reported.
     """
     require_finite("slack", slack)
     if len(trace) == 0:
         raise ValueError("trace is empty")
     v = trace.values
-    violations = tuple(k for k in range(1, len(v)) if (
+    violations = tuple(k for k in range(len(v)) if not np.isfinite(v[k]) or k > 0 and (
         v[k] < v[k - 1] - slack if trace.sign >= 0 else v[k] > v[k - 1] + slack))
     return MonotoneReport(ok=not violations, violations=violations)
 

@@ -211,8 +211,7 @@ def _require_leader_vector(name, value, K: BoxSet, nonnegative=False):
 
 def _floored(steps):
     """steps, each one at or below MIN_STEP raised to 10 * MIN_STEP: a
-    collapsed coordinate, or a warm path that did not move, still needs a
-    positive step."""
+    collapsed coordinate still needs a positive first step."""
     return np.where(steps > MIN_STEP, steps, 10 * MIN_STEP)
 
 
@@ -310,10 +309,12 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     sign picks the selection (PESSIMISTIC or OPTIMISTIC). Without
     warm_start: pattern_search_maximize of y -> upper value at (y, epsilon).
     With it: one _compass_climb from warm_start clipped to the box, at first
-    steps WARM_STEP * span down to MIN_STEP, with fine steps warm_step, the
-    steps the caller expects to suffice (run_continuation reads them from
-    how far its path last moved), both _floored; it finds the local maximum
-    around that point, not a global one.
+    steps WARM_STEP * span (_floored) down to MIN_STEP, with fine steps
+    warm_step, the steps the caller expects to suffice (run_continuation
+    reads them from how far its path last moved), each raised to MIN_STEP
+    if below it. So where the first poll finds nothing, a warm_step of 0
+    costs one more poll, at MIN_STEP, and not one per halving. It finds
+    the local maximum around that point, not a global one.
 
     The reported selection is the one the search made at the returned y;
     selection is deterministic, so it is bitwise the selection a re-solve
@@ -353,8 +354,8 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     else:
         y = K.clip(_require_leader_vector("warm_start", warm_start, K))
         if warm_step is not None:
-            warm_step = _floored(_require_leader_vector("warm_step", warm_step, K,
-                                                         nonnegative=True))
+            warm_step = np.maximum(_require_leader_vector("warm_step", warm_step, K,
+                                                          nonnegative=True), MIN_STEP)
         best, _, used, exhausted = _compass_climb(
             evaluate, K, (y, *evaluate(y)), _floored((K.upper - K.lower) * WARM_STEP),
             MIN_STEP, cfg.max_evals - 1, warm_step)

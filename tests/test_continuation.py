@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -118,17 +119,18 @@ class TestWarmRows:
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_a_still_path_costs_the_first_poll_and_the_floor(self, qb, sign):
-        # QB's path stands at y = 0.5: row 2 halves from WARM_STEP in 29
-        # evaluations, and every later row polls WARM_STEP away, then goes on
-        # at the floor 10 * MIN_STEP of its warm_step 0: 1 + 2 + 2 * 4
+        # QB's path stands at y = 0.5: every warm row polls WARM_STEP away,
+        # then goes on at its warm_step 0 floored at MIN_STEP, whose one poll
+        # finds nothing either: 1 + 2 + 2
         trace = bp.run_continuation(qb, EpsSchedule(0.1, 0.5, 12), sign=sign,
                                     cfg=UpperConfig(seed=7))
         assert all(row.y.tolist() == [0.5] and row.converged for row in trace.rows)
-        assert [row.evals for row in trace.rows[1:]] == [29] + [11] * 10
+        assert [row.evals for row in trace.rows[1:]] == [5] * 11
 
     def test_a_row_after_an_unconverged_row_halves_from_warm_step(self, qb, monkeypatch):
         # row 1 runs out of its budget of 100, so the moves into rows 2 and 3
-        # are no measure: rows 2 and 3 get no warm_step, row 4 gets 0
+        # are no measure: rows 2 and 3 get no warm_step and halve from
+        # WARM_STEP, rows 4 and 5 get 0
         steps, solve = [], continuation.solve_penalized
 
         def recorded(*args, warm_step, **kwargs):
@@ -138,7 +140,7 @@ class TestWarmRows:
         trace = bp.run_continuation(qb, EpsSchedule(0.1, 0.5, 5), cfg=UpperConfig(max_evals=100))
         assert [row.converged for row in trace.rows] == [False, True, True, True, True]
         assert steps[:3] == [None] * 3 and [s.tolist() for s in steps[3:]] == [[0.0]] * 2
-        assert [row.evals for row in trace.rows] == [100, 29, 29, 11, 11]
+        assert [row.evals for row in trace.rows] == [100, 29, 29, 5, 5]
 
 
 @st.composite
@@ -163,22 +165,22 @@ class TestMovingPaths:
         problem, b, sign, seed = case
         cfg = UpperConfig(seed=seed)
         trace = bp.run_continuation(problem, EpsSchedule(0.1, 0.5, 12), sign=sign, cfg=cfg)
-        # Each row from 3 on against the plain warm climb (WARM_STEP halved
+        # Each row from 2 on against the plain warm climb (WARM_STEP halved
         # down to MIN_STEP) from the same previous y. Both climb one peak of
         # v = w(y)(1 + s) from one point and end where a last poll below
         # 2 * MIN_STEP found nothing better, so each lies within 2 * MIN_STEP
         # of the peak and at most 2 * L * MIN_STEP below it, L bounding |v'|:
         # |w'|(1 + s) <= 12, and w <= 2 times the slope of the selected
         # s = x0 + x1, which follows clip(a + b y, 0, 2) shifted by the
-        # penalty, below 2(|b| + 1) for eps <= 0.025.
+        # penalty, below 2(|b| + 1) for eps <= 0.05.
         lipschitz = 12 + 2 * 2 * (abs(b) + 1)
         plain_evals = 0
-        for prev, row in zip(trace.rows[1:], trace.rows[2:]):
+        for prev, row in zip(trace.rows, trace.rows[1:]):
             plain = bp.solve_penalized(problem, row.epsilon, sign, cfg, warm_start=prev.y)
             assert row.converged and plain.converged
             assert abs(row.v - plain.value) <= 2 * lipschitz * upper_solver.MIN_STEP
             plain_evals += plain.evals
-        assert sum(row.evals for row in trace.rows[2:]) <= plain_evals
+        assert sum(row.evals for row in trace.rows[1:]) <= plain_evals
         # a pessimistic row starts at or above the row before it and only climbs
         assert sign < 0 or bp.check_monotone(trace).ok
 
@@ -221,6 +223,14 @@ class TestTraceInvariants:
         with pytest.raises(ValueError, match="decreasing"):
             ContinuationTrace(problem="QB", sign=+1, rows=tuple(rows))
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1e-3])
+    def test_bad_epsilon_rejected(self, qb_trace, epsilon):
+        # a NaN epsilon compared false with its neighbours and was accepted
+        rows = list(qb_trace.rows)
+        rows[-1] = dataclasses.replace(rows[-1], epsilon=epsilon)
+        with pytest.raises(ValueError, match="^trace epsilon must be positive and finite"):
+            ContinuationTrace(problem="QB", sign=+1, rows=tuple(rows))
+
 
 class TestCheckMonotone:
     def test_qb_trace_ok(self, qb_trace):
@@ -238,6 +248,16 @@ class TestCheckMonotone:
         report = bp.check_monotone(trace, slack=2e-4)
         assert not report.ok
         assert report.violations == (3,)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    @pytest.mark.parametrize("v", [math.nan, math.inf])
+    def test_non_finite_value_flagged(self, qb_trace, sign, k, v):
+        # a NaN v compared false with its neighbours, and the report read ok
+        rows = [dataclasses.replace(row, v=2.0) for row in qb_trace.rows]
+        rows[k] = dataclasses.replace(rows[k], v=v)
+        report = bp.check_monotone(ContinuationTrace(problem="QB", sign=sign, rows=tuple(rows)))
+        assert not report.ok and k in report.violations
 
     @pytest.mark.parametrize("slack", [math.nan, -1e-4, math.inf])
     def test_rejects_bad_slack(self, qb_trace, slack):
@@ -311,7 +331,10 @@ class TestExports:
 # refined only its best climb (row 1's evals 436 to 220); both re-pinned when a
 # warm row went on at a step read from how far the path last moved (rows 3-12's
 # evals 29 to 11; y never moves on QB); both re-pinned when a cold solve's
-# starts were rounded to the mesh of its last coarse poll (row 1's evals 220 to 218)
+# starts were rounded to the mesh of its last coarse poll (row 1's evals 220 to 218);
+# both re-pinned when a warm row whose first poll finds nothing went on at its
+# step floored at MIN_STEP, and row 2 at a step of 0 (row 2's evals 29 to 5,
+# rows 3-12's 11 to 5)
 PINNED_TRACES = {
     +1: (
         '{"schema": "trace-v1", "problem": "QB", "sign": 1, "seed": 7, '
@@ -320,75 +343,75 @@ PINNED_TRACES = {
         '"h_value": 0.32653061224489793, "fw_gap": 0.0, "evals": 218, "converged": true},'
         ' {"epsilon": 0.05, "y": [0.5], "x": [0.33333333333333337, 0.33333333333333337, '
         '0.6666666666666666, 0.6666666666666666], "v": 3.333333333333334, '
-        '"h_value": 0.11111111111111106, "fw_gap": 0.0, "evals": 29, "converged": true},'
+        '"h_value": 0.11111111111111106, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.025, "y": [0.5], "x": [0.40909090909090906, 0.40909090909090906, '
         '0.5909090909090909, 0.5909090909090909], "v": 3.6363636363636367, '
-        '"h_value": 0.03305785123966944, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 0.03305785123966944, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.0125, "y": [0.5], "x": [0.45238095238095233, 0.45238095238095233, '
         '0.5476190476190477, 0.5476190476190477], "v": 3.8095238095238093, '
-        '"h_value": 0.009070294784580518, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 0.009070294784580518, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.00625, "y": [0.5], "x": [0.475609756097561, 0.475609756097561, '
         '0.524390243902439, 0.524390243902439], "v": 3.902439024390244, '
-        '"h_value": 0.0023795359904818496, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 0.0023795359904818496, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.003125, "y": [0.5], "x": [0.4876543209876544, 0.4876543209876544, '
         '0.5123456790123456, 0.5123456790123456], "v": 3.950617283950617, '
-        '"h_value": 0.0006096631611034848, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 0.0006096631611034848, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.0015625, "y": [0.5], "x": [0.4937888198757764, 0.4937888198757764, '
         '0.5062111801242236, 0.5062111801242236], "v": 3.975155279503106, '
-        '"h_value": 0.0001543150341422019, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 0.0001543150341422019, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.00078125, "y": [0.5], "x": [0.49688473520249216, 0.49688473520249216, '
         '0.5031152647975079, 0.5031152647975079], "v": 3.9875389408099684, '
-        '"h_value": 3.8819499034366357e-05, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 3.8819499034366357e-05, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.000390625, "y": [0.5], "x": [0.49843993759750393, 0.49843993759750393, '
         '0.5015600624024961, 0.5015600624024961], "v": 3.9937597503900157, '
-        '"h_value": 9.73517879872718e-06, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 9.73517879872718e-06, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.0001953125, "y": [0.5], "x": [0.49921935987509763, '
         '0.49921935987509763, 0.5007806401249024, 0.5007806401249024], '
         '"v": 3.9968774395003903, "h_value": 2.4375960184303223e-06, "fw_gap": 0.0, '
-        '"evals": 11, "converged": true},'
+        '"evals": 5, "converged": true},'
         ' {"epsilon": 9.765625e-05, "y": [0.5], "x": [0.4996095275283092, 0.4996095275283092, '
         '0.5003904724716908, 0.5003904724716908], "v": 3.998438110113237, '
-        '"h_value": 6.098750045932048e-07, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 6.098750045932048e-07, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 4.8828125e-05, "y": [0.5], "x": [0.4998047256395235, 0.4998047256395235, '
         '0.5001952743604765, 0.5001952743604765], "v": 3.999218902558094, '
-        '"h_value": 1.5252830343803212e-07, "fw_gap": 0.0, "evals": 11, "converged": true}]}'),
+        '"h_value": 1.5252830343803212e-07, "fw_gap": 0.0, "evals": 5, "converged": true}]}'),
     -1: (
         '{"schema": "trace-v1", "problem": "QB", "sign": -1, "seed": 7, '
         '"rows": [{"epsilon": 0.1, "y": [0.5], "x": [1.0, 1.0, 0.0, 0.0], "v": 6.0, '
         '"h_value": 1.0, "fw_gap": 0.0, "evals": 218, "converged": true},'
         ' {"epsilon": 0.05, "y": [0.5], "x": [0.7499999999999999, 0.7499999999999999, '
         '0.2500000000000001, 0.2500000000000001], "v": 5.0, "h_value": 0.24999999999999978, '
-        '"fw_gap": 0.0, "evals": 29, "converged": true},'
+        '"fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.025, "y": [0.5], "x": [0.6111111111111112, 0.6111111111111112, '
         '0.38888888888888884, 0.38888888888888884], "v": 4.444444444444445, '
-        '"h_value": 0.04938271604938276, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 0.04938271604938276, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.0125, "y": [0.5], "x": [0.5526315789473685, 0.5526315789473685, '
         '0.4473684210526315, 0.4473684210526315], "v": 4.210526315789474, '
-        '"h_value": 0.011080332409972322, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 0.011080332409972322, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.00625, "y": [0.5], "x": [0.5256410256410257, 0.5256410256410257, '
         '0.47435897435897434, 0.47435897435897434], "v": 4.102564102564102, '
-        '"h_value": 0.0026298487836949416, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 0.0026298487836949416, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.003125, "y": [0.5], "x": [0.5126582278481012, 0.5126582278481012, '
         '0.4873417721518988, 0.4873417721518988], "v": 4.050632911392405, '
-        '"h_value": 0.0006409229290177811, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 0.0006409229290177811, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.0015625, "y": [0.5], "x": [0.5062893081761006, 0.5062893081761006, '
         '0.4937106918238994, 0.4937106918238994], "v": 4.0251572327044025, '
-        '"h_value": 0.0001582215893358648, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 0.0001582215893358648, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.00078125, "y": [0.5], "x": [0.5031347962382445, 0.5031347962382445, '
         '0.49686520376175547, 0.49686520376175547], "v": 4.012539184952978, '
-        '"h_value": 3.9307789821248234e-05, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 3.9307789821248234e-05, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.000390625, "y": [0.5], "x": [0.501564945226917, 0.501564945226917, '
         '0.49843505477308303, 0.49843505477308303], "v": 4.006259780907667, '
-        '"h_value": 9.796214253000821e-06, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 9.796214253000821e-06, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 0.0001953125, "y": [0.5], "x": [0.5007818608287724, 0.5007818608287724, '
         '0.4992181391712276, 0.4992181391712276], "v": 4.00312744331509, '
-        '"h_value": 2.4452254222747013e-06, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 2.4452254222747013e-06, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 9.765625e-05, "y": [0.5], "x": [0.5003907776475186, 0.5003907776475186, '
         '0.4996092223524814, 0.4996092223524814], "v": 4.001563110590075, '
-        '"h_value": 6.108286792006945e-07, "fw_gap": 0.0, "evals": 11, "converged": true},'
+        '"h_value": 6.108286792006945e-07, "fw_gap": 0.0, "evals": 5, "converged": true},'
         ' {"epsilon": 4.8828125e-05, "y": [0.5], "x": [0.5001953506544248, 0.5001953506544248, '
         '0.4998046493455752, 0.4998046493455752], "v": 4.000781402617699, '
-        '"h_value": 1.5264751273675173e-07, "fw_gap": 0.0, "evals": 11, "converged": true}]}'),
+        '"h_value": 1.5264751273675173e-07, "fw_gap": 0.0, "evals": 5, "converged": true}]}'),
 }
 
 

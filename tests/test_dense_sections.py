@@ -475,6 +475,8 @@ class TestSelectionPaths:
 # UpperConfig(seed=7), pinned while _section still ran is_psd at every y;
 # re-pinned when a cold solve refined only its best climb (row 1's evals 436 to 220),
 # when a warm row went on at a step read from how far the path last moved
-# (rows 3-6's evals 29 to 11), and when a cold solve's starts were rounded to
-# the mesh of its last coarse poll (row 1's evals 220 to 218)
-FS_OPTIMISTIC_TRACE_SHA256 = "cbe249f91a73084a1e38be197dc1aef6d5968221dcec5f1afc67de6c10bd4850"
+# (rows 3-6's evals 29 to 11), when a cold solve's starts were rounded to
+# the mesh of its last coarse poll (row 1's evals 220 to 218), and when a warm
+# row whose first poll finds nothing went on at its step floored at MIN_STEP,
+# and row 2 at a step of 0 (row 2's evals 29 to 5, rows 3-6's 11 to 5)
+FS_OPTIMISTIC_TRACE_SHA256 = "0533122576c29e6283b686ce6dd236669a0e65e7e141160cf87857c758f1d911"

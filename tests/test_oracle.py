@@ -530,7 +530,11 @@ def test_oracle_report_text_is_pinned(name):
 # of rows 3 and later: 29 to 11); the solve and continuation reports, their CSVs
 # and the rates JSON reports re-pinned when a cold solve's starts were rounded
 # to the mesh of its last coarse poll (the evals of a cold solve: 220 to 218,
-# 226 to 218 in rates). Each entry: argv, report file, digest, exit code.
+# 226 to 218 in rates); the continuation reports, their CSVs and the rates JSON
+# reports re-pinned when a warm row whose first poll finds nothing went on at
+# its step floored at MIN_STEP, and row 2 at a step of 0 (the evals of row 2:
+# 29 to 5, of rows 3 and later: 11 to 5). Each entry: argv, report file, digest,
+# exit code.
 _SOLVE = ["solve", "--problem", "QB", "--epsilon", "0.1", "--seed", "7"]
 _PESSIMISTIC = ["continuation", "--problem", "QB", "--seed", "7"]
 _OPTIMISTIC = _PESSIMISTIC + ["--sign", "optimistic"]
@@ -539,23 +543,23 @@ PINNED_CLI_REPORTS = {
     "solve": (_SOLVE + _JSON, "QB_solve.json",
               "b5038d99860c3bbb67fdb4a8366c06efc39cabd49fb111ffff9312d5bdca33b2", 0),
     "pessimistic": (_PESSIMISTIC + _JSON, "QB_trace.json",
-                    "48b4697878b619b9743ed25b7961c29cf55000363b79a0fbf29b05535a5e0aaf", 0),
+                    "61f5cbc8aa5e508370f1c03692bc490dad62e968f0339d3db7d99ce8fb2aeb25", 0),
     "optimistic": (_OPTIMISTIC + _JSON, "QB_trace.json",
-                   "303121adb223957f5a8f186744ce9ae25da2b78666fcc2b6cd14b3525db079ad", 0),
+                   "d6707c7abb81c1f8ab4b9000aa7ae3a9749ea5251ae024b4f7984d19ac4cba10", 0),
     "solve_csv": (_SOLVE + _CSV, "QB_solve.csv",
                   "97e43f099c42d09d0ffb88434ac9ebc13e2ba7114c3a7ea4810f0dd9d587a837", 0),
     "pessimistic_csv": (_PESSIMISTIC + _CSV, "QB_trace.csv",
-                        "ee875f1e8b81e8b6a8661a3e5cde072fd3940806c8453caf29544f859d7501ed", 0),
+                        "fe4b1a27815593b8deb2e0e422ce92471c3282a2dbc9520aa00a7908f426256e", 0),
     "optimistic_csv": (_OPTIMISTIC + _CSV, "QB_trace.csv",
-                       "b8a06a6a32bae4ad16d3f409a41b5a420dde17ac3d4f724b416749abd481cf38", 0),
+                       "3d60a1f61b025029b415f59b3ac477ecfb3aad9804f3bd07f1d1bdd290d5b4c6", 0),
     "oracle_csv": (["oracle", "--problem", "QB"] + _CSV, "QB_oracle.csv",
                    "ff1d19fdbb0183baf7445d5bf3375c105cad46a351b55aff3d1fa9b433e66bbc", 0),
     "rates_fs": (["rates", "--problem", "FS"] + _JSON, "FS_rates.json",
-                 "2f68b29985162929ec43d3af309f43fd813649b53ed36e9794d089f7eabd55d5", 0),
+                 "8f6852a902e79def1a708f18448fe2c94d74471e4a375418d5c953cdea62620c", 0),
     "rates_fs_csv": (["rates", "--problem", "FS"] + _CSV, "FS_gaps.csv",
                      "a1f59c1bc51e2cafb4c43aec46533b5f24ba8270287a11036fa8fe56c1d6df94", 0),
     "rates_qb": (["rates", "--problem", "QB"] + _JSON, "QB_rates.json",
-                 "bd47271e990721bed02d3aac575819c89c46f36b2fec2fef4b3d99b294aec891", 2),
+                 "8ae856b4c74eeb302746c6aa91c874462d1c71af7e0342f0072fa669215f4e92", 2),
     "rates_qb_csv": (["rates", "--problem", "QB"] + _CSV, "QB_gaps.csv",
                      "c3070053d4abc11a181e7a34c29b51f71a6b99cc5f2d9ef9316b6643d85a39a0", 2),
 }
