@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import BilevelProblem, require_finite, require_int
+from .selection import PESSIMISTIC, _require_sign
 from .upper_solver import SHRINK, UpperConfig, solve_penalized
 
 
@@ -58,12 +59,17 @@ class TraceRow:
 
 @dataclass
 class ContinuationTrace:
+    """A trace's rows, in order of strictly decreasing positive epsilon, and
+    its sign; ValueError unless sign is the int +1 or -1 (see
+    selection._require_sign)."""
+
     problem: str
     sign: int
     rows: Sequence[TraceRow]
     seed: int = 0
 
     def __post_init__(self):
+        _require_sign(self.sign)
         eps = [r.epsilon for r in self.rows]
         for e in eps:
             require_finite("trace epsilon", e, positive=True)
@@ -182,7 +188,7 @@ def check_monotone(trace: ContinuationTrace, slack: float = 2e-4) -> MonotoneRep
         raise ValueError("trace is empty")
     v = trace.values
     violations = tuple(k for k in range(len(v)) if not np.isfinite(v[k]) or k > 0 and (
-        v[k] < v[k - 1] - slack if trace.sign >= 0 else v[k] > v[k - 1] + slack))
+        v[k] < v[k - 1] - slack if trace.sign == PESSIMISTIC else v[k] > v[k - 1] + slack))
     return MonotoneReport(ok=not violations, violations=violations)
 
 

@@ -166,7 +166,10 @@ class DenseSection:
 
 def is_psd(Q):
     """Whether the symmetric matrix Q is finite and positive semidefinite: its
-    least eigenvalue is >= -PSD_TOL * max(1, ||Q||), ||Q|| the spectral norm."""
+    least eigenvalue is >= -PSD_TOL * max(1, ||Q||), ||Q|| the spectral norm.
+    It decides every convexity a selection tests; an optimistic section
+    Q_h - 2*eps*aa' whose Q_h reads no y reaches it only outside the band
+    of selection._downdate_test, which accepts the rest with one mat-vec."""
     if not np.isfinite(Q).all():
         return False
     w = np.linalg.eigvalsh(Q)

@@ -365,9 +365,12 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     def scan(Y):
         return _worst_rows(problem, Y, respond, face)
 
+    responses = {}  # y.tobytes() -> the response of y's first evaluation, the one a climb keeps
+
     def evaluate(y):
         values, X = scan(y[None])
-        return float(values[0]), X[0]
+        responses.setdefault(y.tobytes(), X[0])
+        return float(values[0])
 
     axes, spacing = _leader_grid(K, y_grid_step, max(3, GRID_EVAL_GUARD // max(1, scanned)))
     size = math.prod(map(len, axes))
@@ -378,12 +381,14 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
         values, X = scan(Y)
         i = _first_best(values)
         if best is None or _improves(values[i], best[1]):
-            best = (Y[i].copy(), float(values[i]), X[i].copy())
+            best, x_best = (Y[i].copy(), float(values[i])), X[i].copy()
     resolution = y_grid_step / 10.0
     steps = np.full(K.dim, max(spacing, 10 * resolution))
+    responses[best[0].tobytes()] = x_best
     best, _, evals, _ = _compass_climb(evaluate, K, best, steps, min_step=resolution,
                                        max_evals=500)
-    y_best, _, x = _require_finite_best(best, size + evals)
+    y_best, _ = _require_finite_best(best, size + evals)
+    x = responses[y_best.tobytes()]
     return OracleSolution(
         problem=problem.name, y=y_best, x=x, method=method, resolution=resolution,
         leader_value=float(problem.leader_objective.evaluate(y_best, x)),

@@ -11,11 +11,12 @@ check measures that property at runtime.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .model import (GENERAL, LINEAR, QUADRATIC, BilevelProblem, DenseSection, ScalarField,
-                    coefficient_reads, is_psd, require_finite, require_int)
+from .model import (GENERAL, LINEAR, PSD_TOL, QUADRATIC, BilevelProblem, DenseSection,
+                    ScalarField, coefficient_reads, is_psd, require_finite, require_int)
 from .lower_solver import _feasible_points, _fw_best, _fw_run, enumerate_vertices, vertex_lmo
 
 PESSIMISTIC = +1
@@ -23,6 +24,7 @@ OPTIMISTIC = -1
 FW_TOL = 1e-8       # a Frank-Wolfe run with gap <= FW_TOL is certified
 FW_MAX_ITER = 2000  # Frank-Wolfe iterations per run
 MAX_STARTS = 16     # selection runs from the first min(#vertices, MAX_STARTS) vertices
+DOWNDATE_MARGIN = 0.1  # _downdate_test accepts Q_h - t aa' where t a'Q_h^+ a <= 1 - this
 
 
 @dataclass(frozen=True)
@@ -112,16 +114,22 @@ def _penalized_coefficients(f, h, s_eps):
     reading y), and per call otherwise. aa' is a[:, None] * a, each entry
     the one product a_i * a_j, as np.outer computes it. The result records
     its reads_y: Q reads y when Q_h or a does, c when c_h, a or f0 does,
-    and d when d_h or f0 does.
+    and d when d_h or f0 does. Its with_leader(y) returns (Q, c, d, a), a
+    the leader's a(y) that the build computes anyway.
     """
     two_s_eps = 2.0 * s_eps
     f_reads, h_reads = coefficient_reads(f.coefficients), coefficient_reads(h.coefficients)
     fixed_h = None if h_reads else h.coefficients(np.zeros(f.dim_y))  # y is never read
 
-    def coefficients(y):
+    def with_leader(y):
         Qh, ch, dh = h.coefficients(y) if fixed_h is None else fixed_h
         _, a, f0 = f.coefficients(y)
-        return Qh + two_s_eps * (a[:, None] * a), ch + two_s_eps * f0 * a, dh + s_eps * f0 * f0
+        return (Qh + two_s_eps * (a[:, None] * a), ch + two_s_eps * f0 * a,
+                dh + s_eps * f0 * f0, a)
+
+    def coefficients(y):
+        return with_leader(y)[:3]
+    coefficients.with_leader = with_leader
     reads = {"Q": "Q" in h_reads or "c" in f_reads,
              "c": "c" in h_reads or not f_reads.isdisjoint("cd"),
              "d": "d" in h_reads or "d" in f_reads}
@@ -138,8 +146,11 @@ def _setup(problem, y, epsilon, sign):
 
     The convexity is True for a field declared convex. For one with
     coefficients whose Q reads no y it is is_psd(Q), decided once here at
-    y, the leader point of the first selection; it is None for any other
-    field, whose section _section decides at each y.
+    y, the leader point of the first selection. For one whose Q reads y it
+    is a test of (Q(y), a(y)) that _section runs at each y: an optimistic
+    field's Q_h - 2*eps*aa', whose Q_h reads no y, gets _downdate_test's,
+    set up here from Q_h once; any other gets is_psd(Q). It is None for a
+    field without coefficients, whose section is fixed as it is.
     """
     _require_sign(sign)
     cached = problem.cached_selection
@@ -147,13 +158,68 @@ def _setup(problem, y, epsilon, sign):
         return cached[1]
     penalized = penalized_field(problem, epsilon, sign)
     convex = True if penalized.convex_in_x else None
-    if (convex is None and penalized.coefficients is not None
-            and "Q" not in penalized.coefficients.reads_y):
-        convex = is_psd(penalized.coefficients(y)[0])
+    h = problem.follower_objective.coefficients
+    if convex is None and penalized.coefficients is not None:
+        if "Q" not in penalized.coefficients.reads_y:
+            convex = is_psd(penalized.coefficients(y)[0])
+        elif sign == OPTIMISTIC and "Q" not in coefficient_reads(h):
+            convex = _downdate_test(h(y)[0], 2.0 * epsilon)
+        else:
+            convex = _psd_of_q
     V = enumerate_vertices(problem.follower_set)
     setup = (penalized, convex, V, vertex_lmo(V), V[:MAX_STARTS])
     object.__setattr__(problem, "cached_selection", ((epsilon, sign), setup))
     return setup
+
+
+def _psd_of_q(Q, a):
+    """is_psd(Q): the test of a section whose Hessian reads y otherwise than
+    through the leader's a(y)."""
+    return is_psd(Q)
+
+
+def _downdate_test(Qh, t):
+    """The test (Q, a) -> whether Q = Q_h - t aa' is PSD, always is_psd(Q)'s
+    answer, for Q_h fixed and t > 0: an optimistic section of a linear
+    leader a'x + f0 and a follower whose Hessian Q_h reads no y, at t =
+    2 * eps. Exactly, Q is PSD iff a lies in the range of Q_h and
+    t a'Q_h^+ a <= 1, by the Schur complement of [[Q_h, a], [a', 1/t]]
+    (Boyd & Vandenberghe, Convex Optimization (2004), A.5.5).
+
+    Set up once from eigh of Q_h = V diag(lam) V': the columns of V whose
+    lam exceeds 1e-8 * lam_max span its range R, the others its null space
+    N. W stacks t * V_R diag(1 / lam_R) V_R' = t * Q_h^+ and t * V_N V_N',
+    so one stacked mat-vec W.dot(a).dot(a) gives rho = t a'Q_h^+ a and nu =
+    t |a_N|^2. The test accepts Q as PSD when rho <= 1 - beta, beta =
+    DOWNDATE_MARGIN, and nu <= beta * PSD_TOL / 8. Then for every unit z,
+    with z_R its part in R, by Cauchy-Schwarz in the metric of Q_h on R
+    and (u + w)^2 <= u^2 / (1 - beta/2) + 2 w^2 / beta,
+        z'Qz >= (1 - rho / (1 - beta/2)) z_R'Q_h z_R + min(0, lam_min) - 2 nu / beta
+             >= beta/2 * z_R'Q_h z_R - PSD_TOL / 2,
+    as the set-up requires lam_min >= -PSD_TOL / 4. So Q's least
+    eigenvalue is at least -PSD_TOL / 2, half of is_psd's tolerance
+    PSD_TOL * max(1, ||Q||), and ||Q|| >= beta/2 * ||Q_h|| - PSD_TOL / 2:
+    the other half covers the rounding of eigh, of Q and of eigvalsh,
+    each about dim_x * 1e-16 * ||Q_h||. Any other (Q, a), one with a
+    non-finite a among them (rho is then NaN), gets is_psd(Q). The test is
+    _psd_of_q itself where Q_h is not finite, has lam_min < -PSD_TOL / 4,
+    or is so large against t that an accepted a could overflow aa'.
+    """
+    if not np.isfinite(Qh).all():
+        return _psd_of_q
+    lam, V = np.linalg.eigh(Qh)
+    lam_min, lam_max = lam[[0, -1]].tolist()
+    if not (lam_min >= -PSD_TOL / 4 and math.isfinite(4.0 * (1.0 + lam_max) / min(1.0, t))):
+        return _psd_of_q
+    in_range = lam > 1e-8 * lam_max
+    VR, VN = V[:, in_range], V[:, ~in_range]
+    W = np.stack([t * (VR / lam[in_range]) @ VR.T, t * VN @ VN.T])
+    rho_max, nu_max = 1.0 - DOWNDATE_MARGIN, DOWNDATE_MARGIN * PSD_TOL / 8
+
+    def test(Q, a):
+        rho, nu = W.dot(a).dot(a).tolist()  # (W @ a) @ a, with less dispatch than matmul
+        return (rho <= rho_max and nu <= nu_max) or is_psd(Q)
+    return test
 
 
 def _leader_point(problem, y):
@@ -168,21 +234,24 @@ def _section(problem, y, epsilon, sign):
     """y as an array, the penalized section at y and the rest of _setup.
 
     A field without coefficients is fixed as it is. Otherwise (Q, c, d)
-    are built at y, with only the entries that read y evaluated, and the
-    section is convex at y as _setup decided, or when Q(y) is PSD
-    (is_psd) for a field whose Q reads y and is not declared convex. Such
-    a field is optimistic: one with coefficients has a linear leader and a
-    problem's follower is declared convex, so its pessimistic sign is
-    declared convex and makes no PSD test. QB's optimistic Q_h - 2*eps*aa'
-    reads y and is PSD at every y for eps <= 1/4; FS's -2*eps*aa' reads no
-    y and is not PSD, which _setup decides once per (epsilon, sign).
+    and the leader's a are built at y, with only the entries that read y
+    evaluated, and the section is convex at y as _setup decided, or as its
+    test of (Q(y), a(y)) decides for a field whose Q reads y and is not
+    declared convex. Such a field is optimistic: one with coefficients has
+    a linear leader and a problem's follower is declared convex, so its
+    pessimistic sign is declared convex and makes no PSD test. QB's
+    optimistic Q_h - 2*eps*aa' reads y through a alone, and _downdate_test
+    accepts it at every y for eps <= 0.225 with one mat-vec and no
+    eigvalsh (it is PSD for eps <= 1/4); FS's -2*eps*aa' reads no y and is
+    not PSD, which _setup decides once per (epsilon, sign).
     """
     y = _leader_point(problem, y)
     penalized, convex, *rest = _setup(problem, y, epsilon, sign)
     if penalized.coefficients is None:
         return y, penalized.fix(y), *rest
-    Q, c, d = penalized.coefficients(y)
-    convex = is_psd(Q) if convex is None else convex
+    Q, c, d, a = penalized.coefficients.with_leader(y)
+    if callable(convex):
+        convex = convex(Q, a)
     return y, DenseSection(Q, c, d, penalized.structure, convex), *rest
 
 

@@ -131,24 +131,38 @@ def _improves(value, incumbent):
 
 
 def _require_finite_best(best, evals):
-    """best, the (y, value, result) a search kept; ProblemError if not finite."""
+    """best, the (y, value) a search kept; ProblemError if value is not finite."""
     if not math.isfinite(best[1]):
         raise ProblemError(
             f"leader objective is not finite at any of the {evals} leader points evaluated")
     return best
 
 
+def _clipped(v, lo, hi):
+    """The float v clipped to [lo, hi] with the bits of np.clip, for finite
+    lo <= hi: np.maximum and np.minimum return their second argument on a
+    tie, so a zero takes the sign of the bound it equals (Python's max and
+    min keep the first), and NaN stays NaN."""
+    v = lo if v <= lo else v
+    return hi if v >= hi else v
+
+
+def _minimum(a, b):
+    """np.minimum of two lists of floats without NaN, as a list: b's on a tie."""
+    return [u if u < w else w for u, w in zip(a, b)]
+
+
 def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals, fine=None):
-    """Climb from best = (y, value, result), an evaluation already made, to
-    a compass-local maximum; evaluate(y) returns (value, result).
+    """Climb from best = (y, value), an evaluation already made, to a
+    compass-local maximum of evaluate, which maps a point of K to a value.
 
     Polls the clipped axis neighbors y +- steps[i] e_i that differ from y,
     moves to the best one that _improves on y or else scales steps by
     SHRINK, until every step is below min_step. Stops with exhausted=True
     when the next evaluation would exceed max_evals, after moving to the
     best probe of the unfinished poll, so the climb ends on its best
-    evaluation. Returns ((y, value, result), steps, evals, exhausted), steps
-    the last ones: a climb stopped at one min_step resumes from its end and
+    evaluation. Returns ((y, value), steps, evals, exhausted), steps the
+    last ones: a climb stopped at one min_step resumes from its end and
     steps, probe for probe, as if it had run on to a smaller one.
 
     With fine, steps the caller expects to suffice, a first poll that finds
@@ -159,37 +173,47 @@ def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals, fine=N
     travels far in a few polls where the fine steps were too short. With
     fine = steps * SHRINK or more it is the climb without fine.
 
-    best[0] must be a point of K: a probe then differs from y at most in
-    its coordinate i, so only that coordinate is compared.
+    The point and the steps are kept as Python floats, the same doubles as
+    numpy's, and a probe is built as an array only to be evaluated: its
+    one changed coordinate is _clipped, and its others are y's as K.clip
+    leaves them. So every probe has the bits of K.clip of the whole shifted
+    vector, and only the changed coordinate is compared with y. steps and
+    fine hold no NaN.
     """
+    bounds = list(zip(K.lower.tolist(), K.upper.tolist()))
+    steps = steps.tolist()
+    fine = None if fine is None else fine.tolist()
+    y = best[0].tolist()
+    point = [_clipped(v, lo, hi) for v, (lo, hi) in zip(y, bounds)]
     evals, grow = 0, None
-    while np.max(steps) >= min_step:
+    while max(steps) >= min_step:
         if evals >= max_evals:
-            return best, steps, evals, True
-        y, cand = best[0], best
-        for i in range(K.dim):
-            for direction in (+1.0, -1.0):
-                probe = y.copy()
-                probe[i] += direction * steps[i]
-                probe = K.clip(probe)
-                # y is a point of K (every caller starts from one, and each
-                # move is to a clipped probe), and clipping leaves a
-                # coordinate in K bit for bit: only probe[i] can differ from y
-                if probe[i] == y[i]:
+            return best, np.array(steps), evals, True
+        cand, moved = best, None
+        for i, (lo, hi) in enumerate(bounds):
+            yi, step = y[i], steps[i]
+            for v in (yi + step, yi - step):
+                v = _clipped(v, lo, hi)
+                if v == yi:
                     continue
                 if evals >= max_evals:
-                    return cand, steps, evals, True
-                value, result = evaluate(probe)
+                    return cand, np.array(steps), evals, True
+                coords = point.copy()
+                coords[i] = v
+                probe = np.array(coords)
+                value = evaluate(probe)
                 evals += 1
                 if _improves(value, cand[1]):
-                    cand = (probe, value, result)
-        if cand is best:
-            steps, grow = ((steps * SHRINK, None) if fine is None
-                           else (np.minimum(steps * SHRINK, fine), steps * SHRINK))
-        elif grow is not None:
-            steps = np.minimum(steps / SHRINK, grow)
+                    cand, moved = (probe, value), coords
+        if moved is None:
+            shrunk = [s * SHRINK for s in steps]
+            steps, grow = (shrunk, None) if fine is None else (_minimum(shrunk, fine), shrunk)
+        else:
+            y = point = moved
+            if grow is not None:
+                steps = _minimum([s / SHRINK for s in steps], grow)
         best, fine = cand, None
-    return best, steps, evals, False
+    return best, np.array(steps), evals, False
 
 
 def _require_leader_vector(name, value, K: BoxSet, nonnegative=False):
@@ -267,17 +291,15 @@ def pattern_search_maximize(value_fn, K: BoxSet,
     value_fn was given there. ProblemError if no evaluation is finite,
     DimensionGuardError if K has more than len(_SOBOL_M) dimensions.
     """
-    def evaluate(y):
-        return value_fn(y), None
     steps = _floored((K.upper - K.lower) * COLD_STEP)
-    best, best_steps, ends, evals, exhausted = (None, -np.inf, None), steps, [], 0, False
+    best, best_steps, ends, evals, exhausted = (None, -np.inf), steps, [], 0, False
     for y in _mesh_starts(K, cfg.seed, steps):
         # a climb that ran out left evals at the budget, so the search stops here
         exhausted = evals >= cfg.max_evals
         if exhausted:
             break
         end, end_steps, used, exhausted = _compass_climb(
-            evaluate, K, (y, *evaluate(y)), steps, COARSE_STEP, cfg.max_evals - evals - 1)
+            value_fn, K, (y, value_fn(y)), steps, COARSE_STEP, cfg.max_evals - evals - 1)
         evals += used + 1
         ends.append((end, end_steps))
         if _improves(end[1], best[1]):
@@ -289,14 +311,14 @@ def pattern_search_maximize(value_fn, K: BoxSet,
             if math.isfinite(end[1]) and end[1] >= best[1] - margin
             and np.any(np.abs(end[0] - best[0]) > (best_steps + end_steps) / SHRINK)]
         for end, end_steps in refine:
-            end, _, used, exhausted = _compass_climb(evaluate, K, end, end_steps, MIN_STEP,
+            end, _, used, exhausted = _compass_climb(value_fn, K, end, end_steps, MIN_STEP,
                                                      cfg.max_evals - evals)
             evals += used
             if _improves(end[1], best[1]):
                 best = end
             if exhausted:
                 break
-    y, value, _ = _require_finite_best(best, evals)
+    y, value = _require_finite_best(best, evals)
     return PatternSearchResult(y=y, value=float(value), evals=evals, converged=not exhausted)
 
 
@@ -334,33 +356,33 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     """
     require_finite("epsilon", epsilon, positive=True)
     K = problem.leader_set
-    memo = {}  # y.tobytes() -> (value, selection), for this solve
+    memo = {}  # y.tobytes() -> selection, for this solve
     nonfinite = []  # the leader points probed where the follower value is not finite
 
-    def evaluate(y):
+    def value(y):
         key = y.tobytes()
         if key not in memo:
-            selection = select_response(problem, y, epsilon, sign)
-            memo[key] = selection.leader_value, selection
+            selection = memo[key] = select_response(problem, y, epsilon, sign)
             if not math.isfinite(selection.follower_value):
                 nonfinite.append(y)
-        return memo[key]
+        return memo[key].leader_value
 
     if warm_start is None:
         if warm_step is not None:
             raise ValueError("warm_step is a step of a warm climb and needs a warm_start")
-        res = pattern_search_maximize(lambda y: evaluate(y)[0], K, cfg)
-        best, evals, exhausted = memo[res.y.tobytes()][1], res.evals, not res.converged
+        res = pattern_search_maximize(value, K, cfg)
+        y, evals, exhausted = res.y, res.evals, not res.converged
     else:
         y = K.clip(_require_leader_vector("warm_start", warm_start, K))
         if warm_step is not None:
             warm_step = np.maximum(_require_leader_vector("warm_step", warm_step, K,
                                                           nonnegative=True), MIN_STEP)
         best, _, used, exhausted = _compass_climb(
-            evaluate, K, (y, *evaluate(y)), _floored((K.upper - K.lower) * WARM_STEP),
+            value, K, (y, value(y)), _floored((K.upper - K.lower) * WARM_STEP),
             MIN_STEP, cfg.max_evals - 1, warm_step)
         evals = used + 1
-        _, _, best = _require_finite_best(best, evals)
+        y, _ = _require_finite_best(best, evals)
+    best = memo[y.tobytes()]
     return PenalizedSolution(
         y=best.y, selection=best, value=best.leader_value, evals=evals,
         converged=not (exhausted or nonfinite) and best.fw_gap <= FW_TOL,

@@ -232,6 +232,19 @@ class TestTraceInvariants:
             ContinuationTrace(problem="QB", sign=+1, rows=tuple(rows))
 
 
+    @pytest.mark.parametrize("sign", [0, 5, True, "x", 1.0, -1.0])
+    def test_sign_other_than_the_int_plus_or_minus_one_is_rejected(self, qb_trace, sign):
+        # any sign was accepted, and check_monotone read every sign >= 0 as
+        # pessimistic: 0 and 5 passed as pessimistic, True as 1, and "x"
+        # raised TypeError only when checked
+        with pytest.raises(ValueError, match="^sign must be the int"):
+            ContinuationTrace(problem="QB", sign=sign, rows=qb_trace.rows)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_plus_and_minus_one_are_accepted(self, qb_trace, sign):
+        assert ContinuationTrace(problem="QB", sign=sign, rows=qb_trace.rows).sign == sign
+
+
 class TestCheckMonotone:
     def test_qb_trace_ok(self, qb_trace):
         report = bp.check_monotone(qb_trace, slack=2e-4)

@@ -26,6 +26,7 @@ from bilevelpen.model import (COEFFICIENT_PARTS, GENERAL, QB_DOC, DenseSection,
                               _quadratic_coefficients, field_from_expression, is_psd)
 from bilevelpen.selection import FW_MAX_ITER, FW_TOL, MAX_STARTS, OPTIMISTIC, PESSIMISTIC
 from bilevelpen.upper_solver import UpperConfig
+from test_continuation import PINNED_TRACES
 
 REL = 1e-12
 
@@ -470,6 +471,154 @@ class TestSelectionPaths:
         assert selections(bp.registry_get("FS")) == once
         assert len(tested) == len(EPSILONS) + len(once)
 
+
+@st.composite
+def downdates(draw):
+    """(Q_h, a, t) of a rank-one downdate Q_h - t aa'. Q_h is a random PSD
+    matrix of dimension 1-6 and any rank, exactly symmetric as a Hessian of
+    coefficients is, with eigenvalues 1e-3 to 1e3 and maybe a slightly
+    negative one, which is_psd still accepts. a lies in its range, plus
+    maybe a part outside it with t|a_N|^2 = nu around the test's tolerance
+    and is_psd's. t makes t a'Q_h^+ a = rho below the band's edge
+    1 - DOWNDATE_MARGIN, between it and 1, or above 1."""
+    n = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = np.zeros(n)
+    lam[:rank] = 10.0 ** rng.uniform(-3.0, 3.0, rank)
+    if rank < n:
+        lam[rank:] = -draw(st.sampled_from([0.0, 1e-12, 1e-10, 2.5e-10, 3e-10, 1e-9]))
+    Qh = (V * lam) @ V.T
+    Qh = np.triu(Qh) + np.triu(Qh, 1).T
+    a = V[:, :rank] @ rng.normal(size=rank)
+    rho = draw(st.sampled_from([1e-3, 0.5, 0.899, 0.9, 0.901, 0.95, 1.0 - 1e-9, 1.0,
+                                1.0 + 1e-9, 1.1, 3.0]))
+    inverse = V[:, :rank] @ np.diag(1.0 / lam[:rank]) @ V[:, :rank].T
+    qpa = float(a @ inverse @ a)
+    t = rho / qpa if qpa > 0.0 else draw(st.floats(1e-3, 10.0))
+    if rank < n and draw(st.booleans()):
+        nu = draw(st.sampled_from([1e-14, 1e-12, 1.25e-11, 1.3e-11, 2.5e-11, 1e-10, 5e-10,
+                                   1e-9, 2e-9, 1e-6, 1.0]))
+        a = a + math.sqrt(nu / t) * V[:, rank]
+    return Qh, a, t
+
+
+class TestDowndateTest:
+    """An optimistic section of a linear leader a(y)'x + f0 and a follower
+    whose Hessian Q_h reads no y is Q_h - 2*eps*aa'; _downdate_test accepts
+    it from one mat-vec inside its band and runs is_psd otherwise."""
+
+    def test_each_decision_is_is_psds(self, monkeypatch):
+        fallbacks = []
+
+        def counted_psd(Q):
+            fallbacks.append(Q)
+            return is_psd(Q)
+        monkeypatch.setattr(selection, "is_psd", counted_psd)
+        decided = []
+
+        @settings(max_examples=400, deadline=None)
+        @given(downdates())
+        def check(case):
+            Qh, a, t = case
+            Q = Qh + (-t) * (a[:, None] * a)  # as _penalized_coefficients builds it
+            test = selection._downdate_test(Qh, t)
+            del fallbacks[:]
+            decision = test(Q, a)
+            assert decision is is_psd(Q)
+            decided.append((decision, bool(fallbacks)))
+
+        check()
+        # every kind of decision was made: accepted by the mat-vec, and by
+        # is_psd both ways
+        assert set(decided) == {(True, False), (True, True), (False, True)}
+
+    @pytest.mark.parametrize("Qh", [np.diag([1.0, -1e-8]), np.diag([1e308, 1.0]),
+                                    np.array([[1.0, math.nan], [math.nan, 1.0]])])
+    def test_a_q_h_the_band_cannot_vouch_for_runs_is_psd(self, Qh):
+        # a least eigenvalue below -PSD_TOL / 4, a norm whose accepted a could
+        # overflow aa' at t = 0.2, a NaN
+        assert selection._downdate_test(Qh, 0.2) is selection._psd_of_q
+
+    def test_a_non_finite_a_runs_is_psd(self):
+        test = selection._downdate_test(np.array([[2.0, 2.0], [2.0, 2.0]]), 0.2)
+        for a in (np.array([math.inf, math.inf]), np.array([math.nan, 1.0])):
+            with np.errstate(invalid="ignore"):
+                Q = np.array([[2.0, 2.0], [2.0, 2.0]]) - 0.2 * (a[:, None] * a)
+                assert test(Q, a) is False
+
+    def test_sections_of_leaders_that_read_y_decide_as_is_psd(self):
+        decided = []
+
+        @settings(max_examples=60, deadline=None)
+        @given(leaders_reading_y())
+        def check(case):
+            problem, y, eps = case
+            _, convex, *_ = selection._setup(problem, np.array([y]), eps, OPTIMISTIC)
+            assert callable(convex) and convex is not selection._psd_of_q
+            section = selection._section(problem, [y], eps, OPTIMISTIC)[1]
+            assert section.convex_in_x is psd_at(problem, y, eps, OPTIMISTIC)
+            decided.append(section.convex_in_x)
+
+        check()
+        assert set(decided) == {True, False}
+
+    def test_an_optimistic_qb_trace_makes_no_eigvalsh(self, monkeypatch):
+        # QB's optimistic Q_h - 2*eps*aa' reads y through a alone: each of the
+        # 12 set-ups decomposes Q_h once, and the band accepts every one of the
+        # trace's selections without is_psd; the trace keeps its pinned text
+        problem = bp.registry_get("QB")
+        setups, tested, eigvalsh = [], [], np.linalg.eigvalsh
+
+        def counted_psd(Q):
+            tested.append(Q)
+            return is_psd(Q)
+
+        def counted_setup(*args):
+            setups.append(args)
+            return penalized_field(*args)
+        penalized_field = selection.penalized_field
+        monkeypatch.setattr(selection, "is_psd", counted_psd)
+        monkeypatch.setattr(selection, "penalized_field", counted_setup)
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda Q: tested.append(Q) or eigvalsh(Q))
+        trace = bp.run_continuation(problem, EpsSchedule(0.1, 0.5, 12), sign=OPTIMISTIC,
+                                    cfg=UpperConfig(seed=7))
+        assert len(setups) == 12 and tested == []  # at most one per set-up: none
+        assert json.dumps(trace_to_json(trace)) == PINNED_TRACES[OPTIMISTIC]
+
+
+@st.composite
+def leaders_reading_y(draw):
+    """(problem, y, eps): block simplices, the follower (g'x - 1)^2, plus a
+    ridge mu*||x||^2 for kind "ridge", and the leader 3 + y0 + a(y)'x, a(y)
+    = (s + r*y0) * g for kind "parallel", in the range of Q_h = 2gg', and
+    a + b*y0 otherwise. eps reaches 0.5, past the band of every kind."""
+    sizes = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+    n = sum(sizes)
+    A = np.zeros((len(sizes), n))
+    start = 0
+    for k, size in enumerate(sizes):
+        A[k, start:start + size] = 1.0
+        start += size
+    weights = st.floats(0.1, 2.0).map(lambda v: round(v, 3))
+    g = [draw(weights) for _ in range(n)]
+    gx = " + ".join(f"{g[j]!r}*x[{j}]" for j in range(n))
+    kind = draw(st.sampled_from(["parallel", "ridge", "any"]))
+    if kind == "parallel":
+        leader = f"({draw(weights)!r} + {draw(weights)!r}*y[0])*({gx})"
+    else:
+        leader = " + ".join(f"({draw(weights)!r} + {draw(weights)!r}*y[0])*x[{j}]"
+                            for j in range(n))
+    ridge = ""
+    if kind == "ridge":
+        ridge = f" + {draw(weights)!r}*(" + " + ".join(f"x[{j}]^2" for j in range(n)) + ")"
+    doc = {"name": "blocks", "dim_y": 1, "dim_x": n, "A": A.tolist(),
+           "b": [draw(st.floats(0.5, 1.5)) for _ in sizes], "K_lower": [0.0], "K_upper": [1.0],
+           "f": f"3 + y[0] + {leader}", "h": f"({gx} - 1)^2{ridge}"}
+    return (bp.problem_from_dict(doc), draw(st.floats(0.0, 1.0)),
+            draw(st.sampled_from([*EPSILONS, 0.05, 0.2, 0.5])))
 
 # sha256 of the trace_to_json text of a 6-row optimistic FS trace at
 # UpperConfig(seed=7), pinned while _section still ran is_psd at every y;

@@ -388,10 +388,10 @@ def whole_vector_climb(evaluate, K, best, steps, min_step, max_evals):
                     continue
                 if evals >= max_evals:
                     return cand, steps, evals, True
-                value, result = evaluate(probe)
+                value = evaluate(probe)
                 evals += 1
                 if upper_solver._improves(value, cand[1]):
-                    cand = (probe, value, result)
+                    cand = (probe, value)
         if cand is best:
             steps = steps * upper_solver.SHRINK
         best = cand
@@ -401,8 +401,9 @@ def whole_vector_climb(evaluate, K, best, steps, min_step, max_evals):
 @st.composite
 def climbs(draw):
     """A box of 1-3 dimensions (a bound may be 0.0 or -0.0, a span 0), a
-    start at a corner, on a face or inside, steps up to 4 spans and a
-    rounded concave objective, so polls tie and skip probes."""
+    start at a corner, on a face or inside (a zero coordinate maybe of the
+    sign K.clip would not give it), steps up to 4 spans and a rounded
+    concave objective, so polls tie and skip probes."""
     dim = draw(st.integers(1, 3))
     bound = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-5.0, 5.0))
     lo = np.array(draw(st.lists(bound, min_size=dim, max_size=dim)))
@@ -421,40 +422,63 @@ def climbs(draw):
     steps = np.where(span > 1e-6, span * fractions, 1e-5)
     target = K.lower + span * np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=dim,
                                                      max_size=dim)))
-    return K, K.clip(start), steps, target, draw(st.integers(1, 60))
+    start = K.clip(start)
+    flip = np.array(draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    return K, np.where(flip & (start == 0.0), -start, start), steps, target, draw(
+        st.integers(1, 60))
+
+
+def both_climbs(K, start, steps, target, max_evals):
+    """(probes, end, value, evals, exhausted) of _compass_climb and of
+    whole_vector_climb from start, to min_step 1e-3."""
+    runs = []
+    for climb in (upper_solver._compass_climb, whole_vector_climb):
+        probes = []
+
+        def evaluate(y):
+            probes.append(y.tobytes())
+            return round(-float(((y - target) ** 2).sum()), 2)
+        end, _, evals, exhausted = climb(evaluate, K, (start, evaluate(start)), steps,
+                                         1e-3, max_evals)
+        runs.append((probes, end[0].tobytes(), end[1], evals, exhausted))
+    return runs
 
 
 class TestCoordinateSkip:
     @settings(max_examples=200, deadline=None)
     @given(climbs())
     def test_skips_exactly_the_probes_of_the_whole_vector_rule(self, case):
-        K, start, steps, target, max_evals = case
-        runs = []
-        for climb in (upper_solver._compass_climb, whole_vector_climb):
-            probes = []
+        ours, whole = both_climbs(*case)
+        assert ours == whole
 
-            def evaluate(y):
-                probes.append(y.tobytes())
-                return round(-float(((y - target) ** 2).sum()), 2), None
-            end, _, evals, exhausted = climb(evaluate, K, (start, *evaluate(start)), steps,
-                                             1e-3, max_evals)
-            runs.append((probes, end[0].tobytes(), end[1], evals, exhausted))
-        assert runs[0] == runs[1]
+    @pytest.mark.parametrize("lower, upper, start", [
+        ([-0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-0.0, 0.0, 0.0]),  # -0.0 bound, collapsed sides
+        ([0.0, -0.0], [1.0, -0.0], [-0.0, 0.0]),  # zeros of the other sign than their bounds
+        ([0.1, -0.3], [0.7, 1.9], [0.4, 0.8]),  # bounds, start and steps not dyadic
+        ([-1e-300, 0.3], [1e-300, 0.3], [0.0, 0.3]),  # a tiny side, a collapsed non-dyadic one
+    ], ids=["signed_zero", "start_zero_sign", "non_dyadic", "tiny"])
+    @pytest.mark.parametrize("max_evals", [1, 2, 3, 5, 7, 200])
+    def test_boxes_and_budgets_that_stop_mid_poll(self, lower, upper, start, max_evals):
+        # a poll makes 2 or 4 probes here, so every odd budget stops mid-poll
+        K = bp.BoxSet(lower, upper)
+        span = K.upper - K.lower
+        steps = np.where(span > 1e-6, span * 0.3, 0.5)  # a side of 2e-300 takes 0.5 too
+        ours, whole = both_climbs(K, np.array(start), steps, K.lower + span * 0.77, max_evals)
+        assert ours == whole
+        assert ours[3:] == ((max_evals, True) if max_evals < 200 else (ours[3], False))
 
 
 def refine_every_start(value_fn, K, seed):
     """pattern_search_maximize as it was when every start climbed down to
     MIN_STEP, each climb split at COARSE_STEP: the reference for the
     coarse-then-refine rule. Returns the best value, the evaluations made
-    and per start its (coarse end, fine end), each (y, value, None)."""
-    def evaluate(y):
-        return value_fn(y), None
+    and per start its (coarse end, fine end), each (y, value)."""
     steps = (K.upper - K.lower) * upper_solver.COLD_STEP  # no box here has a collapsed side
     ends, evals = [], 0
     for y in upper_solver._mesh_starts(K, seed, steps):
         coarse, rest, used, _ = upper_solver._compass_climb(
-            evaluate, K, (y, *evaluate(y)), steps, upper_solver.COARSE_STEP, math.inf)
-        fine, _, more, _ = upper_solver._compass_climb(evaluate, K, coarse, rest,
+            value_fn, K, (y, value_fn(y)), steps, upper_solver.COARSE_STEP, math.inf)
+        fine, _, more, _ = upper_solver._compass_climb(value_fn, K, coarse, rest,
                                                        upper_solver.MIN_STEP, math.inf)
         ends.append((coarse, fine))
         evals += 1 + used + more
@@ -561,8 +585,8 @@ class TestCoarseThenRefine:
 
             def evaluate(y):
                 probes.append(y.tobytes())
-                return round(-float(((y - target) ** 2).sum()), 2), None
-            end, rest, evals = (start, *evaluate(start)), steps, 0
+                return round(-float(((y - target) ** 2).sum()), 2)
+            end, rest, evals = (start, evaluate(start)), steps, 0
             for min_step in min_steps:
                 end, rest, used, exhausted = upper_solver._compass_climb(
                     evaluate, K, end, rest, min_step, max_evals - evals)
@@ -696,8 +720,8 @@ class TestWarmStep:
 
         def climb(peak, fine):
             def evaluate(y):
-                return -abs(y[0] - peak), None
-            start = (np.array([0.5]), *evaluate([0.5]))
+                return -abs(y[0] - peak)
+            start = (np.array([0.5]), evaluate([0.5]))
             return upper_solver._compass_climb(evaluate, K, start,
                                                np.array([upper_solver.WARM_STEP]),
                                                upper_solver.MIN_STEP, 10 ** 4, fine)
@@ -718,8 +742,8 @@ class TestWarmStep:
 
             def evaluate(y):
                 probes.append(y.tobytes())
-                return round(-float(((y - target) ** 2).sum()), 2), None
+                return round(-float(((y - target) ** 2).sum()), 2)
             end, rest, evals, exhausted = upper_solver._compass_climb(
-                evaluate, K, (start, *evaluate(start)), steps, 1e-3, max_evals, fine)
+                evaluate, K, (start, evaluate(start)), steps, 1e-3, max_evals, fine)
             return probes, end[0].tobytes(), end[1], rest.tolist(), evals, exhausted
         assert run(steps * upper_solver.SHRINK * factor) == run(None)
