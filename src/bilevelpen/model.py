@@ -506,8 +506,8 @@ def problem_from_dict(doc):
     Expected keys: name (a file name, as reports are named after it: no / or
     \\, not . or ..), dim_y, dim_x (integers of at least 1), A (row-major
     nested lists), b, K_lower, K_upper, f, h (expression strings). A key of
-    another type or value is a ProblemError, never a truncation, and these
-    five are checked before any field is built.
+    another type or value is a ProblemError naming it, never a truncation,
+    and every key but f and h, shapes too, is checked before a field is built.
     """
     if not isinstance(doc, dict):
         raise ProblemError(f"a problem document is a JSON object, got {type(doc).__name__}")
@@ -525,20 +525,27 @@ def problem_from_dict(doc):
         if not ok(doc[key]):
             raise ProblemError(f"{key} must be {noun}, got {json.dumps(doc[key], default=repr)}")
     dim_y, dim_x = int(doc["dim_y"]), int(doc["dim_x"])
-    f = field_from_expression(doc["f"], dim_y=dim_y, dim_x=dim_x)
-    h = field_from_expression(doc["h"], dim_y=dim_y, dim_x=dim_x)
-    A = np.atleast_2d(np.asarray(doc["A"], dtype=float))
+
+    def floats(key):
+        try:
+            return np.asarray(doc[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ProblemError(f"{key} must be an array of numbers: {exc}") from None
+    A = np.atleast_2d(floats("A"))
     if A.shape[1] != dim_x:
         raise ProblemError(f"A has {A.shape[1]} columns, expected dim_x={dim_x}")
-    K = BoxSet(lower=doc["K_lower"], upper=doc["K_upper"])
+    K = BoxSet(lower=floats("K_lower"), upper=floats("K_upper"))
     if K.dim != dim_y:
         raise ProblemError("box bounds do not match dim_y")
+    C = Polytope(A=A, b=floats("b"))
+    f = field_from_expression(doc["f"], dim_y=dim_y, dim_x=dim_x)
+    h = field_from_expression(doc["h"], dim_y=dim_y, dim_x=dim_x)
     return BilevelProblem(
         name=doc["name"],
         leader_objective=_convex_on(f, K),
         follower_objective=_convex_on(h, K),
         leader_set=K,
-        follower_set=Polytope(A=A, b=doc["b"]),
+        follower_set=C,
     )
 
 

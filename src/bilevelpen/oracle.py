@@ -29,7 +29,7 @@ from .lower_solver import (VERTEX_DIM_GUARD, _fw_best, enumerate_vertices,
                            frank_wolfe_minimize, independent_rows, lp_minimize,
                            vertex_lmo)
 from .selection import _leader_point, penalized_field
-from .upper_solver import _compass_climb, _improves, _require_finite_best
+from .upper_solver import _LATTICE, _compass_climb, _improves, _require_finite_best
 
 GRID_DIM_GUARD = 4
 GRID_EVAL_GUARD = 10 ** 7
@@ -331,8 +331,9 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     default step. The grid is built and scored in chunks of SCAN_ROWS
     (leader point, vertex) rows by _grid_rows and _worst_rows, which
     batches a linear leader on a vertex face, so no more of it is held at
-    once. A compass polish at y_grid_step/10 recovers the stated accuracy,
-    scored by the same scan; ProblemError if no leader value is finite.
+    once. A compass polish at y_grid_step/10, in strides of the largest
+    span, recovers the stated accuracy in every coordinate, scored by the
+    same scan; ProblemError if no leader value is finite.
     Guarded to two leader dimensions. Steps positive and finite, tol
     finite and nonnegative: all three are checked before any grid is
     built.
@@ -383,11 +384,11 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
         if best is None or _improves(values[i], best[1]):
             best, x_best = (Y[i].copy(), float(values[i])), X[i].copy()
     resolution = y_grid_step / 10.0
-    steps = np.full(K.dim, max(spacing, 10 * resolution))
     responses[best[0].tobytes()] = x_best
-    best, _, evals, _ = _compass_climb(evaluate, K, best, steps, min_step=resolution,
-                                       max_evals=500)
-    y_best, _ = _require_finite_best(best, size + evals)
+    span = float(np.max(K.upper - K.lower)) or 1.0  # a box of one point polls nothing
+    stride = round(min(max(spacing, 10 * resolution) / span, 1.0) * _LATTICE)
+    best, _, evals, _ = _compass_climb(evaluate, K, best, [stride] * K.dim, resolution / span, 500)
+    y_best = _require_finite_best(best, size + evals)[0]
     x = responses[y_best.tobytes()]
     return OracleSolution(
         problem=problem.name, y=y_best, x=x, method=method, resolution=resolution,

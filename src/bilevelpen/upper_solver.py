@@ -3,8 +3,9 @@
 The upper objective y -> f(y, x_eps(y)) is continuous but has no usable
 gradient, so it is maximized by compass search over the leader box, the
 generating-set search of Kolda, Lewis & Torczon (SIAM Review 45 (2003)
-385-482): poll the 2p axis neighbors, move to the best one that
-improves, shrink the steps otherwise, stop at a mesh resolution.
+385-482): poll the 2p axis neighbors on the box's integer lattice
+(_lattice), move to the best one that improves, shrink the integer
+strides otherwise, stop at a mesh resolution.
 solve_penalized runs one of two searches:
 - pattern_search_maximize, the cold one, multistart from Sobol points:
   without a warm start, as in the first row of a continuation and the
@@ -16,15 +17,15 @@ three-level oracle's polish, and _improves picks the best evaluation of
 every climb, of the starts and of the oracle's grid. Only the evaluation
 budget and the Sobol seed are settable, in UpperConfig.
 
-_start_set draws scipy.stats.qmc.Sobol's points, bit for bit: a numpy port
-scrambled as scipy scrambles them. _mesh_starts rounds them to the mesh of
-a coarse climb's last poll, so that all the climbs of a cold solve probe
-one lattice and climbs that meet probe the same points. _start_set's 7 points
-in Gray-code order read only the first three Joe-Kuo direction numbers of
-each dimension (Joe & Kuo, SIAM J. Sci. Comput. 30 (2008) 2635-2654):
-m_0 = 1 and the vendored (m_1, m_2) of _SOBOL_M. A cold solve on a leader
-box of more than len(_SOBOL_M) dimensions raises DimensionGuardError; a
-warm solve draws no Sobol point and runs at any dimension.
+_start_set draws scipy.stats.qmc.Sobol's points, bit for bit, as lattice
+indices: a numpy port scrambled as scipy scrambles them. _mesh_starts
+rounds them to the mesh of a coarse climb's last poll, so that climbs that
+meet probe the same points. _start_set's 7 points in Gray-code order read
+only the first three Joe-Kuo direction numbers of each dimension (Joe &
+Kuo, SIAM J. Sci. Comput. 30 (2008) 2635-2654): m_0 = 1 and the vendored
+(m_1, m_2) of _SOBOL_M. A cold solve on a leader box of more than
+len(_SOBOL_M) dimensions raises DimensionGuardError; a warm solve draws no
+Sobol point and runs at any dimension.
 """
 
 from dataclasses import dataclass
@@ -40,9 +41,9 @@ from .selection import FW_TOL, SelectionResult, select_response
 N_MULTISTARTS = 8  # a cold solve climbs from the box midpoint and 7 Sobol points
 COLD_STEP = 0.25   # a cold climb's first step, as a fraction of the box span
 WARM_STEP = 1e-2   # a warm climb's first step, as a fraction of the box span
-SHRINK = 0.5       # a poll with no better neighbor scales the steps by this
-MIN_STEP = 1e-6    # a solve's climb ends when every step is below this
-COARSE_STEP = 1e-3  # a cold solve stops each start's climb when every step is below this
+SHRINK = 0.5       # a poll with no better neighbor scales the strides by this, rounded down
+MIN_STEP = 1e-6    # a solve's climb ends when every step is below this fraction of the span
+COARSE_STEP = 1e-3  # a cold solve stops each start's climb when every step is below this fraction
 COARSE_MARGIN = 1e-3  # and refines the ends this close to the best's value, times max(1, |best|)
 
 
@@ -91,21 +92,22 @@ _SOBOL_M = (
     (3, 5), (3, 1), (3, 1), (1, 5), (3, 5), (1, 7), (3, 7), (1, 3), (3, 5), (3, 7),
 )
 _SOBOL_BITS = 30  # scipy's default: every coordinate is a multiple of 2**-30
+_LATTICE = 2 ** _SOBOL_BITS  # the strides of the lattice in one span of the box
 
 
-def _start_set(K: BoxSet, seed):
-    """The box midpoint, then the first N_MULTISTARTS - 1 points of
-    scipy.stats.qmc.Sobol(K.dim, scramble=True, seed=seed) scaled to K, bit
-    for bit, for an int seed; N_MULTISTARTS is a power of 2, the draw size
-    that keeps Sobol balanced. The scrambling is scipy's: LMS plus a digital
+def _start_set(d, seed):
+    """The (N_MULTISTARTS, d) lattice indices of the box midpoint, then of
+    the first N_MULTISTARTS - 1 points of scipy.stats.qmc.Sobol(d,
+    scramble=True, seed=seed), these times 2**-30 bit for bit for an int
+    seed; N_MULTISTARTS is a power of 2, the draw size that keeps Sobol
+    balanced. The scrambling is scipy's: LMS plus a digital
     shift (Matousek 1998) from the same default_rng(seed) draws, a (d, 30)
-    shift and then (d, 30, 30) lower triangles, with the points in Gray-code
-    order. The LMS scramble of a direction number is a GF(2) product: its
-    binary digits, top first, times the triangle. Only m_0, m_1 and m_2
-    exist, so a larger N_MULTISTARTS raises IndexError.
+    shift and then (d, 30, 30) lower triangles, with the points in
+    Gray-code order. The LMS scramble of a direction number is a GF(2)
+    product: its binary digits, top first, times the triangle. Only m_0,
+    m_1 and m_2 exist, so a larger N_MULTISTARTS raises IndexError.
     DimensionGuardError above len(_SOBOL_M) dimensions, where the vendored
     table has no direction numbers."""
-    d = K.dim
     if d > len(_SOBOL_M):
         raise DimensionGuardError(f"Sobol starts guarded to {len(_SOBOL_M)} leader dims, got {d}")
     rng = np.random.default_rng(seed)
@@ -119,8 +121,7 @@ def _start_set(K: BoxSet, seed):
     V = (2 ** bits[::-1]) @ ((ltm @ digits) & 1)
     # point i flips the direction number of the lowest set bit of i
     flips = V[:, [(i & -i).bit_length() - 1 for i in range(1, N_MULTISTARTS - 1)]].T
-    U = np.bitwise_xor.accumulate(np.vstack([shift, flips]), axis=0) * 2.0 ** -_SOBOL_BITS
-    return [K.midpoint(), *(K.lower + U * (K.upper - K.lower))]
+    return np.vstack([np.full(d, _LATTICE // 2), np.bitwise_xor.accumulate([shift, *flips])])
 
 
 def _improves(value, incumbent):
@@ -131,89 +132,89 @@ def _improves(value, incumbent):
 
 
 def _require_finite_best(best, evals):
-    """best, the (y, value) a search kept; ProblemError if value is not finite."""
+    """best, the (y, value, ...) a search kept; ProblemError if value is not finite."""
     if not math.isfinite(best[1]):
         raise ProblemError(
             f"leader objective is not finite at any of the {evals} leader points evaluated")
     return best
 
 
-def _clipped(v, lo, hi):
-    """The float v clipped to [lo, hi] with the bits of np.clip, for finite
-    lo <= hi: np.maximum and np.minimum return their second argument on a
-    tie, so a zero takes the sign of the bound it equals (Python's max and
-    min keep the first), and NaN stays NaN."""
-    v = lo if v <= lo else v
-    return hi if v >= hi else v
+def _lattice(K: BoxSet):
+    """K's lattice as Python numbers (lower, span, upper, top) per coordinate:
+    index n, 0 to top (2**30, 0 on a collapsed side), is the point
+    min(lower + span * (n * 2**-30), upper)."""
+    return [(lo, hi - lo, hi, _LATTICE if hi > lo else 0)
+            for lo, hi in zip(K.lower.tolist(), K.upper.tolist())]
 
 
-def _minimum(a, b):
-    """np.minimum of two lists of floats without NaN, as a list: b's on a tie."""
-    return [u if u < w else w for u, w in zip(a, b)]
+def _point(lattice, n):
+    """The coordinates of the lattice point of indices n, as Python floats."""
+    return [min(lo + span * (k / _LATTICE), hi) for k, (lo, span, hi, _) in zip(n, lattice)]
 
 
 def _compass_climb(evaluate, K: BoxSet, best, steps, min_step, max_evals, fine=None):
-    """Climb from best = (y, value), an evaluation already made, to a
-    compass-local maximum of evaluate, which maps a point of K to a value.
+    """Climb from best = (y, value), an evaluation already made, or from
+    (y, value, n), n y's lattice indices (_lattice) as a climb's end carries
+    them, to a compass-local maximum of evaluate, a map of K to values.
 
-    Polls the clipped axis neighbors y +- steps[i] e_i that differ from y,
-    moves to the best one that _improves on y or else scales steps by
-    SHRINK, until every step is below min_step. Stops with exhausted=True
-    when the next evaluation would exceed max_evals, after moving to the
-    best probe of the unfinished poll, so the climb ends on its best
-    evaluation. Returns ((y, value), steps, evals, exhausted), steps the
-    last ones: a climb stopped at one min_step resumes from its end and
-    steps, probe for probe, as if it had run on to a smaller one.
+    steps are positive integer strides of the lattice, one per coordinate.
+    Polls the axis neighbors n +- steps[i] e_i, each index clipped to the
+    lattice, that differ from n, moves to the best one that _improves on y
+    or else scales steps by SHRINK, rounded down, until every step is below
+    min_step, a fraction of the span as MIN_STEP is. Stops with
+    exhausted=True when the next evaluation would exceed max_evals, after
+    moving to the best probe of the unfinished poll, so the climb ends on
+    its best evaluation. Returns ((y, value, n), steps, evals, exhausted),
+    steps the last ones: a climb stopped at one min_step resumes from its
+    end and steps, probe for probe, as if it had run on to a smaller one.
 
-    With fine, steps the caller expects to suffice, a first poll that finds
-    no better neighbor scales the steps to min(steps * SHRINK, fine)
+    With fine, strides the caller expects to suffice, a first poll that
+    finds no better neighbor scales the steps to min(steps * SHRINK, fine)
     instead, and each move up to the next such poll scales them by
     1 / SHRINK, to at most steps * SHRINK: the climb still looks as far as
-    its first steps, goes on fine where nothing is there, and still
-    travels far in a few polls where the fine steps were too short. With
+    its first steps, goes on fine where nothing is there, and still travels
+    far in a few polls where the fine steps were too short. With
     fine = steps * SHRINK or more it is the climb without fine.
 
-    The point and the steps are kept as Python floats, the same doubles as
-    numpy's, and a probe is built as an array only to be evaluated: its
-    one changed coordinate is _clipped, and its others are y's as K.clip
-    leaves them. So every probe has the bits of K.clip of the whole shifted
-    vector, and only the changed coordinate is compared with y. steps and
-    fine hold no NaN.
+    Every probe is computed from its indices as Python floats, never as
+    y + step, and built as an array only to be evaluated: two climbs that
+    reach one index probe the same bits, which a memo keyed by the bytes
+    answers. A start given without n polls around its nearest indices, as
+    (y - lower) / span lies in [0, 1] for y in K.
     """
-    bounds = list(zip(K.lower.tolist(), K.upper.tolist()))
-    steps = steps.tolist()
-    fine = None if fine is None else fine.tolist()
-    y = best[0].tolist()
-    point = [_clipped(v, lo, hi) for v, (lo, hi) in zip(y, bounds)]
+    lattice, min_step = _lattice(K), min_step * _LATTICE
+    n = best[2] if len(best) > 2 else [round((v - lo) / span * _LATTICE) if top else 0
+                                       for v, (lo, span, _, top) in zip(best[0].tolist(), lattice)]
+    best, point = (*best[:2], n), _point(lattice, n)
     evals, grow = 0, None
     while max(steps) >= min_step:
         if evals >= max_evals:
-            return best, np.array(steps), evals, True
+            return best, steps, evals, True
         cand, moved = best, None
-        for i, (lo, hi) in enumerate(bounds):
-            yi, step = y[i], steps[i]
-            for v in (yi + step, yi - step):
-                v = _clipped(v, lo, hi)
-                if v == yi:
+        for i, (lo, span, hi, top) in enumerate(lattice):
+            k, step = n[i], steps[i]
+            for m in (k + step, k - step):
+                m = 0 if m < 0 else top if m > top else m  # min and max would cost two calls
+                if m == k:
                     continue
                 if evals >= max_evals:
-                    return cand, np.array(steps), evals, True
-                coords = point.copy()
-                coords[i] = v
+                    return cand, steps, evals, True
+                coords, v = point.copy(), lo + span * (m / _LATTICE)
+                coords[i] = hi if v > hi else v
                 probe = np.array(coords)
                 value = evaluate(probe)
                 evals += 1
                 if _improves(value, cand[1]):
-                    cand, moved = (probe, value), coords
+                    cand, moved = (probe, value, n[:i] + [m] + n[i + 1:]), coords
         if moved is None:
-            shrunk = [s * SHRINK for s in steps]
-            steps, grow = (shrunk, None) if fine is None else (_minimum(shrunk, fine), shrunk)
+            shrunk = [int(s * SHRINK) for s in steps]
+            steps, grow = (shrunk, None) if fine is None else (list(map(min, shrunk, fine)), shrunk)
         else:
-            y = point = moved
+            n, point = cand[2], moved
             if grow is not None:
-                steps = _minimum([s / SHRINK for s in steps], grow)
+                steps = [min(int(s / SHRINK), g) for s, g in zip(steps, grow)]
         best, fine = cand, None
-    return best, np.array(steps), evals, False
+    return best, steps, evals, False
 
 
 def _require_leader_vector(name, value, K: BoxSet, nonnegative=False):
@@ -233,50 +234,38 @@ def _require_leader_vector(name, value, K: BoxSet, nonnegative=False):
     return v
 
 
-def _floored(steps):
-    """steps, each one at or below MIN_STEP raised to 10 * MIN_STEP: a
-    collapsed coordinate still needs a positive first step."""
-    return np.where(steps > MIN_STEP, steps, 10 * MIN_STEP)
-
-
-def _mesh_starts(K: BoxSet, seed, steps):
-    """_start_set(K, seed) on the mesh of the last poll of a climb from first
-    steps steps to COARSE_STEP: mesh is steps times SHRINK as often as
-    leaves the largest at or above COARSE_STEP (steps themselves if it is
-    below), so every step of the climb is an integer multiple of it. Each
-    start y0 becomes lower + mesh * round((y0 - lower) / mesh), clipped to
-    K; one whose mesh index overflows, on a box wider than about 1e305,
-    keeps its bits. steps must be finite, as they are on every BoxSet,
-    whose span is: the shrinking would not end on an infinite one."""
-    mesh = steps
-    while np.max(mesh) * SHRINK >= COARSE_STEP:
-        mesh = mesh * SHRINK
-    starts = []
-    for y0 in _start_set(K, seed):
-        with np.errstate(over="ignore"):
-            y = K.lower + mesh * np.round((y0 - K.lower) / mesh)
-        starts.append(K.clip(np.where(np.isfinite(y), y, y0)))
-    return starts
+def _mesh_starts(lattice, seed, stride):
+    """The points of _start_set(len(lattice), seed), each index rounded, half
+    to even as np.round rounds, to a multiple of the mesh and capped. The
+    mesh, the stride of the last poll of a climb from stride to COARSE_STEP,
+    is stride times SHRINK, rounded down, as often as leaves it at or above
+    COARSE_STEP of the span: a multiple of it is every stride of that climb
+    from a power of 2."""
+    mesh = stride
+    while int(mesh * SHRINK) >= COARSE_STEP * _LATTICE:
+        mesh = int(mesh * SHRINK)
+    return [np.array(_point(lattice, [min(mesh * round(k / mesh), top)
+                                      for k, (*_, top) in zip(start, lattice)]))
+            for start in _start_set(len(lattice), seed).tolist()]
 
 
 def pattern_search_maximize(value_fn, K: BoxSet,
                             cfg: UpperConfig = UpperConfig()) -> PatternSearchResult:
     """Compass search maximization of value_fn over the box K, from many starts.
 
-    Climbs from each of _mesh_starts(K, cfg.seed, steps) in turn, at first
-    steps COLD_STEP of the span (_floored), until every step is below
-    COARSE_STEP. The starts are _start_set's, rounded coordinate by
+    Climbs from each of _mesh_starts(lattice, cfg.seed, steps[0]) in turn, at
+    first strides COLD_STEP of the span, until every step is below
+    COARSE_STEP of it. The starts are _start_set's, rounded coordinate by
     coordinate to the mesh of a climb's last coarse poll, of which every
-    coarse step is an integer multiple: all coarse probes lie on one
+    coarse stride is an integer multiple: all coarse probes lie on one
     lattice (Torczon, SIAM J. Optim. 7 (1997) 1-25), so a later climb that
-    reaches a point an earlier one probed probes it again, at the same bits
-    where the box's bounds and steps are dyadic, and a caller's memo
-    (solve_penalized's) answers it. Then the best end by _improves resumes
-    its climb, from its last steps, down to MIN_STEP, and so does, in start
-    order, every other end that is both
+    reaches a point an earlier one probed probes the same bits, and a
+    caller's memo (solve_penalized's) answers it. Then the best end by
+    _improves resumes its climb, from its last indices and steps, down to
+    MIN_STEP, and so does, in start order, every other end that is both
     - within COARSE_MARGIN * max(1, |best|) of the best end's value, and
     - outside the union of both ends' last polls: farther apart in some
-      coordinate than the sum of their steps / SHRINK. Two ends whose last
+      index than the sum of their strides / SHRINK. Two ends whose last
       polls overlap sit on the same coarse peak, which the best end's
       refinement searches already; in two dimensions a climb can stop
       farther from its peak than its own last poll reaches.
@@ -291,9 +280,9 @@ def pattern_search_maximize(value_fn, K: BoxSet,
     value_fn was given there. ProblemError if no evaluation is finite,
     DimensionGuardError if K has more than len(_SOBOL_M) dimensions.
     """
-    steps = _floored((K.upper - K.lower) * COLD_STEP)
+    steps, lattice = [round(COLD_STEP * _LATTICE)] * K.dim, _lattice(K)
     best, best_steps, ends, evals, exhausted = (None, -np.inf), steps, [], 0, False
-    for y in _mesh_starts(K, cfg.seed, steps):
+    for y in _mesh_starts(lattice, cfg.seed, steps[0]):
         # a climb that ran out left evals at the budget, so the search stops here
         exhausted = evals >= cfg.max_evals
         if exhausted:
@@ -309,7 +298,7 @@ def pattern_search_maximize(value_fn, K: BoxSet,
         refine = [(best, best_steps)] + [
             (end, end_steps) for end, end_steps in ends
             if math.isfinite(end[1]) and end[1] >= best[1] - margin
-            and np.any(np.abs(end[0] - best[0]) > (best_steps + end_steps) / SHRINK)]
+            and np.any(np.abs(np.array(end[2]) - best[2]) > np.add(best_steps, end_steps) / SHRINK)]
         for end, end_steps in refine:
             end, _, used, exhausted = _compass_climb(value_fn, K, end, end_steps, MIN_STEP,
                                                      cfg.max_evals - evals)
@@ -318,7 +307,7 @@ def pattern_search_maximize(value_fn, K: BoxSet,
                 best = end
             if exhausted:
                 break
-    y, value = _require_finite_best(best, evals)
+    y, value, _ = _require_finite_best(best, evals)
     return PatternSearchResult(y=y, value=float(value), evals=evals, converged=not exhausted)
 
 
@@ -331,12 +320,12 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     sign picks the selection (PESSIMISTIC or OPTIMISTIC). Without
     warm_start: pattern_search_maximize of y -> upper value at (y, epsilon).
     With it: one _compass_climb from warm_start clipped to the box, at first
-    steps WARM_STEP * span (_floored) down to MIN_STEP, with fine steps
+    strides WARM_STEP of the span down to MIN_STEP of it, with fine steps
     warm_step, the steps the caller expects to suffice (run_continuation
-    reads them from how far its path last moved), each raised to MIN_STEP
-    if below it. So where the first poll finds nothing, a warm_step of 0
-    costs one more poll, at MIN_STEP, and not one per halving. It finds
-    the local maximum around that point, not a global one.
+    reads them from how far its path last moved), each raised to MIN_STEP of
+    the span if below it. So where the first poll finds nothing, a warm_step
+    of 0 costs one more poll, at that floor, and not one per halving. It
+    finds the local maximum around that point, not a global one.
 
     The reported selection is the one the search made at the returned y;
     selection is deterministic, so it is bitwise the selection a re-solve
@@ -375,13 +364,15 @@ def solve_penalized(problem: BilevelProblem, epsilon: float, sign: int = +1,
     else:
         y = K.clip(_require_leader_vector("warm_start", warm_start, K))
         if warm_step is not None:
-            warm_step = np.maximum(_require_leader_vector("warm_step", warm_step, K,
-                                                          nonnegative=True), MIN_STEP)
+            warm_step = _require_leader_vector("warm_step", warm_step, K, nonnegative=True)
+            floor = math.ceil(MIN_STEP * _LATTICE)  # strides of at most a span, and at least this
+            warm_step = [max(round(min(w / span, 1.0) * _LATTICE), floor) if top else 0
+                         for w, (_, span, _, top) in zip(warm_step.tolist(), _lattice(K))]
         best, _, used, exhausted = _compass_climb(
-            value, K, (y, value(y)), _floored((K.upper - K.lower) * WARM_STEP),
-            MIN_STEP, cfg.max_evals - 1, warm_step)
+            value, K, (y, value(y)), [round(WARM_STEP * _LATTICE)] * K.dim, MIN_STEP,
+            cfg.max_evals - 1, warm_step)
         evals = used + 1
-        y, _ = _require_finite_best(best, evals)
+        y = _require_finite_best(best, evals)[0]
     best = memo[y.tobytes()]
     return PenalizedSolution(
         y=best.y, selection=best, value=best.leader_value, evals=evals,

@@ -628,6 +628,30 @@ class TestJsonDocuments:
         with pytest.raises(ProblemError, match=f"^{key} must be an integer of at least 1"):
             bp.problem_from_dict({**bp.problem_to_dict(fs), **change})
 
+    @pytest.mark.parametrize("key", ["A", "b", "K_lower", "K_upper"])
+    def test_an_array_key_that_is_an_object_raises(self, fs, tmp_path, capsys, key):
+        # numpy's TypeError escaped, and the CLI ended in a traceback
+        doc = {**bp.problem_to_dict(fs), key: {"a": 1}}
+        with pytest.raises(ProblemError, match=f"^{key} must be an array of numbers"):
+            bp.problem_from_dict(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["solve", "--problem", str(path), "--epsilon", "0.1",
+                         "--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key} must be an array of numbers: float() argument must be a string or a "
+            "real number, not 'dict'"]
+
+    def test_shapes_are_checked_before_any_field_is_built(self, qb, monkeypatch):
+        # the fields were built first, and a build grows with dim_x**2: this
+        # document of 4 columns had not returned after 120 s
+        calls = []
+        monkeypatch.setattr(model, "field_from_expression", lambda *a, **k: calls.append(a))
+        with pytest.raises(ProblemError, match="^A has 4 columns, expected dim_x=1000000"):
+            bp.problem_from_dict({**bp.problem_to_dict(qb), "dim_x": 10 ** 6})
+        assert calls == []
+
     def test_numpy_integer_dimensions_load(self, fs):
         doc = {**bp.problem_to_dict(fs), "dim_y": np.int64(1), "dim_x": np.int32(2)}
         assert bp.problem_from_dict(doc).dim_x == 2

@@ -3,13 +3,14 @@ import math
 import pickle
 import warnings
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
-from bilevelpen import cli, upper_solver
+from bilevelpen import cli, oracle, upper_solver
 from bilevelpen.model import DimensionGuardError
 from bilevelpen.upper_solver import UpperConfig
 
@@ -323,21 +324,18 @@ QB_TRACE_SEEDS = (1742692731, 183930185, 385346042, 508546690,
 
 
 class TestSobolStarts:
-    """_start_set draws scipy.stats.qmc.Sobol's scrambled points without scipy."""
-
-    @staticmethod
-    def _scipy_start_set(K, seed):
-        from scipy.stats import qmc
-        U = qmc.Sobol(d=K.dim, scramble=True, seed=seed).random(upper_solver.N_MULTISTARTS)
-        return [K.midpoint(), *(K.lower + U[:-1] * (K.upper - K.lower))]
+    """_start_set draws scipy.stats.qmc.Sobol's scrambled points without
+    scipy, as lattice indices: the points are the indices times 2**-30."""
 
     @pytest.mark.parametrize("d", range(1, len(upper_solver._SOBOL_M) + 1))
     def test_start_set_is_scipy_sobol_bit_for_bit(self, d):
-        K = bp.BoxSet(np.linspace(-1.0, 0.5, d), np.linspace(0.25, 3.0, d))
+        from scipy.stats import qmc
         for seed in (0, 1, 2, 42, 2 ** 31 - 2, *QB_TRACE_SEEDS):
-            ours, ref = upper_solver._start_set(K, seed), self._scipy_start_set(K, seed)
-            assert len(ours) == len(ref) == upper_solver.N_MULTISTARTS
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, ref)), seed
+            ours = upper_solver._start_set(d, seed)
+            U = qmc.Sobol(d=d, scramble=True, seed=seed).random(upper_solver.N_MULTISTARTS)
+            assert ours.shape == U.shape == (upper_solver.N_MULTISTARTS, d)
+            assert ours[0].tolist() == [2 ** 29] * d  # the box midpoint
+            assert (ours[1:] * 2.0 ** -30).tobytes() == U[:-1].tobytes(), seed
 
     def test_vendored_table_is_scipys(self):
         # unscrambled, point 2**j - 1 in Gray-code order is m_j * 2**-(j + 1)
@@ -371,66 +369,68 @@ class TestSobolStarts:
         assert sol.converged and sol.y.shape == (d,) and sol.y[0] == 1.0
 
 
+LATTICE = upper_solver._LATTICE  # the lattice strides in one span of the box
+
+
 def whole_vector_climb(evaluate, K, best, steps, min_step, max_evals):
-    """_compass_climb as it was when it skipped a probe by comparing the
-    whole clipped vector with y: the reference for the coordinate test."""
-    evals = 0
-    while np.max(steps) >= min_step:
+    """_compass_climb as a numpy climb of index vectors that skips a probe
+    by comparing its whole clipped index vector with y's and builds every
+    probe from its whole index vector, from best = (y, value) and y's
+    nearest indices: the reference for the coordinate test."""
+    span, evals = K.upper - K.lower, 0
+    top, steps = np.where(span > 0, LATTICE, 0), np.array(steps)
+    n = np.where(span > 0, np.round((best[0] - K.lower) / np.where(span > 0, span, 1.0) * LATTICE),
+                 0).astype(int)
+    best = (*best[:2], n)
+    while np.max(steps) >= min_step * LATTICE:
         if evals >= max_evals:
-            return best, steps, evals, True
-        y, cand = best[0], best
+            return best, steps.tolist(), evals, True
+        cand = best
         for i in range(K.dim):
-            for direction in (+1.0, -1.0):
-                probe = y.copy()
-                probe[i] += direction * steps[i]
-                probe = K.clip(probe)
-                if (probe == y).all():
+            for direction in (+1, -1):
+                m = n.copy()
+                m[i] += direction * steps[i]
+                m = np.clip(m, 0, top)
+                if (m == n).all():
                     continue
                 if evals >= max_evals:
-                    return cand, steps, evals, True
+                    return cand, steps.tolist(), evals, True
+                probe = np.minimum(K.lower + span * (m * 2.0 ** -30), K.upper)
                 value = evaluate(probe)
                 evals += 1
                 if upper_solver._improves(value, cand[1]):
-                    cand = (probe, value)
+                    cand = (probe, value, m)
         if cand is best:
-            steps = steps * upper_solver.SHRINK
+            steps = steps // 2
+        n = cand[2]
         best = cand
-    return best, steps, evals, False
+    return best, steps.tolist(), evals, False
 
 
 @st.composite
 def climbs(draw):
-    """A box of 1-3 dimensions (a bound may be 0.0 or -0.0, a span 0), a
-    start at a corner, on a face or inside (a zero coordinate maybe of the
-    sign K.clip would not give it), steps up to 4 spans and a rounded
-    concave objective, so polls tie and skip probes."""
+    """A box of 1-3 dimensions (a span may be 0), a start at a corner, on a
+    face or inside, strides of up to 4 spans and a rounded concave
+    objective, so polls tie and skip probes."""
     dim = draw(st.integers(1, 3))
-    bound = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-5.0, 5.0))
+    bound = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-5.0, 5.0))
     lo = np.array(draw(st.lists(bound, min_size=dim, max_size=dim)))
-    width = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 3.0))
-    hi = lo + np.array(draw(st.lists(width, min_size=dim, max_size=dim)))
-    hi = np.where(draw(st.lists(st.booleans(), min_size=dim, max_size=dim)) & (hi == 0.0),
-                  -0.0, hi)  # an upper bound of -0.0 where the bound is a zero
-    K = bp.BoxSet(lo, hi)
+    width = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0))
+    K = bp.BoxSet(lo, lo + np.array(draw(st.lists(width, min_size=dim, max_size=dim))))
     where = st.sampled_from(["lower", "upper", "inside"])
     start = np.array([K.lower[j] if w == "lower" else K.upper[j] if w == "upper"
                       else K.lower[j] + draw(st.floats(0.0, 1.0)) * (K.upper[j] - K.lower[j])
                       for j, w in enumerate(draw(st.lists(where, min_size=dim, max_size=dim)))])
-    span = K.upper - K.lower
-    fractions = np.array(draw(st.lists(st.sampled_from([0.3, 1.0, 1.5, 4.0]),
-                                       min_size=dim, max_size=dim)))
-    steps = np.where(span > 1e-6, span * fractions, 1e-5)
-    target = K.lower + span * np.array(draw(st.lists(st.floats(-0.5, 1.5), min_size=dim,
-                                                     max_size=dim)))
-    start = K.clip(start)
-    flip = np.array(draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
-    return K, np.where(flip & (start == 0.0), -start, start), steps, target, draw(
-        st.integers(1, 60))
+    fractions = draw(st.lists(st.sampled_from([0.3, 1.0, 1.5, 4.0]), min_size=dim, max_size=dim))
+    target = K.lower + (K.upper - K.lower) * np.array(draw(st.lists(
+        st.floats(-0.5, 1.5), min_size=dim, max_size=dim)))
+    return (K, K.clip(start), [round(f * LATTICE) for f in fractions], target,
+            draw(st.integers(1, 60)))
 
 
 def both_climbs(K, start, steps, target, max_evals):
     """(probes, end, value, evals, exhausted) of _compass_climb and of
-    whole_vector_climb from start, to min_step 1e-3."""
+    whole_vector_climb from start, to a stride of 1e-3 of the span."""
     runs = []
     for climb in (upper_solver._compass_climb, whole_vector_climb):
         probes = []
@@ -452,18 +452,17 @@ class TestCoordinateSkip:
         assert ours == whole
 
     @pytest.mark.parametrize("lower, upper, start", [
-        ([-0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-0.0, 0.0, 0.0]),  # -0.0 bound, collapsed sides
-        ([0.0, -0.0], [1.0, -0.0], [-0.0, 0.0]),  # zeros of the other sign than their bounds
-        ([0.1, -0.3], [0.7, 1.9], [0.4, 0.8]),  # bounds, start and steps not dyadic
+        ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]),  # collapsed sides
+        ([0.1, -0.3], [0.7, 1.9], [0.4, 0.8]),  # bounds and start not dyadic
         ([-1e-300, 0.3], [1e-300, 0.3], [0.0, 0.3]),  # a tiny side, a collapsed non-dyadic one
-    ], ids=["signed_zero", "start_zero_sign", "non_dyadic", "tiny"])
+        ([-1e150, 0.1], [1e150, 0.7], [3.0, 0.5]),  # a side 2e150 wide, squared below overflow
+    ], ids=["collapsed", "non_dyadic", "tiny", "wide"])
     @pytest.mark.parametrize("max_evals", [1, 2, 3, 5, 7, 200])
     def test_boxes_and_budgets_that_stop_mid_poll(self, lower, upper, start, max_evals):
         # a poll makes 2 or 4 probes here, so every odd budget stops mid-poll
         K = bp.BoxSet(lower, upper)
-        span = K.upper - K.lower
-        steps = np.where(span > 1e-6, span * 0.3, 0.5)  # a side of 2e-300 takes 0.5 too
-        ours, whole = both_climbs(K, np.array(start), steps, K.lower + span * 0.77, max_evals)
+        ours, whole = both_climbs(K, np.array(start), [round(0.3 * LATTICE)] * K.dim,
+                                  K.lower + (K.upper - K.lower) * 0.77, max_evals)
         assert ours == whole
         assert ours[3:] == ((max_evals, True) if max_evals < 200 else (ours[3], False))
 
@@ -473,11 +472,11 @@ def refine_every_start(value_fn, K, seed):
     MIN_STEP, each climb split at COARSE_STEP: the reference for the
     coarse-then-refine rule. Returns the best value, the evaluations made
     and per start its (coarse end, fine end), each (y, value)."""
-    steps = (K.upper - K.lower) * upper_solver.COLD_STEP  # no box here has a collapsed side
+    stride, lattice = round(upper_solver.COLD_STEP * LATTICE), upper_solver._lattice(K)
     ends, evals = [], 0
-    for y in upper_solver._mesh_starts(K, seed, steps):
+    for y in upper_solver._mesh_starts(lattice, seed, stride):
         coarse, rest, used, _ = upper_solver._compass_climb(
-            value_fn, K, (y, value_fn(y)), steps, upper_solver.COARSE_STEP, math.inf)
+            value_fn, K, (y, value_fn(y)), [stride] * K.dim, upper_solver.COARSE_STEP, math.inf)
         fine, _, more, _ = upper_solver._compass_climb(value_fn, K, coarse, rest,
                                                        upper_solver.MIN_STEP, math.inf)
         ends.append((coarse, fine))
@@ -593,7 +592,7 @@ class TestCoarseThenRefine:
                 evals += used
                 if exhausted:
                     break
-            return probes, end[0].tobytes(), end[1], rest.tolist(), evals, exhausted
+            return probes, end[0].tobytes(), end[1], rest, evals, exhausted
         assert run([1e-1, 1e-3]) == run([1e-3])
 
 
@@ -601,35 +600,47 @@ class TestMeshStarts:
     """A cold solve's starts are _start_set's on the mesh of a climb's last
     coarse poll, so every coarse probe of every climb lies on one lattice."""
 
-    @pytest.mark.parametrize("lower,upper,mesh", [
-        ([0.0], [1.0], [2.0 ** -9]),  # first step 0.25, 7 shrinks
-        ([0.1], [0.7], [0.6 * 2.0 ** -9]),  # not dyadic: first step 0.15, 7 shrinks
-        ([0.1, -0.3], [0.7, 1.9], [0.15 * 2.0 ** -9, 0.55 * 2.0 ** -9]),  # the larger step decides
-        ([0.3, 0.0], [0.3, 1.0], [10 * upper_solver.MIN_STEP * 2.0 ** -7, 2.0 ** -9]),  # collapsed
-        ([0.0], [1e-4], [2.5e-5]),  # the first step is below COARSE_STEP: no shrink
-        ([0.0], [2e-6], [10 * upper_solver.MIN_STEP]),  # the first step is floored
-    ], ids=["unit", "non_dyadic", "two_dims", "collapsed", "tiny", "floored"])
+    @pytest.mark.parametrize("lower,upper", [
+        ([0.0], [1.0]), ([0.1], [0.7]), ([0.1, -0.3], [0.7, 1.9]), ([0.3, 0.0], [0.3, 1.0]),
+        ([0.0], [1e-4]), ([-8e307], [8e307])],
+        ids=["unit", "non_dyadic", "two_dims", "collapsed", "tiny", "wide"])
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 31 - 2])
-    def test_each_start_is_its_sobol_point_on_the_mesh(self, lower, upper, mesh, seed):
-        K, mesh = bp.BoxSet(lower, upper), np.array(mesh)
-        steps = upper_solver._floored((K.upper - K.lower) * upper_solver.COLD_STEP)
-        starts = upper_solver._mesh_starts(K, seed, steps)
-        sobol = upper_solver._start_set(K, seed)
-        assert len(starts) == len(sobol) == upper_solver.N_MULTISTARTS
-        for y, y0 in zip(starts, sobol):
-            assert K.contains(y)
-            index = (y - K.lower) / mesh
-            np.testing.assert_allclose(index, np.round(index), rtol=0, atol=1e-9)
-            assert np.all(np.abs(y - y0) <= mesh / 2 + 1e-15)
-            # a collapsed coordinate keeps its value
-            assert np.all((y == K.lower)[K.lower == K.upper])
+    def test_each_start_is_its_sobol_point_on_the_mesh(self, lower, upper, seed):
+        # on every box the first strides 2**28 halve 7 times to 2**21, the
+        # last at or above COARSE_STEP of the span
+        K, mesh = bp.BoxSet(lower, upper), 2 ** 21
+        lattice = upper_solver._lattice(K)
+        starts = upper_solver._mesh_starts(lattice, seed, round(upper_solver.COLD_STEP * LATTICE))
+        sobol = upper_solver._start_set(K.dim, seed)
+        top = np.where(K.upper > K.lower, LATTICE, 0)  # a collapsed side has index 0 only
+        indices = np.minimum(mesh * np.round(sobol / mesh), top).astype(int)
+        assert [y.tobytes() for y in starts] == [
+            np.minimum(K.lower + (K.upper - K.lower) * (n * 2.0 ** -30), K.upper).tobytes()
+            for n in indices]
+        assert all(K.contains(y) for y in starts)
 
-    def test_a_box_too_wide_for_the_mesh_index_keeps_the_sobol_points(self):
-        # the mesh index (y0 - lower) / mesh overflows above a span of about 1e305
-        K = bp.BoxSet([-8e307], [8e307])
-        steps = upper_solver._floored((K.upper - K.lower) * upper_solver.COLD_STEP)
-        for y, y0 in zip(upper_solver._mesh_starts(K, 0, steps), upper_solver._start_set(K, 0)):
-            assert y.tobytes() == y0.tobytes()
+    @pytest.mark.parametrize("bound", [1e300, 8e307])
+    def test_a_very_wide_box_converges_in_a_few_hundred_evaluations(self, bound):
+        # first steps of 0.25 * span once halved about 1,000 times down to
+        # COARSE_STEP, and the search spent all 20,000 evaluations
+        res = bp.pattern_search_maximize(lambda y: -abs(y[0] - 3.0), bp.BoxSet([-bound], [bound]))
+        assert res.converged and res.evals < 300
+
+    def test_climbs_meet_on_boxes_that_are_not_dyadic(self, monkeypatch):
+        # QB at eps 0.01, both signs, cfg seeds 0-9 makes 2,078 selections on
+        # [0, 1]; with probes formed as y + step in floating point, climbs that
+        # met on [0.1, 0.7] and [-0.3, 1.9] probed other bits, and those boxes
+        # made 2,925 and 3,788
+        ys = recorded_selections(monkeypatch)
+        counts = []
+        for lower, upper in ((0.0, 1.0), (0.1, 0.7), (-0.3, 1.9)):
+            problem = replace(bp.registry_get("QB"), leader_set=bp.BoxSet([lower], [upper]))
+            ys.clear()
+            for sign in (+1, -1):
+                for seed in range(10):
+                    bp.solve_penalized(problem, 0.01, sign, UpperConfig(seed=seed))
+            counts.append(len(ys))
+        assert all(abs(count - counts[0]) <= 0.01 * counts[0] for count in counts[1:]), counts
 
     def test_a_span_that_overflows_never_reaches_the_search(self):
         # its steps were inf and never shrank: the search spent its whole
@@ -721,14 +732,15 @@ class TestWarmStep:
         def climb(peak, fine):
             def evaluate(y):
                 return -abs(y[0] - peak)
-            start = (np.array([0.5]), evaluate([0.5]))
+            start = (np.array([0.5]), evaluate([0.5]), [LATTICE // 2])
             return upper_solver._compass_climb(evaluate, K, start,
-                                               np.array([upper_solver.WARM_STEP]),
+                                               [round(upper_solver.WARM_STEP * LATTICE)],
                                                upper_solver.MIN_STEP, 10 ** 4, fine)
-        end, _, evals, exhausted = climb(0.503, np.array([1e-5]))
+        fine = [round(1e-5 * LATTICE)]
+        end, _, evals, exhausted = climb(0.503, fine)
         assert not exhausted and abs(end[0][0] - 0.503) < 2 * upper_solver.MIN_STEP
         assert evals <= 60
-        far, plain = climb(0.3, np.array([1e-5])), climb(0.3, None)
+        far, plain = climb(0.3, fine), climb(0.3, None)
         assert far[0][0].tobytes() == plain[0][0].tobytes() and far[2] == plain[2]
 
     @settings(max_examples=100, deadline=None)
@@ -745,5 +757,102 @@ class TestWarmStep:
                 return round(-float(((y - target) ** 2).sum()), 2)
             end, rest, evals, exhausted = upper_solver._compass_climb(
                 evaluate, K, (start, evaluate(start)), steps, 1e-3, max_evals, fine)
-            return probes, end[0].tobytes(), end[1], rest.tolist(), evals, exhausted
-        assert run(steps * upper_solver.SHRINK * factor) == run(None)
+            return probes, end[0].tobytes(), end[1], rest, evals, exhausted
+        assert run([int(s * upper_solver.SHRINK * factor) for s in steps]) == run(None)
+
+
+@st.composite
+def lattice_boxes(draw):
+    """A box of 1-2 dimensions whose sides are each non-dyadic, tiny,
+    collapsed or about 1e300 wide, a point of it and a target of it."""
+    sides = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["plain", "tiny", "collapsed", "wide"]))
+        if kind == "plain":
+            lower = draw(st.floats(-5.0, 5.0))
+            sides.append((lower, lower + draw(st.floats(1e-3, 3.0))))
+        elif kind == "tiny":
+            lower = draw(st.floats(-1e-300, 1e-300))
+            sides.append((lower, lower + draw(st.floats(1e-305, 1e-300))))
+        elif kind == "collapsed":
+            sides.append((draw(st.floats(-5.0, 5.0)),) * 2)
+        else:
+            sides.append((-draw(st.floats(1e299, 1e300)), draw(st.floats(1e299, 1e300))))
+    K = bp.BoxSet(*zip(*sides))
+
+    def point():
+        fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=K.dim, max_size=K.dim))
+        return K.clip(K.lower + (K.upper - K.lower) * np.array(fractions))
+    return K, point(), point()
+
+
+def lattice_probes(K, probes):
+    """The lattice index of every probe, each checked to be the point
+    min(lower + span * (n * 2**-30), upper) of integer indices n, and each
+    index checked to be probed at one set of bytes."""
+    seen = {}
+    for y in probes:
+        n = []
+        for v, lo, hi in zip(y.tolist(), K.lower.tolist(), K.upper.tolist()):
+            span = hi - lo
+            k = round((v - lo) / span * 2 ** 30) if span > 0 else 0
+            assert v == min(lo + span * (k * 2.0 ** -30), hi), (v, lo, hi)
+            n.append(k)
+        assert seen.setdefault(tuple(n), y.tobytes()) == y.tobytes()
+    return seen
+
+
+class TestLattice:
+    """Every probe of a cold solve, of a warm solve and of the oracle's
+    polish is a point of the box's one integer lattice, on any box."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattice_boxes(), st.integers(0, 2 ** 31 - 2),
+           st.sampled_from([None, 0.0, 1e-3, 0.3]))
+    def test_every_probe_is_a_lattice_point(self, case, seed, warm_fraction):
+        K, start, target = case
+        span = K.upper - K.lower
+        scale = np.where(span > 0, span, 1.0)
+        probes = []
+
+        def leader(y):
+            probes.append(y)
+            return -float(np.abs((y - target) / scale).sum())
+        # a cold solve: its starts and climbs
+        bp.pattern_search_maximize(leader, K, UpperConfig(seed=seed))
+        cold = lattice_probes(K, probes)
+        assert len(cold) < len(probes)  # a poll probes the point it just left again
+        # a warm solve from a point off the lattice: every probe after it,
+        # selected once each
+        probes.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(upper_solver, "select_response", lambda problem, y, *_: SimpleNamespace(
+                y=y, leader_value=leader(y), follower_value=0.0, fw_gap=0.0))
+            warm_step = None if warm_fraction is None else span * warm_fraction
+            sol = bp.solve_penalized(SimpleNamespace(leader_set=K), 0.1, warm_start=start,
+                                     warm_step=warm_step)
+        assert probes[0].tobytes() == start.tobytes() and len(probes) <= sol.evals
+        warm = lattice_probes(K, probes[1:])
+        # one index, one set of bytes, in the cold and the warm search alike
+        assert all(cold[n] == warm[n] for n in cold.keys() & warm.keys())
+
+    @settings(max_examples=20, deadline=None)
+    @given(lattice_boxes())
+    def test_the_oracles_polish_probes_the_lattice(self, case):
+        K, _, target = case
+        span = K.upper - K.lower
+        terms = " + ".join(f"1/(1 + ((y[{j}] - ({t!r}))/{s!r})^2)"
+                           for j, (t, s) in enumerate(zip(target.tolist(), span.tolist())) if s > 0)
+        doc = {"name": "lattice", "dim_y": K.dim, "dim_x": 2, "A": [[1.0, 1.0]], "b": [1.0],
+               "K_lower": K.lower.tolist(), "K_upper": K.upper.tolist(),
+               "f": f"1 + x[0] + {terms or '0'}", "h": "0"}
+        probes, climb = [], upper_solver._compass_climb
+
+        def recorded(evaluate, *rest):
+            return climb(lambda y: probes.append(y) or evaluate(y), *rest)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_compass_climb", recorded)
+            bp.solve_three_level(bp.problem_from_dict(doc),
+                                 y_grid_step=float(span.max()) / 4 or 1.0)
+        assert probes or not span.any()  # only a box of one point polls nothing
+        lattice_probes(K, probes)
