@@ -13,7 +13,7 @@ reports (trace_to_json, trace_to_csv) are built in bilevelpen.cli.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,19 +57,21 @@ class TraceRow:
     nonfinite_y: Optional[np.ndarray] = None  # see PenalizedSolution
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContinuationTrace:
     """A trace's rows, in order of strictly decreasing positive epsilon, and
     its sign; ValueError unless sign is the int +1 or -1 (see
-    selection._require_sign)."""
+    selection._require_sign). Read-only, so the checks hold: rows is stored
+    as a tuple."""
 
     problem: str
     sign: int
-    rows: Sequence[TraceRow]
+    rows: Tuple[TraceRow, ...]
     seed: int = 0
 
     def __post_init__(self):
         _require_sign(self.sign)
+        object.__setattr__(self, "rows", tuple(self.rows))
         eps = [r.epsilon for r in self.rows]
         for e in eps:
             require_finite("trace epsilon", e, positive=True)
@@ -119,24 +121,23 @@ def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedul
     the previous row found, if that maximum was global.
 
     Every warm row first polls WARM_STEP of the span away, and passes
-    solve_penalized the warm_step _warm_step reads from the rows before
-    it: |y_k - y_{k-1}| / SHRINK per coordinate over the last two rows,
-    and 0 for row 2. If its first poll finds nothing better, the row goes
-    on at that step, floored at MIN_STEP, whose first poll reaches twice
-    as far as the last move, and not at half of WARM_STEP. The path
-    settles as eps -> 0, and on QB and FS it does not move at all: such a
-    row polls at WARM_STEP, then once at MIN_STEP, and makes 5
-    evaluations in one dimension where halving from WARM_STEP makes 29. A
-    pattern search need only stop on a poll that finds nothing at its
-    last step, not pass every step on the way down (Kolda, Lewis &
-    Torczon, SIAM Review 45 (2003) 385-482). A row whose move is longer
-    than the step doubles it while it moves. What this gives up: a row
-    whose first poll finds nothing no longer polls the scales between
-    WARM_STEP / 2 and its warm_step, so it misses a rise that only they
-    would see. The first poll is kept because a path that stands on one
-    peak while another overtakes it sees the other first from WARM_STEP
-    away. If either of the last two rows did not converge, their move is
-    no measure, and the row halves from WARM_STEP down to MIN_STEP.
+    solve_penalized the warm_step |y_k - y_{k-1}| / SHRINK per coordinate,
+    how far the previous row moved the path (0 for row 2, as a path of one
+    row has not moved), whether or not those rows converged. If its first
+    poll finds nothing better, the row goes on at that step, floored at
+    MIN_STEP, whose first poll reaches twice as far as the last move, and
+    not at half of WARM_STEP. The path settles as eps -> 0, and on QB and
+    FS it does not move at all: such a row polls at WARM_STEP, then once
+    at MIN_STEP, and makes 5 evaluations in one dimension where halving
+    from WARM_STEP makes 29. A pattern search need only stop on a poll
+    that finds nothing at its last step, not pass every step on the way
+    down (Kolda, Lewis & Torczon, SIAM Review 45 (2003) 385-482). A row
+    whose move is longer than the step doubles it while it moves. What
+    this gives up: a row whose first poll finds nothing no longer polls
+    the scales between WARM_STEP / 2 and its warm_step, so it misses a
+    rise that only they would see. The first poll is kept because a path
+    that stands on one peak while another overtakes it sees the other
+    first from WARM_STEP away.
 
     Only the leader point is carried over; the follower response is
     re-solved from scratch at every point so a wrong branch of the argmin
@@ -144,10 +145,9 @@ def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedul
     probed a leader point where the follower value is not finite, keep
     their best point and are flagged, never dropped.
     """
-    rows, warm = [], None
+    rows, warm, step = [], None, None
     for eps in schedule.epsilons():
-        sol = solve_penalized(problem, eps, sign=sign, cfg=cfg, warm_start=warm,
-                              warm_step=_warm_step(rows))
+        sol = solve_penalized(problem, eps, sign=sign, cfg=cfg, warm_start=warm, warm_step=step)
         sel = sol.selection
         if not problem.leader_set.contains(sol.y):
             raise RuntimeError("solver returned a leader point outside the box")
@@ -159,20 +159,10 @@ def run_continuation(problem: BilevelProblem, schedule: EpsSchedule = EpsSchedul
             h_value=float(sel.follower_value), fw_gap=float(sel.fw_gap),
             evals=int(sol.evals), converged=bool(sol.converged), nonfinite_y=sol.nonfinite_y,
         ))
+        step = np.abs(sol.y - (sol.y if warm is None else warm)) / SHRINK
         warm = sol.y
     return ContinuationTrace(problem=problem.name, sign=sign, rows=tuple(rows),
                              seed=cfg.seed)
-
-
-def _warm_step(rows: Sequence[TraceRow]):
-    """The warm_step of the row after rows: |y_k - y_{k-1}| / SHRINK over
-    the last two rows, 0 after row 1 alone (a path of one row has not
-    moved), or None (a plain warm solve) before any row or when either of
-    the last two did not converge."""
-    last = rows[-2:]
-    if not last or not all(r.converged for r in last):
-        return None
-    return np.abs(last[-1].y - last[0].y) / SHRINK
 
 
 def check_monotone(trace: ContinuationTrace, slack: float = 2e-4) -> MonotoneReport:

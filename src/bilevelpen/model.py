@@ -288,9 +288,10 @@ def _psd_at(coefficients, ys):
 class Polytope:
     """The follower feasible set C = {x : Ax = b, x >= 0}, read-only.
 
-    A and b are read-only copies that C owns. Construction rejects a
-    non-finite A or b, then verifies C is nonempty and bounded with one LP,
-    max 1'x over C: since x >= 0, C is bounded iff that maximum is finite.
+    A and b are read-only copies that C owns. Construction rejects an A of
+    no columns and a non-finite A or b, then verifies C is nonempty and
+    bounded with one LP, max 1'x over C: since x >= 0, C is bounded iff
+    that maximum is finite.
     cached_vertices and cached_grids (grid step -> points) are read-only caches,
     filled by enumerate_vertices and the grid oracle; the constructor does not
     take them, since an incomplete list would make the vertex oracle inexact.
@@ -306,6 +307,8 @@ class Polytope:
         object.__setattr__(self, "b", _read_only(np.asarray(self.b, dtype=float).flatten()))
         if self.A.shape[0] != self.b.shape[0]:
             raise ProblemError("A and b row counts differ")
+        if self.A.shape[1] == 0:
+            raise ProblemError("a polytope needs at least one coordinate")
         if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
             raise ProblemError("A and b must be finite")
         _, _, _, status = simplex.solve(-np.ones(self.A.shape[1]), self.A, self.b)
@@ -326,7 +329,8 @@ class Polytope:
 
 @dataclass(frozen=True)
 class BoxSet:
-    """An axis-aligned box for the leader variable, with read-only bounds.
+    """An axis-aligned box of at least one coordinate for the leader
+    variable, with read-only bounds.
 
     cached_slack_bounds holds lower - 1e-12 and upper + 1e-12, the bounds
     contains tests against, as (lower, upper) pairs of Python floats, one
@@ -345,6 +349,8 @@ class BoxSet:
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape:
             raise ProblemError("box bound shapes differ")
+        if lo.size == 0:
+            raise ProblemError("a box needs at least one coordinate")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ProblemError("box bounds must be finite")
         if np.any(lo > hi):

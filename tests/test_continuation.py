@@ -127,10 +127,10 @@ class TestWarmRows:
         assert all(row.y.tolist() == [0.5] and row.converged for row in trace.rows)
         assert [row.evals for row in trace.rows[1:]] == [5] * 11
 
-    def test_a_row_after_an_unconverged_row_halves_from_warm_step(self, qb, monkeypatch):
-        # row 1 runs out of its budget of 100, so the moves into rows 2 and 3
-        # are no measure: rows 2 and 3 get no warm_step and halve from
-        # WARM_STEP, rows 4 and 5 get 0
+    def test_a_row_after_an_unconverged_row_reads_the_paths_step(self, qb, monkeypatch):
+        # row 1 runs out of its budget of 100 at y = 0.5, where the path
+        # stays: every later row gets the step of how far the path moved, 0,
+        # converged or not, and makes the first poll and one at the floor
         steps, solve = [], continuation.solve_penalized
 
         def recorded(*args, warm_step, **kwargs):
@@ -139,8 +139,20 @@ class TestWarmRows:
         monkeypatch.setattr(continuation, "solve_penalized", recorded)
         trace = bp.run_continuation(qb, EpsSchedule(0.1, 0.5, 5), cfg=UpperConfig(max_evals=100))
         assert [row.converged for row in trace.rows] == [False, True, True, True, True]
-        assert steps[:3] == [None] * 3 and [s.tolist() for s in steps[3:]] == [[0.0]] * 2
-        assert [row.evals for row in trace.rows] == [100, 29, 29, 5, 5]
+        assert steps[0] is None and [s.tolist() for s in steps[1:]] == [[0.0]] * 4
+        assert [row.evals for row in trace.rows] == [100, 5, 5, 5, 5]
+
+    def test_rows_after_a_nonfinite_follower_value_make_the_first_poll_and_the_floor(self):
+        # h is NaN at y = 0 only, which row 1's search probes, so row 1 stays
+        # unconverged; the path does not move, and rows 2 and 3 made 29
+        # evaluations each when they halved from WARM_STEP after it
+        problem = problem_from_dict({
+            "name": "nan-follower", "dim_y": 1, "dim_x": 2, "A": [[1.0, 1.0]], "b": [1.0],
+            "K_lower": [0.0], "K_upper": [1.0], "f": "1 + x[0]", "h": "(y[0]/y[0]) * x[0]"})
+        trace = bp.run_continuation(problem, EpsSchedule(0.1, 0.5, 12))
+        assert not trace.rows[0].converged
+        assert trace.rows[0].nonfinite_y.tolist() == [0.0]
+        assert [row.evals for row in trace.rows[1:]] == [5] * 11
 
 
 @st.composite
@@ -243,6 +255,22 @@ class TestTraceInvariants:
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_plus_and_minus_one_are_accepted(self, qb_trace, sign):
         assert ContinuationTrace(problem="QB", sign=sign, rows=qb_trace.rows).sign == sign
+
+    @pytest.mark.parametrize("field,value", [("sign", 5), ("rows", ()), ("problem", "FS"),
+                                             ("seed", 1)])
+    def test_fields_are_read_only(self, qb_trace, field, value):
+        # a trace was mutable after its checks: sign = 5 on a pessimistic
+        # trace read as optimistic in check_monotone, and reversed rows with
+        # increasing epsilons passed it
+        trace = ContinuationTrace(problem="QB", sign=-1, rows=qb_trace.rows)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trace, field, value)
+
+    def test_a_list_of_rows_is_copied(self, qb_trace):
+        rows = list(qb_trace.rows)
+        trace = ContinuationTrace(problem="QB", sign=+1, rows=rows)
+        rows.reverse()
+        assert trace.rows == qb_trace.rows and isinstance(trace.rows, tuple)
 
 
 class TestCheckMonotone:

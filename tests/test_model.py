@@ -171,6 +171,13 @@ class TestPolytope:
         with pytest.raises(ProblemError, match="A and b row counts differ"):
             bp.Polytope([[1.0, 1.0]], [1.0, 2.0])
 
+    def test_no_coordinates_raises_before_the_lp(self, monkeypatch):
+        # A of no columns passed, and enumerate_vertices then raised numpy's
+        # zero-size reduction error
+        monkeypatch.setattr(model.simplex, "solve", lambda *a: pytest.fail("LP ran"))
+        with pytest.raises(ProblemError, match="^a polytope needs at least one coordinate"):
+            bp.Polytope(np.zeros((1, 0)), [0.0])
+
     def test_distinct_error_codes(self):
         assert issubclass(EmptyFeasibleSetError, ProblemError)
         assert issubclass(UnboundedFeasibleSetError, ProblemError)
@@ -203,6 +210,13 @@ class TestBoxSet:
     def test_bound_shapes_differ(self):
         with pytest.raises(ProblemError, match="box bound shapes differ"):
             bp.BoxSet([0.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bound", [[], np.zeros((0, 2))])
+    def test_no_coordinates_raises(self, bound):
+        # an empty box passed, and pattern_search_maximize on it then raised
+        # a bare IndexError
+        with pytest.raises(ProblemError, match="^a box needs at least one coordinate"):
+            bp.BoxSet(bound, bound)
 
     @pytest.mark.parametrize("lower,upper", [([-1e308], [1e308]), ([0.0, -1e308], [1.0, 1e308])])
     def test_span_that_overflows_is_rejected(self, lower, upper):

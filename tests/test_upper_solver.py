@@ -574,6 +574,46 @@ class TestCoarseThenRefine:
         monkeypatch.setattr(upper_solver, "COARSE_MARGIN", 0.0)
         assert bp.pattern_search_maximize(near_tie(0.03), K).value < 1.0
 
+    @pytest.mark.parametrize("case", ["QB", "near tie"])
+    def test_a_refinement_that_runs_out_ends_the_search(self, monkeypatch, case):
+        # QB at eps 0.01 makes 198 coarse evaluations, then refines one end
+        # in 20; the near tie of the test above refines four ends. A budget
+        # of 3 more than the coarse stage runs out in the first refinement.
+        if case == "QB":
+            qb = bp.registry_get("QB")
+
+            def leader(y):
+                return bp.select_response(qb, y, 0.01, bp.PESSIMISTIC).leader_value
+            K, coarse, refinements = qb.leader_set, 198, 1
+        else:
+            def leader(y):
+                return max(math.exp(-(y[0] - 0.2987) ** 2 / 0.02),
+                           (1 + 1e-5) * math.exp(-(y[0] - 0.7513) ** 2 / (2 * 0.03 ** 2)))
+            K, coarse, refinements = bp.BoxSet([0.0], [1.0]), 176, 4
+        ys, values, runs, climb = [], [], [], upper_solver._compass_climb
+
+        def evaluate(y):
+            ys.append(y)
+            values.append(leader(y))
+            return values[-1]
+
+        def recorded(evaluate, K, best, steps, min_step, *rest):
+            out = climb(evaluate, K, best, steps, min_step, *rest)
+            runs.append((min_step, len(values) - out[2], out[2], out[3]))
+            return out
+        monkeypatch.setattr(upper_solver, "_compass_climb", recorded)
+        assert bp.pattern_search_maximize(evaluate, K).converged
+        assert [c[1] for c in runs if c[0] == upper_solver.MIN_STEP][:1] == [coarse]
+        assert sum(c[0] == upper_solver.MIN_STEP for c in runs) == refinements
+        for seen in (ys, values, runs):
+            seen.clear()
+        res = bp.pattern_search_maximize(evaluate, K, UpperConfig(max_evals=coarse + 3))
+        assert not res.converged and res.evals == len(values) == coarse + 3
+        assert res.value == max(values) and res.y is ys[values.index(res.value)]
+        # the one refinement is the exhausted one, and none runs after it
+        assert [c[2:] for c in runs if c[0] == upper_solver.MIN_STEP] == [(3, True)]
+        assert runs[-1][0] == upper_solver.MIN_STEP
+
     @settings(max_examples=100, deadline=None)
     @given(climbs())
     def test_a_climb_resumed_from_its_steps_makes_the_probes_of_one_climb(self, case):
