@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .model import BilevelProblem, require_finite, require_int
+from .model import BilevelProblem, ByValue, require_finite, require_int
 from .selection import PESSIMISTIC, _require_sign
 from .upper_solver import SHRINK, UpperConfig, solve_penalized
 
@@ -44,8 +44,8 @@ class EpsSchedule:
         return [self.eps0 * self.rho ** k for k in range(self.k_max)]
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRow:
+@dataclass(frozen=True, eq=False, slots=True)
+class TraceRow(ByValue):
     epsilon: float
     y: np.ndarray
     x: np.ndarray
@@ -57,8 +57,8 @@ class TraceRow:
     nonfinite_y: Optional[np.ndarray] = None  # see PenalizedSolution
 
 
-@dataclass(frozen=True)
-class ContinuationTrace:
+@dataclass(frozen=True, eq=False)
+class ContinuationTrace(ByValue):
     """A trace's rows, in order of strictly decreasing positive epsilon, and
     its sign; ValueError unless sign is the int +1 or -1 (see
     selection._require_sign). Read-only, so the checks hold: rows is stored

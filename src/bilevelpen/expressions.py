@@ -10,10 +10,16 @@ The parser produces a small AST that supports numeric evaluation
 to the x variables, and a conservative polynomial-degree analysis used
 to classify fields as linear or quadratic in x. compile_evaluator is the
 one compiler; it folds each subtree that reads no variable left to vary.
+Its numpy target evaluates batches and any point; its float target
+evaluates one point given as Python floats, with the numpy target's bits,
+and leaves to the numpy target each point where a warning could hide
+(see point_value), so a single point costs a fraction of the numpy
+dispatch per node.
 """
 
 import operator
 import pickle
+from math import isfinite
 
 import numpy as np
 
@@ -209,12 +215,60 @@ def tree_key(node):
     return pickle.dumps(node)
 
 
-# The arithmetic of every compiled expression, at build time and per call alike
+# The numpy target's arithmetic per call, and both targets' at build time (folding)
 _OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-        "div": operator.truediv, "neg": operator.neg, "pow": operator.pow}
+        "div": operator.truediv, "pow": operator.pow}
 
 
-def compile_evaluator(node, x=None):
+class _NumpyDecides(ArithmeticError):
+    """A float-target operation whose value or warnings may differ from the
+    numpy target's; the caller evaluates the point with numpy instead."""
+
+
+def _divide(a, b):
+    """a / b on Python floats. A divisor that is 0 (Python raises
+    ZeroDivisionError) or not finite can hide, in a finite quotient, a
+    value that numpy warned about."""
+    if not isfinite(b):
+        raise _NumpyDecides("divisor is not finite")
+    return a / b
+
+
+def _unit(a):
+    """a^0 on Python floats: 1.0, which can hide a base that numpy warned about."""
+    if not isfinite(a):
+        raise _NumpyDecides("base of ^0 is not finite")
+    return 1.0
+
+
+def _array_power(v, k):
+    """v^k as the numpy target computes x[j]^k (k >= 3): by numpy's power on
+    a 0-d array, which differs from pow in the last bit of about 3% of values.
+    Its only warning is an overflow, to a value that is not finite."""
+    with np.errstate(all="ignore"):
+        return float(np.asarray(v) ** k)
+
+
+# The float target's closures of +, -, * and /: over two closures, over a
+# folded float and a closure, and over a closure and a folded float. Each
+# writes its operation out, so a call makes no call for it but a division's.
+_FLOAT_CLOSURES = {
+    "add": (lambda a, b: lambda y, x: a(y, x) + b(y, x),
+            lambda a, b: lambda y, x: a + b(y, x),
+            lambda a, b: lambda y, x: a(y, x) + b),
+    "sub": (lambda a, b: lambda y, x: a(y, x) - b(y, x),
+            lambda a, b: lambda y, x: a - b(y, x),
+            lambda a, b: lambda y, x: a(y, x) - b),
+    "mul": (lambda a, b: lambda y, x: a(y, x) * b(y, x),
+            lambda a, b: lambda y, x: a * b(y, x),
+            lambda a, b: lambda y, x: a(y, x) * b),
+    "div": (lambda a, b: lambda y, x: _divide(a(y, x), b(y, x)),
+            lambda a, b: lambda y, x: _divide(a, b(y, x)),
+            lambda a, b: lambda y, x: _divide(a(y, x), b)),
+}
+
+
+def compile_evaluator(node, x=None, floats=False):
     """Compile the AST to a closure ``fn(y, x) -> value``.
 
     ``x`` may be a single point of shape (n,) or a batch of shape (N, n);
@@ -227,16 +281,57 @@ def compile_evaluator(node, x=None):
     quiet: a subtree such as (1 - 1)/(1 - 1) folds to NaN with no numpy
     warning, and the caller judges the value. fn.value holds the value of
     a tree that folds whole, and is None otherwise.
+
+    floats=True compiles the same tree for one point whose y and x are
+    lists of Python floats (an x fixed here is one point too), and fn
+    returns a Python float, each folded value taken as its float. Where
+    the numpy target reads a 0-d array, a bare x[j] under ^k, it keeps that
+    target's arithmetic: ^1 is x[j], ^2 is x[j]*x[j] and ^k (k >= 3) numpy's
+    power; every other ^k is pow, as for a numpy scalar, and +, -, *, /
+    are the same IEEE operations. So fn gives the numpy target's bits
+    wherever it returns a finite value without raising ArithmeticError, and
+    then numpy would have warned of nothing (but underflow, which numpy
+    ignores unless told otherwise). It raises ArithmeticError where a
+    warning could hide in a finite value: a divisor that is 0 or not
+    finite, a base of ^0 that is not finite, a power that overflows. See
+    point_value.
     """
+    return compile_evaluators([node], x, floats)[0]
+
+
+def compile_evaluators(nodes, x=None, floats=False):
+    """[compile_evaluator(node, x, floats) for node in nodes], with numpy's
+    warnings switched off once for all of them rather than once a node."""
     with np.errstate(all="ignore"):
-        value = _compile(node, x)
+        values = [_compile(node, x, floats) for node in nodes]
+    return [_evaluator(value, floats) for value in values]
+
+
+def _evaluator(value, floats):
+    """The closure of a compiled tree, or of a tree folded whole to value."""
+    if floats and not callable(value):
+        value = float(value)
     fn = value if callable(value) else lambda y, x: value
     fn.value = None if callable(value) else value
     return fn
 
 
-def _compile(node, x):
-    """node's value if it reads no variable left to vary, else its closure."""
+def point_value(fn, y, x):
+    """fn(y, x) for a float-target evaluator fn (see compile_evaluator) at
+    one point, y and x lists of Python floats, or None where the numpy
+    target must give the value and its warnings: where the call raises
+    ArithmeticError (or IndexError, for a y too short for the tree) or the
+    value is not finite."""
+    try:
+        value = fn(y, x)
+    except (ArithmeticError, IndexError):
+        return None
+    return value if isfinite(value) else None
+
+
+def _compile(node, x, floats):
+    """node's value if it reads no variable left to vary, else its closure
+    on numpy values, or on Python floats if floats."""
     kind = node[0]
     if kind == "const":
         return np.float64(node[1])  # so constants divide and overflow like y and x do
@@ -245,19 +340,45 @@ def _compile(node, x):
         return lambda y, x: y[i]
     if kind == "x":
         j = node[1]
-        return (lambda y, x: x[..., j]) if x is None else x[..., j]
+        if x is not None:
+            return x[..., j]
+        return (lambda y, x: x[j]) if floats else (lambda y, x: x[..., j])
+    if kind == "neg":
+        a = _compile(node[1], x, floats)
+        return (lambda y, x: -a(y, x)) if callable(a) else -a
     if kind not in _OPS:
         raise ExpressionError(f"unknown node {kind!r}")
+    a = _compile(node[1], x, floats)
+    b = node[2] if kind == "pow" else _compile(node[2], x, floats)  # an exponent is an int
+    if not (callable(a) or callable(b)):
+        return _OPS[kind](a, b)
+    if floats:
+        if kind == "pow":
+            return _float_power(a, b, node[1])
+        both, left, right = _FLOAT_CLOSURES[kind]
+        if not callable(a):
+            return left(float(a), b)
+        return both(a, b) if callable(b) else right(a, float(b))
     op = _OPS[kind]
-    a = _compile(node[1], x)
-    if kind == "neg":
-        return op(a) if not callable(a) else lambda y, x: op(a(y, x))
-    b = node[2] if kind == "pow" else _compile(node[2], x)  # an exponent is an int
     if not callable(a):
-        return op(a, b) if not callable(b) else lambda y, x: op(a, b(y, x))
+        return lambda y, x: op(a, b(y, x))
     if not callable(b):
         return lambda y, x: op(a(y, x), b)
     return lambda y, x: op(a(y, x), b(y, x))
+
+
+def _float_power(a, k, base):
+    """The float-target closure of base^k, base's closure a."""
+    if k == 0:
+        return lambda y, x: _unit(a(y, x))
+    if base[0] != "x":  # a numpy scalar, whose ** is pow
+        return lambda y, x: a(y, x) ** k
+    j = base[1]
+    if k == 1:
+        return a
+    if k == 2:
+        return lambda y, x: x[j] * x[j]
+    return lambda y, x: _array_power(x[j], k)
 
 
 # -- symbolic differentiation -------------------------------------------

@@ -8,7 +8,7 @@ and the follower objective convex in x; both assumptions are checked by
 sampling rather than proved.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import product
 from typing import Callable, Optional, Sequence
@@ -76,6 +76,28 @@ def _read_only(a):
     return a
 
 
+class ByValue:
+    """Equality and hash by value for a frozen dataclass declared with
+    eq=False that holds numpy arrays: its fields compare as a tuple, each
+    array by its dtype, shape and bytes (so a NaN equals a NaN of the same
+    bits), anything else by ==. The dataclass == raised ValueError on an
+    array of more than one element."""
+
+    __slots__ = ()
+
+    def _value_key(self):
+        return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._value_key() == other._value_key()
+
+    def __hash__(self):
+        return hash(self._value_key())
+
+
 @dataclass(slots=True)
 class FieldSection:
     """A scalar field with the leader variable frozen; function of x only."""
@@ -100,7 +122,12 @@ class ScalarField:
     (dim_y,) or at one per row, y of shape (N, dim_y): a hand-built
     evaluate_batch must accept both (see batch). coefficients, when given,
     maps y to (Q, c, d) with f(y, x) = x'(Qx/2 + c) + d; fix then returns
-    a section evaluated by dense linear algebra instead of evaluate.
+    a section evaluated by dense linear algebra instead of evaluate. On a
+    field built from an expression, evaluate, gradient_x and the
+    coefficients' entries that read y run one point (float arrays, lists
+    or tuples of shape (dim,)) on Python floats with the bits and warnings
+    of the numpy evaluation, which runs any other input (see
+    field_from_expression).
     """
 
     dim_y: int
@@ -184,12 +211,23 @@ def field_from_expression(text, dim_y, dim_x):
     of degree <= 2 carry their coefficients (see _quadratic_coefficients).
     Convexity in x is decided for degree <= 2 by a PSD test of the Hessian
     at 5 y drawn from U(-1, 2), or once if it reads no y (see _convex_on).
+
+    evaluate and gradient_x take a y of shape (dim_y,) and an x of shape
+    (dim_x,), as float arrays or sequences, to the float trees (see
+    ex.compile_evaluator), and give the bits and RuntimeWarnings of the
+    numpy trees: a point where the float trees raise ArithmeticError or a
+    value is not finite runs the numpy trees again, as does any other
+    input, a batch too. Those numpy trees are compiled from text at the
+    first point that needs them, so until then evaluate and gradient_x,
+    and whatever keeps them (a certificate's membership test), hold only
+    the float trees. evaluate_batch runs the numpy tree.
     """
     node = ex.parse(text)
     ex.check_indices(node, dim_y, dim_x)
     value_fn = ex.compile_evaluator(node)
+    float_value = ex.compile_evaluator(node, floats=True)
     grad_nodes = [ex.diff_x(node, j) for j in range(dim_x)]
-    grad_fns = [ex.compile_evaluator(g) for g in grad_nodes]
+    float_grads = ex.compile_evaluators(grad_nodes, floats=True)
 
     degree = ex.degree_in_x(node)
     if degree is None or degree > 2:
@@ -207,13 +245,31 @@ def field_from_expression(text, dim_y, dim_x):
     else:
         convex = structure == LINEAR
 
+    numpy_value = numpy_grads = None  # compiled from text at the first point that needs them
+
     def evaluate(y, x):
-        return float(value_fn(np.asarray(y, float), np.asarray(x, float)))
+        nonlocal numpy_value
+        y, x = np.asarray(y, float), np.asarray(x, float)
+        if y.shape == (dim_y,) and x.shape == (dim_x,):
+            value = ex.point_value(float_value, y.tolist(), x.tolist())
+            if value is not None:
+                return value
+        if numpy_value is None:
+            numpy_value = ex.compile_evaluator(ex.parse(text))
+        return float(numpy_value(y, x))
 
     def gradient_x(y, x):
-        y = np.asarray(y, float)
-        x = np.asarray(x, float)
-        return np.array([g(y, x) for g in grad_fns], dtype=float)
+        nonlocal numpy_grads
+        y, x = np.asarray(y, float), np.asarray(x, float)
+        if y.shape == (dim_y,) and x.shape == (dim_x,):
+            yf, xf = y.tolist(), x.tolist()
+            values = [ex.point_value(g, yf, xf) for g in float_grads]
+            if None not in values:
+                return np.array(values)
+        if numpy_grads is None:
+            parsed = ex.parse(text)
+            numpy_grads = ex.compile_evaluators([ex.diff_x(parsed, j) for j in range(dim_x)])
+        return np.array([g(y, x) for g in numpy_grads], dtype=float)
 
     def evaluate_batch(y, X):
         # for a y per row, y.T[i] is a column that lines up with X[..., j]
@@ -244,7 +300,10 @@ def _quadratic_coefficients(node, grad_nodes):
     tree w(y) = 1 + 4y(1 - y) and d = w(y)(1 + 0 + 0), so a call makes two
     evaluations. Equal trees give equal bits, so every entry keeps the bits
     of ex.compile_evaluator(entry)(y, 0). coefficients.reads_y records the
-    parts, a subset of COEFFICIENT_PARTS, with an entry that reads y.
+    parts, a subset of COEFFICIENT_PARTS, with an entry that reads y. A
+    float64 array y of one dimension runs the entries' float trees, with
+    their numpy trees compiled for a y they leave to numpy, as for any
+    other y (see ex.point_value).
     """
     n = len(grad_nodes)
     terms = [([n * n + n], node)] + [([n * n + j], g) for j, g in enumerate(grad_nodes)]
@@ -252,24 +311,39 @@ def _quadratic_coefficients(node, grad_nodes):
               for i in range(n) for j in range(i, n)]
     x0 = np.zeros(n)
     base = np.zeros(n * n + n + 1)
-    varying = {}  # tree key -> (indices, evaluator)
-    for idx, term in terms:
-        fn = ex.compile_evaluator(term, x0)
+    varying = {}  # tree key -> (indices, float evaluator, entry)
+    fns = ex.compile_evaluators([term for _, term in terms], x0, floats=True)
+    for (idx, term), fn in zip(terms, fns):
         if fn.value is None:
-            varying.setdefault(ex.tree_key(term), ([], fn))[0].extend(idx)
+            varying.setdefault(ex.tree_key(term), ([], fn, term))[0].extend(idx)
         else:
             base[idx] = fn.value
     varying = list(varying.values())
+    numpy_fns = None  # compiled at the first y that the float trees leave to numpy
 
     def coefficients(y):
+        nonlocal numpy_fns
         theta = base.copy()
-        for idx, fn in varying:
-            value = fn(y, None)
-            for k in idx:
-                theta[k] = value
+        on_floats = type(y) is np.ndarray and y.dtype == np.float64 and y.ndim == 1
+        if on_floats:
+            yf = y.tolist()
+            for idx, fn, _ in varying:
+                value = ex.point_value(fn, yf, None)
+                if value is None:
+                    on_floats = False
+                    break
+                for k in idx:
+                    theta[k] = value
+        if not on_floats:
+            if numpy_fns is None:
+                numpy_fns = ex.compile_evaluators([term for _, _, term in varying], x0)
+            for (idx, _, _), fn in zip(varying, numpy_fns):
+                value = fn(y, None)
+                for k in idx:
+                    theta[k] = value
         return theta[:n * n].reshape(n, n), theta[n * n:-1], float(theta[-1])
     coefficients.reads_y = frozenset("Q" if k < n * n else "c" if k < n * n + n else "d"
-                                     for idx, _ in varying for k in idx)
+                                     for idx, _, _ in varying for k in idx)
     return coefficients
 
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .model import (GENERAL, LINEAR, PSD_TOL, QUADRATIC, BilevelProblem, DenseSection,
+from .model import (GENERAL, LINEAR, PSD_TOL, QUADRATIC, BilevelProblem, ByValue, DenseSection,
                     ScalarField, coefficient_reads, is_psd, require_finite, require_int)
 from .lower_solver import _feasible_points, _fw_best, _fw_run, enumerate_vertices, vertex_lmo
 
@@ -27,8 +27,8 @@ MAX_STARTS = 16     # selection runs from the first min(#vertices, MAX_STARTS) v
 DOWNDATE_MARGIN = 0.1  # _downdate_test accepts Q_h - t aa' where t a'Q_h^+ a <= 1 - this
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+@dataclass(frozen=True, eq=False)
+class SelectionResult(ByValue):
     y: np.ndarray
     epsilon: float
     sign: int

@@ -34,8 +34,8 @@ import math
 
 import numpy as np
 
-from .model import (BilevelProblem, BoxSet, DimensionGuardError, ProblemError, require_finite,
-                    require_int)
+from .model import (BilevelProblem, BoxSet, ByValue, DimensionGuardError, ProblemError,
+                    require_finite, require_int)
 from .selection import FW_TOL, SelectionResult, select_response
 
 N_MULTISTARTS = 8  # a cold solve climbs from the box midpoint and 7 Sobol points
@@ -72,8 +72,8 @@ class PatternSearchResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class PenalizedSolution:
+@dataclass(frozen=True, eq=False)
+class PenalizedSolution(ByValue):
     y: np.ndarray
     selection: SelectionResult
     value: float

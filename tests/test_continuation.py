@@ -100,6 +100,35 @@ class TestRunContinuation:
         assert pickle.dumps(again) == pickle.dumps(qb_trace)
 
 
+class TestValueEquality:
+    # the dataclass == compared numpy fields with == and raised ValueError
+    def test_equal_runs_compare_equal_and_a_changed_row_does_not(self):
+        schedule = EpsSchedule(0.1, 0.5, 3)
+        a = bp.run_continuation(bp.registry_get("QB"), schedule)
+        b = bp.run_continuation(bp.registry_get("QB"), schedule)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert all(ra == rb for ra, rb in zip(a.rows, b.rows))
+        row = b.rows[1]
+        for change in ({"x": row.x + 1e-12}, {"y": row.y.reshape(1, 1)}, {"v": row.v + 1e-12},
+                       {"x": row.x.astype(np.float32)}):
+            changed = dataclasses.replace(b, rows=(b.rows[0], dataclasses.replace(row, **change),
+                                                   b.rows[2]))
+            assert a != changed and not a == changed and len({a, changed}) == 2, change
+        assert a != dataclasses.replace(a, sign=-1) and a != a.rows[0]
+        # arrays compare by their bytes: a zero's sign counts
+        assert (dataclasses.replace(row, x=np.zeros(4)) != dataclasses.replace(row, x=-np.zeros(4)))
+
+    def test_solutions_and_selections_compare_by_value(self):
+        a = bp.solve_penalized(bp.registry_get("QB"), 0.01)
+        b = bp.solve_penalized(bp.registry_get("QB"), 0.01)
+        assert a == b and a.selection == b.selection and hash(a) == hash(b)
+        moved = dataclasses.replace(b.selection, x=b.selection.x[::-1].copy())
+        assert a.selection != moved and a != dataclasses.replace(b, selection=moved)
+        nan = np.full(1, np.nan)
+        assert (dataclasses.replace(a, nonfinite_y=nan)
+                == dataclasses.replace(a, nonfinite_y=nan.copy()))
+
+
 class TestWarmRows:
     def test_later_rows_are_one_short_climb(self, qb):
         trace = bp.run_continuation(qb, EpsSchedule(0.1, 0.5, 12))

@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bilevelpen import expressions as ex
+from bilevelpen.model import field_from_expression
 
 
 def ev(text, y, x):
@@ -118,6 +119,126 @@ def test_folding_changes_no_bit(case):
             fixed = ex.compile_evaluator(term, x)  # the follower point fixed
             assert same_bits(fixed(y, None), plain_value(term, y, x))
             assert (fixed.value is None) == ex.uses_y(term)
+
+
+def to_text(node):
+    """Expression text that parses back to node, but that a constant -0.0 is
+    written (-0.0) and parses as a negation."""
+    kind = node[0]
+    if kind == "const":
+        v = node[1]
+        return "1e400" if v == math.inf else f"(-{-v!r})" if math.copysign(1, v) < 0 else repr(v)
+    if kind in ("y", "x"):
+        return f"{kind}[{node[1]}]"
+    if kind == "neg":
+        return f"(-{to_text(node[1])})"
+    if kind == "pow":
+        return f"({to_text(node[1])})^{node[2]}"
+    op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
+    return f"({to_text(node[1])} {op} {to_text(node[2])})"
+
+
+def warned(fn, *args):
+    """fn(*args), or the exception it raised, and the warnings it gave, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except Exception as exc:
+            out = (type(exc), str(exc))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+class NumpyPoint(np.ndarray):
+    """A float64 point that the float trees leave alone, so coefficients take
+    the numpy target, as for every point before they had a float target."""
+
+
+def one_point(node, x):
+    return node, np.array([0.5]), np.array(x), np.zeros((3, 1)), np.zeros((3, len(x)))
+
+
+# a finite value that hides an overflow: in a divisor, and in the base of ^0
+@example(one_point(("div", ("const", 2.0), ("mul", ("x", 0), ("x", 0))), [1e300]))
+@example(one_point(("pow", ("mul", ("x", 0), ("x", 1)), 0), [1e300, -1e300]))
+@settings(max_examples=300, deadline=None)
+@given(folding_cases())
+def test_fields_keep_the_bits_and_warnings_of_the_numpy_target(case):
+    # one point runs on Python floats, and keeps every bit and RuntimeWarning of
+    # the numpy target: 1e300 overflows, 1/0 and 10^400 fold to inf, and a bare
+    # x[j]^2 or x[j]^3 is numpy's 0-d array power; a seeded point of random
+    # coordinates also tells pow from numpy's power and from x[j]*x[j]
+    node, y, x, _, _ = case
+    text = to_text(node)
+    with np.errstate(all="ignore"):  # the convexity test at build evaluates the Hessian
+        field = field_from_expression(text, y.size, x.size)
+    node = ex.parse(text)
+    value_fn = ex.compile_evaluator(node)
+    grad_fns = [ex.compile_evaluator(ex.diff_x(node, j)) for j in range(x.size)]
+    rng = np.random.default_rng(len(text))
+    for y, x in [(y, x), (rng.uniform(-3, 3, y.size), rng.uniform(-3, 3, x.size))]:
+        value, value_warnings = warned(field.evaluate, y, x)
+        want = warned(lambda: float(value_fn(y, x)))
+        assert type(value) is float and same_bits(value, want[0]) and value_warnings == want[1]
+        grad, grad_warnings = warned(field.gradient_x, y, x)
+        want = warned(lambda: np.array([g(y, x) for g in grad_fns], dtype=float))
+        assert grad.dtype == np.float64 and grad.shape == (x.size,)
+        assert same_bits(grad, want[0]) and grad_warnings == want[1]
+        if field.coefficients is not None:
+            got = warned(field.coefficients, y)
+            want = warned(field.coefficients, y.view(NumpyPoint))
+            assert got[1] == want[1]
+            for a, b in zip(got[0], want[0]):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_bare_powers_keep_the_bits_of_numpy_0d_arrays():
+    # the numpy target reads a bare x[j] as a 0-d array: its ^2 is x[j]*x[j],
+    # which differs from pow in 83 of 100,000 values, and its ^3 numpy's
+    # power, which differs from pow in about 3% of them; y[0]^k is pow
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-3.0, 3.0, (20000, 2))
+    for text in ["x[0]^0", "x[0]^1", "x[0]^2", "x[0]^3", "x[0]^4", "y[0]^2", "y[0]^3",
+                 "(x[0] + y[0])^3 - x[0]^2*y[0]"]:
+        field = field_from_expression(text, 1, 1)
+        fn = ex.compile_evaluator(ex.parse(text))
+        got = [field.evaluate(y, x) for y, x in zip(points[:, :1], points[:, 1:])]
+        want = [float(fn(y, x)) for y, x in zip(points[:, :1], points[:, 1:])]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), text
+
+
+def outcome(fn, *args):
+    """("value", bits) of fn(*args), or ("raises", type, message)."""
+    try:
+        return "value", np.asarray(fn(*args)).tobytes()
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
+def test_points_of_any_sequence_agree_and_wrong_shapes_raise_as_before():
+    text = "(1 + 4*y[0]*(1 - y[0])) * (1 + x[0] + x[1]) + x[2]^3 / (2 + y[1]^2)"
+    field = field_from_expression(text, 2, 3)
+    node = ex.parse(text)
+    value_fn = ex.compile_evaluator(node)
+    grad_fns = [ex.compile_evaluator(ex.diff_x(node, j)) for j in range(3)]
+
+    def numpy_value(y, x):
+        return float(value_fn(np.asarray(y, float), np.asarray(x, float)))
+
+    def numpy_grad(y, x):
+        y, x = np.asarray(y, float), np.asarray(x, float)
+        return np.array([g(y, x) for g in grad_fns], dtype=float)
+
+    y, x = np.array([0.3, -1.5]), np.array([0.25, 1.0, -0.7])
+    for form in (list, tuple, np.array):
+        assert same_bits(field.evaluate(form(y), form(x)), field.evaluate(y, x))
+        assert same_bits(field.gradient_x(form(y), form(x)), field.gradient_x(y, x))
+    assert same_bits(field.evaluate([0, 1], (1, 0, 2)), field.evaluate([0.0, 1.0], [1.0, 0.0, 2.0]))
+    shapes = [(y, x[:2]), (y[:1], x), (y, np.append(x, 5.0)), (y, np.stack([x, x])),
+              (y.reshape(1, 2), x), ([], x), (y, []), (y, [[0.25, 1.0, -0.7]]), (0.3, x)]
+    for args in shapes:
+        assert outcome(field.evaluate, *args) == outcome(numpy_value, *args), args
+        assert outcome(field.gradient_x, *args) == outcome(numpy_grad, *args), args
 
 
 @pytest.mark.parametrize("bad", [

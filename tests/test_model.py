@@ -1,14 +1,16 @@
 import dataclasses
+import importlib.util
 import json
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
-from bilevelpen import cli, model
+from bilevelpen import cli, expressions as ex, model
 from bilevelpen.continuation import EpsSchedule
 from bilevelpen.model import (LINEAR, QUADRATIC, BilevelProblem, DimensionGuardError,
                               EmptyFeasibleSetError, ProblemError,
@@ -18,6 +20,7 @@ from bilevelpen.model import (VALIDATION_SAMPLES, VALIDATION_SEED, _gradient_rel
                               _worst_sample)
 from bilevelpen.lower_solver import _feasible_points, enumerate_vertices
 from bilevelpen.oracle import _grid_for
+from test_expressions import NumpyPoint
 
 
 class TestRegistry:
@@ -501,6 +504,45 @@ class TestBatchedValidation:
         report = bp.validate_problem(problem)
         assert report.all_passed
         assert _report_bytes(report.checks) == _report_bytes(_per_sample_validation(problem))
+
+
+def _shipped_documents():
+    """QB, FS, and the problem documents that bench/workloads.py generates at
+    seed 7: the seven custom-select families and the oracle-cli variants."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    docs = [model.QB_DOC, model.FS_DOC]
+    docs += [op.doc for op in workloads.CustomSelect(7, None).ops]
+    docs += [op.doc for op in workloads.OracleCli(7, None).ops]
+    return docs
+
+
+class TestSinglePointParity:
+    # one point runs on Python floats; every value, gradient and coefficient
+    # keeps the bits that the numpy target gives at 1,000 seeded points
+    @pytest.mark.parametrize("doc", _shipped_documents(), ids=lambda doc: doc["name"])
+    def test_shipped_documents_keep_every_bit(self, doc):
+        problem = bp.problem_from_dict(doc)
+        rng = np.random.default_rng(0)
+        Y = rng.uniform(-0.5, 1.5, (1000, problem.dim_y))
+        X = rng.uniform(-0.5, 1.5, (1000, problem.dim_x))
+        for field in (problem.leader_objective, problem.follower_objective):
+            node = ex.parse(field.expression)
+            value_fn = ex.compile_evaluator(node)
+            grad_fns = [ex.compile_evaluator(ex.diff_x(node, j)) for j in range(problem.dim_x)]
+            values = [field.evaluate(y, x) for y, x in zip(Y, X)]
+            assert all(type(v) is float for v in values)
+            assert (np.array(values).tobytes()
+                    == np.array([float(value_fn(y, x)) for y, x in zip(Y, X)]).tobytes())
+            grads = np.array([field.gradient_x(y, x) for y, x in zip(Y, X)])
+            want = np.array([[g(y, x) for g in grad_fns] for y, x in zip(Y, X)], dtype=float)
+            assert grads.tobytes() == want.tobytes()
+            if field.coefficients is not None:
+                for y in Y:
+                    for a, b in zip(field.coefficients(y), field.coefficients(y.view(NumpyPoint))):
+                        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 # Expressions over x[0], x[1], y[0], y[1] with + * / and powers 2, 3 and 7 of
