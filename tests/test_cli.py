@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -199,6 +200,17 @@ class TestOracle:
                           "method", "resolution"]
         assert row == [str(v) for v in [*doc["y_best"], *doc["x_best"], doc["leader_value"],
                                         doc["follower_value"], doc["method"], doc["resolution"]]]
+
+    def test_follower_reading_y_report_bytes_are_pinned(self, tmp_path):
+        # the per-y path: the argmin set on the x grid at every leader point
+        out = tmp_path / "out"
+        assert run_cli("oracle", "--problem", _gridded_qb(tmp_path), "--ygrid", "0.01",
+                       "--xgrid", "0.01", "--format", "json", tmp_path=out) == 0
+        report = (out / "qb-y_oracle.json").read_bytes()
+        doc = json.loads(report)
+        assert doc["method"] == "grid" and doc["leader_value"] == 3.158832185270581
+        assert hashlib.sha256(report).hexdigest() == (
+            "81a1dd607f3c4d07fb5d34f60d33f1b9a884d19eed12d002cb4bb90d6804dbad")
 
     def test_seed_is_not_an_oracle_flag(self, tmp_path, capsys):
         assert run_cli("oracle", "--problem", "FS", "--seed", "3", tmp_path=tmp_path) == 1
