@@ -25,7 +25,8 @@ from .upper_solver import SHRINK, UpperConfig, solve_penalized
 @dataclass(frozen=True)
 class EpsSchedule:
     """Geometric penalty schedule eps0 * rho^k for k = 0 .. k_max - 1;
-    ValueError unless k_max is an integer >= 1 (not a bool)."""
+    ValueError naming the argument unless eps0 is a positive finite real,
+    rho a real in (0, 1) and k_max an integer >= 1 (not a bool)."""
 
     eps0: float = 0.1
     rho: float = 0.5
@@ -33,7 +34,8 @@ class EpsSchedule:
 
     def __post_init__(self):
         require_finite("eps0", self.eps0, positive=True)
-        if not 0.0 < self.rho < 1.0:
+        require_finite("rho", self.rho, positive=True)
+        if not self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1) so the schedule decreases")
         require_int("k_max", self.k_max, 1)
         eps = self.epsilons()

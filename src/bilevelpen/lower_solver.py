@@ -21,7 +21,7 @@ import numpy as np
 
 from . import simplex
 from .model import (LINEAR, QUADRATIC, DimensionGuardError, FEAS_TOL, FieldSection, Polytope,
-                    _read_only)
+                    _read_only, require_finite, require_int)
 
 VERTEX_DIM_GUARD = 12
 RANK_TOL = 1e-10  # singular-value cutoff of independent_rows
@@ -311,8 +311,12 @@ def frank_wolfe_minimize(section: FieldSection, C: Polytope, tol=1e-8, max_iter=
     bounds value minus the true minimum.
 
     Non-convergence is not an exception: the result carries fw_gap > tol
-    when max_iter ran out first.
+    when max_iter ran out first. ValueError, before any vertex is
+    enumerated, unless tol is finite and nonnegative and max_iter an
+    integer of at least 1.
     """
+    require_finite("tol", tol)
+    require_int("max_iter", max_iter, 1)
     V = enumerate_vertices(C) if C.dim <= VERTEX_DIM_GUARD else None
     lmo = _simplex_lmo(C) if V is None else vertex_lmo(V)
     starts = V if start is None and V is not None else [_project_start(start, C)]

@@ -123,11 +123,11 @@ class ScalarField:
     evaluate_batch must accept both (see batch). coefficients, when given,
     maps y to (Q, c, d) with f(y, x) = x'(Qx/2 + c) + d; fix then returns
     a section evaluated by dense linear algebra instead of evaluate. On a
-    field built from an expression, evaluate, gradient_x and the
-    coefficients' entries that read y run one point (float arrays, lists
-    or tuples of shape (dim,)) on Python floats with the bits and warnings
-    of the numpy evaluation, which runs any other input (see
-    field_from_expression).
+    field built from an expression, evaluate and gradient_x take one point
+    (float arrays, lists or tuples of shape (dim,)) and raise ValueError
+    for any other shape; they and the coefficients' entries that read y
+    run a point on Python floats with the bits and warnings of the numpy
+    evaluation (see field_from_expression).
     """
 
     dim_y: int
@@ -142,12 +142,17 @@ class ScalarField:
 
     def batch(self, y, X):
         """Values at the rows of X (N, dim_x): all at the leader point y of
-        shape (dim_y,), or row i at y[i] for y of shape (N, dim_y). Without
-        evaluate_batch, evaluate runs once per row."""
-        X = np.asarray(X, dtype=float)
+        shape (dim_y,), or row i at y[i] for y of shape (N, dim_y); ValueError
+        for any other shape. Without evaluate_batch, evaluate runs once per
+        row."""
+        y, X = np.asarray(y, dtype=float), np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim_x or y.shape not in ((self.dim_y,),
+                                                                      (len(X), self.dim_y)):
+            raise ValueError(f"batch takes y of shape ({self.dim_y},) or (N, {self.dim_y}) and "
+                             f"X of shape (N, {self.dim_x}), got {y.shape} and {X.shape}")
         if self.evaluate_batch is not None:
             return np.asarray(self.evaluate_batch(y, X), dtype=float)
-        Y = np.broadcast_to(np.asarray(y, dtype=float), (len(X), self.dim_y))
+        Y = np.broadcast_to(y, (len(X), self.dim_y))
         return np.array([self.evaluate(yi, x) for yi, x in zip(Y, X)], dtype=float)
 
     def fix(self, y):
@@ -216,8 +221,8 @@ def field_from_expression(text, dim_y, dim_x):
     (dim_x,), as float arrays or sequences, to the float trees (see
     ex.compile_evaluator), and give the bits and RuntimeWarnings of the
     numpy trees: a point where the float trees raise ArithmeticError or a
-    value is not finite runs the numpy trees again, as does any other
-    input, a batch too. Those numpy trees are compiled from text at the
+    value is not finite runs the numpy trees again. A y or x of any other
+    shape raises ValueError (batches go to evaluate_batch). Those numpy trees are compiled from text at the
     first point that needs them, so until then evaluate and gradient_x,
     and whatever keeps them (a certificate's membership test), hold only
     the float trees. evaluate_batch runs the numpy tree.
@@ -250,10 +255,11 @@ def field_from_expression(text, dim_y, dim_x):
     def evaluate(y, x):
         nonlocal numpy_value
         y, x = np.asarray(y, float), np.asarray(x, float)
-        if y.shape == (dim_y,) and x.shape == (dim_x,):
-            value = ex.point_value(float_value, y.tolist(), x.tolist())
-            if value is not None:
-                return value
+        if y.shape != (dim_y,) or x.shape != (dim_x,):
+            raise _shape_error(y, x, dim_y, dim_x)
+        value = ex.point_value(float_value, y.tolist(), x.tolist())
+        if value is not None:
+            return value
         if numpy_value is None:
             numpy_value = ex.compile_evaluator(ex.parse(text))
         return float(numpy_value(y, x))
@@ -261,11 +267,12 @@ def field_from_expression(text, dim_y, dim_x):
     def gradient_x(y, x):
         nonlocal numpy_grads
         y, x = np.asarray(y, float), np.asarray(x, float)
-        if y.shape == (dim_y,) and x.shape == (dim_x,):
-            yf, xf = y.tolist(), x.tolist()
-            values = [ex.point_value(g, yf, xf) for g in float_grads]
-            if None not in values:
-                return np.array(values)
+        if y.shape != (dim_y,) or x.shape != (dim_x,):
+            raise _shape_error(y, x, dim_y, dim_x)
+        yf, xf = y.tolist(), x.tolist()
+        values = [ex.point_value(g, yf, xf) for g in float_grads]
+        if None not in values:
+            return np.array(values)
         if numpy_grads is None:
             parsed = ex.parse(text)
             numpy_grads = ex.compile_evaluators([ex.diff_x(parsed, j) for j in range(dim_x)])
@@ -283,6 +290,14 @@ def field_from_expression(text, dim_y, dim_x):
         evaluate_batch=evaluate_batch, expression=text,
         coefficients=coefficients,
     )
+
+
+def _shape_error(y, x, dim_y, dim_x):
+    """The ValueError for a point (y, x) of a field that is not of shape
+    ((dim_y,), (dim_x,)); a module function, so it adds nothing to the
+    closures a certificate keeps."""
+    return ValueError(f"a point takes y of shape ({dim_y},) and x of shape ({dim_x},), "
+                      f"got {y.shape} and {x.shape}")
 
 
 COEFFICIENT_PARTS = frozenset("Qcd")

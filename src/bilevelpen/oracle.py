@@ -10,11 +10,12 @@ response minimizes the squared leader objective over that description (on
 a vertex face by the package's one best-of-runs Frank-Wolfe loop,
 lower_solver._fw_best), and the three-level oracle maximizes the
 resulting value over a leader grid, polished by the one compass search,
-upper_solver._compass_climb. On the face of a follower that reads no y, a
-leader objective linear in x and positive at every face vertex is worst
-at its vertex of least value, so the oracle scores whole chunks of the
-leader grid with one batch (_worst_rows). Oracle values certify the
-penalty solver's convergence and error rates.
+upper_solver._compass_climb. _worst_response answers every leader point
+on one squared-leader section, built once per oracle. On the face of a
+follower that reads no y, a leader objective linear in x and positive at
+every face vertex is worst at its vertex of least value, so the oracle
+scores whole chunks of the leader grid with one batch (_worst_rows).
+Oracle values certify the penalty solver's convergence and error rates.
 """
 
 from dataclasses import dataclass
@@ -150,35 +151,33 @@ def _argmin_face(problem):
     that gap. S's vertices are those of the rows of [A; Q; c'] that
     independent_rows keeps, so dim_x is guarded like C's own vertices.
     """
-    if problem.cached_face is None:
-        object.__setattr__(problem, "cached_face", _face_of(problem))
-    return problem.cached_face
+    if problem.cached_face is not None:
+        return problem.cached_face
+    h, C = problem.follower_objective, problem.follower_set
+    face = None, None
+    if (h.structure == QUADRATIC and h.convex_in_x and C.dim <= VERTEX_DIM_GUARD
+            and h.coefficients is not None and not _reads_y(h)):
+        y = np.zeros(problem.dim_y)  # any y: h reads none
+        sol = frank_wolfe_minimize(h.fix(y), C, tol=FACE_GAP)
+        if sol.fw_gap <= FACE_GAP:
+            Q, c, _ = h.coefficients(y)
+            M = np.vstack([C.A, Q, c])
+            rows = independent_rows(M)
+            rhs = np.concatenate([C.b, Q @ sol.x, [c @ sol.x]])
+            try:
+                V = enumerate_vertices(Polytope(A=M[rows], b=rhs[rows]))
+            except ProblemError:  # S is empty, or its data is not finite
+                V = ()
+            if len(V):
+                face = V, sol.value - sol.fw_gap
+    object.__setattr__(problem, "cached_face", face)
+    return face
 
 
 def _reads_y(h):
     """Whether the follower objective h may read y: its expression has a
     y[i] leaf, or it has no expression to tell."""
     return h.expression is None or ex.uses_y(ex.parse(h.expression))
-
-
-def _face_of(problem):
-    h, C = problem.follower_objective, problem.follower_set
-    if not (h.structure == QUADRATIC and h.convex_in_x and C.dim <= VERTEX_DIM_GUARD
-            and h.coefficients is not None) or _reads_y(h):
-        return None, None
-    y = np.zeros(problem.dim_y)  # any y: h reads none
-    sol = frank_wolfe_minimize(h.fix(y), C, tol=FACE_GAP)
-    if not sol.fw_gap <= FACE_GAP:
-        return None, None
-    Q, c, _ = h.coefficients(y)
-    M = np.vstack([C.A, Q, c])
-    rows = independent_rows(M)
-    rhs = np.concatenate([C.b, Q @ sol.x, [c @ sol.x]])
-    try:
-        V = enumerate_vertices(Polytope(A=M[rows], b=rhs[rows]))
-    except ProblemError:  # S is empty, or its data is not finite
-        return None, None
-    return (V, sol.value - sol.fw_gap) if len(V) else (None, None)
 
 
 def _follower_points(problem, grid_step, tol):
@@ -239,17 +238,15 @@ def _worst_response(problem, penalized, y, desc) -> PessimisticResponse:
     a grid, at its first point of least finite square; on a vertex face, by
     Frank-Wolfe on penalized = h + f^2, as h is constant there."""
     f = problem.leader_objective
-    if desc.kind == "single_point":
-        x = desc.points[0]
-        return PessimisticResponse(x=x, value=float(f.evaluate(y, x)))
+    if desc.kind == "grid_cloud":
+        fvals = f.batch(y, desc.points)
+        i = _first_best(-(fvals ** 2))
+        return PessimisticResponse(x=desc.points[i], value=float(fvals[i]))
+    x = desc.points[0]
     if desc.kind == "vertex_face":
-        section = penalized.fix(y)
-        x = _fw_best(section, vertex_lmo(desc.points), desc.points,
+        x = _fw_best(penalized.fix(y), vertex_lmo(desc.points), desc.points,
                      tol=1e-12, max_iter=500)[0]
-        return PessimisticResponse(x=x, value=float(f.evaluate(y, x)))
-    fvals = f.batch(y, desc.points)
-    i = _first_best(-(fvals ** 2))
-    return PessimisticResponse(x=desc.points[i], value=float(fvals[i]))
+    return PessimisticResponse(x=x, value=float(f.evaluate(y, x)))
 
 
 def _worst_rows(problem, Y, respond, face=None):
@@ -325,13 +322,14 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     expression may read y) has one argmin set for every leader point: it
     is computed once, and each leader point scans that set; any other
     computes the argmin set (a scan of the x grid or of the vertices) at
-    every leader point by pessimistic_select. The leader grid gets
-    GRID_EVAL_GUARD points over the size of that per-point scan, at least
-    3: QB, whose argmin face has two vertices, gets 1,001 points at the
-    default step. The grid is built and scored in chunks of SCAN_ROWS
-    (leader point, vertex) rows by _grid_rows and _worst_rows, which
-    batches a linear leader on a vertex face, so no more of it is held at
-    once. A compass polish at y_grid_step/10, in strides of the largest
+    every leader point by exact_lower_set. Either way _worst_response
+    answers each leader point on the squared-leader section, built once.
+    The leader grid gets GRID_EVAL_GUARD points over the size of that
+    per-point scan, at least 3: QB, whose argmin face has two vertices,
+    gets 1,001 points at the default step. The grid is built and scored in
+    chunks of SCAN_ROWS (leader point, vertex) rows by _grid_rows and
+    _worst_rows, which batches a linear leader on a vertex face, so no more
+    of it is held at once. A compass polish at y_grid_step/10, in strides of the largest
     span, recovers the stated accuracy in every coordinate, scored by the
     same scan; ProblemError if no leader value is finite.
     Guarded to two leader dimensions. Steps positive and finite, tol
@@ -347,21 +345,17 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     h = problem.follower_objective
     points, kind = _follower_points(problem, x_grid_step, tol)
     method = "face_enum" if kind == "vertex_face" else "grid"
+    shared = face = None  # the argmin set of a follower that reads no y
+    if not _reads_y(h):
+        shared = exact_lower_set(problem, K.lower, tol=tol, grid_step=x_grid_step)
+        points = shared.points  # what each leader point scans
+        if shared.kind == "vertex_face" and problem.leader_objective.structure == LINEAR:
+            face = points
+    penalized = penalized_field(problem, 1.0)
 
-    if _reads_y(h):
-        scanned, face = len(points), None
-
-        def respond(y):
-            return pessimistic_select(problem, y, tol=tol, grid_step=x_grid_step)
-    else:
-        desc = exact_lower_set(problem, K.lower, tol=tol, grid_step=x_grid_step)
-        penalized = penalized_field(problem, 1.0)
-        scanned = len(desc.points)
-        linear_face = desc.kind == "vertex_face" and problem.leader_objective.structure == LINEAR
-        face = desc.points if linear_face else None
-
-        def respond(y):
-            return _worst_response(problem, penalized, y, desc)
+    def respond(y):
+        desc = shared or exact_lower_set(problem, y, tol=tol, grid_step=x_grid_step)
+        return _worst_response(problem, penalized, y, desc)
 
     def scan(Y):
         return _worst_rows(problem, Y, respond, face)
@@ -373,9 +367,10 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
         responses.setdefault(y.tobytes(), X[0])
         return float(values[0])
 
-    axes, spacing = _leader_grid(K, y_grid_step, max(3, GRID_EVAL_GUARD // max(1, scanned)))
+    scanned = max(1, len(points))
+    axes, spacing = _leader_grid(K, y_grid_step, max(3, GRID_EVAL_GUARD // scanned))
     size = math.prod(map(len, axes))
-    chunk = max(1, SCAN_ROWS // max(1, scanned))
+    chunk = max(1, SCAN_ROWS // scanned)
     best = None
     for start in range(0, size, chunk):
         Y = _grid_rows(axes, start, min(start + chunk, size))

@@ -47,6 +47,13 @@ class TestEpsSchedule:
             EpsSchedule(k_max=k_max)
         assert EpsSchedule(k_max=np.int64(3)).epsilons() == [0.1, 0.05, 0.025]
 
+    @pytest.mark.parametrize("rho", ["0.5", None, True, math.nan, math.inf, 0.0, -0.5])
+    def test_rho_is_a_positive_finite_real(self, rho):
+        # "0.5" used to raise a bare TypeError from <, where eps0 and k_max named themselves
+        with pytest.raises(ValueError, match="^rho must be"):
+            EpsSchedule(rho=rho)
+        assert EpsSchedule(rho=np.float32(0.5), k_max=2).epsilons() == [0.1, 0.05]
+
     @pytest.mark.parametrize("eps0, rho, k_max", [(1e-300, 0.1, 30), (0.1, 0.5, 1100)])
     def test_rejects_a_schedule_that_underflows(self, eps0, rho, k_max):
         # these reach 0.0 at rows 24 and 1072; the trace raised only after solving them

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -207,38 +208,43 @@ def test_bare_powers_keep_the_bits_of_numpy_0d_arrays():
         assert np.array(got).tobytes() == np.array(want).tobytes(), text
 
 
-def outcome(fn, *args):
-    """("value", bits) of fn(*args), or ("raises", type, message)."""
-    try:
-        return "value", np.asarray(fn(*args)).tobytes()
-    except Exception as exc:
-        return "raises", type(exc), str(exc)
-
-
-def test_points_of_any_sequence_agree_and_wrong_shapes_raise_as_before():
+def test_points_of_any_sequence_agree_and_wrong_shapes_raise():
     text = "(1 + 4*y[0]*(1 - y[0])) * (1 + x[0] + x[1]) + x[2]^3 / (2 + y[1]^2)"
     field = field_from_expression(text, 2, 3)
-    node = ex.parse(text)
-    value_fn = ex.compile_evaluator(node)
-    grad_fns = [ex.compile_evaluator(ex.diff_x(node, j)) for j in range(3)]
-
-    def numpy_value(y, x):
-        return float(value_fn(np.asarray(y, float), np.asarray(x, float)))
-
-    def numpy_grad(y, x):
-        y, x = np.asarray(y, float), np.asarray(x, float)
-        return np.array([g(y, x) for g in grad_fns], dtype=float)
-
     y, x = np.array([0.3, -1.5]), np.array([0.25, 1.0, -0.7])
     for form in (list, tuple, np.array):
         assert same_bits(field.evaluate(form(y), form(x)), field.evaluate(y, x))
         assert same_bits(field.gradient_x(form(y), form(x)), field.gradient_x(y, x))
     assert same_bits(field.evaluate([0, 1], (1, 0, 2)), field.evaluate([0.0, 1.0], [1.0, 0.0, 2.0]))
+    # the numpy trees broadcast these, or read the first entries of a longer x
     shapes = [(y, x[:2]), (y[:1], x), (y, np.append(x, 5.0)), (y, np.stack([x, x])),
-              (y.reshape(1, 2), x), ([], x), (y, []), (y, [[0.25, 1.0, -0.7]]), (0.3, x)]
+              (y.reshape(1, 2), x), ([], x), (y, []), (y, [[0.25, 1.0, -0.7]]), (0.3, x),
+              (np.append(y, 7.0), x)]
+    message = re.escape("a point takes y of shape (2,) and x of shape (3,), got ")
     for args in shapes:
-        assert outcome(field.evaluate, *args) == outcome(numpy_value, *args), args
-        assert outcome(field.gradient_x, *args) == outcome(numpy_grad, *args), args
+        for fn in (field.evaluate, field.gradient_x):
+            with pytest.raises(ValueError, match=message):
+                fn(*args)
+
+
+def test_batches_of_a_wrong_shape_raise():
+    f = field_from_expression("(1 + 4*y[0]*(1 - y[0])) * (1 + x[0] + x[1])", 1, 4)
+    X = np.full((2, 4), 0.5)
+    want = f.batch([0.3], X)
+    np.testing.assert_array_equal(f.batch(np.full((2, 1), 0.3), X), want)
+    np.testing.assert_array_equal(f.batch(np.empty(1), np.empty((0, 4))), [])
+    message = re.escape("batch takes y of shape (1,) or (N, 1) and X of shape (N, 4), got ")
+    # the first once read 5.52 at each row, from the first four columns
+    for y, bad in [([0.3], np.ones((2, 6))), ([0.3], np.ones(4)), ([0.3], np.ones((2, 2))),
+                   ([0.3, 7.0], X), (np.full((3, 1), 0.3), X), (np.full((2, 2), 0.3), X),
+                   (0.3, X), ([0.3], np.ones((2, 4, 1)))]:
+        with pytest.raises(ValueError, match=message):
+            f.batch(y, bad)
+    # a field without evaluate_batch makes the same test before any evaluate
+    plain = dataclasses.replace(f, evaluate_batch=None)
+    np.testing.assert_array_equal(plain.batch([0.3], X), want)
+    with pytest.raises(ValueError, match=message):
+        plain.batch([0.3], np.ones((2, 6)))
 
 
 @pytest.mark.parametrize("bad", [

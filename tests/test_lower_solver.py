@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bilevelpen as bp
-from bilevelpen import simplex
+from bilevelpen import lower_solver, simplex
 from bilevelpen.lower_solver import (RANK_TOL, _feasible_points, _fw_run, _pivot_columns,
                                      independent_rows, vertex_lmo)
 from bilevelpen.model import DimensionGuardError, FieldSection, Polytope, field_from_expression
@@ -216,6 +218,23 @@ class TestIndependentRows:
 
 
 class TestFrankWolfe:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(max_iter=2.5), "max_iter must be an integer of at least 1"),  # TypeError from range
+        (dict(max_iter=True), "max_iter must be an integer of at least 1"),
+        (dict(max_iter=0), "max_iter must be an integer of at least 1"),
+        (dict(tol=math.nan), "tol must be finite and nonnegative"),  # ran every start to max_iter
+        (dict(tol=-1.0), "tol must be finite and nonnegative"),  # likewise
+        (dict(tol=math.inf), "tol must be finite and nonnegative"),
+        (dict(tol="1e-8"), "tol must be a finite and nonnegative real number"),
+    ], ids=["max_iter_2.5", "max_iter_true", "max_iter_0", "tol_nan", "tol_negative",
+            "tol_inf", "tol_str"])
+    def test_guards_raise_before_any_vertex_is_enumerated(self, monkeypatch, qb, kwargs,
+                                                          message):
+        monkeypatch.setattr(lower_solver, "enumerate_vertices",
+                            lambda C: pytest.fail("vertices enumerated"))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            bp.frank_wolfe_minimize(qb.follower_objective.fix([0.3]), qb.follower_set, **kwargs)
+
     def test_qb_penalized_closed_form(self, qb):
         field = bp.penalized_field(qb, 0.1)
         sol = bp.frank_wolfe_minimize(field.fix([0.5]), qb.follower_set, tol=1e-8)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -326,6 +327,43 @@ def _count_calls(monkeypatch, name):
 SIMPLEX_3 = dict(dim_x=3, A=[[1.0, 1.0, 1.0]], b=[1.0])
 
 
+def _same_solutions(a, b):
+    for fld in dataclasses.fields(a):
+        u, v = getattr(a, fld.name), getattr(b, fld.name)
+        if isinstance(u, np.ndarray):
+            assert u.tobytes() == v.tobytes(), fld.name
+        else:
+            assert u == v and type(u) is type(v), fld.name
+
+
+@st.composite
+def _y_free_block_simplices(draw):
+    """A product of simplices with a follower that reads no y, linear or
+    a convex quadratic (g'x - t)^2, plus a ridge, and a leader whose
+    coefficients read y: linear in x, or a quadratic that is concave in x
+    and at least 0.5 on C, so Frank-Wolfe on its square stops at a vertex
+    of the face rather than running to its iteration cap."""
+    sizes = draw(st.sampled_from([(2,), (3,), (2, 2), (2, 3)]))
+    n = sum(sizes)
+    A = np.zeros((len(sizes), n))
+    for k, start in enumerate(np.cumsum([0, *sizes[:-1]])):
+        A[k, start:start + sizes[k]] = 1.0
+    positive = [0.5, 1.0, 1.5, 2.0]  # few, so values often tie
+    gx = " + ".join(f"{draw(st.sampled_from(positive))!r}*x[{j}]" for j in range(n))
+    kind = draw(st.sampled_from(["linear", "quadratic", "ridge"]))
+    h = gx if kind == "linear" else f"({gx} - {draw(st.sampled_from([0.5, 1.0, 2.0]))!r})^2"
+    if kind == "ridge":
+        h += " + 0.25*(" + " + ".join(f"x[{j}]^2" for j in range(n)) + ")"
+    quadratic = draw(st.booleans())
+    weights = st.sampled_from(positive if quadratic else positive + [-1.0])
+    f = "1 + 4*y[0]*(1 - y[0]) + " + " + ".join(
+        f"({draw(weights)!r} + {draw(weights)!r}*y[0])*x[{j}]" for j in range(n))
+    if quadratic:
+        f += f" - 0.5*(x[0] - x[{n - 1}])^2"
+    return make_problem(f, h, dim_x=n, A=A, b=[draw(st.sampled_from([0.5, 1.0])) for _ in sizes],
+                        name="blocks")
+
+
 class TestArgminSetOnce:
     @pytest.mark.parametrize("problem", [
         "QB", "FS",
@@ -340,15 +378,18 @@ class TestArgminSetOnce:
         once = bp.solve_three_level(problem)  # caches the argmin face, if any
         # the same problem and face, scanned as if the follower read y
         monkeypatch.setattr(oracle, "_reads_y", lambda h: True)
-        selects = _count_calls(monkeypatch, "pessimistic_select")
+        lower_sets = _count_calls(monkeypatch, "exact_lower_set")
         scan = bp.solve_three_level(problem)
-        assert len(selects) > 100
-        for fld in dataclasses.fields(once):
-            a, b = getattr(once, fld.name), getattr(scan, fld.name)
-            if isinstance(a, np.ndarray):
-                assert a.tobytes() == b.tobytes(), fld.name
-            else:
-                assert a == b and type(a) is type(b), fld.name
+        assert len(lower_sets) > 100
+        _same_solutions(once, scan)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_y_free_block_simplices())
+    def test_matches_the_per_y_scan_on_random_block_simplices(self, problem):
+        once = bp.solve_three_level(problem, y_grid_step=0.05, x_grid_step=0.05)
+        with mock.patch.object(oracle, "_reads_y", lambda h: True):
+            scan = bp.solve_three_level(problem, y_grid_step=0.05, x_grid_step=0.05)
+        _same_solutions(once, scan)
 
     def test_qb_computes_one_argmin_set(self, monkeypatch, qb):
         lower_sets = _count_calls(monkeypatch, "exact_lower_set")
@@ -365,20 +406,24 @@ class TestArgminSetOnce:
         p = _per_y(qb)
         assert oracle._reads_y(p.follower_objective)
         lower_sets = _count_calls(monkeypatch, "exact_lower_set")
-        selects = _count_calls(monkeypatch, "pessimistic_select")
+        responses = _count_calls(monkeypatch, "_worst_response")
         sol = bp.solve_three_level(p, y_grid_step=0.1, x_grid_step=0.1)
         assert sol.method == "grid" and oracle._argmin_face(p) == (None, None)
-        assert len(selects) > 10 and len(lower_sets) == len(selects)
+        assert len(lower_sets) > 10 and len(lower_sets) == len(responses)
 
     def test_follower_reading_y_keeps_the_per_y_scan(self, monkeypatch, qb):
         # argmin set x0 + x1 = y, where the leader is (1 + 4y(1 - y))(1 + y)
         p = dataclasses.replace(qb, follower_objective=field_from_expression(
             "(x[0] + x[1] - y[0])^2", 1, 4))
+        builds = _count_calls(monkeypatch, "penalized_field")
         lower_sets = _count_calls(monkeypatch, "exact_lower_set")
+        responses = _count_calls(monkeypatch, "_worst_response")
         selects = _count_calls(monkeypatch, "pessimistic_select")
         step = 0.01
         sol = bp.solve_three_level(p, y_grid_step=step, x_grid_step=step)
-        assert len(selects) > 100 and len(lower_sets) == len(selects)
+        # one section, and one argmin set and one response per leader point
+        assert len(builds) == 1 and selects == [] and sol.method == "grid"
+        assert len(lower_sets) > 100 and len(lower_sets) == len(responses)
         y = np.linspace(0.0, 1.0, 100001)
         brute = float(np.max((1 + 4 * y * (1 - y)) * (1 + y)))
         # the band x0 + x1 = y is hit within step / 2 and the leader's slope
