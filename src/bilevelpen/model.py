@@ -146,8 +146,8 @@ class ScalarField:
         for any other shape. Without evaluate_batch, evaluate runs once per
         row."""
         y, X = np.asarray(y, dtype=float), np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim_x or y.shape not in ((self.dim_y,),
-                                                                      (len(X), self.dim_y)):
+        if (X.ndim != 2 or X.shape[1] != self.dim_x
+                or y.shape not in ((self.dim_y,), (len(X), self.dim_y))):
             raise ValueError(f"batch takes y of shape ({self.dim_y},) or (N, {self.dim_y}) and "
                              f"X of shape (N, {self.dim_x}), got {y.shape} and {X.shape}")
         if self.evaluate_batch is not None:
@@ -222,10 +222,11 @@ def field_from_expression(text, dim_y, dim_x):
     ex.compile_evaluator), and give the bits and RuntimeWarnings of the
     numpy trees: a point where the float trees raise ArithmeticError or a
     value is not finite runs the numpy trees again. A y or x of any other
-    shape raises ValueError (batches go to evaluate_batch). Those numpy trees are compiled from text at the
-    first point that needs them, so until then evaluate and gradient_x,
-    and whatever keeps them (a certificate's membership test), hold only
-    the float trees. evaluate_batch runs the numpy tree.
+    shape raises ValueError; batches go to evaluate_batch, which runs the
+    numpy tree. Those numpy trees are compiled from text at the first point
+    that needs them, so until then evaluate and gradient_x, and whatever
+    keeps them (a certificate's membership test), hold only the float
+    trees.
     """
     node = ex.parse(text)
     ex.check_indices(node, dim_y, dim_x)

@@ -329,9 +329,9 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     gets 1,001 points at the default step. The grid is built and scored in
     chunks of SCAN_ROWS (leader point, vertex) rows by _grid_rows and
     _worst_rows, which batches a linear leader on a vertex face, so no more
-    of it is held at once. A compass polish at y_grid_step/10, in strides of the largest
-    span, recovers the stated accuracy in every coordinate, scored by the
-    same scan; ProblemError if no leader value is finite.
+    of it is held at once. A compass polish at y_grid_step/10, in strides
+    of the largest span, recovers the stated accuracy in every coordinate,
+    scored by the same scan; ProblemError if no leader value is finite.
     Guarded to two leader dimensions. Steps positive and finite, tol
     finite and nonnegative: all three are checked before any grid is
     built.

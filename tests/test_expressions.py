@@ -237,7 +237,7 @@ def test_batches_of_a_wrong_shape_raise():
     # the first once read 5.52 at each row, from the first four columns
     for y, bad in [([0.3], np.ones((2, 6))), ([0.3], np.ones(4)), ([0.3], np.ones((2, 2))),
                    ([0.3, 7.0], X), (np.full((3, 1), 0.3), X), (np.full((2, 2), 0.3), X),
-                   (0.3, X), ([0.3], np.ones((2, 4, 1)))]:
+                   (0.3, X), ([0.3], np.ones((2, 4, 1))), ([0.3], 5.0)]:
         with pytest.raises(ValueError, match=message):
             f.batch(y, bad)
     # a field without evaluate_batch makes the same test before any evaluate

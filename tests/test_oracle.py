@@ -341,8 +341,8 @@ def _y_free_block_simplices(draw):
     """A product of simplices with a follower that reads no y, linear or
     a convex quadratic (g'x - t)^2, plus a ridge, and a leader whose
     coefficients read y: linear in x, or a quadratic that is concave in x
-    and at least 0.5 on C, so Frank-Wolfe on its square stops at a vertex
-    of the face rather than running to its iteration cap."""
+    and at least 0.5 on C, so its square is least at a vertex of the face,
+    where Frank-Wolfe stops long before its iteration cap."""
     sizes = draw(st.sampled_from([(2,), (3,), (2, 2), (2, 3)]))
     n = sum(sizes)
     A = np.zeros((len(sizes), n))
