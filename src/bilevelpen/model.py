@@ -125,9 +125,8 @@ class ScalarField:
     a section evaluated by dense linear algebra instead of evaluate. On a
     field built from an expression, evaluate and gradient_x take one point
     (float arrays, lists or tuples of shape (dim,)) and raise ValueError
-    for any other shape; they and the coefficients' entries that read y
-    run a point on Python floats with the bits and warnings of the numpy
-    evaluation (see field_from_expression).
+    for any other shape; they run a point on Python floats with the bits
+    and warnings of the numpy evaluation (see field_from_expression).
     """
 
     dim_y: int
@@ -316,10 +315,7 @@ def _quadratic_coefficients(node, grad_nodes):
     tree w(y) = 1 + 4y(1 - y) and d = w(y)(1 + 0 + 0), so a call makes two
     evaluations. Equal trees give equal bits, so every entry keeps the bits
     of ex.compile_evaluator(entry)(y, 0). coefficients.reads_y records the
-    parts, a subset of COEFFICIENT_PARTS, with an entry that reads y. A
-    float64 array y of one dimension runs the entries' float trees, with
-    their numpy trees compiled for a y they leave to numpy, as for any
-    other y (see ex.point_value).
+    parts, a subset of COEFFICIENT_PARTS, with an entry that reads y.
     """
     n = len(grad_nodes)
     terms = [([n * n + n], node)] + [([n * n + j], g) for j, g in enumerate(grad_nodes)]
@@ -327,39 +323,24 @@ def _quadratic_coefficients(node, grad_nodes):
               for i in range(n) for j in range(i, n)]
     x0 = np.zeros(n)
     base = np.zeros(n * n + n + 1)
-    varying = {}  # tree key -> (indices, float evaluator, entry)
-    fns = ex.compile_evaluators([term for _, term in terms], x0, floats=True)
+    varying = {}  # tree key -> (indices, evaluator)
+    fns = ex.compile_evaluators([term for _, term in terms], x0)
     for (idx, term), fn in zip(terms, fns):
         if fn.value is None:
-            varying.setdefault(ex.tree_key(term), ([], fn, term))[0].extend(idx)
+            varying.setdefault(ex.tree_key(term), ([], fn))[0].extend(idx)
         else:
             base[idx] = fn.value
     varying = list(varying.values())
-    numpy_fns = None  # compiled at the first y that the float trees leave to numpy
 
     def coefficients(y):
-        nonlocal numpy_fns
         theta = base.copy()
-        on_floats = type(y) is np.ndarray and y.dtype == np.float64 and y.ndim == 1
-        if on_floats:
-            yf = y.tolist()
-            for idx, fn, _ in varying:
-                value = ex.point_value(fn, yf, None)
-                if value is None:
-                    on_floats = False
-                    break
-                for k in idx:
-                    theta[k] = value
-        if not on_floats:
-            if numpy_fns is None:
-                numpy_fns = ex.compile_evaluators([term for _, _, term in varying], x0)
-            for (idx, _, _), fn in zip(varying, numpy_fns):
-                value = fn(y, None)
-                for k in idx:
-                    theta[k] = value
+        for idx, fn in varying:
+            value = fn(y, None)
+            for k in idx:
+                theta[k] = value
         return theta[:n * n].reshape(n, n), theta[n * n:-1], float(theta[-1])
     coefficients.reads_y = frozenset("Q" if k < n * n else "c" if k < n * n + n else "d"
-                                     for idx, _, _ in varying for k in idx)
+                                     for idx, _ in varying for k in idx)
     return coefficients
 
 

@@ -6,16 +6,16 @@ x, of the argmin face S = {x in C : Qx = Qx*, c'x = c'x*} (Mangasarian,
 Oper. Res. Lett. 7 (1988) 21-26) when it is a convex quadratic that reads
 no y. Any other follower's argmin set is a dense grid cloud on the
 intrinsic coordinates of C (slack variables eliminated). The worst-case
-response minimizes the squared leader objective over that description (on
-a vertex face by the package's one best-of-runs Frank-Wolfe loop,
-lower_solver._fw_best), and the three-level oracle maximizes the
-resulting value over a leader grid, polished by the one compass search,
-upper_solver._compass_climb. _worst_response answers every leader point
-on one squared-leader section, built once per oracle. On the face of a
-follower that reads no y, a leader objective linear in x and positive at
-every face vertex is worst at its vertex of least value, so the oracle
-scores whole chunks of the leader grid with one batch (_worst_rows).
-Oracle values certify the penalty solver's convergence and error rates.
+response is the least leader objective f over that description, as the
+pessimistic problem defines it: the first point of least finite f on a
+grid, or on a face when f is linear in x; else the minimum of f over the
+face by the package's one best-of-runs Frank-Wolfe loop,
+lower_solver._fw_best. The three-level oracle maximizes the resulting
+value over a leader grid, polished by the one compass search,
+upper_solver._compass_climb. When every leader point shares one lower set
+and f is linear in x, the oracle scores whole chunks of the leader grid
+with one batch (_worst_rows). Oracle values certify the penalty solver's
+convergence and error rates.
 """
 
 from dataclasses import dataclass
@@ -29,13 +29,13 @@ from .model import (LINEAR, QUADRATIC, BilevelProblem, DimensionGuardError, FEAS
 from .lower_solver import (VERTEX_DIM_GUARD, _fw_best, enumerate_vertices,
                            frank_wolfe_minimize, independent_rows, lp_minimize,
                            vertex_lmo)
-from .selection import _leader_point, penalized_field
+from .selection import PESSIMISTIC, _leader_point
 from .upper_solver import _LATTICE, _compass_climb, _improves, _require_finite_best
 
 GRID_DIM_GUARD = 4
 GRID_EVAL_GUARD = 10 ** 7
 FACE_GAP = 1e-12     # the Frank-Wolfe gap at which x* defines the argmin face
-SCAN_ROWS = 2 ** 16  # (leader point, face vertex) rows per f.batch of the leader scan
+SCAN_ROWS = 2 ** 16  # (leader point, lower-set point) rows per f.batch of the leader scan
 
 
 @dataclass(frozen=True)
@@ -225,54 +225,50 @@ def exact_lower_set(problem: BilevelProblem, y, tol=1e-8,
 @np.errstate(all="ignore")
 def pessimistic_select(problem: BilevelProblem, y, tol=1e-8,
                        grid_step=1e-3) -> PessimisticResponse:
-    """Worst-case follower response: minimize the squared leader objective
-    over the exact follower argmin set; ValueError unless y is a point of
-    the leader box."""
+    """Worst-case follower response: the least leader objective over the
+    exact follower argmin set (see _worst_response); ValueError unless y is
+    a point of the leader box."""
     y = np.asarray(y, dtype=float)
-    return _worst_response(problem, penalized_field(problem, 1.0), y,
-                           exact_lower_set(problem, y, tol=tol, grid_step=grid_step))
+    return _worst_response(problem, y, exact_lower_set(problem, y, tol=tol, grid_step=grid_step))
 
 
-def _worst_response(problem, penalized, y, desc) -> PessimisticResponse:
-    """Minimize the squared leader objective at y over the lower set desc: on
-    a grid, at its first point of least finite square; on a vertex face, by
-    Frank-Wolfe on penalized = h + f^2, as h is constant there."""
-    f = problem.leader_objective
-    if desc.kind == "grid_cloud":
-        fvals = f.batch(y, desc.points)
-        i = _first_best(-(fvals ** 2))
-        return PessimisticResponse(x=desc.points[i], value=float(fvals[i]))
-    x = desc.points[0]
-    if desc.kind == "vertex_face":
-        x = _fw_best(penalized.fix(y), vertex_lmo(desc.points), desc.points,
-                     tol=1e-12, max_iter=500)[0]
+def _worst_response(problem, y, desc) -> PessimisticResponse:
+    """Minimize the leader objective f at y over the lower set desc: at its
+    first point of least finite f when desc is a grid or f is linear in x
+    (a linear f is least over a face's hull at a vertex); else by
+    Frank-Wolfe on f over the face's vertices."""
+    f, V = problem.leader_objective, desc.points
+    if f.structure == LINEAR or desc.kind == "grid_cloud":
+        F = f.batch(y, V)
+        i = _first_best(-F)
+        return PessimisticResponse(x=V[i], value=float(F[i]))
+    x = _fw_best(f.fix(y), vertex_lmo(V), V, tol=1e-12, max_iter=500)[0]
     return PessimisticResponse(x=x, value=float(f.evaluate(y, x)))
 
 
-def _worst_rows(problem, Y, respond, face=None):
+def _worst_rows(problem, Y, respond, points=None):
     """(values, X): the worst leader value at each leader point of Y
     (m, dim_y) and the response x there, as rows of arrays.
 
-    face, if given, holds the vertices of the argmin face, and f must be
-    linear in x. Where f is finite and positive at every vertex, f^2 grows
-    with f on the face's hull, so the worst response is the first vertex
-    of least f, as Frank-Wolfe from face[0] breaks ties: one f.batch over
-    the (leader point, vertex) rows scores them all. Every other point
-    takes respond(y), a PessimisticResponse.
+    points, if given, is the lower set every point of Y shares, and f must
+    be linear in x: each worst response is then the first point of least
+    finite f, the rule of _worst_response, and one f.batch over the
+    (leader point, point) rows scores them all (for a lone leader point,
+    points itself). Otherwise each point takes respond(y), a
+    PessimisticResponse.
     """
     m = len(Y)
-    values, X = np.empty(m), np.empty((m, problem.dim_x))
-    rest = range(m)
-    if face is not None:
-        f = problem.leader_objective
-        F = f.batch(np.repeat(Y, len(face), axis=0), np.tile(face, (m, 1))).reshape(m, len(face))
-        pick = F.argmin(axis=1)
-        values[:], X[:] = F[np.arange(m), pick], face[pick]
-        rest = np.flatnonzero(~((F > 0.0) & (F < math.inf)).all(axis=1))  # a NaN fails F > 0
-    for i in rest:
-        response = respond(Y[i])
-        values[i], X[i] = response.value, response.x
-    return values, X
+    if points is None:
+        values, X = np.empty(m), np.empty((m, problem.dim_x))
+        for i, y in enumerate(Y):
+            response = respond(y)
+            values[i], X[i] = response.value, response.x
+        return values, X
+    k = len(points)
+    X = points if m == 1 else np.tile(points, (m, 1))
+    F = problem.leader_objective.batch(np.repeat(Y, k, axis=0), X).reshape(m, k)
+    pick = np.where(np.isfinite(F), F, math.inf).argmin(axis=1)
+    return F[np.arange(m), pick], points[pick]
 
 
 def _first_best(values):
@@ -323,18 +319,17 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     is computed once, and each leader point scans that set; any other
     computes the argmin set (a scan of the x grid or of the vertices) at
     every leader point by exact_lower_set. Either way _worst_response
-    answers each leader point on the squared-leader section, built once.
-    The leader grid gets GRID_EVAL_GUARD points over the size of that
-    per-point scan, at least 3: QB, whose argmin face has two vertices,
-    gets 1,001 points at the default step. The grid is built and scored in
-    chunks of SCAN_ROWS (leader point, vertex) rows by _grid_rows and
-    _worst_rows, which batches a linear leader on a vertex face, so no more
-    of it is held at once. A compass polish at y_grid_step/10, in strides
-    of the largest span, recovers the stated accuracy in every coordinate,
-    scored by the same scan; ProblemError if no leader value is finite.
-    Guarded to two leader dimensions. Steps positive and finite, tol
-    finite and nonnegative: all three are checked before any grid is
-    built.
+    answers each leader point. The leader grid gets GRID_EVAL_GUARD points
+    over the size of that per-point scan, at least 3: QB, whose argmin face
+    has two vertices, gets 1,001 points at the default step. The grid is
+    built and scored in chunks of SCAN_ROWS (leader point, point) rows by
+    _grid_rows and _worst_rows, which batches a linear leader on a shared
+    argmin set, so no more of it is held at once. A compass polish at
+    y_grid_step/10, in strides of the largest span, recovers the stated
+    accuracy in every coordinate, scored by the same scan; ProblemError if
+    no leader value is finite. Guarded to two leader dimensions. Steps
+    positive and finite, tol finite and nonnegative: all three are checked
+    before any grid is built.
     """
     require_finite("y_grid_step", y_grid_step, positive=True)
     require_finite("x_grid_step", x_grid_step, positive=True)
@@ -345,20 +340,19 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
     h = problem.follower_objective
     points, kind = _follower_points(problem, x_grid_step, tol)
     method = "face_enum" if kind == "vertex_face" else "grid"
-    shared = face = None  # the argmin set of a follower that reads no y
+    shared = batched = None  # the argmin set of a follower that reads no y
     if not _reads_y(h):
         shared = exact_lower_set(problem, K.lower, tol=tol, grid_step=x_grid_step)
         points = shared.points  # what each leader point scans
-        if shared.kind == "vertex_face" and problem.leader_objective.structure == LINEAR:
-            face = points
-    penalized = penalized_field(problem, 1.0)
+        if problem.leader_objective.structure == LINEAR:
+            batched = points
 
     def respond(y):
         desc = shared or exact_lower_set(problem, y, tol=tol, grid_step=x_grid_step)
-        return _worst_response(problem, penalized, y, desc)
+        return _worst_response(problem, y, desc)
 
     def scan(Y):
-        return _worst_rows(problem, Y, respond, face)
+        return _worst_rows(problem, Y, respond, batched)
 
     responses = {}  # y.tobytes() -> the response of y's first evaluation, the one a climb keeps
 
@@ -392,7 +386,11 @@ def solve_three_level(problem: BilevelProblem, y_grid_step=1e-3, tol=1e-8,
 
 
 def gap_table(oracle: OracleSolution, trace) -> list:
-    """Pair each trace epsilon with the oracle-vs-trace leader value gap."""
+    """Pair each trace epsilon with the oracle-vs-trace leader value gap.
+    The oracle is the pessimistic worst case, so ValueError unless the
+    trace is pessimistic, and unless both are of one problem."""
+    if trace.sign != PESSIMISTIC:
+        raise ValueError(f"gap_table takes a pessimistic trace (sign +1), got sign {trace.sign}")
     if oracle.problem != trace.problem:
         raise ValueError(
             f"oracle is for {oracle.problem!r} but trace is for {trace.problem!r}")

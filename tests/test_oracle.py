@@ -10,10 +10,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import bilevelpen as bp
-from bilevelpen import cli, oracle
+from bilevelpen import cli, oracle, selection
 from bilevelpen.cli import oracle_to_json
 from bilevelpen.continuation import EpsSchedule
-from bilevelpen.lower_solver import independent_rows, lp_minimize
+from bilevelpen.lower_solver import _fw_best, independent_rows, lp_minimize, vertex_lmo
 from bilevelpen.model import (BilevelProblem, BoxSet, DimensionGuardError,
                               Polytope, ProblemError, field_from_expression)
 
@@ -315,13 +315,14 @@ def _per_y(problem):
 
 
 def _count_calls(monkeypatch, name):
-    calls, fn = [], getattr(oracle, name)
+    """Spy on oracle's name: the list of what each call returned."""
+    results, fn = [], getattr(oracle, name)
 
     def spy(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
+        results.append(fn(*args, **kwargs))
+        return results[-1]
     monkeypatch.setattr(oracle, name, spy)
-    return calls
+    return results
 
 
 SIMPLEX_3 = dict(dim_x=3, A=[[1.0, 1.0, 1.0]], b=[1.0])
@@ -340,9 +341,8 @@ def _same_solutions(a, b):
 def _y_free_block_simplices(draw):
     """A product of simplices with a follower that reads no y, linear or
     a convex quadratic (g'x - t)^2, plus a ridge, and a leader whose
-    coefficients read y: linear in x, or a quadratic that is concave in x
-    and at least 0.5 on C, so its square is least at a vertex of the face,
-    where Frank-Wolfe stops long before its iteration cap."""
+    coefficients read y: linear in x, or a quadratic, concave or convex in
+    x, whose least value on the face Frank-Wolfe finds."""
     sizes = draw(st.sampled_from([(2,), (3,), (2, 2), (2, 3)]))
     n = sum(sizes)
     A = np.zeros((len(sizes), n))
@@ -359,7 +359,7 @@ def _y_free_block_simplices(draw):
     f = "1 + 4*y[0]*(1 - y[0]) + " + " + ".join(
         f"({draw(weights)!r} + {draw(weights)!r}*y[0])*x[{j}]" for j in range(n))
     if quadratic:
-        f += f" - 0.5*(x[0] - x[{n - 1}])^2"
+        f += f" {draw(st.sampled_from('+-'))} 0.5*(x[0] - x[{n - 1}])^2"
     return make_problem(f, h, dim_x=n, A=A, b=[draw(st.sampled_from([0.5, 1.0])) for _ in sizes],
                         name="blocks")
 
@@ -415,14 +415,17 @@ class TestArgminSetOnce:
         # argmin set x0 + x1 = y, where the leader is (1 + 4y(1 - y))(1 + y)
         p = dataclasses.replace(qb, follower_objective=field_from_expression(
             "(x[0] + x[1] - y[0])^2", 1, 4))
-        builds = _count_calls(monkeypatch, "penalized_field")
+        # the oracle scores f itself: it builds no squared-leader section
+        assert not hasattr(oracle, "penalized_field")
+        monkeypatch.setattr(selection, "penalized_field",
+                            lambda *a: pytest.fail("a squared-leader section was built"))
         lower_sets = _count_calls(monkeypatch, "exact_lower_set")
         responses = _count_calls(monkeypatch, "_worst_response")
         selects = _count_calls(monkeypatch, "pessimistic_select")
         step = 0.01
         sol = bp.solve_three_level(p, y_grid_step=step, x_grid_step=step)
-        # one section, and one argmin set and one response per leader point
-        assert len(builds) == 1 and selects == [] and sol.method == "grid"
+        # one argmin set and one response per leader point
+        assert selects == [] and sol.method == "grid"
         assert len(lower_sets) > 100 and len(lower_sets) == len(responses)
         y = np.linspace(0.0, 1.0, 100001)
         brute = float(np.max((1 + 4 * y * (1 - y)) * (1 + y)))
@@ -646,6 +649,14 @@ class TestGapTable:
         with pytest.raises(ValueError):
             bp.gap_table(oracle, trace)
 
+    def test_optimistic_trace_rejected(self, qb_pair, qb):
+        # every gap to an optimistic trace is negative (-2.0, -0.91, ...), so
+        # fit_rate once read them as an exact selection
+        oracle, _ = qb_pair
+        trace = bp.run_continuation(qb, EpsSchedule(0.1, 0.5, 4), sign=-1)
+        with pytest.raises(ValueError, match="pessimistic trace"):
+            bp.gap_table(oracle, trace)
+
 
 class TestLimitCertification:
     def test_trace_limit_agrees_with_oracle_selection(self, qb, fs):
@@ -808,32 +819,54 @@ class TestFaceBatch:
         p = _simplex_face_problem(n, face, f_text)
         desc = bp.exact_lower_set(p, [0.5])
         assume(desc.kind == "vertex_face")
-        penalized = oracle.penalized_field(p, 1.0)
+        f, V = p.leader_objective, desc.points
         Y = np.array(ys)[:, None]
-        values, X = oracle._worst_rows(
-            p, Y, lambda y: pytest.fail(f"Frank-Wolfe at y = {y}"), desc.points)
+        values, X = oracle._worst_rows(p, Y, lambda y: pytest.fail(f"a response at y = {y}"), V)
         for i, y in enumerate(Y):
-            ref = oracle._worst_response(p, penalized, y, desc)
-            assert X[i].tobytes() == ref.x.tobytes() and values[i] == ref.value
+            ref = oracle._worst_response(p, y, desc)
+            # Frank-Wolfe on f from the first vertex ends at the same vertex
+            fw = _fw_best(f.fix(y), vertex_lmo(V), V, tol=1e-12, max_iter=500)[0]
+            assert X[i].tobytes() == ref.x.tobytes() == fw.tobytes() and values[i] == ref.value
 
-    def test_a_point_where_f_is_not_positive_takes_frank_wolfe(self):
-        # f = x[0] + 0.5 - y[0] is 0.5 - y at the vertex (0, 1): positive at
-        # y = 0 only, so the other two points run Frank-Wolfe
+    def test_a_point_where_f_is_not_positive_keeps_the_least_f(self):
+        # f = x[0] + 0.5 - y[0] is 0.5 - y at the vertex (0, 1) and 1.5 - y
+        # at (1, 0), so (0, 1) is the worst response at every y, also where
+        # f is not positive, outside the assumption f > 0; at y = 1 the least
+        # f^2 took (0.5, 0.5), where f = 0
         p = make_problem("x[0] + 0.5 - y[0]", "0", dim_x=2, A=[[1.0, 1.0]], b=[1.0])
         desc = bp.exact_lower_set(p, [0.0])
-        penalized = oracle.penalized_field(p, 1.0)
-        runs, worst = [], oracle._worst_response
-
-        def respond(y):
-            runs.append(y.tolist())
-            return worst(p, penalized, y, desc)
         Y = np.array([[0.0], [0.5], [1.0]])
-        values, X = oracle._worst_rows(p, Y, respond, desc.points)
-        assert runs == [[0.5], [1.0]]
+        values, X = oracle._worst_rows(
+            p, Y, lambda y: pytest.fail(f"a response at y = {y}"), desc.points)
+        np.testing.assert_array_equal(X, [[0.0, 1.0]] * 3)
+        np.testing.assert_array_equal(values, [0.5, 0.0, -0.5])
         for i, y in enumerate(Y):
-            ref = worst(p, penalized, y, desc)
+            ref = oracle._worst_response(p, y, desc)
             assert X[i].tobytes() == ref.x.tobytes() and values[i] == ref.value
-        np.testing.assert_array_equal(X[0], [0.0, 1.0])
+        r = bp.pessimistic_select(p, [1.0])
+        np.testing.assert_array_equal(r.x, [0.0, 1.0])
+        assert r.value == -0.5
+
+    def test_convex_quadratic_leader_certifies_every_run(self, monkeypatch):
+        # h is constant on the 3-simplex, so the face is the whole simplex,
+        # and f is least inside it; Frank-Wolfe on h + f^2 once ran 19,083
+        # iterations at this step, 1,500 in each of the slowest points,
+        # without certifying
+        from scipy.optimize import minimize
+        p = make_problem("1 + 4*y[0]*(1 - y[0]) + (-1.0 + 1.5*y[0])*x[0] + (0.5 + 0.5*y[0])*x[1]"
+                         " + (1.5 + 0.5*y[0])*x[2] + 1.5*(x[0] - x[2])^2",
+                         "0.5*x[0] + 0.5*x[1] + 0.5*x[2]", **SIMPLEX_3)
+        runs = _count_calls(monkeypatch, "_fw_best")
+        sol = bp.solve_three_level(p, y_grid_step=0.05)
+        assert sol.method == "face_enum" and len(runs) > 20
+        assert max(gap for _, _, gap, _, _ in runs) <= 1e-12
+        V = bp.exact_lower_set(p, sol.y).points
+        f = p.leader_objective
+        ref = minimize(lambda w: f.evaluate(sol.y, w @ V), np.full(len(V), 1.0 / len(V)),
+                       method="SLSQP", bounds=[(0.0, 1.0)] * len(V),
+                       constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0}],
+                       options={"ftol": 1e-15, "maxiter": 500})
+        assert ref.success and abs(sol.leader_value - ref.fun) <= 1e-8
 
     @pytest.mark.parametrize("h,scanned", [
         ("QB", 2),        # the two vertices of the argmin face
